@@ -7,6 +7,7 @@
 //! measured ε toward the proven bound, and by tests to confirm the bounds
 //! survive directed attack, not just random sampling.
 
+use meshsort::CleanDirtySplit;
 use netlist::{BitMatrix, WORD_BITS};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -115,8 +116,15 @@ where
                 positions.swap(i, j);
             }
             let flips = &positions[..lanes];
-            let neighbors =
-                BitMatrix::from_fn(n, lanes, |row, lane| pattern[row] ^ (flips[lane] == row));
+            // Lane `l` holds the pattern with bit `flips[l]` flipped.
+            let mut neighbors = BitMatrix::zeroed(n, lanes);
+            let all_lanes = u64::MAX >> (WORD_BITS - lanes);
+            for (row, &bit) in pattern.iter().enumerate() {
+                *neighbors.word_mut(row, 0) = if bit { all_lanes } else { 0 };
+            }
+            for (lane, &row) in flips.iter().enumerate() {
+                *neighbors.word_mut(row, 0) ^= 1 << lane;
+            }
             let scores = objective(&neighbors);
             assert_eq!(scores.len(), lanes, "objective must score every lane");
             evaluations += lanes;
@@ -145,6 +153,8 @@ where
 /// Directed attack on a staged switch's nearsortedness: maximize the
 /// dirty-window ε of the final-stage wire vector, scoring 64 candidate
 /// patterns per compiled sweep through the switch's cached trace netlist.
+/// Each lane's ε comes in closed form from its packed output column
+/// ([`CleanDirtySplit::epsilon`]).
 pub fn epsilon_attack(
     switch: &StagedSwitch,
     restarts: usize,
@@ -154,11 +164,7 @@ pub fn epsilon_attack(
     let elab = switch.trace_logic(false);
     hill_climb_block(switch.n, restarts, rounds, seed, |patterns| {
         let out = elab.compiled.eval_matrix(patterns);
-        (0..patterns.vectors())
-            .map(|lane| {
-                meshsort::nearsort_epsilon(&out.column(lane), meshsort::SortOrder::Descending)
-            })
-            .collect()
+        out.map_lane_columns(|column| CleanDirtySplit::from_words(column, out.rows()).epsilon())
     })
 }
 
@@ -175,10 +181,13 @@ pub fn deficiency_attack(
     let elab = switch.datapath_logic(false);
     let capacity = switch.guaranteed_capacity();
     let (n, m) = (switch.n, switch.m);
+    let popcount =
+        |column: &[u64]| -> usize { column.iter().map(|w| w.count_ones() as usize).sum() };
     hill_climb_block(n, restarts, rounds, seed, |patterns| {
         // Feed the valid bits on both the valid and data rails, so an
         // output carries a real message iff valid_out ∧ data_out.
-        let mut fed = BitMatrix::zeroed(2 * n, patterns.vectors());
+        let vectors = patterns.vectors();
+        let mut fed = BitMatrix::zeroed(2 * n, vectors);
         for row in 0..n {
             for w in 0..patterns.words_per_row() {
                 let word = patterns.word(row, w);
@@ -187,16 +196,23 @@ pub fn deficiency_attack(
             }
         }
         let out = elab.compiled.eval_matrix(&fed);
-        (0..patterns.vectors())
-            .map(|lane| {
-                let k = (0..n).filter(|&r| patterns.get(r, lane)).count();
+        let mut real = BitMatrix::zeroed(m, vectors);
+        for o in 0..m {
+            for w in 0..out.words_per_row() {
+                *real.word_mut(o, w) = out.word(o, w) & out.word(m + o, w);
+            }
+        }
+        let offered = patterns.map_lane_columns(popcount);
+        let delivered = real.map_lane_columns(popcount);
+        offered
+            .into_iter()
+            .zip(delivered)
+            .map(|(k, delivered)| {
                 if k > capacity {
-                    return 0; // outside the guarantee's precondition
+                    0 // outside the guarantee's precondition
+                } else {
+                    k - delivered
                 }
-                let delivered = (0..m)
-                    .filter(|&o| out.get(o, lane) && out.get(m + o, lane))
-                    .count();
-                k - delivered
             })
             .collect()
     })
@@ -331,6 +347,71 @@ mod tests {
             report.best_score,
             nearsort_epsilon(&bits, SortOrder::Descending)
         );
+    }
+
+    /// FNV-1a over a pattern's bits.
+    fn fnv(bits: &[bool]) -> u64 {
+        bits.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// The attacks' reports, pinned as the per-column scorers produced
+    /// them: `(best_score, evaluations, pattern length, FNV of
+    /// best_pattern)`.
+    #[test]
+    fn attack_reports_are_pinned() {
+        let pin = |r: SearchReport| {
+            (
+                r.best_score,
+                r.evaluations,
+                r.best_pattern.len(),
+                fnv(&r.best_pattern),
+            )
+        };
+        let columnsort_8x4 = ColumnsortSwitch::new(8, 4, 32);
+        let columnsort_24x4 = ColumnsortSwitch::new(24, 4, 48);
+        let revsort_64_48 = RevsortSwitch::new(64, 48, RevsortLayout::TwoDee);
+        let revsort_64_64 = RevsortSwitch::new(64, 64, RevsortLayout::TwoDee);
+        let revsort_256 = RevsortSwitch::new(256, 128, RevsortLayout::TwoDee);
+        let cases = [
+            (
+                pin(epsilon_attack(columnsort_8x4.staged(), 4, 60, 0xA77AC4)),
+                (9, 7684, 32, 0xd520_ec8c_55af_1b95),
+            ),
+            (
+                pin(deficiency_attack(revsort_64_48.staged(), 4, 60, 0xDEF1C17)),
+                (0, 15364, 64, 0x1781_7f88_36ff_1992),
+            ),
+            (
+                pin(epsilon_attack(revsort_64_64.staged(), 4, 60, 0xA77AC4)),
+                (17, 15364, 64, 0x60da_c7df_70f8_9d2c),
+            ),
+            (
+                pin(epsilon_attack(columnsort_24x4.staged(), 4, 60, 0xA77AC4)),
+                (9, 15364, 96, 0xab48_9d74_f398_f231),
+            ),
+            (
+                pin(deficiency_attack(
+                    columnsort_24x4.staged(),
+                    4,
+                    60,
+                    0xDEF1C17,
+                )),
+                (0, 15364, 96, 0xb36a_3142_4379_1dfb),
+            ),
+            (
+                pin(epsilon_attack(revsort_256.staged(), 3, 40, 0xA77AC4)),
+                (41, 7683, 256, 0xf1f8_f7ab_8a9a_c44b),
+            ),
+            (
+                pin(deficiency_attack(revsort_256.staged(), 3, 40, 0xDEF1C17)),
+                (0, 7683, 256, 0x3e8f_d890_cec2_c9a5),
+            ),
+        ];
+        for (i, (got, want)) in cases.into_iter().enumerate() {
+            assert_eq!(got, want, "case {i}");
+        }
     }
 
     #[test]

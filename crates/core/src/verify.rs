@@ -6,14 +6,19 @@
 //! Two evaluation paths exist. The generic functions ([`exhaustive_check`],
 //! [`monte_carlo_check`]) route every pattern through
 //! [`ConcentratorSwitch::route`] — the message-level functional model. The
-//! `_compiled` variants instead push 64 patterns per machine word through
-//! the switch's cached compiled datapath netlist
-//! ([`StagedSwitch::datapath_logic`]) and screen the results with
-//! bit-sliced lane counters; only screened-out suspects ever reach the
-//! per-pattern `route()` path (solely to produce a rich failure report), so
-//! the hot path is pure batch evaluation.
+//! `_compiled` variants and [`measure_epsilon`] are word-parallel end to
+//! end: seeded patterns are drawn 64 bits per word straight into the
+//! columns of a [`BitMatrix`] through its lane view, 64 patterns per word
+//! sweep the switch's cached compiled netlist
+//! ([`StagedSwitch::datapath_logic`], [`StagedSwitch::trace_logic`]), and
+//! the results are scored from whole words — bit-sliced lane counters for
+//! the guarantee screen, popcounts and trailing-ones/leading-zeros runs of
+//! each output column ([`CleanDirtySplit::from_words`]) for ε. Only
+//! screened-out suspects ever reach the per-pattern `route()` path (solely
+//! to produce a rich failure report).
 
-use netlist::BitMatrix;
+use meshsort::CleanDirtySplit;
+use netlist::{BitMatrix, WORD_BITS};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -23,6 +28,14 @@ use crate::staged::StagedSwitch;
 /// Patterns per screening chunk: bounds peak matrix memory while keeping
 /// whole words busy.
 const SCREEN_CHUNK: usize = 2048;
+
+/// Per-trial seed mixer and density grid of the Monte Carlo checks.
+const SCREEN_MIX: u64 = 0xA24B_AED4_963E_E407;
+const SCREEN_DENSITIES: [f64; 5] = [0.05, 0.25, 0.5, 0.75, 0.95];
+
+/// Per-trial seed mixer and density grid of [`measure_epsilon`].
+const EPSILON_MIX: u64 = 0x9FB2_1C65_1E98_DF25;
+const EPSILON_DENSITIES: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
 
 /// Deterministic SplitMix64 — a tiny seeded generator so verification runs
 /// are reproducible without threading an RNG type through the API.
@@ -134,13 +147,12 @@ where
     S: ConcentratorSwitch + Sync,
 {
     let n = switch.inputs();
-    let densities = [0.05, 0.25, 0.5, 0.75, 0.95];
     let adversaries = adversarial_patterns(n);
     let mut failures: Vec<CheckFailure> = (0..trials)
         .into_par_iter()
         .filter_map(|t| {
-            let mut rng = SplitMix64(seed ^ (t as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-            let p = densities[t % densities.len()];
+            let mut rng = SplitMix64(seed ^ (t as u64).wrapping_mul(SCREEN_MIX));
+            let p = SCREEN_DENSITIES[t % SCREEN_DENSITIES.len()];
             let valid = rng.valid_bits(n, p);
             let violations = check_concentration(switch, &valid);
             (!violations.is_empty()).then(|| CheckFailure {
@@ -264,18 +276,95 @@ fn staged_screen(switch: &StagedSwitch, patterns: &BitMatrix) -> Vec<usize> {
     suspects
 }
 
-/// Pack boolean patterns (one per column) into a [`BitMatrix`].
-fn pack_columns(n: usize, patterns: &[Vec<bool>]) -> BitMatrix {
-    let mut m = BitMatrix::zeroed(n, patterns.len());
-    for (v, pattern) in patterns.iter().enumerate() {
-        assert_eq!(pattern.len(), n, "pattern length mismatch");
-        for (r, &bit) in pattern.iter().enumerate() {
-            if bit {
-                m.set(r, v, true);
-            }
+/// The integer cutoff behind [`SplitMix64::bernoulli`]: for every `x`,
+/// `x < bernoulli_threshold(p)` exactly when
+/// `(x as f64 / u64::MAX as f64) < p`. The predicate is monotone in `x`,
+/// so a binary search over `u64` finds the one cutoff that reproduces it
+/// bit for bit, and the hot loop compares integers instead of converting
+/// and dividing.
+fn bernoulli_threshold(p: f64) -> u64 {
+    let below = |x: u64| (x as f64 / u64::MAX as f64) < p;
+    assert!(!below(u64::MAX), "density {p} accepts every draw");
+    let (mut lo, mut hi) = (0u64, u64::MAX);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
         }
     }
-    m
+    lo
+}
+
+/// A seeded verification campaign's patterns, generated block by block
+/// straight into [`BitMatrix`] columns. Pattern `t < trials` is
+/// `SplitMix64(seed ^ t·mix).valid_bits(n, densities[t % densities.len()])`
+/// — the same stream, drawn 64 bits per column word against an integer
+/// threshold; the patterns after it are [`adversarial_patterns`].
+struct PatternSource {
+    n: usize,
+    trials: usize,
+    seed: u64,
+    mix: u64,
+    thresholds: Vec<u64>,
+    /// The adversarial patterns, packed 64 rows per word.
+    adversaries: Vec<Vec<u64>>,
+}
+
+impl PatternSource {
+    fn new(n: usize, trials: usize, seed: u64, mix: u64, densities: &[f64]) -> Self {
+        let adversaries = adversarial_patterns(n)
+            .iter()
+            .map(|pattern| {
+                let mut words = vec![0u64; n.div_ceil(WORD_BITS)];
+                for (r, &bit) in pattern.iter().enumerate() {
+                    words[r / WORD_BITS] |= (bit as u64) << (r % WORD_BITS);
+                }
+                words
+            })
+            .collect();
+        PatternSource {
+            n,
+            trials,
+            seed,
+            mix,
+            thresholds: densities.iter().map(|&p| bernoulli_threshold(p)).collect(),
+            adversaries,
+        }
+    }
+
+    /// Random trials plus adversarial patterns.
+    fn total(&self) -> usize {
+        self.trials + self.adversaries.len()
+    }
+
+    /// Patterns `base..base + count`, one per column.
+    fn block(&self, base: usize, count: usize) -> BitMatrix {
+        let mut block = BitMatrix::zeroed(self.n, count);
+        let cw = block.column_words();
+        let mut columns = vec![0u64; WORD_BITS * cw];
+        for w in 0..block.words_per_row() {
+            let first = base + w * WORD_BITS;
+            let lanes = WORD_BITS.min(base + count - first);
+            for (t, column) in (first..first + lanes).zip(columns.chunks_exact_mut(cw)) {
+                if t < self.trials {
+                    let mut rng = SplitMix64(self.seed ^ (t as u64).wrapping_mul(self.mix));
+                    let threshold = self.thresholds[t % self.thresholds.len()];
+                    for (k, word) in column.iter_mut().enumerate() {
+                        *word = 0;
+                        for bit in 0..WORD_BITS.min(self.n - k * WORD_BITS) {
+                            *word |= ((rng.next_u64() < threshold) as u64) << bit;
+                        }
+                    }
+                } else {
+                    column.copy_from_slice(&self.adversaries[t - self.trials]);
+                }
+            }
+            block.write_lane_columns(w, &columns);
+        }
+        block
+    }
 }
 
 /// [`exhaustive_check`] over the compiled batch engine: all `2^n` patterns
@@ -316,27 +405,15 @@ pub fn monte_carlo_check_compiled(
     trials: usize,
     seed: u64,
 ) -> MonteCarloReport {
-    let n = switch.n;
-    let densities = [0.05, 0.25, 0.5, 0.75, 0.95];
-    let adversaries = adversarial_patterns(n);
-    let total = trials + adversaries.len();
+    let source = PatternSource::new(switch.n, trials, seed, SCREEN_MIX, &SCREEN_DENSITIES);
+    let total = source.total();
     let mut failures = Vec::new();
     let mut base = 0usize;
     while base < total {
         let count = SCREEN_CHUNK.min(total - base);
-        let patterns: Vec<Vec<bool>> = (base..base + count)
-            .map(|t| {
-                if t < trials {
-                    let mut rng = SplitMix64(seed ^ (t as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-                    rng.valid_bits(n, densities[t % densities.len()])
-                } else {
-                    adversaries[t - trials].clone()
-                }
-            })
-            .collect();
-        let block = pack_columns(n, &patterns);
+        let block = source.block(base, count);
         for suspect in staged_screen(switch, &block) {
-            let valid = patterns[suspect].clone();
+            let valid = block.column(suspect);
             let violations = check_concentration(switch, &valid);
             if !violations.is_empty() {
                 failures.push(CheckFailure {
@@ -355,7 +432,7 @@ pub fn monte_carlo_check_compiled(
 
 /// Empirical nearsortedness of a staged switch: the worst ε observed over
 /// random and adversarial patterns, to compare against the proven bound.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EpsilonReport {
     /// Patterns measured.
     pub trials: usize,
@@ -366,40 +443,30 @@ pub struct EpsilonReport {
 }
 
 /// Measure the ε the switch's *full wire vector* achieves (before the
-/// output truncation to `m` wires).
+/// output truncation to `m` wires), over `trials` seeded random patterns
+/// (densities 0.1–0.9) plus the [`adversarial_patterns`].
 ///
-/// Patterns are evaluated 64 at a time through the cached compiled
-/// full-trace netlist ([`StagedSwitch::trace_logic`]) rather than through
-/// the message-level [`StagedSwitch::trace`]; the two agree gate-for-gate
-/// (see the staged tests), so reports are unchanged.
+/// Word-parallel end to end: patterns are generated 64 per word into the
+/// lanes of a [`BitMatrix`], swept 64 at a time through the cached
+/// compiled full-trace netlist ([`StagedSwitch::trace_logic`], which
+/// agrees gate-for-gate with the message-level [`StagedSwitch::trace`]),
+/// and each output column is read back through the lane view as packed
+/// words and scored in closed form by [`CleanDirtySplit::from_words`] and
+/// [`CleanDirtySplit::epsilon`] — equal to
+/// [`meshsort::nearsort_epsilon`] on 0/1 sequences, without a sort.
 pub fn measure_epsilon(switch: &StagedSwitch, trials: usize, seed: u64) -> EpsilonReport {
-    let n = switch.n;
-    let densities = [0.1, 0.3, 0.5, 0.7, 0.9];
+    let source = PatternSource::new(switch.n, trials, seed, EPSILON_MIX, &EPSILON_DENSITIES);
     let elab = switch.trace_logic(false);
-    let adversaries = adversarial_patterns(n);
-    let total = trials + adversaries.len();
+    let total = source.total();
     let (mut worst_epsilon, mut worst_dirty) = (0usize, 0usize);
     let mut base = 0usize;
     while base < total {
         let count = SCREEN_CHUNK.min(total - base);
-        let patterns: Vec<Vec<bool>> = (base..base + count)
-            .map(|t| {
-                if t < trials {
-                    let mut rng = SplitMix64(seed ^ (t as u64).wrapping_mul(0x9FB2_1C65_1E98_DF25));
-                    rng.valid_bits(n, densities[t % densities.len()])
-                } else {
-                    adversaries[t - trials].clone()
-                }
-            })
-            .collect();
-        let block = pack_columns(n, &patterns);
-        let out = elab.compiled.eval_matrix(&block);
-        for v in 0..count {
-            let bits = out.column(v);
-            let eps = meshsort::nearsort_epsilon(&bits, meshsort::SortOrder::Descending);
-            let dirty = meshsort::clean_dirty_split(&bits).dirty_len;
-            worst_epsilon = worst_epsilon.max(eps);
-            worst_dirty = worst_dirty.max(dirty);
+        let out = elab.compiled.eval_matrix(&source.block(base, count));
+        for split in out.map_lane_columns(|column| CleanDirtySplit::from_words(column, out.rows()))
+        {
+            worst_epsilon = worst_epsilon.max(split.epsilon());
+            worst_dirty = worst_dirty.max(split.dirty_len);
         }
         base += count;
     }
@@ -413,8 +480,255 @@ pub fn measure_epsilon(switch: &StagedSwitch, trials: usize, seed: u64) -> Epsil
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnsort_switch::ColumnsortSwitch;
     use crate::hyper::Hyperconcentrator;
     use crate::revsort_switch::{RevsortLayout, RevsortSwitch};
+
+    /// Pack boolean patterns (one per column) into a [`BitMatrix`], bit by
+    /// bit: the reference for [`PatternSource::block`].
+    fn pack_columns(n: usize, patterns: &[Vec<bool>]) -> BitMatrix {
+        let mut m = BitMatrix::zeroed(n, patterns.len());
+        for (v, pattern) in patterns.iter().enumerate() {
+            assert_eq!(pattern.len(), n, "pattern length mismatch");
+            for (r, &bit) in pattern.iter().enumerate() {
+                if bit {
+                    m.set(r, v, true);
+                }
+            }
+        }
+        m
+    }
+
+    /// Patterns `base..base + count` as the per-column verifier drew them:
+    /// one `Vec<bool>` per pattern from f64 Bernoulli draws.
+    fn reference_patterns(
+        n: usize,
+        trials: usize,
+        seed: u64,
+        mix: u64,
+        densities: &[f64],
+        range: std::ops::Range<usize>,
+    ) -> Vec<Vec<bool>> {
+        let adversaries = adversarial_patterns(n);
+        range
+            .map(|t| {
+                if t < trials {
+                    let mut rng = SplitMix64(seed ^ (t as u64).wrapping_mul(mix));
+                    rng.valid_bits(n, densities[t % densities.len()])
+                } else {
+                    adversaries[t - trials].clone()
+                }
+            })
+            .collect()
+    }
+
+    /// The per-column ε measurement: every output column is extracted bit
+    /// by bit and scored by a stable sort. The oracle for
+    /// [`measure_epsilon`].
+    fn measure_epsilon_reference(switch: &StagedSwitch, trials: usize, seed: u64) -> EpsilonReport {
+        let n = switch.n;
+        let elab = switch.trace_logic(false);
+        let total = trials + adversarial_patterns(n).len();
+        let (mut worst_epsilon, mut worst_dirty) = (0usize, 0usize);
+        let mut base = 0usize;
+        while base < total {
+            let count = SCREEN_CHUNK.min(total - base);
+            let patterns = reference_patterns(
+                n,
+                trials,
+                seed,
+                EPSILON_MIX,
+                &EPSILON_DENSITIES,
+                base..base + count,
+            );
+            let out = elab.compiled.eval_matrix(&pack_columns(n, &patterns));
+            for v in 0..count {
+                let bits = out.column(v);
+                let eps = meshsort::nearsort_epsilon(&bits, meshsort::SortOrder::Descending);
+                let dirty = meshsort::clean_dirty_split(&bits).dirty_len;
+                worst_epsilon = worst_epsilon.max(eps);
+                worst_dirty = worst_dirty.max(dirty);
+            }
+            base += count;
+        }
+        EpsilonReport {
+            trials: total,
+            worst_epsilon,
+            worst_dirty,
+        }
+    }
+
+    /// [`monte_carlo_check_compiled`] over per-pattern `Vec<bool>`s packed
+    /// bit by bit: its oracle.
+    fn monte_carlo_check_compiled_reference(
+        switch: &StagedSwitch,
+        trials: usize,
+        seed: u64,
+    ) -> MonteCarloReport {
+        let n = switch.n;
+        let total = trials + adversarial_patterns(n).len();
+        let mut failures = Vec::new();
+        let mut base = 0usize;
+        while base < total {
+            let count = SCREEN_CHUNK.min(total - base);
+            let patterns = reference_patterns(
+                n,
+                trials,
+                seed,
+                SCREEN_MIX,
+                &SCREEN_DENSITIES,
+                base..base + count,
+            );
+            for suspect in staged_screen(switch, &pack_columns(n, &patterns)) {
+                let valid = patterns[suspect].clone();
+                let violations = check_concentration(switch, &valid);
+                if !violations.is_empty() {
+                    failures.push(CheckFailure {
+                        pattern: valid,
+                        violations: violations.iter().map(|v| format!("{v:?}")).collect(),
+                    });
+                }
+            }
+            base += count;
+        }
+        MonteCarloReport {
+            trials: total,
+            failures,
+        }
+    }
+
+    /// The 4-to-2 switch that reads its outputs off the *highest* pins: the
+    /// compactor pushes messages to low pins, so any single message is
+    /// dropped under capacity.
+    fn broken_read_off() -> StagedSwitch {
+        use crate::staged::{sort_stage, Axis};
+        let stage = sort_stage(4, 1, Axis::Columns, None, None, "col");
+        StagedSwitch::new(
+            "broken read-off",
+            4,
+            2,
+            crate::spec::ConcentratorKind::Partial { alpha: 1.0 },
+            vec![stage],
+            vec![2, 3],
+        )
+    }
+
+    /// The oracle cases: Revsort 16→12, 64→64, 256→128 and 1024→512, and
+    /// Columnsort 4×4, 24×4 (n = 96, not a multiple of 64) and 32×4, with
+    /// trial counts that keep the large ones quick in debug builds.
+    fn oracle_switches() -> Vec<(StagedSwitch, usize)> {
+        vec![
+            (
+                RevsortSwitch::new(16, 12, RevsortLayout::TwoDee)
+                    .staged()
+                    .clone(),
+                2100,
+            ),
+            (
+                RevsortSwitch::new(64, 64, RevsortLayout::TwoDee)
+                    .staged()
+                    .clone(),
+                300,
+            ),
+            (
+                RevsortSwitch::new(256, 128, RevsortLayout::TwoDee)
+                    .staged()
+                    .clone(),
+                150,
+            ),
+            (
+                RevsortSwitch::new(1024, 512, RevsortLayout::TwoDee)
+                    .staged()
+                    .clone(),
+                70,
+            ),
+            (ColumnsortSwitch::new(4, 4, 12).staged().clone(), 300),
+            (ColumnsortSwitch::new(24, 4, 64).staged().clone(), 300),
+            (ColumnsortSwitch::new(32, 4, 96).staged().clone(), 300),
+        ]
+    }
+
+    const ORACLE_SEEDS: [u64; 4] = [1, 2, 3, 101];
+
+    #[test]
+    fn measure_epsilon_equals_the_per_column_reference() {
+        for (switch, trials) in oracle_switches() {
+            for seed in ORACLE_SEEDS {
+                assert_eq!(
+                    measure_epsilon(&switch, trials, seed),
+                    measure_epsilon_reference(&switch, trials, seed),
+                    "{} n={} seed {seed}",
+                    switch.name,
+                    switch.n
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_monte_carlo_equals_the_per_column_reference() {
+        let mut cases = oracle_switches();
+        cases.push((broken_read_off(), 150));
+        for (switch, trials) in cases {
+            for seed in ORACLE_SEEDS {
+                let fast = monte_carlo_check_compiled(&switch, trials, seed);
+                let reference = monte_carlo_check_compiled_reference(&switch, trials, seed);
+                let what = format!("{} n={} seed {seed}", switch.name, switch.n);
+                assert_eq!(fast.trials, reference.trials, "{what}");
+                assert_eq!(fast.failures.len(), reference.failures.len(), "{what}");
+                for (a, b) in fast.failures.iter().zip(&reference.failures) {
+                    assert_eq!(a.pattern, b.pattern, "{what}");
+                    assert_eq!(a.violations, b.violations, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_thresholds_reproduce_the_f64_bernoulli_predicate() {
+        let densities = EPSILON_DENSITIES.iter().chain(&SCREEN_DENSITIES);
+        let cases: Vec<(f64, u64)> = densities.map(|&p| (p, bernoulli_threshold(p))).collect();
+        for &(p, t) in &cases {
+            let below = |x: u64| (x as f64 / u64::MAX as f64) < p;
+            for x in [t - 1, t, t + 1, 0, u64::MAX] {
+                assert_eq!(x < t, below(x), "p = {p}, x = {x:#x}, t = {t:#x}");
+            }
+        }
+        // On random draws, against `bernoulli` itself: each copy of the
+        // generator sees the same next draw `x`.
+        let mut rng = SplitMix64(0x7E57);
+        for _ in 0..1_000_000 {
+            let copy = rng;
+            let x = rng.next_u64();
+            for &(p, t) in &cases {
+                assert_eq!(x < t, { copy }.bernoulli(p), "p = {p}, x = {x:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_blocks_equal_packed_valid_bits() {
+        for (mix, densities) in [
+            (EPSILON_MIX, &EPSILON_DENSITIES),
+            (SCREEN_MIX, &SCREEN_DENSITIES),
+        ] {
+            for n in [1usize, 16, 63, 64, 65, 96, 130] {
+                let trials = 150;
+                let source = PatternSource::new(n, trials, 0xC0FFEE, mix, densities);
+                for (base, count) in [(0, source.total()), (37, 100), (140, source.total() - 140)] {
+                    let block = source.block(base, count);
+                    assert!(block.tail_is_clear());
+                    let patterns =
+                        reference_patterns(n, trials, 0xC0FFEE, mix, densities, base..base + count);
+                    assert_eq!(
+                        block,
+                        pack_columns(n, &patterns),
+                        "n={n} mix {mix:#x} patterns {base}+{count}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn splitmix_is_deterministic() {
@@ -491,19 +805,7 @@ mod tests {
 
     #[test]
     fn compiled_screen_catches_broken_switches() {
-        use crate::staged::{sort_stage, Axis};
-        // A 4-to-2 switch reading its outputs off the *highest* pins: the
-        // compactor pushes messages to low pins, so any single message is
-        // dropped under capacity.
-        let stage = sort_stage(4, 1, Axis::Columns, None, None, "col");
-        let broken = StagedSwitch::new(
-            "broken read-off",
-            4,
-            2,
-            crate::spec::ConcentratorKind::Partial { alpha: 1.0 },
-            vec![stage],
-            vec![2, 3],
-        );
+        let broken = broken_read_off();
         let report = monte_carlo_check_compiled(&broken, 100, 11);
         assert!(
             !report.failures.is_empty(),

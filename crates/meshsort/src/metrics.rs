@@ -61,6 +61,60 @@ impl CleanDirtySplit {
             && self.dirty_len <= 2 * epsilon
             && self.clean_zeros + self.ones + epsilon >= n
     }
+
+    /// The decomposition of the `n`-bit 0/1 sequence packed in `words`:
+    /// element `i` is bit `i % 64` of `words[i / 64]`, and bits past `n`
+    /// are ignored. Equal to [`clean_dirty_split`] of the unpacked
+    /// sequence, from popcounts, trailing ones and leading zeros.
+    pub fn from_words(words: &[u64], n: usize) -> Self {
+        let words = &words[..n.div_ceil(64)];
+        let last = words.len().wrapping_sub(1);
+        // Element count of word `i`, and its bits with the tail masked off.
+        let width = |i: usize| if i == last { n - 64 * i } else { 64 };
+        let bits = |i: usize| match width(i) {
+            64 => words[i],
+            w => words[i] & ((1u64 << w) - 1),
+        };
+        let ones = (0..words.len())
+            .map(|i| bits(i).count_ones() as usize)
+            .sum();
+        let mut clean_ones = 0;
+        for i in 0..words.len() {
+            let run = bits(i).trailing_ones() as usize;
+            clean_ones += run;
+            if run < 64 {
+                break;
+            }
+        }
+        let mut clean_zeros = 0;
+        for i in (0..words.len()).rev() {
+            let run = bits(i).leading_zeros() as usize - (64 - width(i));
+            clean_zeros += run;
+            if run < width(i) {
+                break;
+            }
+        }
+        CleanDirtySplit {
+            clean_ones,
+            dirty_start: clean_ones,
+            dirty_len: n.saturating_sub(clean_ones + clean_zeros),
+            clean_zeros,
+            ones,
+        }
+    }
+
+    /// The sequence's ε in closed form, equal to
+    /// `nearsort_epsilon(bits, SortOrder::Descending)`. Under the stable
+    /// matching, the i-th 1 moves right by the number of 0s before it,
+    /// which is largest for the last 1: `(n − clean_zeros) − ones`. The
+    /// j-th 0 moves left by the number of 1s after it, which is largest
+    /// for the first 0: `ones − clean_ones`.
+    pub fn epsilon(&self) -> usize {
+        let last_one_end = self.clean_ones + self.dirty_len; // n − clean_zeros
+        last_one_end
+            .saturating_sub(self.ones)
+            .max(self.ones.saturating_sub(self.clean_ones))
+    }
 }
 
 /// Compute the clean/dirty decomposition of a 0/1 sequence.
@@ -153,6 +207,39 @@ mod tests {
         let all_zeros = clean_dirty_split(&[false, false]);
         assert_eq!(all_zeros.clean_zeros, 2);
         assert_eq!(all_zeros.dirty_len, 0);
+    }
+
+    #[test]
+    fn from_words_pins_the_degenerate_sequences() {
+        let empty = CleanDirtySplit::from_words(&[], 0);
+        assert_eq!(empty, clean_dirty_split(&[]));
+        assert_eq!(empty.epsilon(), 0);
+        for n in [1usize, 63, 64, 65, 128, 130] {
+            let all_ones = CleanDirtySplit::from_words(&vec![!0u64; n.div_ceil(64)], n);
+            assert_eq!(all_ones, clean_dirty_split(&vec![true; n]), "{n} ones");
+            assert_eq!((all_ones.clean_ones, all_ones.epsilon()), (n, 0));
+            let all_zeros = CleanDirtySplit::from_words(&vec![0u64; n.div_ceil(64)], n);
+            assert_eq!(all_zeros, clean_dirty_split(&vec![false; n]), "{n} zeros");
+            assert_eq!((all_zeros.clean_zeros, all_zeros.epsilon()), (n, 0));
+        }
+    }
+
+    #[test]
+    fn from_words_matches_the_reference_on_the_worked_cases() {
+        // [1, 1, 0, 1, 0, 0] packs to 0b001011.
+        let split = CleanDirtySplit::from_words(&[0b001011 | !0u64 << 6], 6);
+        assert_eq!(
+            split,
+            clean_dirty_split(&[true, true, false, true, false, false])
+        );
+        assert_eq!(split.epsilon(), 1);
+        // Reversed [0, 0, 0, 1]: the lone 1 moves three places.
+        let split = CleanDirtySplit::from_words(&[0b1000], 4);
+        assert_eq!(split.epsilon(), 3);
+        assert_eq!(
+            split.epsilon(),
+            nearsort_epsilon(&[false, false, false, true], SortOrder::Descending)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use meshsort::{
     clean_dirty_split, cm_to_rm_permutation, columnsort_full, columnsort_steps123, compose,
     dirty_row_band, identity_permutation, invert, is_permutation, nearsort_epsilon, rev_bits,
     revsort_algorithm1, revsort_full, rm_to_cm_permutation, row_reversal_permutation, shearsort,
-    ColumnsortShape, Grid, ShearsortSchedule, SortOrder,
+    CleanDirtySplit, ColumnsortShape, Grid, ShearsortSchedule, SortOrder,
 };
 use proptest::prelude::*;
 
@@ -106,6 +106,23 @@ proptest! {
         let eps = nearsort_epsilon(&bits, SortOrder::Descending);
         let split = clean_dirty_split(&bits);
         prop_assert!(split.satisfies_lemma1(bits.len(), eps));
+    }
+
+    /// The packed decomposition equals the per-element one, and its closed
+    /// form ε equals the stable-sort ε, across word boundaries.
+    #[test]
+    fn packed_split_matches_per_element_split(bits in proptest::collection::vec(any::<bool>(), 0..301)) {
+        let mut words = vec![0u64; bits.len().div_ceil(64)];
+        for (i, &b) in bits.iter().enumerate() {
+            words[i / 64] |= (b as u64) << (i % 64);
+        }
+        // Bits past the end must be ignored.
+        if bits.len() % 64 != 0 {
+            *words.last_mut().unwrap() |= !0u64 << (bits.len() % 64);
+        }
+        let split = CleanDirtySplit::from_words(&words, bits.len());
+        prop_assert_eq!(split, clean_dirty_split(&bits));
+        prop_assert_eq!(split.epsilon(), nearsort_epsilon(&bits, SortOrder::Descending));
     }
 
     /// Permutation algebra: compose(p, invert(p)) is the identity, and all
