@@ -29,7 +29,7 @@ use std::time::Instant;
 use bench::{banner, TextTable};
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::StagedSwitch;
-use fabric::{drive_sync, drive_sync_unbatched, DriveReport, Fabric, FabricConfig, LoadPlan};
+use fabric::{drive_sync, one_per_tick, DriveReport, Fabric, FabricConfig, LoadPlan};
 use switchsim::TrafficModel;
 
 const N: usize = 1024;
@@ -62,7 +62,7 @@ struct Timed {
 fn run_batched(switch: &Arc<StagedSwitch>, shards: usize, p: f64, frames: usize) -> Timed {
     let mut fabric = Fabric::new(Arc::clone(switch), FabricConfig::new(shards));
     let started = Instant::now();
-    let report = drive_sync(&mut fabric, N, &plan(p, frames));
+    let report = drive_sync(&mut fabric, plan(p, frames).frames(N, 0), &[]);
     Timed {
         report,
         secs: started.elapsed().as_secs_f64(),
@@ -89,7 +89,11 @@ fn main() {
     let batched = first;
     let started = Instant::now();
     let mut unbatched_fabric = Fabric::new(Arc::clone(&switch), FabricConfig::new(2));
-    let unbatched_report = drive_sync_unbatched(&mut unbatched_fabric, N, &plan(0.5, 12));
+    let unbatched_report = drive_sync(
+        &mut unbatched_fabric,
+        one_per_tick(plan(0.5, 12).frames(N, 0)),
+        &[],
+    );
     let unbatched = Timed {
         report: unbatched_report,
         secs: started.elapsed().as_secs_f64(),

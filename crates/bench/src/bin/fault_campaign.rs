@@ -27,8 +27,7 @@ use concentrator::faults::{
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::StagedSwitch;
 use fabric::{
-    drive_sync_faulted, Backpressure, DriveReport, Fabric, FabricConfig, FaultEvent, LoadPlan,
-    RetryBudget,
+    drive_sync, Backpressure, DriveReport, Fabric, FabricConfig, FaultEvent, LoadPlan, RetryBudget,
 };
 use switchsim::TrafficModel;
 
@@ -83,7 +82,7 @@ fn failover(switch: &Arc<StagedSwitch>) -> DriveReport {
             })
             .collect(),
     }];
-    drive_sync_faulted(&mut fabric, switch.n, &plan, &schedule)
+    drive_sync(&mut fabric, plan.frames(switch.n, 0), &schedule)
 }
 
 fn main() {

@@ -31,8 +31,11 @@ fn main() {
     let small = TierBenchOptions::small();
     let topology = reference_tree(4, small.queue_capacity);
     let plan = small.plan();
-    let first = drive_tree(&topology, &plan, small.producers, small.ingress_sources);
-    let second = drive_tree(&topology, &plan, small.producers, small.ingress_sources);
+    let frames: Vec<_> = (0..small.producers)
+        .map(|p| plan.frames(small.ingress_sources, p))
+        .collect();
+    let first = drive_tree(&topology, frames.clone());
+    let second = drive_tree(&topology, frames);
     assert_eq!(
         first, second,
         "synchronous tree drives must be bit-reproducible"

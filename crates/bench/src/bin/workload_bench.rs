@@ -4,7 +4,7 @@
 //!
 //! Writes `BENCH_workloads.json` at the repository root. Every counter
 //! in the `deterministic` section comes from the synchronous
-//! [`fabric::trace::drive_sync_trace`] replay of a generated
+//! [`fabric::drive_sync`] replay of a generated
 //! [`fabric::Trace`], so the file is bit-identical across runs of the
 //! same binary (asserted by replaying one point twice).
 //!
@@ -22,10 +22,10 @@ use std::sync::Arc;
 use bench::{banner, TextTable};
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::StagedSwitch;
-use fabric::trace::{drive_sync_trace, generate};
+use fabric::trace::{frames, generate};
 use fabric::{
-    adversarial_trace, AdversarialPlan, Backpressure, Fabric, FabricConfig, RetryBudget, Trace,
-    TraceModel,
+    adversarial_trace, drive_sync, AdversarialPlan, Backpressure, Fabric, FabricConfig,
+    RetryBudget, Trace, TraceModel,
 };
 
 const N: usize = 256;
@@ -92,7 +92,7 @@ impl Point {
 
 fn replay(switch: &Arc<StagedSwitch>, trace: &Trace) -> Point {
     let mut fabric = Fabric::new(Arc::clone(switch), serving_config());
-    let report = drive_sync_trace(&mut fabric, N, trace);
+    let report = drive_sync(&mut fabric, frames(trace, N), &[]);
     assert!(
         report.snapshot.conserved(),
         "trace replay must conserve: {:?}",
@@ -142,8 +142,8 @@ fn main() {
     let mut a = Fabric::new(Arc::clone(&switch), serving_config());
     let mut b = Fabric::new(Arc::clone(&switch), serving_config());
     assert_eq!(
-        drive_sync_trace(&mut a, N, &probe).snapshot,
-        drive_sync_trace(&mut b, N, &probe).snapshot,
+        drive_sync(&mut a, frames(&probe, N), &[]).snapshot,
+        drive_sync(&mut b, frames(&probe, N), &[]).snapshot,
         "trace replays must be bit-reproducible"
     );
 

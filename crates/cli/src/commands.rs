@@ -378,7 +378,7 @@ fn parse_traffic_model(args: &Parsed, load: f64) -> Result<switchsim::TrafficMod
 /// scaling ladder instead ([`fabric::scaling`]); with `--trace`, replay
 /// a workload trace ([`fabric_bench_trace`]).
 pub fn fabric_bench(args: &Parsed) -> Result<String, String> {
-    use fabric::{drive_sync, drive_sync_unbatched, Fabric, FabricConfig, LoadPlan};
+    use fabric::{drive_sync, one_per_tick, Fabric, FabricConfig, LoadPlan};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -426,12 +426,12 @@ pub fn fabric_bench(args: &Parsed) -> Result<String, String> {
 
     let mut batched = Fabric::new(Arc::clone(&switch), config);
     let started = Instant::now();
-    let batched_report = drive_sync(&mut batched, n, &workload);
+    let batched_report = drive_sync(&mut batched, workload.frames(n, 0), &[]);
     let batched_secs = started.elapsed().as_secs_f64();
 
     let mut unbatched = Fabric::new(switch, config);
     let started = Instant::now();
-    let unbatched_report = drive_sync_unbatched(&mut unbatched, n, &workload);
+    let unbatched_report = drive_sync(&mut unbatched, one_per_tick(workload.frames(n, 0)), &[]);
     let unbatched_secs = started.elapsed().as_secs_f64();
 
     let batched_totals = batched_report.snapshot.totals();
@@ -568,8 +568,9 @@ fn fabric_bench_reconfig(args: &Parsed) -> Result<String, String> {
     let mut phases: Vec<(&str, u64, u64, f64)> = Vec::new();
     let mut generated = 0u64;
     let mut drive = |label: &'static str, phase: u64, phases: &mut Vec<(&str, u64, u64, f64)>| {
+        let frames = (0..producers).map(|p| plan(phase).frames(n, p)).collect();
         let started = Instant::now();
-        let produced = drive_service(&service, producers, &plan(phase), n);
+        let produced = drive_service(&service, frames);
         generated += produced;
         phases.push((
             label,
@@ -907,8 +908,7 @@ fn generate_trace(
 /// `trace-gen`: generate a replayable workload trace and write it to
 /// disk — binary `CTRC` by default, JSON-lines with `--jsonl`. The
 /// printed FNV-1a checksum identifies the exact trace bytes; `cli
-/// fabric-bench --trace <file>` and [`tiers::drive_tree_trace`] replay
-/// the file bit-for-bit.
+/// fabric-bench --trace <file>` replays the file bit-for-bit.
 pub fn trace_gen(args: &Parsed) -> Result<String, String> {
     let out_path = args.required("out")?;
     let model_name = args.optional("model").unwrap_or("mmpp");
@@ -990,7 +990,7 @@ pub fn trace_gen(args: &Parsed) -> Result<String, String> {
 /// generator model (`bernoulli|diurnal|mmpp|zipf-population|adversarial`)
 /// and the trace is generated in memory from the shared flags.
 fn fabric_bench_trace(args: &Parsed, spec: &str) -> Result<String, String> {
-    use fabric::{drive_sync_trace, Fabric, FabricConfig};
+    use fabric::{drive_sync, Fabric, FabricConfig};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -1022,7 +1022,7 @@ fn fabric_bench_trace(args: &Parsed, spec: &str) -> Result<String, String> {
 
     let mut fabric = Fabric::new(Arc::clone(&switch), config);
     let started = Instant::now();
-    let report = drive_sync_trace(&mut fabric, n, &trace);
+    let report = drive_sync(&mut fabric, fabric::trace::frames(&trace, n), &[]);
     let secs = started.elapsed().as_secs_f64();
     let totals = report.snapshot.totals();
     if !report.snapshot.conserved() {
@@ -1635,6 +1635,30 @@ mod tests {
         .unwrap();
         assert!(text.contains("trace replay"), "{text}");
         assert!(fabric_bench(&parse(&["--trace", "frobnicate"])).is_err());
+    }
+
+    #[test]
+    fn fabric_bench_refuses_garbage_trace_files() {
+        let path =
+            std::env::temp_dir().join(format!("cli-trace-garbage-{}.ctrc", std::process::id()));
+        let garbage: [&[u8]; 4] = [
+            b"\xff\x00 not a trace",
+            b"CTRC\x01\x00 truncated record",
+            b"{\"format\":\"ctrc\",\"version\":1,\"space\":\"wire\"}\n{\"tick\":\xff}\n",
+            b"{ nope",
+        ];
+        for bytes in garbage {
+            std::fs::write(&path, bytes).unwrap();
+            let result = fabric_bench(&parse(&[
+                "--trace",
+                path.to_str().unwrap(),
+                "--design",
+                "revsort:16:8",
+            ]));
+            let err = result.expect_err("a garbage trace file must be refused");
+            assert!(err.starts_with("loading trace"), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

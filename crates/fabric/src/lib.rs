@@ -62,10 +62,7 @@ pub mod trace;
 pub use concentrator::clock::{Clock, VirtualClock, WallClock};
 pub use config::{steer_scan, Backpressure, FabricConfig, HealthPolicy, Placement, RetryBudget};
 pub use engine::{Fabric, SubmitOutcome};
-pub use loadgen::{
-    drive_service, drive_service_batched, drive_sync, drive_sync_faulted, drive_sync_unbatched,
-    producer_script, producer_script_frames, DriveReport, FaultEvent, LoadPlan,
-};
+pub use loadgen::{drive_service, drive_sync, one_per_tick, DriveReport, FaultEvent, LoadPlan};
 pub use metrics::{FabricSnapshot, LogHistogram, ShardMetrics};
 pub use queue::{BatchPush, IngressQueue, PushOutcome, TryPush};
 pub use reconfig::{LaneState, SloController, SloDecision, SloPolicy};
@@ -75,9 +72,8 @@ pub use service::{
 };
 pub use shard::{Delivery, FrameRun, Shard};
 pub use trace::{
-    adversarial_trace, drive_service_trace, drive_sync_trace, AdversarialPlan, SourceSpace, Trace,
-    TraceCursor, TraceError, TraceFeeder, TraceFlavor, TraceModel, TraceReader, TraceRecord,
-    TraceWriter,
+    adversarial_trace, AdversarialPlan, SourceSpace, Trace, TraceCursor, TraceError, TraceFlavor,
+    TraceModel, TraceReader, TraceRecord, TraceWriter,
 };
 // The message type producers submit, re-exported so layered consumers
 // (the tier tree) can name the whole serving seam from one crate.

@@ -1,17 +1,20 @@
-//! Closed-loop load generation: drive a fabric with `switchsim`'s
-//! synthetic traffic sources.
+//! Closed-loop load generation: one frame shape, one driver per target.
 //!
-//! Two harnesses share one workload description ([`LoadPlan`]):
+//! A switch sees one thing per cycle — a frame of valid bits on its
+//! inputs — so every workload reaches a serving target as the same
+//! shape: `(tick, Vec<Message>)` frames in tick order. Two sources lower
+//! to it: [`LoadPlan::frames`] plays a `switchsim` [`TrafficModel`], and
+//! [`crate::trace::frames`] replays a [`crate::Trace`]. Each target then
+//! has exactly one driver over that shape:
 //!
-//! * [`drive_sync`] / [`drive_sync_unbatched`] push a deterministic
-//!   workload through the synchronous [`Fabric`] — same seed, same
-//!   config ⇒ bit-identical snapshot. The unbatched variant is the
-//!   one-request-per-sweep baseline the batching executor is measured
-//!   against.
-//! * [`drive_service`] runs `producers` worker threads against a live
-//!   [`FabricService`], each with its own seeded generator, submitting
-//!   under the service's real backpressure (a blocked producer blocks —
-//!   the closed loop).
+//! * [`drive_sync`] — the synchronous [`Fabric`], tick-faithful and
+//!   bit-reproducible, with an optional [`FaultEvent`] schedule. Over
+//!   [`one_per_tick`] frames it is the one-request-per-sweep baseline
+//!   the batching executor is measured against.
+//! * [`drive_service`] — a live [`FabricService`], one thread per
+//!   producer, each submitting whole frames under the service's real
+//!   backpressure (a blocked producer blocks — the closed loop).
+//! * `tiers::drive_tree` — the deterministic tier-tree driver.
 
 use concentrator::faults::ChipFault;
 use serde::{Deserialize, Serialize};
@@ -38,10 +41,50 @@ pub struct LoadPlan {
     pub frames: usize,
 }
 
+impl LoadPlan {
+    /// The frames producer `producer` offers when playing this plan
+    /// against a switch with `inputs` inputs: its own seeded generator
+    /// (`seed + producer`) and a disjoint id space (producer index in the
+    /// id's top 16 bits). Element `f` is generation frame `f` at tick
+    /// `f`, kept even when empty. A pure function of its arguments, so
+    /// every driver and the simulation harness replay identical
+    /// workloads through it.
+    pub fn frames(&self, inputs: usize, producer: usize) -> Vec<(u64, Vec<Message>)> {
+        let mut generator = TrafficGenerator::new(
+            self.model,
+            inputs,
+            self.payload_bytes,
+            self.seed.wrapping_add(producer as u64),
+        );
+        (0..self.frames as u64)
+            .map(|tick| {
+                let mut frame = generator.next_frame();
+                for message in &mut frame {
+                    message.id |= (producer as u64) << 48;
+                }
+                (tick, frame)
+            })
+            .collect()
+    }
+}
+
+/// Re-time `frames` so every message rides a tick of its own, in order:
+/// the one-request-per-sweep baseline. A lone message always routes
+/// (1 ≤ αm), so [`drive_sync`] over these frames never backpressures
+/// and spends at least one compiled sweep per message.
+pub fn one_per_tick(frames: Vec<(u64, Vec<Message>)>) -> Vec<(u64, Vec<Message>)> {
+    frames
+        .into_iter()
+        .flat_map(|(_, frame)| frame)
+        .enumerate()
+        .map(|(tick, message)| (tick as u64, vec![message]))
+        .collect()
+}
+
 /// What a synchronous drive did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriveReport {
-    /// Fresh messages the generator produced.
+    /// Fresh messages the frames carried.
     pub generated: u64,
     /// Deliveries collected (payloads already reassembled and checked by
     /// the shard executor's debug assertions).
@@ -50,69 +93,12 @@ pub struct DriveReport {
     pub snapshot: FabricSnapshot,
 }
 
-/// Drive `fabric` closed-loop for `plan.frames` generation frames, then
-/// drain. Messages bounced by blocking backpressure are held by the
-/// "producer" and re-offered after the next tick, oldest first.
-pub fn drive_sync(fabric: &mut Fabric, inputs: usize, plan: &LoadPlan) -> DriveReport {
-    let mut generator = TrafficGenerator::new(plan.model, inputs, plan.payload_bytes, plan.seed);
-    let mut held: Vec<Message> = Vec::new();
-    let mut generated = 0u64;
-    for _ in 0..plan.frames {
-        let fresh = generator.next_frame();
-        generated += fresh.len() as u64;
-        held = offer_all(fabric, held.into_iter().chain(fresh));
-        fabric.tick();
-    }
-    // Drain: keep re-offering the held backlog while the queues empty.
-    let mut drain_frames = 0u64;
-    while !held.is_empty() || fabric.in_flight() > 0 {
-        assert!(
-            drain_frames < DRAIN_LIMIT,
-            "sync drive failed to drain (held {})",
-            held.len()
-        );
-        held = offer_all(fabric, held.into_iter());
-        fabric.tick();
-        drain_frames += 1;
-    }
-    let delivered = fabric.take_completions().len() as u64;
-    DriveReport {
-        generated,
-        delivered,
-        snapshot: fabric.snapshot(),
-    }
-}
-
-/// The no-batching baseline: every message gets a frame (and therefore at
-/// least one compiled sweep) of its own. Same workload, same delivery
-/// guarantees — only the coalescing is disabled.
-pub fn drive_sync_unbatched(fabric: &mut Fabric, inputs: usize, plan: &LoadPlan) -> DriveReport {
-    let mut generator = TrafficGenerator::new(plan.model, inputs, plan.payload_bytes, plan.seed);
-    let mut generated = 0u64;
-    for _ in 0..plan.frames {
-        for mut message in generator.next_frame() {
-            generated += 1;
-            while let SubmitOutcome::Backpressured(back) = fabric.submit(message) {
-                message = back;
-                fabric.tick();
-            }
-            fabric.tick();
-        }
-    }
-    fabric.drain(DRAIN_LIMIT);
-    let delivered = fabric.take_completions().len() as u64;
-    DriveReport {
-        generated,
-        delivered,
-        snapshot: fabric.snapshot(),
-    }
-}
-
-/// A scheduled fault change: at the start of generation frame `frame`,
-/// replace shard `shard`'s fault set with `faults` (empty = repair).
+/// A scheduled fault change: from tick `frame` on, shard `shard`'s fault
+/// set is `faults` (empty = repair).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultEvent {
-    /// Generation frame (0-based) at which the change lands.
+    /// Tick (the generation frame, for [`LoadPlan::frames`]) at which
+    /// the change lands.
     pub frame: usize,
     /// Target shard.
     pub shard: usize,
@@ -120,43 +106,64 @@ pub struct FaultEvent {
     pub faults: Vec<ChipFault>,
 }
 
-/// [`drive_sync`] with a fault schedule: each [`FaultEvent`] is injected
-/// at its frame boundary, so a fixed `(plan, schedule)` pair replays the
-/// same failure story bit-for-bit. Events must be sorted by frame.
-pub fn drive_sync_faulted(
+/// Drive `fabric` closed-loop over tick-sorted `frames`, then drain.
+///
+/// Each frame's batch is offered at its tick; messages bounced by
+/// blocking backpressure are held by the "producer" and re-offered
+/// before the next batch, oldest first. Time is faithful: the fabric
+/// ticks through arrival gaps while work is held or in flight, and an
+/// idle fabric skips ahead. Before every fabric tick, each [`FaultEvent`]
+/// whose `frame` has arrived is injected; events past the last frame
+/// land before the drain. Same frames, same schedule, same config ⇒
+/// bit-identical report.
+///
+/// # Panics
+/// If `faults` is not sorted by frame, or the fabric cannot drain.
+pub fn drive_sync(
     fabric: &mut Fabric,
-    inputs: usize,
-    plan: &LoadPlan,
-    schedule: &[FaultEvent],
+    frames: Vec<(u64, Vec<Message>)>,
+    faults: &[FaultEvent],
 ) -> DriveReport {
     assert!(
-        schedule.windows(2).all(|w| w[0].frame <= w[1].frame),
+        faults.windows(2).all(|w| w[0].frame <= w[1].frame),
         "fault schedule must be sorted by frame"
     );
-    let mut generator = TrafficGenerator::new(plan.model, inputs, plan.payload_bytes, plan.seed);
+    let mut faults = faults.iter().peekable();
+    let mut inject_due = |fabric: &mut Fabric, now: u64| {
+        while let Some(event) = faults.next_if(|e| e.frame as u64 <= now) {
+            fabric.inject_faults(event.shard, event.faults.clone());
+        }
+    };
     let mut held: Vec<Message> = Vec::new();
     let mut generated = 0u64;
-    let mut next_event = 0usize;
-    for frame in 0..plan.frames {
-        while next_event < schedule.len() && schedule[next_event].frame <= frame {
-            let event = &schedule[next_event];
-            fabric.inject_faults(event.shard, event.faults.clone());
-            next_event += 1;
+    let mut now = 0u64;
+    for (tick, batch) in frames {
+        // Advance virtual time to the batch's arrival tick. An idle
+        // fabric with nothing held skips ahead; otherwise in-flight work
+        // (and the held backlog) get their gap ticks.
+        while now < tick {
+            if held.is_empty() && fabric.in_flight() == 0 {
+                now = tick;
+                break;
+            }
+            inject_due(fabric, now);
+            held = offer_all(fabric, held.into_iter());
+            fabric.tick();
+            now += 1;
         }
-        let fresh = generator.next_frame();
-        generated += fresh.len() as u64;
-        held = offer_all(fabric, held.into_iter().chain(fresh));
+        generated += batch.len() as u64;
+        inject_due(fabric, now);
+        held = offer_all(fabric, held.into_iter().chain(batch));
         fabric.tick();
+        // Saturating: a record at tick u64::MAX is the last one possible.
+        now = now.saturating_add(1);
     }
-    // Late events (frame ≥ plan.frames) land before the drain begins.
-    for event in &schedule[next_event..] {
-        fabric.inject_faults(event.shard, event.faults.clone());
-    }
+    inject_due(fabric, u64::MAX);
     let mut drain_frames = 0u64;
     while !held.is_empty() || fabric.in_flight() > 0 {
         assert!(
             drain_frames < DRAIN_LIMIT,
-            "faulted sync drive failed to drain (held {})",
+            "sync drive failed to drain (held {})",
             held.len()
         );
         held = offer_all(fabric, held.into_iter());
@@ -181,100 +188,21 @@ fn offer_all(fabric: &mut Fabric, messages: impl Iterator<Item = Message>) -> Ve
     held
 }
 
-/// The exact message sequence producer `producer` submits when playing
-/// `plan` against a switch with `inputs` inputs: its own seeded generator
-/// (`plan.seed + producer`) and a disjoint id space (producer index in
-/// the id's top bits). A pure function of its arguments — the threaded
-/// [`drive_service`] and the deterministic simulation harness replay
-/// identical workloads through it.
-pub fn producer_script(plan: &LoadPlan, inputs: usize, producer: usize) -> Vec<Message> {
-    let mut generator = TrafficGenerator::new(
-        plan.model,
-        inputs,
-        plan.payload_bytes,
-        plan.seed.wrapping_add(producer as u64),
-    );
-    let mut script = Vec::new();
-    for _ in 0..plan.frames {
-        for mut message in generator.next_frame() {
-            message.id |= (producer as u64) << 48;
-            script.push(message);
-        }
-    }
-    script
-}
-
-/// [`producer_script`] with the frame boundaries kept: element `f` is
-/// the messages producer `producer` generates in frame `f` (possibly
-/// empty). Flattening it yields exactly `producer_script`'s sequence —
-/// the batched and per-message drive paths submit identical workloads.
-pub fn producer_script_frames(
-    plan: &LoadPlan,
-    inputs: usize,
-    producer: usize,
-) -> Vec<Vec<Message>> {
-    let mut generator = TrafficGenerator::new(
-        plan.model,
-        inputs,
-        plan.payload_bytes,
-        plan.seed.wrapping_add(producer as u64),
-    );
-    let mut frames = Vec::with_capacity(plan.frames);
-    for _ in 0..plan.frames {
-        let mut frame = generator.next_frame();
-        for message in &mut frame {
-            message.id |= (producer as u64) << 48;
-        }
-        frames.push(frame);
-    }
-    frames
-}
-
-/// Drive a live [`FabricService`] from `producers` concurrent threads,
-/// each submitting its [`producer_script`] in order. Returns the total
-/// number of messages generated; call [`FabricService::drain`]
-/// afterwards for the report.
-pub fn drive_service(
-    service: &FabricService,
-    producers: usize,
-    plan: &LoadPlan,
-    inputs: usize,
-) -> u64 {
+/// Drive a live [`FabricService`] with one thread per producer, each
+/// submitting its frames in order through the frame-batched admission
+/// path ([`FabricService::submit_batch`]: one placement-cursor
+/// reservation and one ring publication per target shard per frame).
+/// Ticks are not waited for — producers offer as fast as backpressure
+/// lets them. Returns the number of messages submitted; call
+/// [`FabricService::drain`] afterwards for the report.
+pub fn drive_service(service: &FabricService, producers: Vec<Vec<(u64, Vec<Message>)>>) -> u64 {
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..producers)
-            .map(|p| {
+        let handles: Vec<_> = producers
+            .into_iter()
+            .map(|frames| {
                 scope.spawn(move || {
-                    let script = producer_script(plan, inputs, p);
-                    let generated = script.len() as u64;
-                    for message in script {
-                        service.submit(message);
-                    }
-                    generated
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    })
-}
-
-/// [`drive_service`] through the frame-batched admission path: each
-/// producer submits whole generation frames via
-/// [`FabricService::submit_batch`] — one placement-cursor reservation
-/// and one ring publication per target shard per frame, instead of the
-/// per-message fast path. Same workload, same conservation guarantees.
-pub fn drive_service_batched(
-    service: &FabricService,
-    producers: usize,
-    plan: &LoadPlan,
-    inputs: usize,
-) -> u64 {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..producers)
-            .map(|p| {
-                scope.spawn(move || {
-                    let frames = producer_script_frames(plan, inputs, p);
                     let mut generated = 0u64;
-                    for frame in frames {
+                    for (_, frame) in frames {
                         generated += frame.len() as u64;
                         service.submit_batch(frame);
                     }
@@ -289,7 +217,8 @@ pub fn drive_service_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FabricConfig;
+    use crate::config::{FabricConfig, RetryBudget};
+    use concentrator::faults::FaultMode;
     use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
     use std::sync::Arc;
 
@@ -307,7 +236,7 @@ mod tests {
             seed: 42,
             frames: 50,
         };
-        let report = drive_sync(&mut fabric, 16, &plan);
+        let report = drive_sync(&mut fabric, plan.frames(16, 0), &[]);
         assert!(report.generated > 0);
         assert!(report.snapshot.conserved());
         assert_eq!(report.snapshot.in_flight, 0);
@@ -329,9 +258,53 @@ mod tests {
             seed: 7,
             frames: 20,
         };
-        let report = drive_sync_unbatched(&mut fabric, 16, &plan);
+        let report = drive_sync(&mut fabric, one_per_tick(plan.frames(16, 0)), &[]);
         let totals = report.snapshot.totals();
         assert_eq!(report.delivered, report.generated);
         assert_eq!(totals.sweeps, report.generated, "one sweep per request");
+    }
+
+    /// A fault event lands before the fabric tick it names, including a
+    /// tick reached by skipping an idle gap, and a later repair restores
+    /// delivery. With no retries, a message offered while the whole
+    /// first chip row is dark is dropped in its own frame.
+    #[test]
+    fn fault_events_land_before_the_tick_they_name() {
+        let switch = Arc::new(
+            RevsortSwitch::new(16, 8, RevsortLayout::TwoDee)
+                .staged()
+                .clone(),
+        );
+        let dark_row: Vec<ChipFault> = (0..switch.stages[0].chip_count)
+            .map(|chip| ChipFault {
+                stage: 0,
+                chip,
+                mode: FaultMode::StuckInvalid,
+            })
+            .collect();
+        let mut config = FabricConfig::new(1);
+        config.retry = RetryBudget::limited(0);
+        let mut fabric = Fabric::new(switch, config);
+        let lone = |tick: u64| (tick, vec![Message::new(tick, 3, vec![0xA5])]);
+        let frames = vec![lone(0), lone(1), lone(2), lone(3), lone(7), lone(9)];
+        let schedule = [
+            FaultEvent {
+                frame: 2,
+                shard: 0,
+                faults: dark_row,
+            },
+            FaultEvent {
+                frame: 5,
+                shard: 0,
+                faults: Vec::new(),
+            },
+        ];
+        let report = drive_sync(&mut fabric, frames, &schedule);
+        let totals = report.snapshot.totals();
+        // Ticks 0, 1 deliver; 2, 3 are dark; the repair at 5 lands in
+        // the idle gap before tick 7, so 7 and 9 deliver again.
+        assert_eq!((report.generated, report.delivered), (6, 4));
+        assert_eq!(totals.retry_dropped, 2);
+        assert!(report.snapshot.conserved());
     }
 }

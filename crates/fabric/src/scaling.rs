@@ -44,7 +44,7 @@ use concentrator::columnsort_switch::ColumnsortSwitch;
 use switchsim::TrafficModel;
 
 use crate::config::FabricConfig;
-use crate::loadgen::{drive_service_batched, LoadPlan};
+use crate::loadgen::{drive_service, LoadPlan};
 use crate::service::FabricService;
 
 /// Columns of every chip's valid-bit matrix (`s` in §5): fixed along the
@@ -197,7 +197,8 @@ pub fn ladder(
             };
             let service = FabricService::start(Arc::clone(&switch), config);
             let started = Instant::now();
-            let generated = drive_service_batched(&service, producers, &plan, n);
+            let frames = (0..producers).map(|p| plan.frames(n, p)).collect();
+            let generated = drive_service(&service, frames);
             let report = service.drain();
             let secs = started.elapsed().as_secs_f64();
             let totals = report.snapshot.totals();

@@ -4,20 +4,13 @@
 //! A trace is a sorted sequence of [`TraceRecord`]s — `(virtual arrival
 //! tick, external source id, payload size class)` — plus a
 //! [`SourceSpace`] declaring how source ids map onto switch input wires.
-//! Everything else in the serving stack consumes traces through one of
-//! two paths:
-//!
-//! * **Deterministic replay** — [`frames`] lowers a trace into
-//!   per-tick message batches (ids are record indices, payloads are a
-//!   pure hash of the id), so the same trace bytes always produce the
-//!   same workload; [`drive_sync_trace`] plays it through the
-//!   synchronous [`Fabric`] for bit-reproducible metrics.
-//! * **Off-hot-path ingest** — a [`TraceCursor`] streams frames straight
-//!   off a reader without materializing the trace, and a [`TraceFeeder`]
-//!   moves that decode work onto a dedicated ingest thread behind a
-//!   bounded pre-decoded ring (the corundum rx/tx-engine split: the
-//!   serving hot loop only ever pops ready frames, it never touches the
-//!   codec).
+//! The serving stack consumes a trace as the shared frame shape:
+//! [`frames`] lowers it into per-tick message batches (ids are record
+//! indices, payloads are a pure hash of the id), so the same trace bytes
+//! always produce the same workload, and any of the three drivers
+//! ([`crate::drive_sync`], [`crate::drive_service`], `tiers::drive_tree`)
+//! plays it. A [`TraceCursor`] assembles the same frames straight off a
+//! reader without materializing the trace.
 //!
 //! Two on-disk flavors share the record model: a compact 17-byte-record
 //! binary encoding (magic `CTRC`) and a JSON-lines interchange encoding.
@@ -37,7 +30,6 @@
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
-use std::sync::mpsc;
 
 use concentrator::search::{epsilon_attack, SearchReport};
 use concentrator::StagedSwitch;
@@ -45,9 +37,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use switchsim::traffic::mix64;
 use switchsim::{Message, ZipfSampler};
-
-use crate::engine::{Fabric, SubmitOutcome};
-use crate::loadgen::DriveReport;
 
 /// On-disk magic for the binary flavor (`CTRC` = Concentrator TRaCe).
 pub const TRACE_MAGIC: [u8; 4] = *b"CTRC";
@@ -169,9 +158,10 @@ impl Trace {
         self.records.is_empty()
     }
 
-    /// Virtual horizon: one past the last record's tick (0 when empty).
+    /// Virtual horizon: one past the last record's tick (0 when empty),
+    /// saturating at `u64::MAX` for a record at the last tick.
     pub fn ticks(&self) -> u64 {
-        self.records.last().map_or(0, |r| r.tick + 1)
+        self.records.last().map_or(0, |r| r.tick.saturating_add(1))
     }
 
     /// The prefix of the trace containing at most `limit` records — the
@@ -917,8 +907,7 @@ pub fn frames(trace: &Trace, wires: usize) -> Vec<(u64, Vec<Message>)> {
 
 /// Streaming frame assembler: pulls records off a [`TraceReader`] and
 /// groups them into per-tick batches without ever holding more than one
-/// tick's worth of decoded state. This is the decode side of the
-/// ingest split — it runs on the feeder thread, not the serving loop.
+/// tick's worth of decoded state.
 pub struct TraceCursor<R: BufRead> {
     reader: TraceReader<R>,
     wires: usize,
@@ -1004,136 +993,11 @@ impl<R: BufRead> TraceCursor<R> {
     }
 }
 
-/// The pre-decoded frame ring: a dedicated ingest thread runs the
-/// [`TraceCursor`] and pushes ready frames into a bounded channel; the
-/// serving hot loop only ever pops. Decode stalls backpressure the
-/// feeder, never the fabric.
-pub struct TraceFeeder {
-    rx: mpsc::Receiver<(u64, Vec<Message>)>,
-    handle: std::thread::JoinHandle<Result<u64, TraceError>>,
-}
-
-impl TraceFeeder {
-    /// Spawn the ingest worker over `cursor` with a ring of `depth`
-    /// pre-decoded frames.
-    pub fn start<R>(mut cursor: TraceCursor<R>, depth: usize) -> TraceFeeder
-    where
-        R: BufRead + Send + 'static,
-    {
-        let (tx, rx) = mpsc::sync_channel(depth.max(1));
-        let handle = std::thread::spawn(move || {
-            let mut fed = 0u64;
-            while let Some(frame) = cursor.next_frame()? {
-                fed += frame.1.len() as u64;
-                if tx.send(frame).is_err() {
-                    // Consumer dropped the ring mid-trace: stop decoding.
-                    break;
-                }
-            }
-            Ok(fed)
-        });
-        TraceFeeder { rx, handle }
-    }
-
-    /// Pop the next ready frame; `None` once the trace is exhausted (or
-    /// the ingest worker failed — [`TraceFeeder::join`] reports which).
-    pub fn next_frame(&self) -> Option<(u64, Vec<Message>)> {
-        self.rx.recv().ok()
-    }
-
-    /// Join the ingest worker; returns the number of messages it fed.
-    pub fn join(self) -> Result<u64, TraceError> {
-        drop(self.rx);
-        self.handle
-            .join()
-            .unwrap_or_else(|_| Err(TraceError::Io("ingest worker panicked".to_string())))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Drives
-// ---------------------------------------------------------------------------
-
-/// Frames the drain phase may take before the harness gives up.
-const DRAIN_LIMIT: u64 = 1 << 22;
-
-/// Replay a trace through the synchronous [`Fabric`], tick-faithfully:
-/// the fabric ticks through arrival gaps (held-back messages keep
-/// re-offering), each trace tick's batch is offered at its virtual
-/// time, and the run drains to completion. Bit-deterministic: same
-/// trace, same config ⇒ identical snapshot.
-pub fn drive_sync_trace(fabric: &mut Fabric, wires: usize, trace: &Trace) -> DriveReport {
-    let mut held: Vec<Message> = Vec::new();
-    let mut generated = 0u64;
-    let mut now = 0u64;
-    for (tick, batch) in frames(trace, wires) {
-        // Advance virtual time to the batch's arrival tick. An idle
-        // fabric with nothing held skips ahead; otherwise in-flight
-        // work (and the held backlog) get their gap ticks.
-        while now < tick {
-            if held.is_empty() && fabric.in_flight() == 0 {
-                now = tick;
-                break;
-            }
-            held = offer_all(fabric, held.into_iter());
-            fabric.tick();
-            now += 1;
-        }
-        generated += batch.len() as u64;
-        held = offer_all(fabric, held.into_iter().chain(batch));
-        fabric.tick();
-        now += 1;
-    }
-    let mut drain_frames = 0u64;
-    while !held.is_empty() || fabric.in_flight() > 0 {
-        assert!(
-            drain_frames < DRAIN_LIMIT,
-            "trace drive failed to drain (held {})",
-            held.len()
-        );
-        held = offer_all(fabric, held.into_iter());
-        fabric.tick();
-        drain_frames += 1;
-    }
-    let delivered = fabric.take_completions().len() as u64;
-    DriveReport {
-        generated,
-        delivered,
-        snapshot: fabric.snapshot(),
-    }
-}
-
-fn offer_all(fabric: &mut Fabric, messages: impl Iterator<Item = Message>) -> Vec<Message> {
-    let mut held = Vec::new();
-    for message in messages {
-        if let SubmitOutcome::Backpressured(back) = fabric.submit(message) {
-            held.push(back);
-        }
-    }
-    held
-}
-
-/// Replay a trace through a live [`crate::FabricService`] via the
-/// off-hot-path ingest ring: the feeder thread decodes, the calling
-/// thread only pops frames and submits batches. Returns messages
-/// submitted; call [`crate::FabricService::drain`] for the ledger.
-pub fn drive_service_trace(
-    service: &crate::FabricService,
-    feeder: TraceFeeder,
-) -> Result<u64, TraceError> {
-    let mut generated = 0u64;
-    while let Some((_tick, batch)) = feeder.next_frame() {
-        generated += batch.len() as u64;
-        service.submit_batch(batch);
-    }
-    feeder.join()?;
-    Ok(generated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FabricConfig;
+    use crate::engine::Fabric;
     use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
     use std::sync::Arc;
     use switchsim::traffic::{TrafficGenerator, TrafficModel};
@@ -1428,31 +1292,12 @@ mod tests {
     }
 
     #[test]
-    fn feeder_ring_delivers_every_frame_in_order() {
-        let trace = sample_trace();
-        let expected = frames(&trace, 8);
-        let bytes = encode(&trace, TraceFlavor::Binary);
-        let cursor = TraceCursor::new(TraceReader::open(std::io::Cursor::new(bytes)).unwrap(), 8);
-        let feeder = TraceFeeder::start(cursor, 2);
-        let mut got = Vec::new();
-        while let Some(frame) = feeder.next_frame() {
-            got.push(frame);
-        }
-        let fed = feeder.join().unwrap();
-        assert_eq!(got, expected);
-        assert_eq!(
-            fed,
-            expected.iter().map(|(_, b)| b.len() as u64).sum::<u64>()
-        );
-    }
-
-    #[test]
     fn sync_trace_drive_conserves_and_replays_bit_identically() {
         let trace = generate(TraceModel::mmpp_from_bursty(0.5, 6.0), 16, 48, 1, 77);
         let switch = test_switch();
         let run = |tr: &Trace| {
             let mut fabric = Fabric::new(Arc::clone(&switch), FabricConfig::new(2));
-            drive_sync_trace(&mut fabric, 16, tr)
+            crate::drive_sync(&mut fabric, frames(tr, 16), &[])
         };
         let a = run(&trace);
         let b = run(&trace);
@@ -1464,6 +1309,39 @@ mod tests {
         // And through the codec: decode(encode(trace)) drives the same.
         let decoded = decode(&encode(&trace, TraceFlavor::Binary)).unwrap();
         assert_eq!(run(&decoded), a);
+    }
+
+    /// A record at the last representable tick is legal on disk, so
+    /// loading it and replaying it must not overflow the one-past-the-end
+    /// horizon or the driver's virtual clock.
+    #[test]
+    fn record_at_the_last_tick_loads_and_replays() {
+        let record = TraceRecord {
+            tick: u64::MAX,
+            source: 3,
+            size_class: 1,
+        };
+        let path = std::env::temp_dir().join(format!(
+            "ctrc-last-tick-{}-{:?}.ctrc",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        save(
+            &Trace::new(SourceSpace::Wire, vec![record]).unwrap(),
+            &path,
+            TraceFlavor::Binary,
+        )
+        .unwrap();
+        let loaded = load(&path);
+        std::fs::remove_file(&path).unwrap();
+        let trace = loaded.unwrap();
+        assert_eq!(trace.records, vec![record]);
+        assert_eq!(trace.ticks(), u64::MAX, "horizon saturates");
+        assert!(trace.offered_load(16) > 0.0);
+        let mut fabric = Fabric::new(test_switch(), FabricConfig::new(2));
+        let report = crate::drive_sync(&mut fabric, frames(&trace, 16), &[]);
+        assert_eq!((report.generated, report.delivered), (1, 1));
+        assert!(report.snapshot.conserved());
     }
 
     #[test]

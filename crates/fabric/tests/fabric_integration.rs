@@ -21,9 +21,8 @@ use concentrator::faults::{ChipFault, FaultMode};
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::StagedSwitch;
 use fabric::{
-    drive_service, drive_service_batched, drive_sync, drive_sync_faulted, drive_sync_unbatched,
-    producer_script, producer_script_frames, Backpressure, Fabric, FabricConfig, FabricService,
-    FaultEvent, LoadPlan, Placement, RetryBudget,
+    drive_service, drive_sync, one_per_tick, Backpressure, Fabric, FabricConfig, FabricService,
+    FaultEvent, LoadPlan, Message, Placement, RetryBudget,
 };
 use switchsim::traffic::TrafficGenerator;
 use switchsim::{simulate_frame, TrafficModel};
@@ -34,6 +33,11 @@ fn staged(n: usize, m: usize) -> Arc<StagedSwitch> {
             .staged()
             .clone(),
     )
+}
+
+/// Each of `producers` producers' frames of `workload` on 16 inputs.
+fn producer_frames(workload: &LoadPlan, producers: usize) -> Vec<Vec<(u64, Vec<Message>)>> {
+    (0..producers).map(|p| workload.frames(16, p)).collect()
 }
 
 fn plan(model: TrafficModel, seed: u64, frames: usize) -> LoadPlan {
@@ -57,7 +61,7 @@ fn batched_frames_match_single_frame_reference() {
     let mut fabric = Fabric::new(Arc::clone(&switch), config);
     fabric.set_frame_recording(true);
     let workload = plan(TrafficModel::Bernoulli { p: 0.9 }, 11, 40);
-    drive_sync(&mut fabric, 16, &workload);
+    drive_sync(&mut fabric, workload.frames(16, 0), &[]);
 
     let records = fabric.take_frame_records();
     assert!(!records.is_empty(), "the drive must have executed frames");
@@ -115,7 +119,7 @@ fn sync_conservation_for_all_backpressure_policies() {
         // Full offered load against m = 4 outputs per frame: queues fill,
         // so every policy's bound actually gets exercised.
         let workload = plan(TrafficModel::Adversarial, 5, 80);
-        let report = drive_sync(&mut fabric, 16, &workload);
+        let report = drive_sync(&mut fabric, workload.frames(16, 0), &[]);
         let totals = report.snapshot.totals();
         assert!(
             report.snapshot.conserved(),
@@ -151,7 +155,25 @@ fn service_conservation_for_all_backpressure_policies() {
         let service = FabricService::start(staged(16, 8), config);
         let workload = plan(TrafficModel::Bernoulli { p: 0.7 }, 99, 30);
         let producers = 3;
-        let generated = drive_service(&service, producers, &workload, 16);
+        // Per-message threaded submission: the batched path has its own
+        // test below.
+        let generated: u64 = std::thread::scope(|scope| {
+            let handles: Vec<_> = producer_frames(&workload, producers)
+                .into_iter()
+                .map(|frames| {
+                    let service = &service;
+                    scope.spawn(move || {
+                        let mut count = 0u64;
+                        for message in frames.into_iter().flat_map(|(_, frame)| frame) {
+                            count += 1;
+                            service.submit(message);
+                        }
+                        count
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
         let report = service.drain();
         let totals = report.snapshot.totals();
         assert!(
@@ -209,7 +231,7 @@ fn sync_drives_are_deterministic() {
         config.retry = RetryBudget::limited(3);
         let mut fabric = Fabric::new(staged(16, 8), config);
         let workload = plan(TrafficModel::Adversarial, 1234, 25);
-        let report = drive_sync(&mut fabric, 16, &workload);
+        let report = drive_sync(&mut fabric, workload.frames(16, 0), &[]);
         (report, fabric.take_completions())
     };
     let (a, completions_a) = make_report();
@@ -232,9 +254,9 @@ fn batched_sweeps_are_an_order_of_magnitude_fewer() {
         frames: 30,
     };
     let mut batched = Fabric::new(Arc::clone(&switch), FabricConfig::new(1));
-    let batched_report = drive_sync(&mut batched, 64, &workload);
+    let batched_report = drive_sync(&mut batched, workload.frames(64, 0), &[]);
     let mut unbatched = Fabric::new(switch, FabricConfig::new(1));
-    let unbatched_report = drive_sync_unbatched(&mut unbatched, 64, &workload);
+    let unbatched_report = drive_sync(&mut unbatched, one_per_tick(workload.frames(64, 0)), &[]);
 
     assert_eq!(batched_report.delivered, batched_report.generated);
     assert_eq!(unbatched_report.delivered, unbatched_report.generated);
@@ -303,7 +325,7 @@ fn sync_conservation_under_faults_for_all_policies() {
         let mut fabric = Fabric::new(Arc::clone(&switch), config);
         let workload = plan(TrafficModel::Bernoulli { p: 0.8 }, 21, 40);
         let schedule = campaign_schedule(&switch);
-        let report = drive_sync_faulted(&mut fabric, 16, &workload, &schedule);
+        let report = drive_sync(&mut fabric, workload.frames(16, 0), &schedule);
         let totals = report.snapshot.totals();
         assert!(
             report.snapshot.conserved(),
@@ -329,7 +351,7 @@ fn faulted_sync_drives_are_deterministic() {
         let mut fabric = Fabric::new(Arc::clone(&switch), config);
         let workload = plan(TrafficModel::Bernoulli { p: 0.7 }, 4242, 48);
         let schedule = campaign_schedule(&switch);
-        let report = drive_sync_faulted(&mut fabric, 16, &workload, &schedule);
+        let report = drive_sync(&mut fabric, workload.frames(16, 0), &schedule);
         (report, fabric.take_completions())
     };
     let (a, completions_a) = run();
@@ -360,7 +382,7 @@ fn mid_run_permanent_fault_quarantines_the_shard() {
             })
             .collect(),
     }];
-    let report = drive_sync_faulted(&mut fabric, 16, &workload, &schedule);
+    let report = drive_sync(&mut fabric, workload.frames(16, 0), &schedule);
     assert!(report.snapshot.conserved());
     assert!(fabric.shard_quarantined(0), "shard 0 must end quarantined");
     assert!(!fabric.shard_quarantined(1), "shard 1 must stay healthy");
@@ -403,7 +425,7 @@ fn service_conservation_under_mid_run_faults() {
         config.backpressure = policy;
         let service = FabricService::start(Arc::clone(&switch), config);
         let workload = plan(TrafficModel::Bernoulli { p: 0.7 }, 33, 20);
-        let before = drive_service(&service, 2, &workload, 16);
+        let before = drive_service(&service, producer_frames(&workload, 2));
         // A chip row dies while the service is live…
         service.inject_faults(
             0,
@@ -416,7 +438,7 @@ fn service_conservation_under_mid_run_faults() {
                 .collect(),
         );
         // …traffic keeps flowing…
-        let after = drive_service(&service, 2, &workload, 16);
+        let after = drive_service(&service, producer_frames(&workload, 2));
         // …and the drain is graceful mid-campaign: workers finish their
         // backlogs through the faulted switch and every message is
         // accounted for.
@@ -444,19 +466,36 @@ fn service_conservation_under_mid_run_faults() {
     }
 }
 
-/// The frame-grouped producer script is exactly the per-message script
-/// with frame boundaries kept: the batched and per-message drive paths
-/// submit identical workloads.
+/// `LoadPlan::frames` is the seeded generator replayed verbatim: frame
+/// `f` sits at tick `f` (empty frames kept), producer `p` draws from
+/// seed `seed + p`, and its ids carry `p` in the top 16 bits.
 #[test]
-fn frame_grouped_script_flattens_to_the_per_message_script() {
-    let workload = plan(TrafficModel::Bernoulli { p: 0.6 }, 555, 12);
-    for producer in 0..3 {
-        let flat = producer_script(&workload, 16, producer);
-        let framed: Vec<_> = producer_script_frames(&workload, 16, producer)
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(flat, framed, "producer {producer} scripts diverged");
+fn load_plan_frames_replay_the_seeded_generator() {
+    let workload = plan(TrafficModel::Bernoulli { p: 0.3 }, 555, 12);
+    for producer in 0..3u64 {
+        let mut generator = TrafficGenerator::new(
+            workload.model,
+            16,
+            workload.payload_bytes,
+            workload.seed + producer,
+        );
+        let frames = workload.frames(16, producer as usize);
+        assert_eq!(frames.len(), workload.frames);
+        for (f, (tick, frame)) in frames.into_iter().enumerate() {
+            assert_eq!(
+                tick, f as u64,
+                "producer {producer}: tick is the frame index"
+            );
+            let expected: Vec<Message> = generator
+                .next_frame()
+                .into_iter()
+                .map(|mut message| {
+                    message.id |= producer << 48;
+                    message
+                })
+                .collect();
+            assert_eq!(frame, expected, "producer {producer} frame {f} diverged");
+        }
     }
 }
 
@@ -477,7 +516,7 @@ fn service_batched_conservation_for_all_backpressure_policies() {
         let service = FabricService::start(staged(16, 8), config);
         let workload = plan(TrafficModel::Bernoulli { p: 0.7 }, 99, 30);
         let producers = 3;
-        let generated = drive_service_batched(&service, producers, &workload, 16);
+        let generated = drive_service(&service, producer_frames(&workload, producers));
         let report = service.drain();
         let totals = report.snapshot.totals();
         assert!(
@@ -496,7 +535,7 @@ fn service_batched_conservation_for_all_backpressure_policies() {
         assert!(totals.delivered > 0, "{policy:?}: nothing delivered");
         let mut originals: HashMap<u64, Vec<u8>> = HashMap::new();
         for p in 0..producers {
-            for frame in producer_script_frames(&workload, 16, p) {
+            for (_, frame) in workload.frames(16, p) {
                 for msg in frame {
                     originals.insert(msg.id, msg.payload.to_vec());
                 }
@@ -525,7 +564,7 @@ fn live_snapshot_is_conserved_once_quiescent() {
     config.queue_capacity = 16;
     let service = FabricService::start(staged(16, 8), config);
     let workload = plan(TrafficModel::Bernoulli { p: 0.6 }, 77, 10);
-    let generated = drive_service_batched(&service, 2, &workload, 16);
+    let generated = drive_service(&service, producer_frames(&workload, 2));
     // Producers have joined; spin (no sleeping in tests) until the
     // workers retire the backlog.
     let mut spins = 0u64;
@@ -570,7 +609,7 @@ fn hotspot_traffic_skews_source_hash_placement() {
             77,
             200,
         );
-        let report = drive_sync(&mut fabric, 16, &workload);
+        let report = drive_sync(&mut fabric, workload.frames(16, 0), &[]);
         let offered: Vec<u64> = report.snapshot.shards.iter().map(|s| s.offered).collect();
         (
             offered.iter().copied().max().unwrap(),

@@ -474,23 +474,24 @@ fn service_resize_and_swap_under_load_is_zero_loss() {
         seed,
         frames: 10,
     };
+    let drive = |seed| drive_service(&service, (0..2).map(|p| plan(seed).frames(16, p)).collect());
 
-    let mut generated = drive_service(&service, 2, &plan(1), 16);
+    let mut generated = drive(1);
     assert_eq!(service.add_shard(), Some(1));
     assert_eq!(service.add_shard(), Some(2));
     assert_eq!(service.add_shard(), Some(3));
     assert_eq!(service.add_shard(), None);
     assert_eq!(service.active_shards(), 4);
-    generated += drive_service(&service, 2, &plan(2), 16);
+    generated += drive(2);
 
     // Swap every live lane onto a wider recompiled switch mid-load.
     assert_eq!(service.swap_switch(staged(64, 16)), 4);
-    generated += drive_service(&service, 2, &plan(3), 16);
+    generated += drive(3);
 
     assert!(service.remove_shard(1));
     assert!(service.remove_shard(2));
     assert_eq!(service.active_shards(), 2);
-    generated += drive_service(&service, 2, &plan(4), 16);
+    generated += drive(4);
 
     let report = service.drain();
     let totals = report.snapshot.totals();

@@ -8,7 +8,8 @@
 use proptest::prelude::*;
 
 use fabric::trace::{
-    decode, encode, frames, generate, SourceSpace, Trace, TraceFlavor, TraceModel, TraceRecord,
+    decode, encode, frames, generate, SourceSpace, Trace, TraceCursor, TraceFlavor, TraceModel,
+    TraceReader, TraceRecord, TRACE_MAGIC, TRACE_VERSION,
 };
 
 /// Build the model under test from a proptest-drawn index + parameters.
@@ -29,7 +30,112 @@ fn model_for(idx: usize, p: f64, burst: f64, population: u64, exponent: f64) -> 
     ][idx]
 }
 
+/// Decode untrusted `bytes` both ways — materialized and streamed into
+/// frames — and require the two to agree. Reaching the end of this
+/// function at all is the property: no input may panic either decoder.
+fn decode_untrusted(bytes: &[u8]) {
+    let materialized = decode(bytes);
+    let mut streamed = Vec::new();
+    let streamed_ok = TraceReader::open(bytes).and_then(|reader| {
+        let mut cursor = TraceCursor::new(reader, 16);
+        while let Some(frame) = cursor.next_frame()? {
+            streamed.push(frame);
+        }
+        Ok(())
+    });
+    match materialized {
+        Ok(trace) => {
+            assert!(streamed_ok.is_ok(), "stream failed where decode succeeded");
+            assert_eq!(streamed, frames(&trace, 16));
+        }
+        Err(_) => assert!(streamed_ok.is_err(), "stream accepted what decode refused"),
+    }
+}
+
+/// The valid JSON-lines header, so fuzzed record lines get past it.
+const JSONL_HEADER: &[u8] = b"{\"format\":\"ctrc\",\"version\":1,\"space\":\"wire\"}\n";
+/// A record line's fields, in order, and the edge values the line
+/// fuzzer puts in them: in range, out of range, overflowing, negative
+/// and mistyped.
+const JSONL_FIELDS: [&str; 3] = ["tick", "source", "class"];
+const JSONL_VALUES: [&str; 8] = [
+    "0",
+    "7",
+    "12",
+    "13",
+    "18446744073709551615",
+    "99999999999999999999",
+    "\"wire\"",
+    "-1",
+];
+
 proptest! {
+    /// Arbitrary bytes never panic the decoders: every input ends in a
+    /// trace or a typed `TraceError`.
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+        decode_untrusted(&bytes);
+    }
+
+    /// Arbitrary record bytes behind a valid binary header (either
+    /// source space) never panic: truncation, bad classes and unsorted
+    /// ticks are all typed errors.
+    #[test]
+    fn arbitrary_records_behind_a_valid_header_never_panic(
+        space in 0u8..2,
+        body in proptest::collection::vec(any::<u8>(), 0..120),
+    ) {
+        let mut bytes = TRACE_MAGIC.to_vec();
+        bytes.extend_from_slice(&[TRACE_VERSION, space]);
+        bytes.extend_from_slice(&body);
+        decode_untrusted(&bytes);
+    }
+
+    /// Random `{`-prefixed lines never panic the JSON-lines reader.
+    /// Each line is a record's three `"field":value` slots holding edge
+    /// values; a slot's key may be swapped for another field or a raw
+    /// byte (invalid UTF-8 included), and a value or the closing brace
+    /// for a raw byte. Most cases start with a valid header line, so the
+    /// record parser and its range and order checks are reached.
+    #[test]
+    fn arbitrary_jsonl_lines_never_panic(
+        header in 0u8..4,
+        lines in proptest::collection::vec(
+            proptest::collection::vec((0usize..16, 0usize..17, any::<u8>()), 3..4),
+            0..6,
+        ),
+    ) {
+        let mut bytes = if header > 0 { JSONL_HEADER.to_vec() } else { Vec::new() };
+        for slots in lines {
+            bytes.push(b'{');
+            for (field, &(key, value, raw)) in slots.iter().enumerate() {
+                if field > 0 {
+                    bytes.push(b',');
+                }
+                // Mostly the slot's own field, sometimes another one,
+                // rarely a raw byte.
+                let name = match key {
+                    0..=11 => Some(JSONL_FIELDS[field]),
+                    12..=14 => Some(JSONL_FIELDS[key - 12]),
+                    _ => None,
+                };
+                match name {
+                    Some(name) => bytes.extend_from_slice(format!("\"{name}\":").as_bytes()),
+                    None => bytes.push(raw),
+                }
+                if value < 16 {
+                    bytes.extend_from_slice(JSONL_VALUES[value % 8].as_bytes());
+                } else {
+                    bytes.push(raw);
+                }
+            }
+            let raw = slots[0].2;
+            bytes.push(if raw % 16 == 0 { raw } else { b'}' });
+            bytes.push(b'\n');
+        }
+        decode_untrusted(&bytes);
+    }
+
     /// Same `(model, seed, horizon)` ⇒ the identical trace, byte for
     /// byte, for every generator family. Replay determinism rests here.
     #[test]

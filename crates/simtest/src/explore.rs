@@ -2,22 +2,16 @@
 //! seeds, apply every oracle, and shrink whatever fails.
 //!
 //! [`explore`] is the harness entry point the tests, the CLI `sim`
-//! subcommand, and the CI smoke step share. For lossless scenarios it
-//! first computes the delivery reference — the synchronous
-//! [`fabric::Fabric`] playing the *same* producer scripts — once,
-//! then checks every seeded run's completions against it bit-for-bit.
-//! Failures are shrunk to minimal reproducers ([`crate::shrink()`]) and
-//! reported with their seed: `cli sim --scenario <name> --seed <s>
-//! --trace` replays the identical run.
+//! subcommand, and the CI smoke step share. Every oracle — including
+//! the lossless delivery-set oracle, whose expected id → payload map
+//! [`run_scenario`] builds from the scenario's own frames — runs inside
+//! each seeded run. Failures are shrunk to minimal reproducers
+//! ([`crate::shrink()`]) and reported with their seed: `cli sim
+//! --scenario <name> --seed <s> --trace` replays the identical run.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
-use fabric::{producer_script, Fabric, SubmitOutcome};
 use serde_json::{object, ToJson, Value};
-use switchsim::Message;
 
-use crate::oracles::{check_lossless, Violation};
+use crate::oracles::Violation;
 use crate::shrink::shrink;
 use crate::sim::{run_scenario, Scenario, SimRun};
 
@@ -107,75 +101,10 @@ impl ToJson for ExploreReport {
     }
 }
 
-/// The delivery reference for a lossless scenario: the synchronous
-/// [`Fabric`] plays the same producer scripts (round-robin across
-/// producers, held messages re-offered oldest-first after each tick) and
-/// must deliver every message. Returns id → payload.
-///
-/// # Panics
-/// If the scenario is not lossless, or the reference itself loses a
-/// message — either is a harness bug, not a system-under-test failure.
-pub fn lossless_reference(scenario: &Scenario) -> HashMap<u64, Vec<u8>> {
-    assert!(
-        scenario.lossless,
-        "reference only defined for lossless runs"
-    );
-    let mut fabric = Fabric::new(Arc::clone(&scenario.switch), scenario.config);
-    // Trace scenarios have one producer — the trace's frames, flattened
-    // into the same closed-loop re-offer discipline.
-    let mut scripts: Vec<VecDeque<Message>> = match &scenario.trace {
-        Some(workload) => vec![
-            fabric::trace::frames(&workload.effective(), scenario.switch.n)
-                .into_iter()
-                .flat_map(|(_, frame)| frame)
-                .collect(),
-        ],
-        None => (0..scenario.producers)
-            .map(|p| producer_script(&scenario.plan, scenario.switch.n, p).into())
-            .collect(),
-    };
-    let mut generated = 0usize;
-    let mut held: VecDeque<Message> = VecDeque::new();
-    loop {
-        let backlog = held.len();
-        for _ in 0..backlog {
-            let message = held.pop_front().expect("backlog counted");
-            if let SubmitOutcome::Backpressured(back) = fabric.submit(message) {
-                held.push_back(back);
-            }
-        }
-        let mut fresh = false;
-        for script in &mut scripts {
-            if let Some(message) = script.pop_front() {
-                generated += 1;
-                fresh = true;
-                if let SubmitOutcome::Backpressured(back) = fabric.submit(message) {
-                    held.push_back(back);
-                }
-            }
-        }
-        fabric.tick();
-        if !fresh && held.is_empty() && fabric.in_flight() == 0 {
-            break;
-        }
-    }
-    let completions = fabric.take_completions();
-    assert_eq!(
-        completions.len(),
-        generated,
-        "the synchronous reference must deliver every message"
-    );
-    completions
-        .into_iter()
-        .map(|d| (d.message.id, d.message.payload.as_ref().to_vec()))
-        .collect()
-}
-
-/// Run `scenario` under every seed, applying all oracles (plus the
-/// lossless delivery-set oracle when the scenario declares it), and
+/// Run `scenario` under every seed, applying all oracles (the lossless
+/// delivery-set oracle included when the scenario declares it), and
 /// shrink every failure.
 pub fn explore(scenario: &Scenario, seeds: impl IntoIterator<Item = u64>) -> ExploreReport {
-    let reference = scenario.lossless.then(|| lossless_reference(scenario));
     let mut report = ExploreReport {
         scenario: scenario.name.clone(),
         runs: 0,
@@ -184,7 +113,7 @@ pub fn explore(scenario: &Scenario, seeds: impl IntoIterator<Item = u64>) -> Exp
         failures: Vec::new(),
     };
     for seed in seeds {
-        let run = check_run(scenario, seed, reference.as_ref());
+        let run = run_scenario(scenario, seed);
         report.runs += 1;
         report.ticks += run.ticks;
         report.frames += run.frames;
@@ -192,7 +121,7 @@ pub fn explore(scenario: &Scenario, seeds: impl IntoIterator<Item = u64>) -> Exp
             // The lossless oracle travels inside run_scenario, so a plain
             // passed() predicate stays correct for every shrunk candidate
             // (each candidate's expected set is rebuilt from its own
-            // scripts).
+            // frames).
             let minimal = shrink(scenario, seed, &|r: &SimRun| !r.passed());
             report.failures.push(FailureCase {
                 seed,
@@ -206,21 +135,4 @@ pub fn explore(scenario: &Scenario, seeds: impl IntoIterator<Item = u64>) -> Exp
         }
     }
     report
-}
-
-/// One seeded run with every applicable oracle applied (the per-run body
-/// of [`explore`], exposed for replay: the CLI and the corpus test call
-/// this directly).
-pub fn check_run(
-    scenario: &Scenario,
-    seed: u64,
-    reference: Option<&HashMap<u64, Vec<u8>>>,
-) -> SimRun {
-    let mut run = run_scenario(scenario, seed);
-    if let Some(expected) = reference {
-        if let Some(v) = check_lossless(expected, &run.completions) {
-            run.violations.push(v);
-        }
-    }
-    run
 }

@@ -32,7 +32,7 @@ pub mod shrink;
 pub mod sim;
 pub mod tree;
 
-pub use explore::{check_run, explore, lossless_reference, ExploreReport, FailureCase};
+pub use explore::{explore, ExploreReport, FailureCase};
 pub use oracles::{
     analytic_floor, check_capacity, check_frame, check_lossless, conservation_ledger, Ledger,
     Violation,

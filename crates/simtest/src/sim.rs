@@ -3,11 +3,11 @@
 //!
 //! A [`Scenario`] fixes everything about a run except the interleaving:
 //! the switch, the fabric configuration, the producer workload (via
-//! [`fabric::producer_script`] — the same message sequences the threaded
-//! driver submits), a virtual-time fault schedule, a virtual-time
-//! *reconfiguration* schedule (shard add/remove, live switch swaps,
-//! admission retargeting — see [`ReconfigAction`]), an optional
-//! SLO-admission plan, and a tick budget.
+//! [`fabric::LoadPlan::frames`] — the same frames the threaded
+//! [`fabric::drive_service`] submits), a virtual-time fault schedule, a
+//! virtual-time *reconfiguration* schedule (shard add/remove, live
+//! switch swaps, admission retargeting — see [`ReconfigAction`]), an
+//! optional SLO-admission plan, and a tick budget.
 //! [`run_scenario`] then executes the scenario's producers and shard
 //! workers as *cooperative tasks*: each scheduler step picks one ready
 //! task uniformly with a [`SplitMix64`] stream seeded by the run's `u64`
@@ -43,8 +43,8 @@ use concentrator::faults::ChipFault;
 use concentrator::verify::SplitMix64;
 use concentrator::StagedSwitch;
 use fabric::{
-    producer_script, producer_script_frames, Delivery, FabricConfig, FabricSnapshot, LoadPlan,
-    ServiceCore, SloController, SloPolicy, SubmitOutcome, SubmitStep, WorkerCore, WorkerStep,
+    Delivery, FabricConfig, FabricSnapshot, LoadPlan, ServiceCore, SloController, SloPolicy,
+    SubmitOutcome, SubmitStep, WorkerCore, WorkerStep,
 };
 use switchsim::Message;
 
@@ -115,9 +115,9 @@ pub struct SloPlan {
 /// A trace-driven workload: the scenario's producer is the trace itself
 /// (see [`fabric::trace`]). The trace is lowered to per-tick frames
 /// over the switch's inputs and submitted through the frame-batched
-/// admission path by a single producer task — the deterministic
-/// analogue of the [`fabric::TraceFeeder`] ingest worker, whose pop
-/// order is exactly the frame order this task submits in.
+/// admission path by a single producer task, in frame order — the
+/// deterministic analogue of one [`fabric::drive_service`] producer
+/// playing [`fabric::trace::frames`].
 ///
 /// `limit` is the shrinker's knob: only the first `limit` records play.
 /// Shrinking truncates the trace suffix *before* touching the fault or
@@ -501,57 +501,43 @@ pub fn run_scenario(scenario: &Scenario, seed: u64) -> SimRun {
         .collect();
     let mut worker_done = vec![false; workers.len()];
     let mut quarantine_flags = vec![false; workers.len()];
+    // Every producer's frames: a trace is one producer, a plan has one
+    // per scenario producer.
+    let sources: Vec<Vec<(u64, Vec<Message>)>> = match &scenario.trace {
+        Some(workload) => vec![fabric::trace::frames(
+            &workload.effective(),
+            scenario.switch.n,
+        )],
+        None => (0..scenario.producers)
+            .map(|p| scenario.plan.frames(scenario.switch.n, p))
+            .collect(),
+    };
     let mut expected_lossless: std::collections::HashMap<u64, Vec<u8>> =
         std::collections::HashMap::new();
-    let mut producers: Vec<ProducerTask> = if let Some(workload) = &scenario.trace {
-        // The trace is the producer: its per-tick frames go through the
-        // batched admission path in trace order, exactly the frames a
-        // TraceFeeder ring would hand the threaded service.
-        let frames = fabric::trace::frames(&workload.effective(), scenario.switch.n);
-        if scenario.lossless {
-            for (_, frame) in &frames {
-                for message in frame {
-                    expected_lossless.insert(message.id, message.payload.as_ref().to_vec());
+    if scenario.lossless {
+        for message in sources.iter().flatten().flat_map(|(_, frame)| frame) {
+            expected_lossless.insert(message.id, message.payload.as_ref().to_vec());
+        }
+    }
+    // Traces always take the batched admission path, in frame order.
+    let batched = scenario.batched || scenario.trace.is_some();
+    let mut producers: Vec<ProducerTask> = sources
+        .into_iter()
+        .map(|frames| {
+            let frames = frames.into_iter().map(|(_, frame)| frame);
+            if batched {
+                ProducerTask::Batched {
+                    frames: frames.filter(|f| !f.is_empty()).collect(),
+                    blocked: VecDeque::new(),
+                }
+            } else {
+                ProducerTask::PerMessage {
+                    script: frames.flatten().collect(),
+                    parked: None,
                 }
             }
-        }
-        vec![ProducerTask::Batched {
-            frames: frames
-                .into_iter()
-                .map(|(_, frame)| frame)
-                .filter(|f| !f.is_empty())
-                .collect(),
-            blocked: VecDeque::new(),
-        }]
-    } else {
-        (0..scenario.producers)
-            .map(|p| {
-                if scenario.batched {
-                    let frames = producer_script_frames(&scenario.plan, scenario.switch.n, p);
-                    if scenario.lossless {
-                        for message in frames.iter().flatten() {
-                            expected_lossless.insert(message.id, message.payload.as_ref().to_vec());
-                        }
-                    }
-                    ProducerTask::Batched {
-                        frames: frames.into_iter().filter(|f| !f.is_empty()).collect(),
-                        blocked: VecDeque::new(),
-                    }
-                } else {
-                    let script = producer_script(&scenario.plan, scenario.switch.n, p);
-                    if scenario.lossless {
-                        for message in &script {
-                            expected_lossless.insert(message.id, message.payload.as_ref().to_vec());
-                        }
-                    }
-                    ProducerTask::PerMessage {
-                        script: script.into(),
-                        parked: None,
-                    }
-                }
-            })
-            .collect()
-    };
+        })
+        .collect();
 
     let mut trace: Vec<TraceEvent> = Vec::new();
     let mut violations: Vec<Violation> = Vec::new();

@@ -39,8 +39,8 @@ use concentrator::faults::{ChipFault, FaultMode};
 use concentrator::verify::SplitMix64;
 use concentrator::{FullColumnsortHyperconcentrator, StagedSwitch};
 use fabric::{
-    producer_script, Backpressure, Delivery, FabricConfig, HealthPolicy, LoadPlan, Message,
-    RetryBudget, SubmitOutcome,
+    Backpressure, Delivery, FabricConfig, HealthPolicy, LoadPlan, Message, RetryBudget,
+    SubmitOutcome,
 };
 use serde_json::{object, ToJson, Value};
 use switchsim::TrafficModel;
@@ -237,14 +237,19 @@ pub fn run_tree_scenario(scenario: &TreeScenario, seed: u64) -> TreeRun {
     let mut expected_lossless: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut producers: Vec<Producer> = (0..scenario.producers)
         .map(|p| {
-            let script = producer_script(&scenario.plan, scenario.ingress_sources, p);
+            let script: std::collections::VecDeque<Message> = scenario
+                .plan
+                .frames(scenario.ingress_sources, p)
+                .into_iter()
+                .flat_map(|(_, frame)| frame)
+                .collect();
             if scenario.lossless {
                 for message in &script {
                     expected_lossless.insert(message.id, message.payload.as_ref().to_vec());
                 }
             }
             Producer {
-                script: script.into(),
+                script,
                 parked: None,
             }
         })

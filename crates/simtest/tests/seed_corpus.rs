@@ -6,11 +6,29 @@
 use std::collections::{HashMap, HashSet};
 
 use simtest::{
-    by_name, catalogue, check_run, lossless_reference, parse_seed_corpus, run_tree_scenario,
-    tree_by_name, tree_catalogue,
+    by_name, catalogue, check_lossless, parse_seed_corpus, run_scenario, run_tree_scenario,
+    tree_by_name, tree_catalogue, Scenario,
 };
 
 const CORPUS: &str = include_str!("../seeds.txt");
+
+/// Every message a scenario's producers offer, id → payload, rebuilt
+/// from the workload itself: the trace's frames for trace scenarios,
+/// each producer's plan frames otherwise.
+fn offered_payloads(scenario: &Scenario) -> HashMap<u64, Vec<u8>> {
+    let n = scenario.switch.n;
+    let frames: Vec<_> = match &scenario.trace {
+        Some(workload) => fabric::trace::frames(&workload.effective(), n),
+        None => (0..scenario.producers)
+            .flat_map(|p| scenario.plan.frames(n, p))
+            .collect(),
+    };
+    frames
+        .into_iter()
+        .flat_map(|(_, frame)| frame)
+        .map(|message| (message.id, message.payload.as_ref().to_vec()))
+        .collect()
+}
 
 #[test]
 fn corpus_covers_every_scenario() {
@@ -53,13 +71,14 @@ fn every_corpus_seed_passes_every_oracle() {
             );
             continue;
         };
-        let reference = scenario.lossless.then(|| {
-            references
+        let mut run = run_scenario(&scenario, seed);
+        if scenario.lossless {
+            let expected = references
                 .entry(name.clone())
-                .or_insert_with(|| lossless_reference(&scenario))
-                .clone()
-        });
-        let run = check_run(&scenario, seed, reference.as_ref());
+                .or_insert_with(|| offered_payloads(&scenario));
+            run.violations
+                .extend(check_lossless(expected, &run.completions));
+        }
         assert!(
             run.passed(),
             "regression seed regressed — replay with \

@@ -3,9 +3,9 @@
 //! plus shrinker support for the trace dimension (truncate the suffix
 //! before touching the schedule).
 
-use simtest::{
-    adversarial_trace, explore, lossless_reference, run_scenario, shrink, trace_replay, SimRun,
-};
+use std::collections::HashMap;
+
+use simtest::{adversarial_trace, explore, run_scenario, shrink, trace_replay, SimRun};
 
 #[test]
 fn trace_replay_passes_every_oracle_across_seeds() {
@@ -36,7 +36,13 @@ fn adversarial_trace_passes_every_oracle_across_seeds() {
 #[test]
 fn trace_replay_is_bit_identical_and_lossless() {
     let scenario = trace_replay();
-    let reference = lossless_reference(&scenario);
+    let workload = scenario.trace.as_ref().expect("trace-driven");
+    let reference: HashMap<u64, Vec<u8>> =
+        fabric::trace::frames(&workload.effective(), scenario.switch.n)
+            .into_iter()
+            .flat_map(|(_, frame)| frame)
+            .map(|message| (message.id, message.payload.as_ref().to_vec()))
+            .collect();
     let a = run_scenario(&scenario, 13);
     let b = run_scenario(&scenario, 13);
     assert_eq!(a.trace, b.trace, "trace replay diverged under seed 13");

@@ -41,7 +41,7 @@ use std::time::Instant;
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::staged::StagedSwitch;
 use concentrator::FullColumnsortHyperconcentrator;
-use fabric::{producer_script_frames, FabricConfig, FabricService, LoadPlan};
+use fabric::{drive_service, FabricConfig, FabricService, LoadPlan};
 use serde_json::{object, ToJson, Value};
 use switchsim::TrafficModel;
 
@@ -299,25 +299,21 @@ pub fn slowest_single_spine(options: &TierBenchOptions, spines: usize) -> f64 {
     config.queue_capacity = options.queue_capacity;
     let n = switch.n;
     let plan = options.plan();
+    let frames: Vec<_> = (0..options.producers)
+        .map(|p| {
+            let mut frames = plan.frames(options.ingress_sources, p);
+            for message in frames.iter_mut().flat_map(|(_, frame)| frame) {
+                message.source %= n;
+            }
+            frames
+        })
+        .collect();
     (0..spines.max(1))
         .map(|_| {
             let service = FabricService::start(Arc::clone(&switch), config);
+            let producers = frames.clone();
             let started = Instant::now();
-            std::thread::scope(|scope| {
-                for p in 0..options.producers {
-                    let service = &service;
-                    let plan = &plan;
-                    let sources = options.ingress_sources;
-                    scope.spawn(move || {
-                        for mut frame in producer_script_frames(plan, sources, p) {
-                            for message in &mut frame {
-                                message.source %= n;
-                            }
-                            service.submit_batch(frame);
-                        }
-                    });
-                }
-            });
+            drive_service(&service, producers);
             let report = service.drain();
             let secs = started.elapsed().as_secs_f64();
             if secs > 0.0 {
@@ -339,16 +335,18 @@ pub fn run_tree_bench(options: &TierBenchOptions) -> TreeBenchReport {
     let topology = reference_tree(options.leaves, options.queue_capacity);
     let plan = options.plan();
     let service = TierService::start(topology);
+    let producers: Vec<_> = (0..options.producers)
+        .map(|p| plan.frames(options.ingress_sources, p))
+        .collect();
     let started = Instant::now();
     let generated: u64 = std::thread::scope(|scope| {
-        (0..options.producers)
-            .map(|p| {
+        producers
+            .into_iter()
+            .map(|frames| {
                 let service = &service;
-                let plan = &plan;
-                let sources = options.ingress_sources;
                 scope.spawn(move || {
                     let mut count = 0u64;
-                    for frame in producer_script_frames(plan, sources, p) {
+                    for (_, frame) in frames {
                         count += frame.len() as u64;
                         service.submit_batch(frame);
                     }
@@ -481,7 +479,7 @@ mod probe {
             };
             let mut fabric = Fabric::new(switch, FabricConfig::new(1));
             let t = Instant::now();
-            let report = drive_sync(&mut fabric, n, &plan);
+            let report = drive_sync(&mut fabric, plan.frames(n, 0), &[]);
             let secs = t.elapsed().as_secs_f64();
             let totals = report.snapshot.totals();
             eprintln!(
@@ -512,7 +510,8 @@ mod probe {
         let topology = reference_tree(64, 64);
         let plan = options.plan();
         let t = Instant::now();
-        let report = drive_tree(&topology, &plan, 4, 2048);
+        let frames = (0..4).map(|p| plan.frames(2048, p)).collect();
+        let report = drive_tree(&topology, frames);
         let secs = t.elapsed().as_secs_f64();
         eprintln!(
             "sync: {} msgs in {:.3}s = {:.0} msgs/s, {} rounds",

@@ -19,7 +19,11 @@
 //!   with frame-granular credit backpressure. Deterministic simulation
 //!   (`simtest`) schedules these directly.
 //! * [`drive_tree`] — the synchronous deterministic driver (the
-//!   conservation matrix and bench determinism assertions).
+//!   conservation matrix and bench determinism assertions). Like
+//!   `fabric`'s [`fabric::drive_sync`] and [`fabric::drive_service`],
+//!   it takes the shared `(tick, Vec<Message>)` frame shape, so plan
+//!   workloads ([`fabric::LoadPlan::frames`]) and replayed traces
+//!   ([`fabric::trace::frames`]) drive it alike.
 //! * [`TierService`] — the threaded tree: a thread per shard, blocking
 //!   forwarding, cascaded drain.
 //!
@@ -49,5 +53,5 @@ pub use bench::{
 };
 pub use service::{TierReport, TierService};
 pub use snapshot::{TreeLedger, TreeSnapshot};
-pub use sync::{drive_tree, drive_tree_trace, TreeReport};
+pub use sync::{drive_tree, TreeReport};
 pub use topology::{TierSpec, TierTopology};

@@ -1,11 +1,11 @@
 //! The deterministic synchronous tree driver: fixed round-robin
 //! stepping of external producers and every worker in `(tier, fabric,
 //! shard)` order. No threads, no entropy beyond the workload seeds —
-//! same topology, same plan ⇒ bit-identical [`TreeReport`]. The
+//! same topology, same frames ⇒ bit-identical [`TreeReport`]. The
 //! conservation matrix test and the bench's determinism assertion run
 //! through this; the seeded-interleaving explorer lives in `simtest`.
 
-use fabric::{producer_script, Delivery, LoadPlan, Trace};
+use fabric::{Delivery, Message};
 
 use crate::core::{tree_ledger, tree_snapshot, TierCore, TierStep, TierSubmit};
 use crate::snapshot::TreeSnapshot;
@@ -29,59 +29,27 @@ pub struct TreeReport {
 
 /// One parked external producer's state.
 struct Producer {
-    script: std::vec::IntoIter<fabric::Message>,
-    parked: Option<(fabric::Message, usize, usize)>,
+    script: std::vec::IntoIter<Message>,
+    parked: Option<(Message, usize, usize)>,
 }
 
-/// Drive a tree closed-loop: `producers` scripted external sources
-/// (each playing `plan` over `ingress_sources` distinct source ids
-/// through its own seeded generator) against the full topology, then a
-/// cascaded drain tier by tier. Producers blocked at leaf admission
-/// hold their message and re-offer it, oldest first — the closed loop.
+/// Drive a tree closed-loop: each element of `producers` is one external
+/// source's frames (from [`fabric::LoadPlan::frames`] or
+/// [`fabric::trace::frames`]), played in order against the full
+/// topology and stepped round-robin with the other sources, then a
+/// cascaded drain tier by tier. Ticks are not waited for: a source
+/// offers its next message every round. Sources blocked at leaf
+/// admission hold their message and re-offer it, oldest first — the
+/// closed loop.
 ///
 /// Every per-fabric identity and the end-to-end ledger are checked once
-/// per round; the returned snapshot is drain-time exact.
+/// per round; the returned snapshot is drain-time exact. Same frames,
+/// same topology ⇒ bit-identical [`TreeReport`].
 ///
 /// # Panics
 /// If conservation is violated at any round, or the tree stops making
 /// progress before draining.
-pub fn drive_tree(
-    topology: &TierTopology,
-    plan: &LoadPlan,
-    producers: usize,
-    ingress_sources: usize,
-) -> TreeReport {
-    let scripts = (0..producers)
-        .map(|p| producer_script(plan, ingress_sources, p))
-        .collect();
-    drive_tree_scripts(topology, scripts)
-}
-
-/// Drive a tree closed-loop from a replayable [`Trace`]: the trace is
-/// lowered to leaf-admission frames by [`fabric::trace::frames`] (the
-/// exact lowering `cli fabric-bench --trace` and the simtest trace
-/// scenarios use) over `ingress_sources` leaf wires, flattened in frame
-/// order, and played by a single scripted external source. Same trace,
-/// same topology ⇒ bit-identical [`TreeReport`].
-///
-/// # Panics
-/// As [`drive_tree`]: on any conservation violation or a wedged tree.
-pub fn drive_tree_trace(
-    topology: &TierTopology,
-    trace: &Trace,
-    ingress_sources: usize,
-) -> TreeReport {
-    let script = fabric::trace::frames(trace, ingress_sources)
-        .into_iter()
-        .flat_map(|(_, frame)| frame)
-        .collect();
-    drive_tree_scripts(topology, vec![script])
-}
-
-/// The shared closed-loop engine behind [`drive_tree`] and
-/// [`drive_tree_trace`]: each script is one external producer, stepped
-/// round-robin against the full topology, then a cascaded drain.
-fn drive_tree_scripts(topology: &TierTopology, scripts: Vec<Vec<fabric::Message>>) -> TreeReport {
+pub fn drive_tree(topology: &TierTopology, producers: Vec<Vec<(u64, Vec<Message>)>>) -> TreeReport {
     let core = TierCore::new(topology.clone());
     let mut workers = core.workers();
     let mut done = vec![false; workers.len()];
@@ -89,9 +57,10 @@ fn drive_tree_scripts(topology: &TierTopology, scripts: Vec<Vec<fabric::Message>
     let mut closed = vec![false; depth];
 
     let mut generated = 0u64;
-    let mut sources: Vec<Producer> = scripts
+    let mut sources: Vec<Producer> = producers
         .into_iter()
-        .map(|script| {
+        .map(|frames| {
+            let script: Vec<Message> = frames.into_iter().flat_map(|(_, frame)| frame).collect();
             generated += script.len() as u64;
             Producer {
                 script: script.into_iter(),

@@ -10,9 +10,9 @@ use std::sync::{Arc, OnceLock};
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::staged::StagedSwitch;
 use concentrator::FullColumnsortHyperconcentrator;
-use fabric::{Backpressure, FabricConfig, LoadPlan, RetryBudget};
+use fabric::{Backpressure, FabricConfig, LoadPlan, Message, RetryBudget};
 use switchsim::TrafficModel;
-use tiers::{drive_tree, drive_tree_trace, TierSpec, TierTopology};
+use tiers::{drive_tree, TierSpec, TierTopology};
 
 fn leaf_switch() -> Arc<StagedSwitch> {
     static SWITCH: OnceLock<Arc<StagedSwitch>> = OnceLock::new();
@@ -31,6 +31,15 @@ fn spine_switch() -> Arc<StagedSwitch> {
         SWITCH
             .get_or_init(|| Arc::new(FullColumnsortHyperconcentrator::new(8, 2).staged().clone())),
     )
+}
+
+/// `producers` sources playing `plan` over `sources` external ids.
+fn producer_frames(
+    plan: &LoadPlan,
+    producers: usize,
+    sources: usize,
+) -> Vec<Vec<(u64, Vec<Message>)>> {
+    (0..producers).map(|p| plan.frames(sources, p)).collect()
 }
 
 fn matrix_topology(leaf_bp: Backpressure, spine_bp: Backpressure) -> TierTopology {
@@ -71,7 +80,7 @@ fn every_backpressure_combination_conserves_over_100_seeds() {
                     seed,
                     frames: 2,
                 };
-                let report = drive_tree(&topology, &plan, 2, 32);
+                let report = drive_tree(&topology, producer_frames(&plan, 2, 32));
                 let ledger = report.snapshot.ledger();
                 assert!(
                     ledger.holds(),
@@ -110,8 +119,8 @@ fn sync_tree_drive_is_deterministic() {
         seed: 42,
         frames: 3,
     };
-    let a = drive_tree(&topology, &plan, 2, 64);
-    let b = drive_tree(&topology, &plan, 2, 64);
+    let a = drive_tree(&topology, producer_frames(&plan, 2, 64));
+    let b = drive_tree(&topology, producer_frames(&plan, 2, 64));
     assert_eq!(a, b, "same plan, same topology must be bit-identical");
     assert!(a.generated > 0);
 }
@@ -126,8 +135,8 @@ fn trace_driven_tree_conserves_and_replays_bit_identically() {
         1,
         0x7133_57AC,
     );
-    let a = drive_tree_trace(&topology, &trace, 32);
-    let b = drive_tree_trace(&topology, &trace, 32);
+    let a = drive_tree(&topology, vec![fabric::trace::frames(&trace, 32)]);
+    let b = drive_tree(&topology, vec![fabric::trace::frames(&trace, 32)]);
     assert_eq!(a, b, "same trace, same topology must be bit-identical");
     assert_eq!(a.generated, trace.len() as u64, "one offer per record");
     let ledger = a.snapshot.ledger();
@@ -141,7 +150,10 @@ fn trace_driven_tree_conserves_and_replays_bit_identically() {
     let decoded =
         fabric::trace::decode(&fabric::trace::encode(&trace, fabric::TraceFlavor::Binary))
             .expect("codec round-trip");
-    assert_eq!(drive_tree_trace(&topology, &decoded, 32), a);
+    assert_eq!(
+        drive_tree(&topology, vec![fabric::trace::frames(&decoded, 32)]),
+        a
+    );
 }
 
 #[test]
@@ -168,7 +180,7 @@ fn limited_retries_surface_as_retry_dropped_in_the_ledger() {
         seed: 7,
         frames: 2,
     };
-    let report = drive_tree(&topology, &plan, 16, 64);
+    let report = drive_tree(&topology, producer_frames(&plan, 16, 64));
     let ledger = report.snapshot.ledger();
     assert!(ledger.holds(), "{ledger:?}");
     assert!(

@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::staged::StagedSwitch;
 use concentrator::FullColumnsortHyperconcentrator;
-use fabric::{producer_script, FabricConfig, LoadPlan};
+use fabric::{FabricConfig, LoadPlan, Message};
 use switchsim::TrafficModel;
 use tiers::{TierService, TierSpec, TierTopology};
 
@@ -63,7 +63,11 @@ fn threaded_tree_is_lossless_under_blocking_backpressure() {
                 let service = &service;
                 let plan = &plan;
                 scope.spawn(move || {
-                    let script = producer_script(plan, 256, p);
+                    let script: Vec<Message> = plan
+                        .frames(256, p)
+                        .into_iter()
+                        .flat_map(|(_, frame)| frame)
+                        .collect();
                     let count = script.len() as u64;
                     for message in script {
                         service.submit(message);
