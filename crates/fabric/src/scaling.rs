@@ -267,7 +267,14 @@ mod tests {
             for shard in &point.per_shard {
                 assert!((0.0..=1.0).contains(&shard.utilization));
             }
-            assert!((0.0..=1.0).contains(&ladder.efficiency(i)) || i == 0);
+            // Efficiency is a ratio of wall-clock rates, so a rung may come
+            // out superlinear on a lucky schedule; the release scaling smoke
+            // gates the speedup itself. Here it only has to be a real rate.
+            let efficiency = ladder.efficiency(i);
+            assert!(
+                efficiency.is_finite() && efficiency > 0.0,
+                "efficiency {efficiency}"
+            );
             assert_eq!(point.threads, point.chips.min(ladder.cores));
             assert!(point.threads >= 1);
         }

@@ -2,13 +2,18 @@
 //! instance, with a batching executor that packs requests into routing
 //! frames and transports every payload through the switch's *compiled*
 //! gate-level datapath — one 64-lane SWAR sweep per 64 payload cycles.
+//! Payloads go onto the wire LSB-first, one bit per clock, so the 64
+//! cycles of one sweep are the little-endian word of eight payload
+//! octets: each input's data-rail word is loaded straight from its
+//! payload, and each routed output's word is written straight back out
+//! as octets.
 //!
 //! All shards of a fabric share one [`StagedSwitch`] (the switches are
 //! stateless combinational logic), so the expensive elaborate-and-compile
 //! step runs **once** through the switch's `concentrator::elab` cache and
 //! every shard holds the same `Arc<Elaboration>`; what is per-shard is the
 //! mutable state: the pending queue, the evaluation scratch, the lane
-//! buffers, and the metrics.
+//! buffers, the frame scratch reused across frames, and the metrics.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -30,6 +35,21 @@ struct Ticket {
     attempts: usize,
     /// Shard frame counter when the message was accepted.
     born_frame: u64,
+}
+
+/// `slot_of` entry of an input wire that carries no ticket this frame.
+const NO_TICKET: u32 = u32::MAX;
+
+/// Data-rail word of sweep `w` for `payload`: payload cycle `c` is bit
+/// `c % 8` of octet `c / 8`, so lanes `0..64` of the sweep covering cycles
+/// `64w..64w + 64` are the little-endian word of octets `8w..8w + 8`,
+/// zero past the payload's end.
+fn lane_word(payload: &[u8], w: usize) -> u64 {
+    let start = (8 * w).min(payload.len());
+    let octets = &payload[start..(start + 8).min(payload.len())];
+    let mut word = [0u8; 8];
+    word[..octets.len()].copy_from_slice(octets);
+    u64::from_le_bytes(word)
 }
 
 /// One delivered message with its provenance.
@@ -77,6 +97,14 @@ pub struct Shard {
     scratch: EvalScratch,
     word_in: Vec<u64>,
     word_out: Vec<u64>,
+    /// Frame scratch, reused across frames: each input wire's index into
+    /// `batch` (or [`NO_TICKET`]), the setup valid bits, the tickets packed
+    /// this frame, and the octets each output received (one stride per
+    /// output).
+    slot_of: Vec<u32>,
+    valid: Vec<bool>,
+    batch: Vec<Option<Ticket>>,
+    received: Vec<u8>,
     pending: VecDeque<Ticket>,
     retry: RetryBudget,
     /// Frames this shard has executed (its local clock).
@@ -101,6 +129,7 @@ impl Shard {
         let scratch = elab.compiled.scratch();
         let word_in = vec![0u64; elab.compiled.input_count()];
         let word_out = vec![0u64; elab.compiled.output_count()];
+        let n = switch.n;
         let metrics = ShardMetrics {
             health_milli: 1000,
             ..ShardMetrics::default()
@@ -112,6 +141,10 @@ impl Shard {
             scratch,
             word_in,
             word_out,
+            slot_of: vec![NO_TICKET; n],
+            valid: vec![false; n],
+            batch: Vec::new(),
+            received: Vec::new(),
             pending: VecDeque::new(),
             retry,
             clock: 0,
@@ -223,6 +256,8 @@ impl Shard {
         self.scratch = elab.compiled.scratch();
         self.word_in = vec![0u64; elab.compiled.input_count()];
         self.word_out = vec![0u64; elab.compiled.output_count()];
+        self.slot_of = vec![NO_TICKET; switch.n];
+        self.valid = vec![false; switch.n];
         self.elab = elab;
         self.switch = switch;
         self.fault = None;
@@ -290,61 +325,62 @@ impl Shard {
         let n = self.switch.n;
         let m = self.switch.m;
 
-        // Pack: claim input wires in FIFO order; conflicting tickets stay
-        // queued (in order) for a later frame.
-        let mut by_input: Vec<Option<Ticket>> = (0..n).map(|_| None).collect();
-        let mut stay = VecDeque::with_capacity(self.pending.len());
-        let mut batched = 0usize;
-        for ticket in self.pending.drain(..) {
-            let slot = &mut by_input[ticket.message.source];
-            if slot.is_none() {
-                *slot = Some(ticket);
-                batched += 1;
+        // Pack: claim input wires in FIFO order by rotating the queue once;
+        // conflicting tickets go back to its tail, still in order, for a
+        // later frame.
+        for _ in 0..self.pending.len() {
+            let ticket = self.pending.pop_front().expect("counted pending tickets");
+            let src = ticket.message.source;
+            if self.slot_of[src] == NO_TICKET {
+                self.slot_of[src] = self.batch.len() as u32;
+                self.valid[src] = true;
+                self.batch.push(Some(ticket));
             } else {
-                stay.push_back(ticket);
+                self.pending.push_back(ticket);
             }
         }
-        self.pending = stay;
+        let batched = self.batch.len();
         debug_assert!(batched > 0);
 
         // Setup cycle: the valid bits establish the electrical paths —
         // through the faulty router when faults are injected, so the
         // routing oracle and the datapath degrade together.
-        let valid: Vec<bool> = by_input.iter().map(Option::is_some).collect();
         let routing = match &self.fault {
-            Some(faulted) => faulted.router.route(&valid),
-            None => self.switch.route(&valid),
+            Some(faulted) => faulted.router.route(&self.valid),
+            None => self.switch.route(&self.valid),
         };
 
         // Payload cycles through the compiled datapath netlist: the valid
         // rail holds the frozen setup pattern on every lane, the data rail
         // carries one payload bit per lane — 64 clock cycles per sweep.
-        let cycles = by_input
+        // Payloads go out LSB-first, so sweep `w` of an input is just the
+        // little-endian word of its octets `8w..8w + 8`, and a routed
+        // output's word goes back as the same eight octets.
+        let cycles = self
+            .batch
             .iter()
             .flatten()
             .map(|t| t.message.bit_len())
             .max()
             .unwrap_or(0);
-        let mut received: Vec<Vec<bool>> = vec![Vec::with_capacity(cycles); m];
-        let mut cycle = 0usize;
-        while cycle < cycles {
-            let lanes = (cycles - cycle).min(WORD_BITS);
+        let words = cycles.div_ceil(WORD_BITS);
+        let stride = words * 8;
+        self.received.resize(m * stride, 0);
+        for w in 0..words {
+            let lanes = (cycles - w * WORD_BITS).min(WORD_BITS);
             let lane_mask = if lanes == WORD_BITS {
                 !0u64
             } else {
                 (1u64 << lanes) - 1
             };
-            for i in 0..n {
-                self.word_in[i] = if valid[i] { lane_mask } else { 0 };
-                let mut data = 0u64;
-                if let Some(ticket) = &by_input[i] {
-                    let msg = &ticket.message;
-                    let last = msg.bit_len().min(cycle + lanes);
-                    for (lane, c) in (cycle..last).enumerate() {
-                        data |= (msg.bit(c) as u64) << lane;
-                    }
-                }
-                self.word_in[n + i] = data;
+            let (valid_rail, data_rail) = self.word_in.split_at_mut(n);
+            for (word, &v) in valid_rail.iter_mut().zip(&self.valid) {
+                *word = if v { lane_mask } else { 0 };
+            }
+            data_rail[..n].fill(0);
+            for ticket in self.batch.iter().flatten() {
+                let msg = &ticket.message;
+                data_rail[msg.source] = lane_word(&msg.payload, w) & lane_mask;
             }
             match &mut self.fault {
                 Some(faulted) => faulted.compiled.eval_word_into(
@@ -366,62 +402,71 @@ impl Shard {
                         lane_mask,
                         "routed output {out} lost its valid bit in the netlist"
                     );
-                    let data = self.word_out[m + out];
-                    for lane in 0..lanes {
-                        received[out].push(data >> lane & 1 == 1);
-                    }
+                    let data = self.word_out[m + out] & lane_mask;
+                    let at = out * stride + w * 8;
+                    self.received[at..at + 8].copy_from_slice(&data.to_le_bytes());
                 }
             }
-            cycle += lanes;
         }
 
-        // Deliver winners, reassembling payloads from the arrived bits.
+        // Deliver winners, reassembling payloads from the arrived octets.
         let mut run = FrameRun {
-            offered: by_input
+            offered: self
+                .slot_of
                 .iter()
-                .flatten()
-                .map(|t| t.message.clone())
+                .filter(|&&k| k != NO_TICKET)
+                .map(|&k| {
+                    self.batch[k as usize]
+                        .as_ref()
+                        .expect("packed ticket")
+                        .message
+                        .clone()
+                })
                 .collect(),
             ..FrameRun::default()
         };
         for (out, src) in routing.output_source.iter().enumerate() {
-            if let Some(src) = src {
-                let ticket = by_input[*src].take().expect("routed inputs carry tickets");
-                let payload =
-                    Message::payload_from_bits(&received[out][..ticket.message.bit_len()]);
+            if let Some(src) = *src {
+                let k = std::mem::replace(&mut self.slot_of[src], NO_TICKET);
+                let ticket = self.batch[k as usize]
+                    .take()
+                    .expect("routed inputs carry tickets");
+                let at = out * stride;
+                let payload = &self.received[at..at + ticket.message.payload.len()];
                 let waited = self.clock - ticket.born_frame;
                 self.metrics.delivered += 1;
                 self.metrics.wait_frames.record(waited);
                 run.delivered.push(Delivery {
                     shard: self.id,
                     output: out,
-                    message: Message {
-                        id: ticket.message.id,
-                        source: ticket.message.source,
-                        payload,
-                    },
+                    message: Message::new(ticket.message.id, ticket.message.source, payload),
                     waited_frames: waited,
                 });
             }
         }
 
-        // Congestion losers: retry within budget (re-queued at the front,
-        // preserving age order), or drop.
-        let mut requeue: Vec<Ticket> = Vec::new();
-        for slot in by_input.into_iter() {
-            let Some(mut ticket) = slot else { continue };
+        // Congestion losers, in input order: retry within budget (re-queued
+        // at the front, preserving age order), or drop.
+        let mut requeued = 0;
+        for src in 0..n {
+            let k = std::mem::replace(&mut self.slot_of[src], NO_TICKET);
+            if k == NO_TICKET {
+                continue;
+            }
+            let mut ticket = self.batch[k as usize].take().expect("packed ticket");
             ticket.attempts += 1;
             if self.retry.allows(ticket.attempts) {
                 self.metrics.retries += 1;
-                requeue.push(ticket);
+                self.pending.push_back(ticket);
+                requeued += 1;
             } else {
                 self.metrics.retry_dropped += 1;
                 run.dropped.push(ticket.message);
             }
         }
-        for ticket in requeue.into_iter().rev() {
-            self.pending.push_front(ticket);
-        }
+        self.pending.rotate_right(requeued);
+        self.valid.fill(false);
+        self.batch.clear();
 
         self.metrics.frames += 1;
         self.clock += 1;
@@ -474,7 +519,283 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use concentrator::faults::FaultMode;
     use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
+    use proptest::prelude::*;
+
+    impl Shard {
+        /// The per-bit reference transport: the frame [`Shard::run_frame`]
+        /// must reproduce, written literally from the bit-serial wire
+        /// format — one `Message::bit` per payload bit per input, one
+        /// `Vec<bool>` per output, payloads rebuilt by
+        /// `Message::payload_from_bits`, fresh per-frame buffers.
+        fn run_frame_per_bit(&mut self) -> FrameRun {
+            if self.pending.is_empty() {
+                return FrameRun::default();
+            }
+            let n = self.switch.n;
+            let m = self.switch.m;
+
+            let mut by_input: Vec<Option<Ticket>> = (0..n).map(|_| None).collect();
+            let mut stay = VecDeque::with_capacity(self.pending.len());
+            let mut batched = 0usize;
+            for ticket in self.pending.drain(..) {
+                let slot = &mut by_input[ticket.message.source];
+                if slot.is_none() {
+                    *slot = Some(ticket);
+                    batched += 1;
+                } else {
+                    stay.push_back(ticket);
+                }
+            }
+            self.pending = stay;
+
+            let valid: Vec<bool> = by_input.iter().map(Option::is_some).collect();
+            let routing = match &self.fault {
+                Some(faulted) => faulted.router.route(&valid),
+                None => self.switch.route(&valid),
+            };
+
+            let cycles = by_input
+                .iter()
+                .flatten()
+                .map(|t| t.message.bit_len())
+                .max()
+                .unwrap_or(0);
+            let mut received: Vec<Vec<bool>> = vec![Vec::with_capacity(cycles); m];
+            let mut cycle = 0usize;
+            while cycle < cycles {
+                let lanes = (cycles - cycle).min(WORD_BITS);
+                let lane_mask = if lanes == WORD_BITS {
+                    !0u64
+                } else {
+                    (1u64 << lanes) - 1
+                };
+                for i in 0..n {
+                    self.word_in[i] = if valid[i] { lane_mask } else { 0 };
+                    let mut data = 0u64;
+                    if let Some(ticket) = &by_input[i] {
+                        let msg = &ticket.message;
+                        let last = msg.bit_len().min(cycle + lanes);
+                        for (lane, c) in (cycle..last).enumerate() {
+                            data |= (msg.bit(c) as u64) << lane;
+                        }
+                    }
+                    self.word_in[n + i] = data;
+                }
+                match &mut self.fault {
+                    Some(faulted) => faulted.compiled.eval_word_into(
+                        &self.word_in,
+                        &mut faulted.scratch,
+                        &mut self.word_out,
+                    ),
+                    None => self.elab.compiled.eval_word_into(
+                        &self.word_in,
+                        &mut self.scratch,
+                        &mut self.word_out,
+                    ),
+                }
+                self.metrics.sweeps += 1;
+                for (out, src) in routing.output_source.iter().enumerate() {
+                    if src.is_some() {
+                        let data = self.word_out[m + out];
+                        for lane in 0..lanes {
+                            received[out].push(data >> lane & 1 == 1);
+                        }
+                    }
+                }
+                cycle += lanes;
+            }
+
+            let mut run = FrameRun {
+                offered: by_input
+                    .iter()
+                    .flatten()
+                    .map(|t| t.message.clone())
+                    .collect(),
+                ..FrameRun::default()
+            };
+            for (out, src) in routing.output_source.iter().enumerate() {
+                if let Some(src) = src {
+                    let ticket = by_input[*src].take().expect("routed inputs carry tickets");
+                    let payload =
+                        Message::payload_from_bits(&received[out][..ticket.message.bit_len()]);
+                    let waited = self.clock - ticket.born_frame;
+                    self.metrics.delivered += 1;
+                    self.metrics.wait_frames.record(waited);
+                    run.delivered.push(Delivery {
+                        shard: self.id,
+                        output: out,
+                        message: Message {
+                            id: ticket.message.id,
+                            source: ticket.message.source,
+                            payload,
+                        },
+                        waited_frames: waited,
+                    });
+                }
+            }
+
+            let mut requeue: Vec<Ticket> = Vec::new();
+            for slot in by_input.into_iter() {
+                let Some(mut ticket) = slot else { continue };
+                ticket.attempts += 1;
+                if self.retry.allows(ticket.attempts) {
+                    self.metrics.retries += 1;
+                    requeue.push(ticket);
+                } else {
+                    self.metrics.retry_dropped += 1;
+                    run.dropped.push(ticket.message);
+                }
+            }
+            for ticket in requeue.into_iter().rev() {
+                self.pending.push_front(ticket);
+            }
+
+            self.metrics.frames += 1;
+            self.clock += 1;
+            self.update_health(batched as u64, run.delivered.len() as u64);
+            run
+        }
+
+        /// `(id, attempts, born_frame)` of every pending ticket, in order.
+        fn pending_order(&self) -> Vec<(u64, usize, u64)> {
+            self.pending
+                .iter()
+                .map(|t| (t.message.id, t.attempts, t.born_frame))
+                .collect()
+        }
+    }
+
+    /// Run one frame on the word-level shard and the per-bit reference
+    /// shard and require identical observable results.
+    fn assert_same_frame(word: &mut Shard, bit: &mut Shard) {
+        let got = word.run_frame();
+        let want = bit.run_frame_per_bit();
+        assert_eq!(got.offered, want.offered, "offered");
+        assert_eq!(got.delivered, want.delivered, "delivered");
+        assert_eq!(got.dropped, want.dropped, "dropped");
+        assert_eq!(word.metrics, bit.metrics, "metrics");
+        assert_eq!(word.pending_order(), bit.pending_order(), "requeue order");
+    }
+
+    proptest! {
+        #[test]
+        fn word_transport_matches_per_bit_reference(
+            frames in proptest::collection::vec(
+                proptest::collection::vec((0usize..16, 0usize..25, any::<u64>()), 0..24),
+                1..6,
+            ),
+            faulted in any::<bool>(),
+            fault_chip in 0usize..4,
+        ) {
+            let switch = Arc::new(RevsortSwitch::new(16, 8, RevsortLayout::TwoDee).staged().clone());
+            let mut word = Shard::new(0, Arc::clone(&switch), RetryBudget::limited(2));
+            let mut bit = Shard::new(0, switch, RetryBudget::limited(2));
+            if faulted {
+                let fault = ChipFault { stage: 0, chip: fault_chip, mode: FaultMode::StuckInvalid };
+                word.set_faults(vec![fault]);
+                bit.set_faults(vec![fault]);
+            }
+            let mut id = 0u64;
+            for frame in &frames {
+                for &(source, len, seed) in frame {
+                    let payload: Vec<u8> =
+                        (0..len).map(|b| seed.rotate_right(8 * b as u32 % 64) as u8 ^ b as u8).collect();
+                    let msg = Message::new(id, source, payload);
+                    word.accept(msg.clone());
+                    bit.accept(msg);
+                    id += 1;
+                }
+                assert_same_frame(&mut word, &mut bit);
+            }
+            // Drain the backlog frame by frame (the budget bounds it).
+            while word.pending_len() > 0 || bit.pending_len() > 0 {
+                assert_same_frame(&mut word, &mut bit);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_words_are_little_endian_octets() {
+        let payload = [0x01u8, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x80];
+        assert_eq!(lane_word(&payload, 0), 0x0807_0605_0403_0201);
+        // The partial last word holds its octet in lanes 0..8, zero above.
+        assert_eq!(lane_word(&payload, 1), 0x80);
+        assert_eq!(lane_word(&payload, 2), 0);
+        assert_eq!(lane_word(&[], 0), 0);
+        let msg = Message::new(0, 0, payload.to_vec());
+        for c in 0..msg.bit_len() {
+            assert_eq!(lane_word(&payload, c / 64) >> (c % 64) & 1 == 1, msg.bit(c));
+        }
+    }
+
+    #[test]
+    fn gate_level_shard_matches_routing_table_simulation() {
+        let switch = Arc::new(
+            RevsortSwitch::new(16, 12, RevsortLayout::TwoDee)
+                .staged()
+                .clone(),
+        );
+        // Budget 0: every congestion loser is dropped in its frame, so a
+        // frame's drops are exactly the reference's unrouted messages.
+        let mut shard = Shard::new(0, Arc::clone(&switch), RetryBudget::limited(0));
+        let mut state = 0x5EEDu64;
+        for frame in 0..40 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let offered: Vec<Message> = (0..16)
+                .filter(|&i| state >> i & 1 == 1)
+                .map(|i| {
+                    let len = 1 + (state.rotate_left(i as u32) % 4) as usize;
+                    let payload: Vec<u8> = (0..len)
+                        .map(|b| (state.rotate_right(8 * b as u32 + i as u32)) as u8)
+                        .collect();
+                    Message::new(frame * 100 + i as u64, i as usize, payload)
+                })
+                .collect();
+            let reference = switchsim::simulate_frame(switch.as_ref(), &offered);
+            for msg in &offered {
+                shard.accept(msg.clone());
+            }
+            let run = shard.run_frame();
+            let delivered: Vec<(usize, Message)> = run
+                .delivered
+                .iter()
+                .map(|d| (d.output, d.message.clone()))
+                .collect();
+            assert_eq!(
+                delivered, reference.delivered,
+                "frame {frame}, state {state:#x}"
+            );
+            assert_eq!(run.dropped, reference.unrouted, "frame {frame}");
+            assert!(reference.payloads_intact(&offered));
+        }
+    }
+
+    #[test]
+    fn shard_batches_64_cycles_per_sweep() {
+        use concentrator::full_revsort::FullRevsortHyperconcentrator;
+        let switch = FullRevsortHyperconcentrator::new(16);
+        let mut shard = Shard::new(0, Arc::new(switch.staged().clone()), RetryBudget::UNLIMITED);
+        // 8-byte payload = 64 cycles: exactly one compiled sweep.
+        shard.accept(Message::new(1, 3, vec![0xA5u8; 8]));
+        shard.run_frame();
+        assert_eq!(shard.metrics.sweeps, 1);
+        // 9 bytes = 72 cycles: two sweeps, the second a partial word.
+        shard.accept(Message::new(2, 9, vec![0x3Cu8; 9]));
+        let run = shard.run_frame();
+        assert_eq!(run.delivered[0].message.payload, vec![0x3Cu8; 9]);
+        assert_eq!(shard.metrics.sweeps, 3);
+        // An empty frame needs no sweep at all, nor does an empty payload.
+        shard.run_frame();
+        shard.accept(Message::new(3, 5, Vec::new()));
+        let run = shard.run_frame();
+        assert_eq!(run.delivered.len(), 1);
+        assert!(run.delivered[0].message.payload.is_empty());
+        assert_eq!(shard.metrics.sweeps, 3);
+    }
 
     fn test_switch() -> Arc<StagedSwitch> {
         Arc::new(
@@ -559,8 +880,6 @@ mod tests {
         assert_eq!(shard.metrics.frames, 0);
         assert_eq!(shard.metrics.sweeps, 0);
     }
-
-    use concentrator::faults::FaultMode;
 
     #[test]
     fn faulted_shard_degrades_and_accounts_every_message() {

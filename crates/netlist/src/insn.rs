@@ -308,6 +308,9 @@ pub(crate) enum Simd {
     Avx512,
 }
 
+/// Probe the CPU for the widest kernel it can run. The AVX kernels are
+/// reached only through a [`Simd`] this function returned, so this probe
+/// is the check their `target_feature` safety contract relies on.
 pub(crate) fn detect_simd() -> Simd {
     #[cfg(target_arch = "x86_64")]
     {
@@ -321,12 +324,29 @@ pub(crate) fn detect_simd() -> Simd {
     Simd::Scalar
 }
 
+/// Whether the CPU running this process supports `simd`'s kernels.
+fn simd_available(simd: Simd) -> bool {
+    match simd {
+        Simd::Scalar => true,
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+        #[cfg(target_arch = "x86_64")]
+        Simd::Avx512 => {
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx2")
+        }
+    }
+}
+
 /// Execute one instruction over a lane group of `LW` words.
 ///
 /// # Safety
-/// `vals` must point to at least `slot_count * LW` words and the
-/// instruction's slots must be `< slot_count` ([`InsnStream::self_check`]
-/// validates the stream once at compile time).
+/// `vals` must point to at least `slot_count * LW` writable words, and
+/// the instruction's slots `a`, `b`, `dst` must be `< slot_count`.
+/// [`InsnStream::sweep`] asserts the buffer length; `lower` hands out
+/// only slots below the `slot_count` it records, and
+/// [`InsnStream::self_check`] verifies every slot after each debug-build
+/// `lower`.
 #[inline(always)]
 unsafe fn exec<const LW: usize>(vals: *mut u64, i: Insn) {
     let ma = (((i.opword >> 3) & 1) as u64).wrapping_neg();
@@ -377,8 +397,10 @@ mod x86 {
     use std::arch::x86_64::*;
 
     /// # Safety
-    /// Caller guarantees AVX2, `vals` covers `slot_count * 4` words, and
-    /// instruction slots are in range.
+    /// The CPU must support AVX2: callers reach this only through a
+    /// [`super::Simd`] that [`super::detect_simd`] returned after probing
+    /// for it. `vals` must cover `slot_count * 4` words and the
+    /// instruction's slots must be `< slot_count`, as for [`super::exec`].
     #[inline]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn exec_w4(vals: *mut u64, i: Insn) {
@@ -408,7 +430,9 @@ mod x86 {
     }
 
     /// # Safety
-    /// As [`exec_w4`], over two 256-bit halves of an 8-word group.
+    /// As [`exec_w4`] (AVX2, probed by [`super::detect_simd`]), with
+    /// `vals` covering `slot_count * 8` words: the two 256-bit halves of
+    /// an 8-word group.
     #[inline]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn exec_w8_avx2(vals: *mut u64, i: Insn) {
@@ -440,8 +464,10 @@ mod x86 {
     }
 
     /// # Safety
-    /// Caller guarantees AVX-512F, `vals` covers `slot_count * 8` words,
-    /// and instruction slots are in range.
+    /// The CPU must support AVX-512F: callers reach this only through
+    /// `Simd::Avx512`, which [`super::detect_simd`] returns only after
+    /// probing for it. `vals` must cover `slot_count * 8` words and the
+    /// instruction's slots must be `< slot_count`, as for [`super::exec`].
     #[inline]
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn exec_w8_avx512(vals: *mut u64, i: Insn) {
@@ -470,6 +496,10 @@ mod x86 {
         _mm512_storeu_si512(d, r);
     }
 
+    /// Run `insns` in order over 4-word lane groups.
+    ///
+    /// # Safety
+    /// As [`exec_w4`], for every instruction of `insns`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn run_w4(insns: &[Insn], vals: *mut u64) {
         for &i in insns {
@@ -477,6 +507,10 @@ mod x86 {
         }
     }
 
+    /// Run `insns` in order over 8-word lane groups with AVX2.
+    ///
+    /// # Safety
+    /// As [`exec_w8_avx2`], for every instruction of `insns`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn run_w8_avx2(insns: &[Insn], vals: *mut u64) {
         for &i in insns {
@@ -484,6 +518,10 @@ mod x86 {
         }
     }
 
+    /// Run `insns` in order over 8-word lane groups with AVX-512F.
+    ///
+    /// # Safety
+    /// As [`exec_w8_avx512`], for every instruction of `insns`.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn run_w8_avx512(insns: &[Insn], vals: *mut u64) {
         for &i in insns {
@@ -502,8 +540,17 @@ impl InsnStream {
     /// Execute instructions `[lo, hi)` over lane groups of `lw` words.
     ///
     /// # Safety
-    /// `vals` must cover `slot_count * lw` words; `lw ∈ {1, 4, 8}`.
+    /// `vals` must cover `slot_count * lw` words, `lw ∈ {1, 4, 8}`, and
+    /// `simd` must be a value [`detect_simd`] returned on this CPU. Slot
+    /// bounds are the stream's own invariant (see [`exec`]). When several
+    /// threads run ranges over the same `vals` concurrently, the ranges
+    /// must belong to distinct chips of one level (see
+    /// [`InsnStream::eval_level_parallel`]).
     unsafe fn run_range(&self, lo: usize, hi: usize, lw: usize, vals: *mut u64, simd: Simd) {
+        debug_assert!(
+            simd_available(simd),
+            "{simd:?} kernels on a CPU without them"
+        );
         let insns = &self.insns[lo..hi];
         match lw {
             1 => {
@@ -539,8 +586,13 @@ impl InsnStream {
     /// and forces must already be loaded into `vals`.
     pub(crate) fn sweep(&self, lw: usize, vals: &mut [u64], simd: Simd) {
         assert!(vals.len() >= self.slot_count * lw, "vals buffer too small");
-        // SAFETY: buffer length checked above; slot bounds validated by
-        // self_check at construction.
+        // SAFETY: the assert above gives `vals` the `slot_count * lw` words
+        // `run_range` needs; every slot is `< slot_count` because `lower`
+        // allocates no slot past the count it records (`self_check`
+        // verifies it in debug builds); `run_range` itself rejects an `lw`
+        // outside {1, 4, 8}; and `simd` came from `detect_simd` (the
+        // engine's only source of it), so an AVX kernel runs only on a CPU
+        // that reported the feature.
         unsafe { self.run_range(0, self.insns.len(), lw, vals.as_mut_ptr(), simd) }
     }
 
@@ -703,9 +755,16 @@ impl InsnStream {
         }
 
         struct ValsPtr(*mut u64);
-        // SAFETY: workers write disjoint slots within a level (checked by
-        // self_check) and synchronize between levels with a barrier.
+        // SAFETY: the pointer targets `vals`, which outlives the thread
+        // scope below; sending it to a worker is sound because every
+        // access through it follows the level discipline described at
+        // the `run_range` call in `run_levels`.
         unsafe impl Send for ValsPtr {}
+        // SAFETY: shared use from several workers at once is limited to
+        // `run_range` calls on distinct chips of one level, which write
+        // disjoint slots and read none another chip writes (`lower` defers
+        // slot frees to level boundaries; `self_check` verifies it in
+        // debug builds), with a barrier between levels.
         unsafe impl Sync for ValsPtr {}
         impl ValsPtr {
             // Accessor rather than field reads in closures: 2021 disjoint
@@ -716,6 +775,7 @@ impl InsnStream {
                 self.0
             }
         }
+        debug_assert_eq!(vals.len(), self.slot_count * 8);
         let shared = ValsPtr(vals.as_mut_ptr());
         let barrier = Barrier::new(team);
         let levels = self.level_count();
@@ -725,9 +785,16 @@ impl InsnStream {
                 let mut c = tid;
                 while c < self.chips {
                     let (lo, hi) = self.chip_ranges[l * self.chips + c];
-                    // SAFETY: slot indices validated at compile; chips are
-                    // write-disjoint within a level; barrier below orders
-                    // cross-level reads after writes.
+                    // SAFETY: `shared` covers `slot_count * 8` words (the
+                    // debug_assert above), enough for any `lw`; slots are
+                    // in range as in `sweep`; `simd` came from
+                    // `detect_simd`. Workers running concurrently hold
+                    // distinct chips of level `l`, whose instructions write
+                    // disjoint slots and read none another chip writes
+                    // (`lower` defers frees to level boundaries;
+                    // `self_check` verifies it in debug builds), and the
+                    // `barrier.wait()` below orders every write of level
+                    // `l` before any read of level `l + 1`.
                     unsafe { self.run_range(lo as usize, hi as usize, lw, shared.get(), simd) };
                     c += team;
                 }
@@ -751,7 +818,11 @@ impl InsnStream {
             // between the closing and opening barriers the other workers
             // are parked, so touching `vals` directly is race-free.
             for &(w0, lw) in &groups {
-                // SAFETY: no worker touches vals outside run_levels.
+                // SAFETY: `shared` is `vals`' pointer and `vals` holds
+                // `slot_count * 8` words. Between one group's closing
+                // barrier and the next group's opening barrier every other
+                // worker is parked in `barrier.wait()`, so this slice is the
+                // only live access to `vals` while it exists.
                 let vals =
                     unsafe { std::slice::from_raw_parts_mut(shared.get(), self.slot_count * 8) };
                 self.load_group(inputs, w0, lw, &mut vals[..self.slot_count * lw]);

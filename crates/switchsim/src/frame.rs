@@ -1,18 +1,12 @@
 //! One routing frame: setup cycle plus payload cycles.
 //!
-//! Two implementations of the same frame discipline live here:
-//! [`simulate_frame`] moves one bit per wire per cycle through the
-//! switch's routing table, while [`FrameEngine`] pushes the payload
-//! through the switch's *gate-level datapath netlist* with the compiled
-//! batch evaluator — 64 clock cycles per sweep, since the paths frozen at
-//! setup make every payload cycle the same circuit evaluation with
-//! different data-rail bits.
-
-use std::sync::Arc;
+//! [`simulate_frame`] is the reference frame discipline: it moves one bit
+//! per wire per cycle through the switch's routing table. The serving
+//! path (`fabric::Shard`) transports payloads through the switch's
+//! gate-level datapath netlist instead, 64 cycles per compiled sweep, and
+//! its tests check it against this function.
 
 use concentrator::spec::{ConcentratorSwitch, Routing};
-use concentrator::{Elaboration, StagedSwitch};
-use netlist::{EvalScratch, WORD_BITS};
 
 use crate::message::Message;
 
@@ -109,138 +103,6 @@ pub fn simulate_frame<S: ConcentratorSwitch + ?Sized>(
     }
 }
 
-/// A reusable gate-level frame simulator for one [`StagedSwitch`].
-///
-/// Setup still runs the router (it supplies message identity for
-/// reassembly), but every payload bit is transported by evaluating the
-/// switch's compiled datapath netlist: the valid rail holds the frozen
-/// setup pattern while the data rail carries payload bits, 64 cycles per
-/// lane-parallel sweep. The compiled elaboration comes from the switch's
-/// shared cache and the evaluation scratch, input words, and output words
-/// persist across cycles *and* frames — steady-state frames allocate only
-/// the outcome itself.
-pub struct FrameEngine<'a> {
-    switch: &'a StagedSwitch,
-    elab: Arc<Elaboration>,
-    scratch: EvalScratch,
-    word_in: Vec<u64>,
-    word_out: Vec<u64>,
-    sweeps: usize,
-}
-
-impl<'a> FrameEngine<'a> {
-    /// Build an engine over `switch`'s cached compiled datapath netlist.
-    pub fn new(switch: &'a StagedSwitch) -> Self {
-        let elab = switch.datapath_logic(false);
-        let scratch = elab.compiled.scratch();
-        let word_in = vec![0u64; elab.compiled.input_count()];
-        let word_out = vec![0u64; elab.compiled.output_count()];
-        FrameEngine {
-            switch,
-            elab,
-            scratch,
-            word_in,
-            word_out,
-            sweeps: 0,
-        }
-    }
-
-    /// Compiled netlist sweeps performed so far (each covers up to 64
-    /// payload cycles).
-    pub fn sweeps(&self) -> usize {
-        self.sweeps
-    }
-
-    /// Simulate one frame, transporting payload bits through the gate
-    /// level. Same contract and panics as [`simulate_frame`].
-    pub fn run(&mut self, offered: &[Message]) -> FrameOutcome {
-        let n = self.switch.n;
-        let m = self.switch.m;
-        let mut by_input: Vec<Option<&Message>> = vec![None; n];
-        for msg in offered {
-            assert!(msg.source < n, "message source {} out of range", msg.source);
-            assert!(
-                by_input[msg.source].is_none(),
-                "two messages offered on input {}",
-                msg.source
-            );
-            by_input[msg.source] = Some(msg);
-        }
-
-        let valid: Vec<bool> = by_input.iter().map(|m| m.is_some()).collect();
-        let routing = self.switch.route(&valid);
-
-        let cycles = offered.iter().map(Message::bit_len).max().unwrap_or(0);
-        let mut received_bits: Vec<Vec<bool>> = vec![Vec::with_capacity(cycles); m];
-        let mut cycle = 0usize;
-        while cycle < cycles {
-            let lanes = (cycles - cycle).min(WORD_BITS);
-            let lane_mask = if lanes == WORD_BITS {
-                !0u64
-            } else {
-                (1u64 << lanes) - 1
-            };
-            // Valid rail: the setup pattern, broadcast across all lanes.
-            // Data rail: payload bits for cycles `cycle..cycle + lanes`.
-            for i in 0..n {
-                self.word_in[i] = if valid[i] { lane_mask } else { 0 };
-                let mut data = 0u64;
-                if let Some(msg) = by_input[i] {
-                    let last = msg.bit_len().min(cycle + lanes);
-                    for (lane, c) in (cycle..last).enumerate() {
-                        data |= (msg.bit(c) as u64) << lane;
-                    }
-                }
-                self.word_in[n + i] = data;
-            }
-            self.elab
-                .compiled
-                .eval_word_into(&self.word_in, &mut self.scratch, &mut self.word_out);
-            self.sweeps += 1;
-            for (out, src) in routing.output_source.iter().enumerate() {
-                if src.is_some() {
-                    debug_assert_eq!(
-                        self.word_out[out] & lane_mask,
-                        lane_mask,
-                        "routed output {out} lost its valid bit in the netlist"
-                    );
-                    let data = self.word_out[m + out];
-                    for lane in 0..lanes {
-                        received_bits[out].push(data >> lane & 1 == 1);
-                    }
-                }
-            }
-            cycle += lanes;
-        }
-
-        let mut delivered = Vec::new();
-        for (out, src) in routing.output_source.iter().enumerate() {
-            if let Some(src) = src {
-                let original = by_input[*src].expect("routed inputs carry messages");
-                let bits = &received_bits[out][..original.bit_len()];
-                let payload = Message::payload_from_bits(bits);
-                delivered.push((
-                    out,
-                    Message {
-                        id: original.id,
-                        source: original.source,
-                        payload,
-                    },
-                ));
-            }
-        }
-        let unrouted = routing
-            .unrouted_inputs(&valid)
-            .map(|input| by_input[input].expect("unrouted inputs were valid").clone())
-            .collect();
-        FrameOutcome {
-            routing,
-            delivered,
-            unrouted,
-        }
-    }
-}
-
 impl FrameOutcome {
     /// Whether every delivered payload matches what was sent.
     pub fn payloads_intact(&self, offered: &[Message]) -> bool {
@@ -302,49 +164,5 @@ mod tests {
         let outcome = simulate_frame(&switch, &offered);
         assert!(outcome.payloads_intact(&offered));
         assert_eq!(outcome.delivered[1].1.payload.len(), 1);
-    }
-
-    #[test]
-    fn gate_level_engine_matches_routing_table_simulation() {
-        use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
-        let switch = RevsortSwitch::new(16, 12, RevsortLayout::TwoDee);
-        let mut engine = FrameEngine::new(switch.staged());
-        let mut state = 0x5EEDu64;
-        for frame in 0..40 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let offered: Vec<Message> = (0..16)
-                .filter(|&i| state >> i & 1 == 1)
-                .map(|i| {
-                    let len = 1 + (state.rotate_left(i as u32) % 4) as usize;
-                    let payload: Vec<u8> = (0..len)
-                        .map(|b| (state.rotate_right(8 * b as u32 + i as u32)) as u8)
-                        .collect();
-                    Message::new(frame * 100 + i as u64, i as usize, payload)
-                })
-                .collect();
-            let reference = simulate_frame(switch.staged(), &offered);
-            let gate_level = engine.run(&offered);
-            assert_eq!(gate_level, reference, "frame {frame}, state {state:#x}");
-            assert!(gate_level.payloads_intact(&offered));
-        }
-    }
-
-    #[test]
-    fn engine_batches_64_cycles_per_sweep() {
-        use concentrator::full_revsort::FullRevsortHyperconcentrator;
-        let switch = FullRevsortHyperconcentrator::new(16);
-        let mut engine = FrameEngine::new(switch.staged());
-        // 8-byte payload = 64 cycles: exactly one compiled sweep.
-        engine.run(&[Message::new(1, 3, vec![0xA5u8; 8])]);
-        assert_eq!(engine.sweeps(), 1);
-        // 9 bytes = 72 cycles: two sweeps. The buffers are reused, so the
-        // counter just accumulates.
-        engine.run(&[Message::new(2, 9, vec![0x3Cu8; 9])]);
-        assert_eq!(engine.sweeps(), 3);
-        // An empty frame needs no sweep at all.
-        engine.run(&[]);
-        assert_eq!(engine.sweeps(), 3);
     }
 }

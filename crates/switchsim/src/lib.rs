@@ -36,7 +36,7 @@ pub use analytic::{binomial_pmf, measure_delivery_curve, predict_drop, DropModel
 pub use congestion::CongestionPolicy;
 pub use deflection::{DeflectionStage, DeflectionStats};
 pub use fairness::{measure_fairness, FairnessReport, RotatingSwitch};
-pub use frame::{simulate_frame, FrameEngine, FrameOutcome};
+pub use frame::{simulate_frame, FrameOutcome};
 pub use message::Message;
 pub use multistage::{regular_tree, CompiledCascade, MultistageNetwork};
 pub use network::{ConcentrationStage, SimulationReport};
