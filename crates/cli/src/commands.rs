@@ -103,7 +103,7 @@ pub fn design(args: &Parsed) -> Result<String, String> {
         return Err("--load must be in [0, 1]".into());
     }
     let side = (n as f64).sqrt() as usize;
-    if side * side != n || !side.is_power_of_two() {
+    if side.checked_mul(side) != Some(n) || !side.is_power_of_two() {
         return Err(format!("--n must be 4^q (e.g. 256, 1024, 4096), got {n}"));
     }
     let m = n / 2;

@@ -21,7 +21,7 @@ impl Design {
                 let n: usize = n.parse().map_err(|_| format!("bad n `{n}`"))?;
                 let m: usize = m.parse().map_err(|_| format!("bad m `{m}`"))?;
                 let side = (n as f64).sqrt() as usize;
-                if side * side != n || !side.is_power_of_two() {
+                if side.checked_mul(side) != Some(n) || !side.is_power_of_two() {
                     return Err(format!("revsort needs n = 4^q, got {n}"));
                 }
                 if m == 0 || m > n {
@@ -43,8 +43,11 @@ impl Design {
                 if r == 0 || s == 0 || !r.is_multiple_of(s) {
                     return Err(format!("columnsort needs s | r, got {r}x{s}"));
                 }
-                if m == 0 || m > r * s {
-                    return Err(format!("need 0 < m <= n = {}, got m = {m}", r * s));
+                let n = r
+                    .checked_mul(s)
+                    .ok_or_else(|| format!("columnsort shape {r}x{s} overflows n"))?;
+                if m == 0 || m > n {
+                    return Err(format!("need 0 < m <= n = {n}, got m = {m}"));
                 }
                 Ok(Design::Columnsort(ColumnsortSwitch::new(r, s, m)))
             }
@@ -103,6 +106,8 @@ mod tests {
             "columnsort:8:10",   // missing shape
             "mystery:8:10",
             "revsort:64",
+            "revsort:18446744073709551615:1", // side * side overflows
+            "columnsort:6442450944x6442450944:1", // r * s overflows
         ] {
             assert!(Design::parse(bad).is_err(), "accepted {bad}");
         }

@@ -12,11 +12,13 @@
 //! * the **trace** netlist (valid bits in → the *entire* final-stage wire
 //!   vector, for nearsortedness measurement).
 //!
-//! [`ElabCache`] holds all three (in both pad flavors) behind [`OnceLock`]s
-//! inside every [`crate::StagedSwitch`], so the first consumer pays the
-//! elaboration cost and everyone after shares one [`Arc`]. The cache is
-//! invisible to the switch's value semantics: clones start empty and
-//! equality ignores it.
+//! [`ElabCache`] holds all three — the control netlist in both pad
+//! flavors, the datapath and trace netlists without pads — plus the
+//! faultable datapath behind [`OnceLock`]s inside every
+//! [`crate::StagedSwitch`], so the first consumer pays the elaboration cost
+//! and everyone after shares one [`Arc`]. All of them come from the
+//! switch's one elaboration walk. The cache is invisible to the switch's
+//! value semantics: clones start empty and equality ignores it.
 
 use std::sync::{Arc, OnceLock};
 
@@ -43,13 +45,13 @@ impl Elaboration {
 
 type Slot = OnceLock<Arc<Elaboration>>;
 
-/// Lazily-built elaborations of one switch, keyed by flavor and by the
-/// `with_pads` flag (index `with_pads as usize`).
+/// Lazily-built elaborations of one switch, keyed by flavor (and, for the
+/// control netlist, by the `with_pads` flag: index `with_pads as usize`).
 #[derive(Default)]
 pub struct ElabCache {
     control: [Slot; 2],
-    datapath: [Slot; 2],
-    trace: [Slot; 2],
+    datapath: Slot,
+    trace: Slot,
     /// The healthy faultable-datapath base (chip-output taps, no pads).
     /// Per-fault-set overlays are derived from this, never stored here.
     faultable: OnceLock<Arc<FaultableElab>>,
@@ -62,13 +64,13 @@ impl ElabCache {
     }
 
     /// The cached datapath elaboration, building via `make` on first use.
-    pub fn datapath(&self, with_pads: bool, make: impl FnOnce() -> Netlist) -> Arc<Elaboration> {
-        Self::get(&self.datapath[with_pads as usize], make)
+    pub fn datapath(&self, make: impl FnOnce() -> Netlist) -> Arc<Elaboration> {
+        Self::get(&self.datapath, make)
     }
 
     /// The cached full-trace elaboration, building via `make` on first use.
-    pub fn trace(&self, with_pads: bool, make: impl FnOnce() -> Netlist) -> Arc<Elaboration> {
-        Self::get(&self.trace[with_pads as usize], make)
+    pub fn trace(&self, make: impl FnOnce() -> Netlist) -> Arc<Elaboration> {
+        Self::get(&self.trace, make)
     }
 
     /// The cached faultable-datapath elaboration, building on first use.
@@ -98,18 +100,12 @@ impl PartialEq for ElabCache {
 
 impl std::fmt::Debug for ElabCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = |slots: &[Slot; 2]| {
-            [slots[0].get().is_some(), slots[1].get().is_some()]
-                .iter()
-                .filter(|&&b| b)
-                .count()
-        };
+        let controls = self.control.iter().filter(|s| s.get().is_some()).count();
         write!(
             f,
-            "ElabCache {{ control: {}/2, datapath: {}/2, trace: {}/2, faultable: {} }}",
-            state(&self.control),
-            state(&self.datapath),
-            state(&self.trace),
+            "ElabCache {{ control: {controls}/2, datapath: {}, trace: {}, faultable: {} }}",
+            self.datapath.get().is_some(),
+            self.trace.get().is_some(),
             self.faultable.get().is_some()
         )
     }

@@ -9,17 +9,17 @@
 //!
 //! Two evaluation paths cover the same fault model:
 //!
-//! * [`FaultySwitch`] — the message-level *reference*: faults applied
-//!   during [`StagedSwitch::trace`]-style slot propagation. Slow, obviously
-//!   correct, and the oracle the compiled path is differentially tested
-//!   against.
-//! * [`FaultableElab`] — the *compiled* path: the datapath elaboration with
-//!   an explicit tap gate on every chip output pin
-//!   ([`StagedSwitch::build_faultable_datapath`]), onto which a fault set
-//!   is lowered as [`WireFault`]s ([`FaultableElab::wire_faults`]) and
-//!   compiled into the levelized schedule
-//!   ([`FaultableElab::compile_faulted`]). The 64-lane SWAR evaluator then
-//!   runs the *faulted* switch at full batch speed.
+//! * [`FaultySwitch`] — the message-level *reference*: faults applied by
+//!   the switch's one message-level tracer, the same walk
+//!   [`StagedSwitch::trace`] runs healthy. Obviously correct, and the
+//!   oracle the compiled path is differentially tested against.
+//! * [`FaultableElab`] — the *compiled* path: the faultable flavour of the
+//!   switch's one gate-level elaboration, with an explicit tap gate on
+//!   every chip output pin ([`StagedSwitch::faultable_logic`]), onto which
+//!   a fault set is lowered as [`WireFault`]s
+//!   ([`FaultableElab::wire_faults`]) and compiled into the levelized
+//!   schedule ([`FaultableElab::compile_faulted`]). The 64-lane SWAR
+//!   evaluator then runs the *faulted* switch at full batch speed.
 //!
 //! On top of both sits the campaign machinery: [`FaultCampaign`] draws a
 //! deterministic, seeded schedule of permanent / intermittent / transient
@@ -35,7 +35,7 @@ use netlist::{CompiledNetlist, Netlist, Wire, WireFault};
 use serde::{Deserialize, Serialize};
 
 use crate::spec::{ConcentratorKind, ConcentratorSwitch, Routing};
-use crate::staged::{StageKind, StagedSwitch};
+use crate::staged::{Slot, StagedSwitch};
 use crate::verify::SplitMix64;
 
 /// How a failed chip misbehaves.
@@ -52,6 +52,20 @@ pub enum FaultMode {
     /// presenting the wrong rail. The chip floods where it was empty and
     /// silences where it was full; payloads are lost either way.
     Inverted,
+}
+
+impl FaultMode {
+    /// What a chip output pin presents when its chip has `fault` and the
+    /// healthy chip would drive `healthy`. A failed pad carries no real
+    /// message, whatever its valid rail claims.
+    pub(crate) fn present(fault: Option<FaultMode>, healthy: Slot) -> Slot {
+        match fault {
+            None => healthy,
+            Some(FaultMode::StuckInvalid) => (false, None),
+            Some(FaultMode::StuckValid) => (true, None),
+            Some(FaultMode::Inverted) => (!healthy.0, None),
+        }
+    }
 }
 
 /// A located fault.
@@ -183,64 +197,12 @@ impl<S: Borrow<StagedSwitch>> FaultySwitch<S> {
         &self.faults
     }
 
-    fn fault_at(&self, stage: usize, chip: usize) -> Option<FaultMode> {
-        self.faults
-            .iter()
-            .find(|f| f.stage == stage && f.chip == chip)
-            .map(|f| f.mode)
-    }
-
     /// Trace wire occupancy through the faulty switch: the faulted
-    /// equivalent of [`StagedSwitch::trace`]. Public so differential
-    /// harnesses can compare per-wire, not just per-routing.
+    /// equivalent of [`StagedSwitch::trace`], on the same tracer. Public
+    /// so differential harnesses can compare per-wire, not just
+    /// per-routing.
     pub fn trace(&self, valid: &[bool]) -> Vec<(bool, Option<usize>)> {
-        let inner = self.inner.borrow();
-        assert_eq!(valid.len(), inner.n);
-        let mut wires: Vec<(bool, Option<usize>)> = valid
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, v.then_some(i)))
-            .collect();
-        for (stage_idx, stage) in inner.stages.iter().enumerate() {
-            let pins = stage.chip_pins;
-            let mut next = vec![(false, None); stage.out_len];
-            for chip in 0..stage.chip_count {
-                let base = chip * pins;
-                let gathered: Vec<(bool, Option<usize>)> = (0..pins)
-                    .map(|p| match stage.input_map[base + p] {
-                        crate::staged::PinSource::Prev(i) => wires[i],
-                        crate::staged::PinSource::Const(v) => (v, None),
-                    })
-                    .collect();
-                // What the chip would do if healthy…
-                let healthy: Vec<(bool, Option<usize>)> = match stage.kind {
-                    StageKind::Compactor => {
-                        let mut compacted: Vec<(bool, Option<usize>)> =
-                            gathered.iter().copied().filter(|&(v, _)| v).collect();
-                        compacted.resize(pins, (false, None));
-                        compacted
-                    }
-                    StageKind::PassThrough => gathered,
-                };
-                // …and what its failed pads actually present.
-                let outputs: Vec<(bool, Option<usize>)> = match self.fault_at(stage_idx, chip) {
-                    None => healthy,
-                    Some(FaultMode::StuckInvalid) => vec![(false, None); pins],
-                    Some(FaultMode::StuckValid) => vec![(true, None); pins],
-                    Some(FaultMode::Inverted) => healthy.iter().map(|&(v, _)| (!v, None)).collect(),
-                };
-                // Faulty switches may drop real messages at padding
-                // positions; that is exactly the failure being modeled,
-                // so no assertion on dropped wires here.
-                for (p, &slot) in outputs.iter().enumerate() {
-                    if let Some(dst) = stage.output_map[base + p] {
-                        next[dst] = slot;
-                    }
-                }
-            }
-            wires = next;
-        }
-        wires
+        self.inner.borrow().trace_faulted(valid, &self.faults)
     }
 }
 
@@ -259,18 +221,7 @@ impl<S: Borrow<StagedSwitch>> ConcentratorSwitch for FaultySwitch<S> {
     }
 
     fn route(&self, valid: &[bool]) -> Routing {
-        let inner = self.inner.borrow();
-        let wires = self.trace(valid);
-        let mut assignment = vec![None; inner.n];
-        for (out_idx, &pos) in inner.output_positions.iter().enumerate() {
-            let (v, source) = wires[pos];
-            if v {
-                if let Some(src) = source {
-                    assignment[src] = Some(out_idx);
-                }
-            }
-        }
-        Routing::from_assignment(assignment, inner.m)
+        self.inner.borrow().route_faulted(valid, &self.faults)
     }
 }
 

@@ -16,6 +16,10 @@
 //! the dual-rail model), so a merge costs exactly **two gate levels**, and
 //! the full chip costs `2⌈lg n⌉` — precisely the delay the paper quotes for
 //! the 1986 design — with `Θ(n²)` gates.
+//!
+//! The same recursion carries any further *rails* — the data bits of the
+//! datapath netlist — along the paths the valid bits establish, so the
+//! control and datapath chips are one build over one or two rails.
 
 use netlist::{Literal, Netlist};
 use serde::{Deserialize, Serialize};
@@ -69,20 +73,7 @@ impl Hyperconcentrator {
     /// [`Hyperconcentrator::chip_delay`]; without pads it equals
     /// [`Hyperconcentrator::logic_delay`].
     pub fn build_netlist(&self, with_pads: bool) -> Netlist {
-        let mut nl = Netlist::new();
-        let raw = nl.inputs_n(self.n);
-        let mut lits: Vec<Literal> = raw.into_iter().map(Literal::pos).collect();
-        if with_pads {
-            lits = lits.into_iter().map(|l| nl.buf(l)).collect();
-        }
-        let mut outs = compact_block(&mut nl, &lits);
-        if with_pads {
-            outs = outs.into_iter().map(|l| nl.buf(l)).collect();
-        }
-        for out in outs {
-            nl.mark_output(out);
-        }
-        nl
+        self.build_rails(1, with_pads)
     }
 
     /// Build the data-path netlist for one bit-serial time slice: inputs
@@ -95,26 +86,30 @@ impl Hyperconcentrator {
     /// later cycles flow through the frozen paths; holding the valid bits
     /// constant over the frame makes this single combinational network
     /// cycle-for-cycle equivalent.
-    pub fn build_datapath_netlist(&self, with_pads: bool) -> Netlist {
+    pub fn build_datapath_netlist(&self) -> Netlist {
+        self.build_rails(2, false)
+    }
+
+    /// Build the chip over `rails` signal rails of `n` wires each: rail 0
+    /// is the valid bits, which the chip compacts; every further rail is
+    /// carried along the same paths. Inputs and outputs are rail-major
+    /// (all of rail 0, then all of rail 1, …). `with_pads` adds one `Buf`
+    /// level per pad ring on every rail.
+    pub(crate) fn build_rails(&self, rails: usize, with_pads: bool) -> Netlist {
         let mut nl = Netlist::new();
-        let valid_raw = nl.inputs_n(self.n);
-        let data_raw = nl.inputs_n(self.n);
-        let mut valid: Vec<Literal> = valid_raw.into_iter().map(Literal::pos).collect();
-        let mut data: Vec<Literal> = data_raw.into_iter().map(Literal::pos).collect();
+        let mut ins: Vec<Vec<Literal>> = (0..rails)
+            .map(|_| nl.inputs_n(self.n).into_iter().map(Literal::pos).collect())
+            .collect();
         if with_pads {
-            valid = valid.into_iter().map(|l| nl.buf(l)).collect();
-            data = data.into_iter().map(|l| nl.buf(l)).collect();
+            pad_ring(&mut nl, &mut ins);
         }
-        let (mut vout, mut dout) = compact_block_with_data(&mut nl, &valid, &data);
+        let borrowed: Vec<&[Literal]> = ins.iter().map(Vec::as_slice).collect();
+        let mut outs = compact_block(&mut nl, &borrowed);
         if with_pads {
-            vout = vout.into_iter().map(|l| nl.buf(l)).collect();
-            dout = dout.into_iter().map(|l| nl.buf(l)).collect();
+            pad_ring(&mut nl, &mut outs);
         }
-        for v in vout {
-            nl.mark_output(v);
-        }
-        for d in dout {
-            nl.mark_output(d);
+        for &lit in outs.iter().flatten() {
+            nl.mark_output(lit);
         }
         nl
     }
@@ -179,87 +174,64 @@ fn selector_terms(left: &[Literal]) -> Vec<Vec<Literal>> {
         .collect()
 }
 
+/// One pad ring: a `Buf` on every wire, rail by rail.
+fn pad_ring(nl: &mut Netlist, rails: &mut [Vec<Literal>]) {
+    for lit in rails.iter_mut().flatten() {
+        *lit = nl.buf(*lit);
+    }
+}
+
 /// Merge two compacted blocks into one compacted block: two gate levels.
-fn merge_blocks(nl: &mut Netlist, left: &[Literal], right: &[Literal]) -> Vec<Literal> {
-    let a = left.len();
-    let b = right.len();
-    let selectors = selector_terms(left);
-    let mut out = Vec::with_capacity(a + b);
-    for i in 0..a + b {
-        // Terms e_j ∧ R_{i−j} for all j with 0 ≤ i−j < b and 0 ≤ j ≤ a.
-        let j_lo = i.saturating_sub(b - 1);
-        let j_hi = i.min(a);
-        let mut or_inputs: Vec<Literal> = Vec::new();
-        if i < a {
-            or_inputs.push(left[i]);
-        }
-        for j in j_lo..=j_hi {
-            let mut and_inputs = selectors[j].clone();
-            and_inputs.push(right[i - j]);
-            or_inputs.push(nl.and(and_inputs));
-        }
-        out.push(nl.or(or_inputs));
-    }
-    out
-}
-
-/// Merge with data: the merged slot `i` carries the left slot-`i` data when
-/// `l > i`, else the right slot-`(i−l)` data.
-fn merge_blocks_with_data(
+/// `left[0]`/`right[0]` are the valid rails; merged valid slot `i` is
+/// `L_i ∨ ⋁ⱼ (eⱼ ∧ R_{i−j})`. Every further rail carries, in slot `i`, the
+/// left slot-`i` bit when `l > i` (that is, `L_i = 1`, the left block being
+/// compacted), else the right slot-`(i−l)` bit.
+fn merge_blocks(
     nl: &mut Netlist,
-    left_v: &[Literal],
-    left_d: &[Literal],
-    right_v: &[Literal],
-    right_d: &[Literal],
-) -> (Vec<Literal>, Vec<Literal>) {
-    let a = left_v.len();
-    let b = right_v.len();
-    let merged_v = merge_blocks(nl, left_v, right_v);
-    let selectors = selector_terms(left_v);
-    let mut merged_d = Vec::with_capacity(a + b);
-    for i in 0..a + b {
-        let mut or_inputs: Vec<Literal> = Vec::new();
-        if i < a {
-            // l > i ⇔ L_i = 1 (left block is compacted).
-            or_inputs.push(nl.and([left_v[i], left_d[i]]));
+    left: &[Vec<Literal>],
+    right: &[Vec<Literal>],
+) -> Vec<Vec<Literal>> {
+    let (left_valid, a, b) = (&left[0], left[0].len(), right[0].len());
+    let selectors = selector_terms(left_valid);
+    let mut merged = Vec::with_capacity(left.len());
+    for (rail, (l, r)) in left.iter().zip(right).enumerate() {
+        let mut out = Vec::with_capacity(a + b);
+        for i in 0..a + b {
+            // Terms e_j ∧ R_{i−j} for all j with 0 ≤ i−j < b and 0 ≤ j ≤ a.
+            let j_lo = i.saturating_sub(b - 1);
+            let j_hi = i.min(a);
+            let mut or_inputs: Vec<Literal> = Vec::new();
+            if i < a {
+                or_inputs.push(if rail == 0 {
+                    l[i]
+                } else {
+                    nl.and([left_valid[i], l[i]])
+                });
+            }
+            for j in j_lo..=j_hi {
+                let mut and_inputs = selectors[j].clone();
+                and_inputs.push(r[i - j]);
+                or_inputs.push(nl.and(and_inputs));
+            }
+            out.push(nl.or(or_inputs));
         }
-        let j_lo = i.saturating_sub(b - 1);
-        let j_hi = i.min(a);
-        for j in j_lo..=j_hi {
-            let mut and_inputs = selectors[j].clone();
-            and_inputs.push(right_d[i - j]);
-            or_inputs.push(nl.and(and_inputs));
-        }
-        merged_d.push(nl.or(or_inputs));
+        merged.push(out);
     }
-    (merged_v, merged_d)
+    merged
 }
 
-/// Recursively compact a block of valid bits. Returns compacted literals.
-fn compact_block(nl: &mut Netlist, bits: &[Literal]) -> Vec<Literal> {
-    if bits.len() <= 1 {
-        return bits.to_vec();
+/// Recursively compact the valid rail `rails[0]`, carrying every further
+/// rail along the same paths. Returns the compacted rails.
+fn compact_block(nl: &mut Netlist, rails: &[&[Literal]]) -> Vec<Vec<Literal>> {
+    let len = rails[0].len();
+    if len <= 1 {
+        return rails.iter().map(|r| r.to_vec()).collect();
     }
-    let mid = bits.len().div_ceil(2);
-    let left = compact_block(nl, &bits[..mid]);
-    let right = compact_block(nl, &bits[mid..]);
+    let mid = len.div_ceil(2);
+    let halves: (Vec<&[Literal]>, Vec<&[Literal]>) = rails.iter().map(|r| r.split_at(mid)).unzip();
+    let left = compact_block(nl, &halves.0);
+    let right = compact_block(nl, &halves.1);
     merge_blocks(nl, &left, &right)
-}
-
-/// Recursively compact valid bits while carrying data bits along.
-fn compact_block_with_data(
-    nl: &mut Netlist,
-    valid: &[Literal],
-    data: &[Literal],
-) -> (Vec<Literal>, Vec<Literal>) {
-    debug_assert_eq!(valid.len(), data.len());
-    if valid.len() <= 1 {
-        return (valid.to_vec(), data.to_vec());
-    }
-    let mid = valid.len().div_ceil(2);
-    let (lv, ld) = compact_block_with_data(nl, &valid[..mid], &data[..mid]);
-    let (rv, rd) = compact_block_with_data(nl, &valid[mid..], &data[mid..]);
-    merge_blocks_with_data(nl, &lv, &ld, &rv, &rd)
 }
 
 #[cfg(test)]
@@ -354,7 +326,7 @@ mod tests {
     fn datapath_routes_message_bits() {
         let n = 8;
         let h = Hyperconcentrator::new(n);
-        let nl = h.build_datapath_netlist(false);
+        let nl = h.build_datapath_netlist();
         for pattern in 0u64..(1 << n) {
             let valid = bits_of(pattern, n);
             // Give each valid input a distinguishing data bit: input i
@@ -389,7 +361,7 @@ mod tests {
     fn datapath_depth_matches_control_depth() {
         let h = Hyperconcentrator::new(16);
         assert_eq!(
-            h.build_datapath_netlist(false).depth(),
+            h.build_datapath_netlist().depth(),
             h.build_netlist(false).depth()
         );
     }

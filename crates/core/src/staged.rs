@@ -4,9 +4,12 @@
 //! single-chip hyperconcentrators joined by *fixed wiring* (crossbars in the
 //! 2-D layouts, stack junctions in the 3-D packagings), with the switch
 //! outputs read off a subset of the last stage's wires. This module captures
-//! that shape once, providing message-level routing, gate-level elaboration
-//! to one flat [`netlist::Netlist`], and delay accounting; the concrete
-//! switches of §§4–6 are thin constructors on top of it.
+//! that shape once and walks it in exactly two places: one message-level
+//! tracer (routing, healthy or with injected chip faults) and one gate-level
+//! elaborator that produces every flat [`netlist::Netlist`] flavour —
+//! control, trace, datapath and faultable datapath. The tracer is the
+//! reference the netlists are tested against. Delay accounting sits
+//! alongside; the concrete switches of §§4–6 are thin constructors on top.
 
 use std::sync::Arc;
 
@@ -14,7 +17,7 @@ use netlist::{Literal, Netlist};
 use serde::{Deserialize, Serialize};
 
 use crate::elab::{ElabCache, Elaboration};
-use crate::faults::{FaultTaps, FaultableElab};
+use crate::faults::{ChipFault, FaultMode, FaultTaps, FaultableElab};
 use crate::hyper::{ceil_lg, Hyperconcentrator, PAD_LEVELS};
 use crate::spec::{ConcentratorKind, ConcentratorSwitch, Routing};
 
@@ -133,12 +136,22 @@ pub struct StagedSwitch {
     cache: ElabCache,
 }
 
-/// A message slot traveling between stages during routing.
+/// A message slot traveling between stages during routing: its valid bit
+/// and the switch input carrying it (`None` for padding and phantoms).
+pub(crate) type Slot = (bool, Option<usize>);
+
+/// The netlist flavours the one elaboration walk produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Slot {
-    valid: bool,
-    /// Original switch input carrying this message; `None` for padding.
-    source: Option<usize>,
+enum Flavour {
+    /// Valid rail only, the `m` output valid bits out; `with_pads` adds the
+    /// per-chip pad levels so depth equals [`StagedSwitch::delay`].
+    Control { with_pads: bool },
+    /// Valid rail only, the whole final-stage wire vector out.
+    Trace,
+    /// Valid and data rails, the `m` output valid bits then data bits out.
+    Datapath,
+    /// [`Flavour::Datapath`] plus a tap `Buf` on every chip output pin.
+    Faultable,
 }
 
 impl StagedSwitch {
@@ -214,88 +227,183 @@ impl StagedSwitch {
 
     /// Trace messages through the stages, returning the final wire vector
     /// as `(valid, source)` pairs. Exposed for layout renderers.
+    ///
+    /// # Panics
+    /// If a stage drops a wire carrying a real message (only padding may
+    /// be dropped).
     pub fn trace(&self, valid: &[bool]) -> Vec<(bool, Option<usize>)> {
+        self.trace_faulted(valid, &[])
+    }
+
+    /// The one message-level tracer: gather each chip's pins through
+    /// `input_map`, compact (or pass through), present the pins through
+    /// any fault on the chip (first match in `faults` wins), and scatter
+    /// through `output_map`. With no faults, dropping a real message is a
+    /// wiring bug and panics; with faults it is the failure being modelled.
+    pub(crate) fn trace_faulted(&self, valid: &[bool], faults: &[ChipFault]) -> Vec<Slot> {
         assert_eq!(valid.len(), self.n, "valid bit vector must have length n");
         let mut wires: Vec<Slot> = valid
             .iter()
             .enumerate()
-            .map(|(i, &v)| Slot {
-                valid: v,
-                source: v.then_some(i),
-            })
+            .map(|(i, &v)| (v, v.then_some(i)))
             .collect();
-        for stage in &self.stages {
-            wires = self.run_stage(stage, &wires);
-        }
-        wires.into_iter().map(|s| (s.valid, s.source)).collect()
-    }
-
-    fn run_stage(&self, stage: &SwitchStage, prev: &[Slot]) -> Vec<Slot> {
-        let pins = stage.chip_pins;
-        let mut out = vec![
-            Slot {
-                valid: false,
-                source: None
-            };
-            stage.out_len
-        ];
-        let mut chip_out: Vec<Slot> = Vec::with_capacity(pins);
-        for chip in 0..stage.chip_count {
-            let base = chip * pins;
-            chip_out.clear();
-            match stage.kind {
-                StageKind::Compactor => {
-                    // Stable compaction: valid slots first, in pin order.
-                    for p in 0..pins {
-                        let slot = match stage.input_map[base + p] {
-                            PinSource::Prev(i) => prev[i],
-                            PinSource::Const(v) => Slot {
-                                valid: v,
-                                source: None,
-                            },
-                        };
-                        if slot.valid {
-                            chip_out.push(slot);
-                        }
-                    }
-                    chip_out.resize(
-                        pins,
-                        Slot {
-                            valid: false,
-                            source: None,
-                        },
-                    );
-                }
-                StageKind::PassThrough => {
-                    for p in 0..pins {
-                        let slot = match stage.input_map[base + p] {
-                            PinSource::Prev(i) => prev[i],
-                            PinSource::Const(v) => Slot {
-                                valid: v,
-                                source: None,
-                            },
-                        };
-                        chip_out.push(slot);
-                    }
-                }
-            }
-            for (p, slot) in chip_out.iter().enumerate() {
-                match stage.output_map[base + p] {
-                    Some(dst) => out[dst] = *slot,
-                    None => {
-                        // Dropped wires may only carry padding, never a
-                        // message that entered through a switch input.
-                        assert!(
-                            slot.source.is_none(),
+        for (stage_idx, stage) in self.stages.iter().enumerate() {
+            let pins = stage.chip_pins;
+            let mut out = vec![(false, None); stage.out_len];
+            for chip in 0..stage.chip_count {
+                let base = chip * pins;
+                let fault = faults
+                    .iter()
+                    .find(|f| f.stage == stage_idx && f.chip == chip)
+                    .map(|f| f.mode);
+                let mut emit = |pin: usize, slot: Slot| {
+                    let slot = FaultMode::present(fault, slot);
+                    match stage.output_map[base + pin] {
+                        Some(dst) => out[dst] = slot,
+                        None => assert!(
+                            !faults.is_empty() || slot.1.is_none(),
                             "{}: dropped a real message from input {:?}",
                             stage.label,
-                            slot.source
-                        );
+                            slot.1
+                        ),
+                    }
+                };
+                let gathered = stage.input_map[base..base + pins]
+                    .iter()
+                    .map(|src| match *src {
+                        PinSource::Prev(i) => wires[i],
+                        PinSource::Const(v) => (v, None),
+                    });
+                match stage.kind {
+                    // Stable compaction: valid slots first, in pin order.
+                    StageKind::Compactor => {
+                        let mut filled = 0;
+                        for slot in gathered.filter(|s| s.0) {
+                            emit(filled, slot);
+                            filled += 1;
+                        }
+                        for pin in filled..pins {
+                            emit(pin, (false, None));
+                        }
+                    }
+                    StageKind::PassThrough => {
+                        for (pin, slot) in gathered.enumerate() {
+                            emit(pin, slot);
+                        }
                     }
                 }
             }
+            wires = out;
         }
-        out
+        wires
+    }
+
+    /// Route through the tracer: each output position holding a real
+    /// message assigns that message's input to the output.
+    pub(crate) fn route_faulted(&self, valid: &[bool], faults: &[ChipFault]) -> Routing {
+        let final_wires = self.trace_faulted(valid, faults);
+        let mut assignment = vec![None; self.n];
+        for (out_idx, &pos) in self.output_positions.iter().enumerate() {
+            if let (true, Some(src)) = final_wires[pos] {
+                assignment[src] = Some(out_idx);
+            }
+        }
+        Routing::from_assignment(assignment, self.m)
+    }
+
+    /// The one gate-level elaborator. It walks the stages over *rails*:
+    /// rail 0 is the valid bits, rail 1 (datapath flavours) the data bits.
+    /// Each chip gathers its pins rail by rail through `input_map` — a
+    /// `Const(v)` pad is `v` on the valid rail and 0 on data rails, since
+    /// padding carries no payload — then imports one rail-generic
+    /// [`Hyperconcentrator`] build or passes the pins through, then
+    /// (faultable flavour) drives every output pin through a tap `Buf`
+    /// recorded in the returned [`FaultTaps`], and scatters through
+    /// `output_map`. The taps are empty for the other flavours.
+    fn elaborate(&self, flavour: Flavour) -> (Netlist, FaultTaps) {
+        let (rails, with_pads) = match flavour {
+            Flavour::Control { with_pads } => (1, with_pads),
+            Flavour::Trace => (1, false),
+            Flavour::Datapath | Flavour::Faultable => (2, false),
+        };
+        let mut nl = Netlist::new();
+        let mut taps = FaultTaps { stages: Vec::new() };
+        let mut wires: Vec<Vec<Literal>> = (0..rails)
+            .map(|_| nl.inputs_n(self.n).into_iter().map(Literal::pos).collect())
+            .collect();
+        for stage in &self.stages {
+            let pins = stage.chip_pins;
+            // One elaboration per stage; all chips in a stage are identical.
+            let chip_netlist = match stage.kind {
+                StageKind::Compactor => {
+                    Some(Hyperconcentrator::new(pins).build_rails(rails, with_pads))
+                }
+                StageKind::PassThrough => None,
+            };
+            let mut stage_taps = Vec::new();
+            let mut next: Vec<Vec<Option<Literal>>> = vec![vec![None; stage.out_len]; rails];
+            for chip in 0..stage.chip_count {
+                let base = chip * pins;
+                let mut ins: Vec<Literal> = Vec::with_capacity(rails * pins);
+                for (rail, prev) in wires.iter().enumerate() {
+                    for src in &stage.input_map[base..base + pins] {
+                        ins.push(match *src {
+                            PinSource::Prev(i) => prev[i],
+                            PinSource::Const(v) => nl.constant(v && rail == 0),
+                        });
+                    }
+                }
+                let mut outs = match &chip_netlist {
+                    Some(sub) => nl.import(sub, &ins),
+                    None if with_pads => ins
+                        .into_iter()
+                        .map(|l| (0..crate::barrel::BARREL_LEVELS).fold(l, |l, _| nl.buf(l)))
+                        .collect(),
+                    None => ins,
+                };
+                if flavour == Flavour::Faultable {
+                    // One pad driver per output pin and rail: a freshly
+                    // driven wire faults can seize, even where the output
+                    // literal would alias an input or come back inverted.
+                    outs = outs.into_iter().map(|l| nl.buf(l)).collect();
+                    stage_taps.push(
+                        (0..pins)
+                            .map(|p| (outs[p].wire, outs[pins + p].wire))
+                            .collect(),
+                    );
+                }
+                for (rail, next) in next.iter_mut().enumerate() {
+                    for (p, dst) in stage.output_map[base..base + pins].iter().enumerate() {
+                        if let Some(dst) = *dst {
+                            next[dst] = Some(outs[rail * pins + p]);
+                        }
+                    }
+                }
+            }
+            if flavour == Flavour::Faultable {
+                taps.stages.push(stage_taps);
+            }
+            wires = next
+                .into_iter()
+                .map(|rail| {
+                    rail.into_iter()
+                        .map(|l| l.expect("validated stages drive every output"))
+                        .collect()
+                })
+                .collect();
+        }
+        for rail in &wires {
+            if flavour == Flavour::Trace {
+                for &lit in rail {
+                    nl.mark_output(lit);
+                }
+            } else {
+                for &pos in &self.output_positions {
+                    nl.mark_output(rail[pos]);
+                }
+            }
+        }
+        (nl, taps)
     }
 
     /// Elaborate the whole switch to one flat *data-path* netlist for one
@@ -307,266 +415,23 @@ impl StagedSwitch {
     /// evaluation of this netlist cycle-for-cycle equivalent to the real
     /// hardware, where the paths are latched at setup. Padding constants
     /// (Columnsort steps 6–8) carry data 0.
-    pub fn build_datapath_netlist(&self, with_pads: bool) -> Netlist {
-        let mut nl = Netlist::new();
-        let mut valid: Vec<Literal> = nl.inputs_n(self.n).into_iter().map(Literal::pos).collect();
-        let mut data: Vec<Literal> = nl.inputs_n(self.n).into_iter().map(Literal::pos).collect();
-        for stage in &self.stages {
-            let pins = stage.chip_pins;
-            let chip_netlist = match stage.kind {
-                StageKind::Compactor => {
-                    Some(Hyperconcentrator::new(pins).build_datapath_netlist(with_pads))
-                }
-                StageKind::PassThrough => None,
-            };
-            let mut next_valid: Vec<Option<Literal>> = vec![None; stage.out_len];
-            let mut next_data: Vec<Option<Literal>> = vec![None; stage.out_len];
-            for chip in 0..stage.chip_count {
-                let base = chip * pins;
-                let chip_valid_in: Vec<Literal> = (0..pins)
-                    .map(|p| match stage.input_map[base + p] {
-                        PinSource::Prev(i) => valid[i],
-                        PinSource::Const(v) => nl.constant(v),
-                    })
-                    .collect();
-                let chip_data_in: Vec<Literal> = (0..pins)
-                    .map(|p| match stage.input_map[base + p] {
-                        PinSource::Prev(i) => data[i],
-                        // Padding messages carry no payload.
-                        PinSource::Const(_) => nl.constant(false),
-                    })
-                    .collect();
-                let (chip_valid_out, chip_data_out): (Vec<Literal>, Vec<Literal>) = match stage.kind
-                {
-                    StageKind::Compactor => {
-                        let sub = chip_netlist
-                            .as_ref()
-                            .expect("compactor stages elaborate a chip");
-                        let mut connections = chip_valid_in;
-                        connections.extend(chip_data_in);
-                        let outs = nl.import(sub, &connections);
-                        let (v, d) = outs.split_at(pins);
-                        (v.to_vec(), d.to_vec())
-                    }
-                    StageKind::PassThrough => {
-                        let mut pad = |lits: Vec<Literal>| -> Vec<Literal> {
-                            if with_pads {
-                                lits.into_iter()
-                                    .map(|l| {
-                                        let mut lit = l;
-                                        for _ in 0..crate::barrel::BARREL_LEVELS {
-                                            lit = nl.buf(lit);
-                                        }
-                                        lit
-                                    })
-                                    .collect()
-                            } else {
-                                lits
-                            }
-                        };
-                        let v = pad(chip_valid_in);
-                        let d = pad(chip_data_in);
-                        (v, d)
-                    }
-                };
-                for p in 0..pins {
-                    if let Some(dst) = stage.output_map[base + p] {
-                        next_valid[dst] = Some(chip_valid_out[p]);
-                        next_data[dst] = Some(chip_data_out[p]);
-                    }
-                }
-            }
-            valid = next_valid
-                .into_iter()
-                .map(|l| l.expect("validated stages drive every output"))
-                .collect();
-            data = next_data
-                .into_iter()
-                .map(|l| l.expect("validated stages drive every output"))
-                .collect();
-        }
-        for &pos in &self.output_positions {
-            nl.mark_output(valid[pos]);
-        }
-        for &pos in &self.output_positions {
-            nl.mark_output(data[pos]);
-        }
-        nl
-    }
-
-    /// Elaborate the no-pads datapath with an explicit `Buf` *tap* on every
-    /// chip output pin (valid and data rails), recording the tap wires per
-    /// `(stage, chip, pin)`. Faults compiled onto the tap wires cut in at
-    /// exactly the chip package boundary — including pass-through boards,
-    /// whose output literals would otherwise alias their inputs, and
-    /// compactor chips whose `import` returns inverted literals.
-    ///
-    /// Tap bufs change gate counts and depth, so this flavor is only used
-    /// for fault injection; healthy evaluation keeps using
-    /// [`StagedSwitch::build_datapath_netlist`].
-    pub fn build_faultable_datapath(&self) -> (Netlist, FaultTaps) {
-        let mut nl = Netlist::new();
-        let mut taps = FaultTaps {
-            stages: Vec::with_capacity(self.stages.len()),
-        };
-        let mut valid: Vec<Literal> = nl.inputs_n(self.n).into_iter().map(Literal::pos).collect();
-        let mut data: Vec<Literal> = nl.inputs_n(self.n).into_iter().map(Literal::pos).collect();
-        for stage in &self.stages {
-            let pins = stage.chip_pins;
-            let chip_netlist = match stage.kind {
-                StageKind::Compactor => {
-                    Some(Hyperconcentrator::new(pins).build_datapath_netlist(false))
-                }
-                StageKind::PassThrough => None,
-            };
-            let mut stage_taps: Vec<Vec<(netlist::Wire, netlist::Wire)>> =
-                Vec::with_capacity(stage.chip_count);
-            let mut next_valid: Vec<Option<Literal>> = vec![None; stage.out_len];
-            let mut next_data: Vec<Option<Literal>> = vec![None; stage.out_len];
-            for chip in 0..stage.chip_count {
-                let base = chip * pins;
-                let chip_valid_in: Vec<Literal> = (0..pins)
-                    .map(|p| match stage.input_map[base + p] {
-                        PinSource::Prev(i) => valid[i],
-                        PinSource::Const(v) => nl.constant(v),
-                    })
-                    .collect();
-                let chip_data_in: Vec<Literal> = (0..pins)
-                    .map(|p| match stage.input_map[base + p] {
-                        PinSource::Prev(i) => data[i],
-                        PinSource::Const(_) => nl.constant(false),
-                    })
-                    .collect();
-                let (chip_valid_out, chip_data_out): (Vec<Literal>, Vec<Literal>) = match stage.kind
-                {
-                    StageKind::Compactor => {
-                        let sub = chip_netlist
-                            .as_ref()
-                            .expect("compactor stages elaborate a chip");
-                        let mut connections = chip_valid_in;
-                        connections.extend(chip_data_in);
-                        let outs = nl.import(sub, &connections);
-                        let (v, d) = outs.split_at(pins);
-                        (v.to_vec(), d.to_vec())
-                    }
-                    StageKind::PassThrough => (chip_valid_in, chip_data_in),
-                };
-                // The taps: one pad driver per output pin and rail, each a
-                // freshly-driven wire faults can seize.
-                let chip_valid_out: Vec<Literal> =
-                    chip_valid_out.into_iter().map(|l| nl.buf(l)).collect();
-                let chip_data_out: Vec<Literal> =
-                    chip_data_out.into_iter().map(|l| nl.buf(l)).collect();
-                stage_taps.push(
-                    (0..pins)
-                        .map(|p| (chip_valid_out[p].wire, chip_data_out[p].wire))
-                        .collect(),
-                );
-                for p in 0..pins {
-                    if let Some(dst) = stage.output_map[base + p] {
-                        next_valid[dst] = Some(chip_valid_out[p]);
-                        next_data[dst] = Some(chip_data_out[p]);
-                    }
-                }
-            }
-            taps.stages.push(stage_taps);
-            valid = next_valid
-                .into_iter()
-                .map(|l| l.expect("validated stages drive every output"))
-                .collect();
-            data = next_data
-                .into_iter()
-                .map(|l| l.expect("validated stages drive every output"))
-                .collect();
-        }
-        for &pos in &self.output_positions {
-            nl.mark_output(valid[pos]);
-        }
-        for &pos in &self.output_positions {
-            nl.mark_output(data[pos]);
-        }
-        (nl, taps)
+    pub fn build_datapath_netlist(&self) -> Netlist {
+        self.elaborate(Flavour::Datapath).0
     }
 
     /// Elaborate the whole switch to one flat control netlist (valid bits
     /// in, the `m` output valid bits out). `with_pads` adds per-chip pad
     /// levels so the netlist depth equals [`StagedSwitch::delay`].
     pub fn build_netlist(&self, with_pads: bool) -> Netlist {
-        self.elaborate_control(with_pads, false)
+        self.elaborate(Flavour::Control { with_pads }).0
     }
 
-    /// Like [`StagedSwitch::build_netlist`], but marking the *entire*
-    /// final-stage wire vector as outputs (the gate-level equivalent of
-    /// [`StagedSwitch::trace`]'s valid bits) — the form nearsortedness
-    /// measurement and ε-attacks evaluate.
-    pub fn build_trace_netlist(&self, with_pads: bool) -> Netlist {
-        self.elaborate_control(with_pads, true)
-    }
-
-    fn elaborate_control(&self, with_pads: bool, mark_all: bool) -> Netlist {
-        let mut nl = Netlist::new();
-        let mut wires: Vec<Literal> = nl.inputs_n(self.n).into_iter().map(Literal::pos).collect();
-        for stage in &self.stages {
-            let pins = stage.chip_pins;
-            // One elaboration per stage; all chips in a stage are identical.
-            let chip_netlist = match stage.kind {
-                StageKind::Compactor => Some(Hyperconcentrator::new(pins).build_netlist(with_pads)),
-                StageKind::PassThrough => None,
-            };
-            let mut next: Vec<Option<Literal>> = vec![None; stage.out_len];
-            for chip in 0..stage.chip_count {
-                let base = chip * pins;
-                let chip_inputs: Vec<Literal> = (0..pins)
-                    .map(|p| match stage.input_map[base + p] {
-                        PinSource::Prev(i) => wires[i],
-                        PinSource::Const(v) => nl.constant(v),
-                    })
-                    .collect();
-                let chip_outputs: Vec<Literal> = match stage.kind {
-                    StageKind::Compactor => {
-                        let sub = chip_netlist
-                            .as_ref()
-                            .expect("compactor stages elaborate a chip");
-                        nl.import(sub, &chip_inputs)
-                    }
-                    StageKind::PassThrough => {
-                        if with_pads {
-                            chip_inputs
-                                .into_iter()
-                                .map(|l| {
-                                    let mut lit = l;
-                                    for _ in 0..crate::barrel::BARREL_LEVELS {
-                                        lit = nl.buf(lit);
-                                    }
-                                    lit
-                                })
-                                .collect()
-                        } else {
-                            chip_inputs
-                        }
-                    }
-                };
-                for (p, lit) in chip_outputs.iter().enumerate() {
-                    if let Some(dst) = stage.output_map[base + p] {
-                        next[dst] = Some(*lit);
-                    }
-                }
-            }
-            wires = next
-                .into_iter()
-                .map(|l| l.expect("validated stages drive every output"))
-                .collect();
-        }
-        if mark_all {
-            for &lit in &wires {
-                nl.mark_output(lit);
-            }
-        } else {
-            for &pos in &self.output_positions {
-                nl.mark_output(wires[pos]);
-            }
-        }
-        nl
+    /// Like [`StagedSwitch::build_netlist`] without pads, but marking the
+    /// *entire* final-stage wire vector as outputs (the gate-level
+    /// equivalent of [`StagedSwitch::trace`]'s valid bits) — the form
+    /// nearsortedness measurement and ε-attacks evaluate.
+    pub fn build_trace_netlist(&self) -> Netlist {
+        self.elaborate(Flavour::Trace).0
     }
 
     /// The cached control elaboration (netlist + compiled engine); built on
@@ -577,25 +442,36 @@ impl StagedSwitch {
     }
 
     /// The cached datapath elaboration (netlist + compiled engine).
+    ///
+    /// The datapath has no padded flavour: `with_pads` must be `false` (the
+    /// parameter stays for source compatibility).
     pub fn datapath_logic(&self, with_pads: bool) -> Arc<Elaboration> {
-        self.cache
-            .datapath(with_pads, || self.build_datapath_netlist(with_pads))
+        assert!(!with_pads, "the datapath netlist has no padded flavour");
+        self.cache.datapath(|| self.build_datapath_netlist())
     }
 
     /// The cached full-trace elaboration (netlist + compiled engine).
+    ///
+    /// The trace netlist has no padded flavour: `with_pads` must be
+    /// `false` (the parameter stays for source compatibility).
     pub fn trace_logic(&self, with_pads: bool) -> Arc<Elaboration> {
-        self.cache
-            .trace(with_pads, || self.build_trace_netlist(with_pads))
+        assert!(!with_pads, "the trace netlist has no padded flavour");
+        self.cache.trace(|| self.build_trace_netlist())
     }
 
-    /// The cached *faultable* datapath elaboration (netlist + compiled
-    /// engine + chip-output tap map). The cache holds only the healthy
-    /// base; per-fault-set overlays are derived from it with
-    /// [`FaultableElab::compile_faulted`] and owned by the caller, so
-    /// injecting faults never pollutes the shared slots.
+    /// The cached *faultable* datapath elaboration: the datapath with a
+    /// tap `Buf` on every chip output pin (valid and data rails), plus the
+    /// tap wires per `(stage, chip, pin)`. Faults compiled onto the taps
+    /// cut in at exactly the chip package boundary. Tap bufs change gate
+    /// counts and depth, so healthy evaluation keeps using
+    /// [`StagedSwitch::datapath_logic`].
+    ///
+    /// The cache holds only the healthy base; per-fault-set overlays are
+    /// derived from it with [`FaultableElab::compile_faulted`] and owned by
+    /// the caller, so injecting faults never pollutes the shared slots.
     pub fn faultable_logic(&self) -> Arc<FaultableElab> {
         self.cache.faultable(|| {
-            let (netlist, taps) = self.build_faultable_datapath();
+            let (netlist, taps) = self.elaborate(Flavour::Faultable);
             let compiled = netlist.compile();
             FaultableElab {
                 netlist,
@@ -620,17 +496,7 @@ impl ConcentratorSwitch for StagedSwitch {
     }
 
     fn route(&self, valid: &[bool]) -> Routing {
-        let final_wires = self.trace(valid);
-        let mut assignment = vec![None; self.n];
-        for (out_idx, &pos) in self.output_positions.iter().enumerate() {
-            let (v, source) = final_wires[pos];
-            if v {
-                if let Some(src) = source {
-                    assignment[src] = Some(out_idx);
-                }
-            }
-        }
-        Routing::from_assignment(assignment, self.m)
+        self.route_faulted(valid, &[])
     }
 }
 
@@ -859,7 +725,7 @@ mod tests {
             vec![stage1, stage2],
             (0..n).collect(),
         );
-        let nl = switch.build_datapath_netlist(false);
+        let nl = switch.build_datapath_netlist();
         for pattern in (0u64..(1 << 16)).step_by(311) {
             let valid: Vec<bool> = (0..n).map(|i| (pattern >> i) & 1 == 1).collect();
             let routing = switch.route(&valid);
@@ -902,8 +768,8 @@ mod tests {
             (0..8).collect(),
         );
         assert_eq!(
-            switch.build_datapath_netlist(true).depth(),
-            switch.build_netlist(true).depth()
+            switch.build_datapath_netlist().depth(),
+            switch.build_netlist(false).depth()
         );
     }
 

@@ -33,7 +33,7 @@ proptest! {
     #[test]
     fn chip_datapath_follows_routing(n in 2usize..16, seed in any::<u64>()) {
         let chip = Hyperconcentrator::new(n);
-        let nl = chip.build_datapath_netlist(false);
+        let nl = chip.build_datapath_netlist();
         let valid = bits_from_seed(n, seed);
         let data: Vec<bool> = (0..n).map(|i| valid[i] && i % 3 == 0).collect();
         let mut inputs = valid.clone();

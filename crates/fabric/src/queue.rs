@@ -175,8 +175,14 @@ pub struct IngressQueue {
     not_empty: Condvar,
 }
 
-// Slot access is coordinated by the head/tail protocol documented above;
-// the `UnsafeCell`s alone are what inhibit the auto-impl.
+// SAFETY: the `UnsafeCell` slots are the only non-`Sync` state, and every
+// access goes through `write_slot` (producer mutex held, index proven free
+// by `free_room` or by an eviction under the consumer mutex) or `take_slot`
+// (consumer mutex held, index below a `tail` loaded with acquire). The
+// head/tail protocol documented above therefore gives each slot exactly
+// one accessor at a time. A slot's `Message` moves between the producer and
+// consumer threads, which `Message: Send` permits; every other field is an
+// atomic, a mutex or a condvar, all `Sync` already.
 unsafe impl Sync for IngressQueue {}
 
 impl IngressQueue {
@@ -231,7 +237,12 @@ impl IngressQueue {
     /// `free_room`) that `index` is at least `capacity` ahead of every
     /// head value the consumer could still be reading slots under.
     unsafe fn write_slot(&self, index: u64, message: Message) {
-        *self.slots[(index & self.mask) as usize].get() = Some(message);
+        let slot = &mut *self.slots[(index & self.mask) as usize].get();
+        debug_assert!(
+            slot.is_none(),
+            "ring slot {index} overwritten before it was consumed"
+        );
+        *slot = Some(message);
     }
 
     /// Slot take: consumer side only, index in `[head, tail)`.
@@ -287,6 +298,9 @@ impl IngressQueue {
         let tail = self.tail.load(Ordering::Relaxed);
         let evicted = count.min(tail.wrapping_sub(head));
         for i in 0..evicted {
+            // SAFETY: the consumer mutex is held (`_cons`), and
+            // `evicted <= tail - head` for the `tail` loaded above, so every
+            // index is a published slot.
             drop(unsafe { self.take_slot(head.wrapping_add(i)) });
         }
         self.head
@@ -320,6 +334,8 @@ impl IngressQueue {
         if len <= room {
             prod.offered += len as u64;
             for (i, message) in messages.into_iter().enumerate() {
+                // SAFETY: the producer mutex is held (`prod`), and
+                // `i < len <= room` from `free_room`.
                 unsafe { self.write_slot(tail.wrapping_add(i as u64), message) };
             }
             self.publish_tail(tail.wrapping_add(len as u64));
@@ -336,6 +352,8 @@ impl IngressQueue {
                 let mut it = messages.into_iter();
                 for i in 0..room {
                     let message = it.next().expect("room <= len");
+                    // SAFETY: the producer mutex is held (`prod`), and
+                    // `i < room` from `free_room`.
                     unsafe { self.write_slot(tail.wrapping_add(i as u64), message) };
                 }
                 if room > 0 {
@@ -353,6 +371,8 @@ impl IngressQueue {
                 let mut it = messages.into_iter();
                 for i in 0..room {
                     let message = it.next().expect("room <= len");
+                    // SAFETY: the producer mutex is held (`prod`), and
+                    // `i < room` from `free_room`.
                     unsafe { self.write_slot(tail.wrapping_add(i as u64), message) };
                 }
                 if room > 0 {
@@ -383,6 +403,9 @@ impl IngressQueue {
                 prod.shed += shed;
                 let skip = len.saturating_sub(self.capacity);
                 for (i, message) in messages.into_iter().skip(skip).enumerate() {
+                    // SAFETY: the producer mutex is held (`prod`), and the
+                    // eviction above (under the consumer mutex) left at
+                    // least `len - skip` slots free past `tail`.
                     unsafe { self.write_slot(tail.wrapping_add(i as u64), message) };
                 }
                 self.publish_tail(tail.wrapping_add((len - skip) as u64));
@@ -419,6 +442,8 @@ impl IngressQueue {
                     prod.cached_head = self.head.load(Ordering::Acquire);
                     prod.offered += 1;
                     prod.shed += evicted;
+                    // SAFETY: the producer mutex is held (`prod`), and the
+                    // one-slot eviction (or a concurrent pop) freed `tail`.
                     unsafe { self.write_slot(tail, message) };
                     self.publish_tail(tail.wrapping_add(1));
                     return if evicted > 0 {
@@ -432,6 +457,8 @@ impl IngressQueue {
             }
         }
         prod.offered += 1;
+        // SAFETY: the producer mutex is held (`prod`), and `free_room`
+        // reported at least one free slot at `tail`.
         unsafe { self.write_slot(tail, message) };
         self.publish_tail(tail.wrapping_add(1));
         TryPush::Enqueued
@@ -569,6 +596,8 @@ impl IngressQueue {
         let count = (cons.cached_tail.wrapping_sub(head) as usize).min(max);
         let mut batch = Vec::with_capacity(count);
         for i in 0..count {
+            // SAFETY: the consumer mutex is held (`cons`), and
+            // `count <= cached_tail - head`, a tail loaded with acquire.
             batch.push(unsafe { self.take_slot(head.wrapping_add(i as u64)) });
         }
         if count > 0 {

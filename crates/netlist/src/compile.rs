@@ -811,6 +811,99 @@ mod tests {
         }
     }
 
+    /// A seeded random netlist: `inputs` primary inputs, `gates` gates of
+    /// every kind with random (often inverted) fan-ins up to 6 wide, and
+    /// a random mix of plain and inverted outputs.
+    fn random_netlist(seed: u64, inputs: usize, gates: usize) -> Netlist {
+        let mut state = seed;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let mut nl = Netlist::new();
+        let mut lits: Vec<Literal> = nl.inputs_n(inputs).into_iter().map(Literal::pos).collect();
+        for _ in 0..gates {
+            let fan_in = 1 + next(6);
+            let ins: Vec<Literal> = (0..fan_in)
+                .map(|_| {
+                    let lit = lits[next(lits.len())];
+                    if next(2) == 0 {
+                        lit.complement()
+                    } else {
+                        lit
+                    }
+                })
+                .collect();
+            let lit = match next(6) {
+                0 => nl.and(ins),
+                1 => nl.or(ins),
+                2 => nl.xor(ins),
+                3 => nl.buf(ins[0]),
+                4 => nl.constant(next(2) == 0),
+                _ => nl.and([ins[0], ins[ins.len() - 1].complement()]),
+            };
+            lits.push(lit);
+        }
+        for _ in 0..8 {
+            let lit = lits[inputs + next(gates)];
+            nl.mark_output(if next(2) == 0 { lit.complement() } else { lit });
+        }
+        nl
+    }
+
+    /// Every kernel family the dispatcher knows, whether or not this CPU
+    /// would pick it by default, filtered to the ones it can run.
+    fn runnable_kernels() -> Vec<Simd> {
+        let mut all = vec![Simd::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        all.extend([Simd::Avx2, Simd::Avx512]);
+        all.into_iter()
+            .filter(|&simd| crate::insn::simd_available(simd))
+            .collect()
+    }
+
+    /// Forced dispatch: the same random netlists and ragged matrices give
+    /// bit-identical results through every runnable kernel at every lane
+    /// width and on the level-parallel path, so the scalar and AVX2
+    /// kernels stay covered on hosts whose probe would pick AVX-512.
+    #[test]
+    fn every_runnable_kernel_is_bit_identical() {
+        let kernels = runnable_kernels();
+        assert_eq!(kernels[0], Simd::Scalar);
+        for seed in 0..12u64 {
+            let nl = random_netlist(seed, 3 + seed as usize % 9, 40 + 17 * seed as usize);
+            let mut compiled = nl.compile_partitioned(1 + seed as usize % 4);
+            for vectors in [1usize, 63, 65, 257, 530, 1000] {
+                let m = BitMatrix::from_fn(nl.input_count(), vectors, |row, v| {
+                    (v.wrapping_mul(0x9E37_79B9).wrapping_add(seed as usize) >> (row % 29)) & 1 == 1
+                });
+                compiled.simd = Simd::Scalar;
+                let reference = compiled.eval_matrix_lanes(&m, 64, 1);
+                for v in (0..vectors).step_by(37) {
+                    assert_eq!(reference.column(v), nl.eval(&m.column(v)), "seed {seed}");
+                }
+                for &simd in &kernels {
+                    compiled.simd = simd;
+                    for lanes in [64usize, 256, 512] {
+                        assert_eq!(
+                            compiled.eval_matrix_lanes(&m, lanes, 1),
+                            reference,
+                            "{simd:?}, seed {seed}, {vectors} vectors, {lanes} lanes"
+                        );
+                    }
+                    assert_eq!(
+                        compiled.eval_matrix_level_threads(&m, 2),
+                        reference,
+                        "{simd:?} level-parallel, seed {seed}, {vectors} vectors"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn eval_matrix_threads_matches_inline_at_every_lane_width() {
         let nl = majority3();

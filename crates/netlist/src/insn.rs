@@ -325,7 +325,7 @@ pub(crate) fn detect_simd() -> Simd {
 }
 
 /// Whether the CPU running this process supports `simd`'s kernels.
-fn simd_available(simd: Simd) -> bool {
+pub(crate) fn simd_available(simd: Simd) -> bool {
     match simd {
         Simd::Scalar => true,
         #[cfg(target_arch = "x86_64")]

@@ -36,7 +36,7 @@ fn gate_level_datapath_matches_frame_simulation() {
     // cycle by cycle and compare with the message-level frame simulator.
     let n = 16;
     let chip = Hyperconcentrator::new(n);
-    let datapath = chip.build_datapath_netlist(false);
+    let datapath = chip.build_datapath_netlist();
     let offered: Vec<Message> = [(2usize, 0xA5u8), (5, 0x3C), (9, 0xFF), (14, 0x01)]
         .iter()
         .map(|&(src, byte)| Message::new(src as u64, src, vec![byte]))
