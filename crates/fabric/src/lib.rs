@@ -8,11 +8,14 @@
 //! coalesced: each shard packs its pending requests one-per-input-wire
 //! into a single routing frame, routes the batch through the shared
 //! [`concentrator::StagedSwitch`], and streams every payload bit
-//! through the *compiled* datapath netlist 64 lanes at a time
-//! (`netlist::CompiledNetlist::eval_word_into`). One SWAR sweep thus
-//! moves one bit-cycle of up to `n` messages — the batching win the
-//! `fabric_bench` harness measures against a one-request-per-sweep
-//! baseline.
+//! through the *compiled* datapath netlist, 64 payload cycles per lane
+//! word. One SWAR sweep thus moves a bit-cycle of up to `n` messages —
+//! the batching win the `fabric_bench` harness measures against a
+//! one-request-per-sweep baseline. A worker with a small backlog and an
+//! empty ring routes several frames back to back and moves all their
+//! lane words in one 64/256/512-lane group sweep
+//! (`netlist::CompiledNetlist::eval_words_into`; see
+//! [`Shard::run_frames`]).
 //!
 //! Losers of output contention are retried under a [`RetryBudget`]
 //! (wire-compatible with [`switchsim::CongestionPolicy`] semantics),

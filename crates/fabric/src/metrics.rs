@@ -156,7 +156,8 @@ pub struct ShardMetrics {
     pub retries: u64,
     /// Routing frames executed.
     pub frames: u64,
-    /// Compiled 64-lane netlist sweeps dispatched.
+    /// Compiled netlist lane-group sweeps dispatched (one sweep moves up
+    /// to 8 lane words of 64 payload cycles each).
     pub sweeps: u64,
     /// Largest pending-queue depth observed.
     pub max_pending: u64,

@@ -25,8 +25,9 @@
 //! ([`ServiceCore::try_submit_batch`]) reserves a round-robin cursor
 //! block for the whole frame, groups messages by shard, and lands each
 //! group with a single ring publication and a single in-flight
-//! adjustment, while the worker retires a whole frame with one gauge
-//! decrement and one metrics publication.
+//! adjustment, while the worker retires a whole batch of frames (see
+//! [`Shard::run_frames`]) with one gauge decrement and one metrics
+//! publication.
 //!
 //! # The elastic control plane
 //!
@@ -74,6 +75,7 @@
 //! is delivered, rejected, shed, or retry-dropped by drain, across any
 //! sequence of live reconfigurations — and payload integrity end to end.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -300,6 +302,7 @@ impl ServiceCore {
             batch_window,
             quarantine_published: false,
             drain_frames: 0,
+            executed: VecDeque::new(),
         }
     }
 
@@ -758,7 +761,7 @@ impl ServiceCore {
 /// What one worker step did.
 #[derive(Debug)]
 pub enum WorkerStep {
-    /// Executed one batched routing frame.
+    /// Handed out one executed routing frame.
     Frame(FrameRun),
     /// Nothing to do right now (queue empty, nothing pending). A
     /// simulated worker is re-stepped when work arrives; a threaded one
@@ -769,13 +772,18 @@ pub enum WorkerStep {
     Done,
 }
 
-/// One shard's serving loop as a single-step state machine: apply any
-/// pending fault signal, install a staged switch swap once the old-epoch
-/// backlog has completed, drain the ring in one frame-sized burst, run
-/// one batched frame, and retire the frame against the lane — one gauge
+/// One shard's serving loop as a single-step state machine: hand out the
+/// next frame a batch already executed, or else apply any pending fault
+/// signal, install a staged switch swap once the old-epoch backlog has
+/// completed, drain the ring in one frame-sized burst, run a batch of
+/// frames through one shared sweep ([`Shard::run_frames`]; frames beyond
+/// the first only while the ring is empty and no fault or swap signal is
+/// pending), and retire the whole batch against the lane — one gauge
 /// decrement, one metrics publication, a quarantine store only on
-/// transitions. Between the burst pop and the frame retirement the hot
-/// path touches no cross-thread state at all.
+/// transitions. Each step hands out one [`FrameRun`]; the batch's later
+/// frames go out on the following steps, before any fault is applied or
+/// switch installed. Between the burst pop and the batch retirement the
+/// hot path touches no cross-thread state but the ring's emptiness.
 pub struct WorkerCore {
     shard: Shard,
     lane: Arc<ShardLane>,
@@ -784,6 +792,9 @@ pub struct WorkerCore {
     /// transitions (placement reads it from every producer).
     quarantine_published: bool,
     drain_frames: u64,
+    /// Frames a batch executed and no step has handed out yet, oldest
+    /// first. Already retired against the lane.
+    executed: VecDeque<FrameRun>,
 }
 
 impl WorkerCore {
@@ -792,13 +803,24 @@ impl WorkerCore {
         &self.shard
     }
 
-    /// Whether a step right now would make progress: a fault signal or
-    /// switch swap is pending, messages are queued or pending, or close
-    /// has been requested (so the step would resolve to
-    /// [`WorkerStep::Done`]). The simulation scheduler's readiness
-    /// predicate for a worker.
+    /// Deliveries of frames the shard has executed but no step has handed
+    /// out yet. The lane's in-flight gauge no longer counts them, so a
+    /// ledger that follows messages past the fabric counts them here.
+    pub fn queued_deliveries(&self) -> u64 {
+        self.executed
+            .iter()
+            .map(|run| run.delivered.len() as u64)
+            .sum()
+    }
+
+    /// Whether a step right now would make progress: an executed frame
+    /// waits to be handed out, a fault signal or switch swap is pending,
+    /// messages are queued or pending, or close has been requested (so the
+    /// step would resolve to [`WorkerStep::Done`]). The simulation
+    /// scheduler's readiness predicate for a worker.
     pub fn ready(&self) -> bool {
-        self.lane.fault_pending.load(Ordering::Acquire)
+        !self.executed.is_empty()
+            || self.lane.fault_pending.load(Ordering::Acquire)
             || self.lane.swap_pending.load(Ordering::Acquire)
             || self.shard.pending_len() > 0
             || !self.lane.queue.is_empty()
@@ -851,6 +873,9 @@ impl WorkerCore {
     }
 
     fn step_inner(&mut self, block: bool) -> WorkerStep {
+        if let Some(run) = self.executed.pop_front() {
+            return WorkerStep::Frame(run);
+        }
         if self.lane.fault_pending.load(Ordering::Acquire) {
             if let Some(faults) = self.lane.fault_signal.lock().expect("fault signal").take() {
                 self.shard.set_faults(faults);
@@ -899,31 +924,47 @@ impl WorkerCore {
         if self.shard.pending_len() == 0 {
             return WorkerStep::Idle;
         }
-        let run = self.shard.run_frame();
+        let (lane, executed) = (&self.lane, &mut self.executed);
+        self.shard.run_frames(
+            || {
+                lane.queue.is_empty()
+                    && !lane.fault_pending.load(Ordering::Acquire)
+                    && !lane.swap_pending.load(Ordering::Acquire)
+            },
+            |run| executed.push_back(run),
+        );
         let quarantined = self.shard.is_quarantined();
         if quarantined != self.quarantine_published {
             self.quarantine_published = quarantined;
             self.lane.quarantined.store(quarantined, Ordering::Release);
         }
-        // One metrics publication per frame keeps live snapshots fresh
+        // One metrics publication per batch keeps live snapshots fresh
         // without any per-message shared-state traffic. Publish *before*
         // the gauge decrement: a snapshot that observes the gauge at zero
         // is then guaranteed to see the metrics covering every completed
         // frame, so quiescent live snapshots satisfy conservation exactly.
         *self.lane.published.lock().expect("published metrics") = self.shard.metrics.clone();
-        let completed = (run.delivered.len() + run.dropped.len()) as u64;
+        let completed: u64 = self
+            .executed
+            .iter()
+            .map(|run| (run.delivered.len() + run.dropped.len()) as u64)
+            .sum();
         if completed > 0 {
             self.lane.in_flight.fetch_sub(completed, Ordering::AcqRel);
             self.drain_frames = 0;
         } else {
-            self.drain_frames += 1;
+            self.drain_frames += self.executed.len() as u64;
             assert!(
                 self.drain_frames < DRAIN_FRAME_LIMIT,
                 "shard {} made no progress for {DRAIN_FRAME_LIMIT} frames",
                 self.shard.id()
             );
         }
-        WorkerStep::Frame(run)
+        WorkerStep::Frame(
+            self.executed
+                .pop_front()
+                .expect("a shard with pending work runs a frame"),
+        )
     }
 }
 

@@ -1,12 +1,23 @@
 //! One serving shard: a pending-request queue in front of one switch
 //! instance, with a batching executor that packs requests into routing
 //! frames and transports every payload through the switch's *compiled*
-//! gate-level datapath — one 64-lane SWAR sweep per 64 payload cycles.
-//! Payloads go onto the wire LSB-first, one bit per clock, so the 64
-//! cycles of one sweep are the little-endian word of eight payload
-//! octets: each input's data-rail word is loaded straight from its
-//! payload, and each routed output's word is written straight back out
-//! as octets.
+//! gate-level datapath. Payloads go onto the wire LSB-first, one bit per
+//! clock, so 64 payload cycles are one *lane word*: the little-endian
+//! word of eight payload octets. Each input's data-rail word is loaded
+//! straight from its payload, and each routed output's word is written
+//! straight back out as octets.
+//!
+//! The switch fixes its electrical paths from the valid bits in the setup
+//! cycle, and payload bits never steer routing. So frames that are
+//! already routed can share one compiled-datapath sweep.
+//! [`Shard::run_frames`] routes frames back to back — pack, route, winner
+//! bookkeeping, requeue or drop, exactly as one frame alone — while its
+//! caller's backlog stays small: the routed winners so far plus everything
+//! still pending fit in one frame's `m` outputs, the batch holds fewer
+//! than eight lane words, and the caller has nothing newer to take in.
+//! Every (frame, payload word) pair is then one lane word of a single
+//! 64/256/512-lane group sweep, and deliveries are assembled frame by
+//! frame. [`Shard::run_frame`] is the one-frame case.
 //!
 //! All shards of a fabric share one [`StagedSwitch`] (the switches are
 //! stateless combinational logic), so the expensive elaborate-and-compile
@@ -39,6 +50,21 @@ struct Ticket {
 
 /// `slot_of` entry of an input wire that carries no ticket this frame.
 const NO_TICKET: u32 = u32::MAX;
+
+/// Lane words one shared sweep may gather before the batch closes: the
+/// widest lane group the emulator's kernels run (8 × 64 = 512 lanes).
+const MAX_LANE_WORDS: usize = 8;
+
+/// Lanes of lane word `w` that carry payload cycles of a frame `cycles`
+/// cycles long.
+fn lane_mask(cycles: usize, w: usize) -> u64 {
+    let lanes = (cycles - w * WORD_BITS).min(WORD_BITS);
+    if lanes == WORD_BITS {
+        !0u64
+    } else {
+        (1u64 << lanes) - 1
+    }
+}
 
 /// Data-rail word of sweep `w` for `payload`: payload cycle `c` is bit
 /// `c % 8` of octet `c / 8`, so lanes `0..64` of the sweep covering cycles
@@ -77,6 +103,28 @@ pub struct FrameRun {
     pub dropped: Vec<Message>,
 }
 
+/// A routed winner whose payload still waits for the shared sweep.
+#[derive(Debug)]
+struct Winner {
+    output: usize,
+    message: Message,
+    waited: u64,
+}
+
+/// A frame of the current batch: routed, its offers and drops known, its
+/// deliveries waiting for the shared sweep.
+#[derive(Debug)]
+struct Routed {
+    run: FrameRun,
+    /// First lane word of the frame's payload cycles.
+    lane: usize,
+    /// Payload cycles: the longest packed payload, in bits.
+    cycles: usize,
+    /// The frame's entries in `Shard::winners`, which hold the batch's
+    /// winners in frame order.
+    winners: usize,
+}
+
 /// The degraded execution engine of a shard with injected chip faults:
 /// the message-level faulty router (the routing oracle) and the
 /// fault-compiled datapath overlay (the payload transport), which runs at
@@ -95,15 +143,22 @@ pub struct Shard {
     switch: Arc<StagedSwitch>,
     elab: Arc<Elaboration>,
     scratch: EvalScratch,
+    /// Lane words of the current batch, grown to the widest group swept:
+    /// lane word `l` is the one-word input block
+    /// `word_in[l * inputs..(l + 1) * inputs]` (valid rail, then data
+    /// rail), and its outputs are `word_out[l * outputs..]`.
     word_in: Vec<u64>,
     word_out: Vec<u64>,
     /// Frame scratch, reused across frames: each input wire's index into
-    /// `batch` (or [`NO_TICKET`]), the setup valid bits, the tickets packed
-    /// this frame, and the octets each output received (one stride per
-    /// output).
+    /// `batch` (or [`NO_TICKET`]), the setup valid bits, and the tickets
+    /// packed this frame.
     slot_of: Vec<u32>,
     valid: Vec<bool>,
     batch: Vec<Option<Ticket>>,
+    /// Batch scratch, reused across batches: the routed frames, their
+    /// winners in frame order, and one winner's arrived octets.
+    routed: Vec<Routed>,
+    winners: Vec<Winner>,
     received: Vec<u8>,
     pending: VecDeque<Ticket>,
     retry: RetryBudget,
@@ -127,8 +182,6 @@ impl Shard {
     pub fn new(id: usize, switch: Arc<StagedSwitch>, retry: RetryBudget) -> Shard {
         let elab = switch.datapath_logic(false);
         let scratch = elab.compiled.scratch();
-        let word_in = vec![0u64; elab.compiled.input_count()];
-        let word_out = vec![0u64; elab.compiled.output_count()];
         let n = switch.n;
         let metrics = ShardMetrics {
             health_milli: 1000,
@@ -139,11 +192,13 @@ impl Shard {
             switch,
             elab,
             scratch,
-            word_in,
-            word_out,
+            word_in: Vec::new(),
+            word_out: Vec::new(),
             slot_of: vec![NO_TICKET; n],
             valid: vec![false; n],
             batch: Vec::new(),
+            routed: Vec::new(),
+            winners: Vec::new(),
             received: Vec::new(),
             pending: VecDeque::new(),
             retry,
@@ -254,8 +309,8 @@ impl Shard {
         );
         let elab = switch.datapath_logic(false);
         self.scratch = elab.compiled.scratch();
-        self.word_in = vec![0u64; elab.compiled.input_count()];
-        self.word_out = vec![0u64; elab.compiled.output_count()];
+        self.word_in.clear();
+        self.word_out.clear();
         self.slot_of = vec![NO_TICKET; switch.n];
         self.valid = vec![false; switch.n];
         self.elab = elab;
@@ -319,11 +374,57 @@ impl Shard {
     /// A shard with nothing pending executes nothing and returns an empty
     /// run (frames and sweeps only count real work).
     pub fn run_frame(&mut self) -> FrameRun {
+        let mut run = FrameRun::default();
+        self.run_frames(|| false, |frame| run = frame);
+        run
+    }
+
+    /// Run one or more routing frames with one shared payload sweep,
+    /// handing one [`FrameRun`] per frame to `emit`, oldest first.
+    ///
+    /// Frames are routed back to back, each exactly as [`Shard::run_frame`]
+    /// routes it alone, so deliveries, drops, requeue order and every
+    /// counter but `sweeps` match running them one at a time. After each
+    /// frame another is added only while
+    ///
+    /// * the routed winners so far plus everything still pending fit in
+    ///   one frame's `m` outputs, so a batch never delivers more than one
+    ///   full frame would and full frames never wait for one another;
+    /// * the batch holds fewer than eight lane words (a frame without
+    ///   payload cycles counts as one); and
+    /// * `more()` says the caller has nothing newer to take in.
+    ///
+    /// Then every (frame, payload word) pair is one lane word of a
+    /// 64/256/512-lane group sweep, and the deliveries are assembled frame
+    /// by frame. A shard with nothing pending executes nothing.
+    pub fn run_frames(&mut self, mut more: impl FnMut() -> bool, emit: impl FnMut(FrameRun)) {
         if self.pending.is_empty() {
-            return FrameRun::default();
+            return;
         }
+        let mut lanes = 0;
+        let mut budget = 0;
+        loop {
+            let words = self.route_frame(lanes);
+            lanes += words;
+            budget += words.max(1);
+            if self.pending.is_empty()
+                || self.winners.len() + self.pending.len() > self.switch.m
+                || budget >= MAX_LANE_WORDS
+                || !more()
+            {
+                break;
+            }
+        }
+        self.sweep_lanes(lanes);
+        self.deliver_routed(emit);
+    }
+
+    /// Route one frame whose payload words start at lane word `lane`:
+    /// pack, route, write the frame's lane words, set its winners aside
+    /// for the shared sweep, and requeue or drop its losers. Returns the
+    /// frame's lane words.
+    fn route_frame(&mut self, lane: usize) -> usize {
         let n = self.switch.n;
-        let m = self.switch.m;
 
         // Pack: claim input wires in FIFO order by rotating the queue once;
         // conflicting tickets go back to its tail, still in order, for a
@@ -350,12 +451,10 @@ impl Shard {
             None => self.switch.route(&self.valid),
         };
 
-        // Payload cycles through the compiled datapath netlist: the valid
-        // rail holds the frozen setup pattern on every lane, the data rail
-        // carries one payload bit per lane — 64 clock cycles per sweep.
-        // Payloads go out LSB-first, so sweep `w` of an input is just the
-        // little-endian word of its octets `8w..8w + 8`, and a routed
-        // output's word goes back as the same eight octets.
+        // Payload cycles, one lane word per 64: the valid rail holds the
+        // frozen setup pattern on every lane, the data rail one payload bit
+        // per lane. Payloads go out LSB-first, so lane word `w` of an
+        // input is just the little-endian word of its octets `8w..8w + 8`.
         let cycles = self
             .batch
             .iter()
@@ -364,52 +463,25 @@ impl Shard {
             .max()
             .unwrap_or(0);
         let words = cycles.div_ceil(WORD_BITS);
-        let stride = words * 8;
-        self.received.resize(m * stride, 0);
+        let inputs = self.datapath().input_count();
+        let end = (lane + words) * inputs;
+        if self.word_in.len() < end {
+            self.word_in.resize(end, 0);
+        }
         for w in 0..words {
-            let lanes = (cycles - w * WORD_BITS).min(WORD_BITS);
-            let lane_mask = if lanes == WORD_BITS {
-                !0u64
-            } else {
-                (1u64 << lanes) - 1
-            };
-            let (valid_rail, data_rail) = self.word_in.split_at_mut(n);
+            let mask = lane_mask(cycles, w);
+            let block = &mut self.word_in[(lane + w) * inputs..(lane + w + 1) * inputs];
+            let (valid_rail, data_rail) = block.split_at_mut(n);
             for (word, &v) in valid_rail.iter_mut().zip(&self.valid) {
-                *word = if v { lane_mask } else { 0 };
+                *word = if v { mask } else { 0 };
             }
             data_rail[..n].fill(0);
             for ticket in self.batch.iter().flatten() {
                 let msg = &ticket.message;
-                data_rail[msg.source] = lane_word(&msg.payload, w) & lane_mask;
-            }
-            match &mut self.fault {
-                Some(faulted) => faulted.compiled.eval_word_into(
-                    &self.word_in,
-                    &mut faulted.scratch,
-                    &mut self.word_out,
-                ),
-                None => self.elab.compiled.eval_word_into(
-                    &self.word_in,
-                    &mut self.scratch,
-                    &mut self.word_out,
-                ),
-            }
-            self.metrics.sweeps += 1;
-            for (out, src) in routing.output_source.iter().enumerate() {
-                if src.is_some() {
-                    debug_assert_eq!(
-                        self.word_out[out] & lane_mask,
-                        lane_mask,
-                        "routed output {out} lost its valid bit in the netlist"
-                    );
-                    let data = self.word_out[m + out] & lane_mask;
-                    let at = out * stride + w * 8;
-                    self.received[at..at + 8].copy_from_slice(&data.to_le_bytes());
-                }
+                data_rail[msg.source] = lane_word(&msg.payload, w) & mask;
             }
         }
 
-        // Deliver winners, reassembling payloads from the arrived octets.
         let mut run = FrameRun {
             offered: self
                 .slot_of
@@ -425,23 +497,24 @@ impl Shard {
                 .collect(),
             ..FrameRun::default()
         };
+
+        // Winners wait for the sweep; their bookkeeping is done now.
+        let mut winners = 0;
         for (out, src) in routing.output_source.iter().enumerate() {
             if let Some(src) = *src {
                 let k = std::mem::replace(&mut self.slot_of[src], NO_TICKET);
                 let ticket = self.batch[k as usize]
                     .take()
                     .expect("routed inputs carry tickets");
-                let at = out * stride;
-                let payload = &self.received[at..at + ticket.message.payload.len()];
                 let waited = self.clock - ticket.born_frame;
                 self.metrics.delivered += 1;
                 self.metrics.wait_frames.record(waited);
-                run.delivered.push(Delivery {
-                    shard: self.id,
+                self.winners.push(Winner {
                     output: out,
-                    message: Message::new(ticket.message.id, ticket.message.source, payload),
-                    waited_frames: waited,
+                    message: ticket.message,
+                    waited,
                 });
+                winners += 1;
             }
         }
 
@@ -470,8 +543,97 @@ impl Shard {
 
         self.metrics.frames += 1;
         self.clock += 1;
-        self.update_health(batched as u64, run.delivered.len() as u64);
-        run
+        self.update_health(batched as u64, winners as u64);
+        self.routed.push(Routed {
+            run,
+            lane,
+            cycles,
+            winners,
+        });
+        words
+    }
+
+    /// The datapath payloads move through: the fault overlay when faults
+    /// are injected, else the shared healthy netlist.
+    fn datapath(&self) -> &CompiledNetlist {
+        match &self.fault {
+            Some(faulted) => &faulted.compiled,
+            None => &self.elab.compiled,
+        }
+    }
+
+    /// Sweep lane words `0..lanes` through the compiled datapath in the
+    /// widest lane groups the kernels run: 8 words while more than 4
+    /// remain, else 4 while more than 1 remain, else 1. Lane words past
+    /// `lanes` in the last group are zero.
+    fn sweep_lanes(&mut self, lanes: usize) {
+        let (compiled, scratch) = match &mut self.fault {
+            Some(faulted) => (&faulted.compiled, &mut faulted.scratch),
+            None => (&self.elab.compiled, &mut self.scratch),
+        };
+        let (inputs, outputs) = (compiled.input_count(), compiled.output_count());
+        let mut lo = 0;
+        while lo < lanes {
+            let lw = match lanes - lo {
+                1 => 1,
+                2..=4 => 4,
+                _ => 8,
+            };
+            let hi = lo + lw;
+            if self.word_in.len() < hi * inputs {
+                self.word_in.resize(hi * inputs, 0);
+            }
+            if hi > lanes {
+                self.word_in[lanes * inputs..hi * inputs].fill(0);
+            }
+            if self.word_out.len() < hi * outputs {
+                self.word_out.resize(hi * outputs, 0);
+            }
+            compiled.eval_words_into(
+                &self.word_in[lo * inputs..hi * inputs],
+                lw,
+                scratch,
+                &mut self.word_out[lo * outputs..hi * outputs],
+            );
+            self.metrics.sweeps += 1;
+            lo = hi;
+        }
+    }
+
+    /// Assemble the batch's deliveries frame by frame from the swept lane
+    /// words and hand the frames to `emit`, oldest first.
+    fn deliver_routed(&mut self, mut emit: impl FnMut(FrameRun)) {
+        let m = self.switch.m;
+        let outputs = self.datapath().output_count();
+        let mut winners = self.winners.drain(..);
+        for routed in self.routed.drain(..) {
+            let mut run = routed.run;
+            for winner in winners.by_ref().take(routed.winners) {
+                self.received.clear();
+                for w in 0..routed.cycles.div_ceil(WORD_BITS) {
+                    let mask = lane_mask(routed.cycles, w);
+                    let at = (routed.lane + w) * outputs;
+                    debug_assert_eq!(
+                        self.word_out[at + winner.output] & mask,
+                        mask,
+                        "routed output {} lost its valid bit in the netlist",
+                        winner.output
+                    );
+                    let data = self.word_out[at + m + winner.output] & mask;
+                    self.received.extend_from_slice(&data.to_le_bytes());
+                }
+                let message = &winner.message;
+                let payload = &self.received[..message.payload.len()];
+                run.delivered.push(Delivery {
+                    shard: self.id,
+                    output: winner.output,
+                    message: Message::new(message.id, message.source, payload),
+                    waited_frames: winner.waited,
+                });
+            }
+            emit(run);
+        }
+        debug_assert!(winners.next().is_none(), "every winner belongs to a frame");
     }
 
     /// Fold one executed frame into the delivery-health EWMA and apply the
@@ -527,8 +689,11 @@ mod tests {
         /// The per-bit reference transport: the frame [`Shard::run_frame`]
         /// must reproduce, written literally from the bit-serial wire
         /// format — one `Message::bit` per payload bit per input, one
-        /// `Vec<bool>` per output, payloads rebuilt by
-        /// `Message::payload_from_bits`, fresh per-frame buffers.
+        /// 64-cycle `eval_word_into` at a time, one `Vec<bool>` per
+        /// output, payloads rebuilt by `Message::payload_from_bits`, fresh
+        /// per-frame buffers. `sweeps` counts the frame's lane words under
+        /// the lane-group rule: a group of 8 while more than 4 remain, of
+        /// 4 while more than 1 remain, else of 1.
         fn run_frame_per_bit(&mut self) -> FrameRun {
             if self.pending.is_empty() {
                 return FrameRun::default();
@@ -562,6 +727,10 @@ mod tests {
                 .map(|t| t.message.bit_len())
                 .max()
                 .unwrap_or(0);
+            let compiled = self.datapath().clone();
+            let mut scratch = compiled.scratch();
+            let mut word_in = vec![0u64; compiled.input_count()];
+            let mut word_out = vec![0u64; compiled.output_count()];
             let mut received: Vec<Vec<bool>> = vec![Vec::with_capacity(cycles); m];
             let mut cycle = 0usize;
             while cycle < cycles {
@@ -572,7 +741,7 @@ mod tests {
                     (1u64 << lanes) - 1
                 };
                 for i in 0..n {
-                    self.word_in[i] = if valid[i] { lane_mask } else { 0 };
+                    word_in[i] = if valid[i] { lane_mask } else { 0 };
                     let mut data = 0u64;
                     if let Some(ticket) = &by_input[i] {
                         let msg = &ticket.message;
@@ -581,30 +750,28 @@ mod tests {
                             data |= (msg.bit(c) as u64) << lane;
                         }
                     }
-                    self.word_in[n + i] = data;
+                    word_in[n + i] = data;
                 }
-                match &mut self.fault {
-                    Some(faulted) => faulted.compiled.eval_word_into(
-                        &self.word_in,
-                        &mut faulted.scratch,
-                        &mut self.word_out,
-                    ),
-                    None => self.elab.compiled.eval_word_into(
-                        &self.word_in,
-                        &mut self.scratch,
-                        &mut self.word_out,
-                    ),
-                }
-                self.metrics.sweeps += 1;
+                compiled.eval_word_into(&word_in, &mut scratch, &mut word_out);
                 for (out, src) in routing.output_source.iter().enumerate() {
                     if src.is_some() {
-                        let data = self.word_out[m + out];
+                        let data = word_out[m + out];
                         for lane in 0..lanes {
                             received[out].push(data >> lane & 1 == 1);
                         }
                     }
                 }
                 cycle += lanes;
+            }
+            let mut words = cycles.div_ceil(WORD_BITS);
+            while words > 0 {
+                let group = match words {
+                    1 => 1,
+                    2..=4 => 4,
+                    _ => 8,
+                };
+                words = words.saturating_sub(group);
+                self.metrics.sweeps += 1;
             }
 
             let mut run = FrameRun {
@@ -716,6 +883,79 @@ mod tests {
         }
     }
 
+    /// Route one batch on `batched` (at most `cap` extra frames, and only
+    /// as [`Shard::run_frames`] allows), then as many single frames on
+    /// `single`, and require the same frames, state and counters — all
+    /// but `sweeps`, which sharing may only lower.
+    fn assert_same_batch(batched: &mut Shard, single: &mut Shard, cap: usize) {
+        let mut runs = Vec::new();
+        let mut extra = 0;
+        batched.run_frames(
+            || {
+                extra += 1;
+                extra <= cap
+            },
+            |run| runs.push(run),
+        );
+        for got in runs {
+            let want = single.run_frame();
+            assert_eq!(got.offered, want.offered, "offered");
+            assert_eq!(got.delivered, want.delivered, "delivered");
+            assert_eq!(got.dropped, want.dropped, "dropped");
+        }
+        assert_eq!(
+            batched.pending_order(),
+            single.pending_order(),
+            "pending order"
+        );
+        assert!(batched.metrics.sweeps <= single.metrics.sweeps, "sweeps");
+        let unswept = |shard: &Shard| ShardMetrics {
+            sweeps: 0,
+            ..shard.metrics.clone()
+        };
+        assert_eq!(unswept(batched), unswept(single), "metrics");
+        assert_eq!(batched.clock(), single.clock(), "clock");
+        assert_eq!(batched.is_quarantined(), single.is_quarantined());
+    }
+
+    proptest! {
+        #[test]
+        fn batched_frames_match_one_at_a_time(
+            rounds in proptest::collection::vec(
+                (proptest::collection::vec((0usize..16, 0usize..=24, any::<u64>()), 0..24), 0usize..8),
+                1..6,
+            ),
+            faulted in any::<bool>(),
+            fault_chip in 0usize..4,
+        ) {
+            let switch = test_switch();
+            let mut batched = Shard::new(0, Arc::clone(&switch), RetryBudget::limited(2));
+            let mut single = Shard::new(0, switch, RetryBudget::limited(2));
+            if faulted {
+                let fault = ChipFault { stage: 0, chip: fault_chip, mode: FaultMode::StuckInvalid };
+                batched.set_faults(vec![fault]);
+                single.set_faults(vec![fault]);
+            }
+            let mut id = 0u64;
+            for (arrivals, cap) in &rounds {
+                for &(source, len, seed) in arrivals {
+                    let payload: Vec<u8> =
+                        (0..len).map(|b| seed.rotate_left(8 * b as u32 % 64) as u8 ^ b as u8).collect();
+                    let msg = Message::new(id, source, payload);
+                    batched.accept(msg.clone());
+                    single.accept(msg);
+                    id += 1;
+                }
+                assert_same_batch(&mut batched, &mut single, *cap);
+            }
+            // Drain the backlog batch by batch (the budget bounds it).
+            while batched.pending_len() > 0 {
+                assert_same_batch(&mut batched, &mut single, usize::MAX);
+            }
+            prop_assert_eq!(single.pending_len(), 0);
+        }
+    }
+
     #[test]
     fn lane_words_are_little_endian_octets() {
         let payload = [0x01u8, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x80];
@@ -783,18 +1023,71 @@ mod tests {
         shard.accept(Message::new(1, 3, vec![0xA5u8; 8]));
         shard.run_frame();
         assert_eq!(shard.metrics.sweeps, 1);
-        // 9 bytes = 72 cycles: two sweeps, the second a partial word.
+        // 9 bytes = 72 cycles: two lane words, the second partial, share
+        // one 256-lane group sweep.
         shard.accept(Message::new(2, 9, vec![0x3Cu8; 9]));
         let run = shard.run_frame();
         assert_eq!(run.delivered[0].message.payload, vec![0x3Cu8; 9]);
-        assert_eq!(shard.metrics.sweeps, 3);
+        assert_eq!(shard.metrics.sweeps, 2);
+        // 72 bytes = nine lane words: one 512-lane group, then one 64-lane.
+        let long: Vec<u8> = (0..72u8).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
+        shard.accept(Message::new(3, 12, long.clone()));
+        let run = shard.run_frame();
+        assert_eq!(run.delivered[0].message.payload, long);
+        assert_eq!(shard.metrics.sweeps, 4);
         // An empty frame needs no sweep at all, nor does an empty payload.
         shard.run_frame();
-        shard.accept(Message::new(3, 5, Vec::new()));
+        shard.accept(Message::new(4, 5, Vec::new()));
         let run = shard.run_frame();
         assert_eq!(run.delivered.len(), 1);
         assert!(run.delivered[0].message.payload.is_empty());
-        assert_eq!(shard.metrics.sweeps, 3);
+        assert_eq!(shard.metrics.sweeps, 4);
+    }
+
+    #[test]
+    fn part_empty_frames_share_one_sweep_and_full_ones_do_not_wait() {
+        // Three 8-byte messages on one wire: three frames of one delivery
+        // each, whose three lane words share one 256-lane sweep.
+        let mut shard = Shard::new(0, test_switch(), RetryBudget::UNLIMITED);
+        for id in 0..3u64 {
+            shard.accept(Message::new(id, 7, vec![id as u8 | 0xE0; 8]));
+        }
+        let mut runs = Vec::new();
+        shard.run_frames(|| true, |run| runs.push(run));
+        let ids: Vec<Vec<u64>> = runs
+            .iter()
+            .map(|run| run.delivered.iter().map(|d| d.message.id).collect())
+            .collect();
+        assert_eq!(ids, vec![vec![0], vec![1], vec![2]]);
+        for (frame, run) in runs.iter().enumerate() {
+            assert_eq!(
+                run.delivered[0].message.payload,
+                vec![frame as u8 | 0xE0; 8]
+            );
+            assert_eq!(run.delivered[0].waited_frames, frame as u64);
+        }
+        assert_eq!((shard.metrics.frames, shard.metrics.sweeps), (3, 1));
+
+        // A caller with newer work stops the batch after one frame.
+        for id in 3..5u64 {
+            shard.accept(Message::new(id, 7, vec![1]));
+        }
+        runs.clear();
+        shard.run_frames(|| false, |run| runs.push(run));
+        assert_eq!(runs.len(), 1);
+        assert_eq!(shard.pending_len(), 1);
+        shard.drain(10);
+
+        // Sixteen offers on an 8-output switch: the winners plus the
+        // requeued losers exceed one frame's outputs, so the frame runs
+        // alone.
+        for src in 0..16usize {
+            shard.accept(Message::new(100 + src as u64, src, vec![src as u8]));
+        }
+        runs.clear();
+        shard.run_frames(|| true, |run| runs.push(run));
+        assert_eq!(runs.len(), 1);
+        assert!(shard.pending_len() > 0);
     }
 
     fn test_switch() -> Arc<StagedSwitch> {

@@ -192,32 +192,50 @@ fn remove_while_producer_blocked_replaces_under_the_new_epoch() {
     assert_eq!(snapshot.in_flight, 0);
 }
 
-/// The two-phase switch swap with a nonempty ring and a nonempty pending
-/// queue: frames admitted under the old epoch complete on the old switch
-/// (the worker refuses to install mid-backlog and stops popping fresh
-/// messages), the replacement installs the moment the backlog completes,
-/// and messages still in the ring route on the *new* switch — including
-/// sources the old switch could not even address.
+/// The two-phase switch swap with a nonempty ring and an old-epoch
+/// backlog: every old-epoch frame — executed by a batch but not yet
+/// handed out, or still pending — completes and goes out on the old
+/// switch (the worker refuses to install mid-backlog and stops popping
+/// fresh messages), the replacement installs the moment the backlog
+/// completes, and messages still in the ring route on the *new* switch —
+/// including sources the old switch could not even address.
 #[test]
 fn swap_with_nonempty_ring_installs_after_the_backlog() {
+    // Messages on one source wire route one per frame. A backlog of 12
+    // exceeds the switch's m = 8 outputs, so the first frame runs alone
+    // and leaves 11 pending. Eight 16-byte payloads fill two lane words
+    // per frame, so the first batch stops at eight lane words after four
+    // frames, three of them not yet handed out, with four messages still
+    // pending. Three 8-byte payloads all route in the first batch,
+    // leaving only executed frames behind.
+    swap_after_backlog(12, 1, 0, 11);
+    swap_after_backlog(8, 16, 3, 4);
+    swap_after_backlog(3, 8, 2, 0);
+}
+
+/// Submit `backlog` messages of `bytes` octets on one source wire, step
+/// once, and require `queued` executed deliveries and `pending` messages
+/// left; then stage a swap and check every old-epoch frame goes out on
+/// the old switch before a ring message routes on the new one.
+fn swap_after_backlog(backlog: u64, bytes: usize, queued: u64, pending: usize) {
     let config = FabricConfig::new(1);
     let core = ServiceCore::new(config);
     let old = staged(16, 8);
     let mut worker = core.worker(0, Arc::clone(&old));
 
-    // Three messages on one source wire: the frame packer takes one per
-    // input wire per frame, so two stay pending after the first frame.
-    for id in 0..3u64 {
+    for id in 0..backlog {
         assert_eq!(
-            core.try_submit(msg(id, 5)),
+            core.try_submit(Message::new(id, 5, vec![0xA0 ^ id as u8; bytes])),
             SubmitStep::Done(SubmitOutcome::Accepted)
         );
     }
     let WorkerStep::Frame(first) = worker.step() else {
         panic!("expected a frame");
     };
-    assert_eq!(first.delivered.len(), 1);
-    assert_eq!(worker.shard().pending_len(), 2, "backlog must be nonempty");
+    let mut delivered: Vec<u64> = first.delivered.iter().map(|d| d.message.id).collect();
+    assert_eq!(delivered, vec![0]);
+    assert_eq!(worker.queued_deliveries(), queued, "executed frames wait");
+    assert_eq!(worker.shard().pending_len(), pending, "pending backlog");
 
     let new = staged(64, 16);
     assert_eq!(core.swap_switch(Arc::clone(&new)), 1);
@@ -229,18 +247,19 @@ fn swap_with_nonempty_ring_installs_after_the_backlog() {
         SubmitStep::Done(SubmitOutcome::Accepted)
     );
 
-    // Old-epoch frames complete on the old switch: no install while the
-    // pending queue is nonempty.
-    let WorkerStep::Frame(_) = worker.step() else {
-        panic!("expected a frame");
-    };
-    assert!(
-        Arc::ptr_eq(worker.shard().switch(), &old),
-        "the swap must wait for the old-epoch backlog"
-    );
-    let WorkerStep::Frame(_) = worker.step() else {
-        panic!("expected a frame");
-    };
+    // Old-epoch frames, executed or pending, complete and go out on the
+    // old switch, one per step: no install while any remains.
+    while (delivered.len() as u64) < backlog {
+        let WorkerStep::Frame(run) = worker.step() else {
+            panic!("expected a frame");
+        };
+        assert!(
+            Arc::ptr_eq(worker.shard().switch(), &old),
+            "the swap must wait for the old-epoch backlog"
+        );
+        delivered.extend(run.delivered.iter().map(|d| d.message.id));
+    }
+    assert_eq!(delivered, (0..backlog).collect::<Vec<_>>());
 
     // Backlog done: the next step installs, then serves the ring message
     // through the freshly compiled wider datapath.
@@ -253,7 +272,7 @@ fn swap_with_nonempty_ring_installs_after_the_backlog() {
 
     let snapshot = core.snapshot();
     assert!(snapshot.conserved());
-    assert_eq!(snapshot.totals().delivered, 4);
+    assert_eq!(snapshot.totals().delivered, backlog + 1);
     assert_eq!(snapshot.in_flight, 0);
 }
 

@@ -458,42 +458,74 @@ impl CompiledNetlist {
         self.stream.self_check();
     }
 
-    /// A fresh scratch buffer sized for this circuit (64-lane sweeps).
+    /// A fresh scratch buffer for this circuit: one 64-lane word per value
+    /// slot, grown to `slot_count × lw` words the first time a wider lane
+    /// group is swept through it.
     pub fn scratch(&self) -> EvalScratch {
         EvalScratch {
+            slots: self.stream.slot_count,
             vals: vec![0u64; self.stream.slot_count],
         }
     }
 
     /// Evaluate 64 vectors: bit `j` of `inputs[i]` is primary input `i` in
     /// vector `j`. Compiled counterpart of [`Netlist::eval_block`], writing
-    /// one word per output into `out`.
+    /// one word per output into `out` — the `lw = 1` case of
+    /// [`CompiledNetlist::eval_words_into`].
     pub fn eval_word_into(&self, inputs: &[u64], scratch: &mut EvalScratch, out: &mut [u64]) {
-        assert_eq!(
-            inputs.len(),
-            self.stream.input_slots.len(),
-            "wrong number of input blocks"
+        self.eval_words_into(inputs, 1, scratch, out);
+    }
+
+    /// Evaluate `lw` words of 64 vectors each (`lw` ∈ {1, 4, 8}) in one
+    /// lane-group sweep. `inputs` holds `lw` one-word input blocks back to
+    /// back — word `k` of primary input `i` is `inputs[k * input_count + i]`
+    /// — and word `k` of output `o` lands in `out[k * output_count + o]`.
+    /// One instruction fetch serves all `lw` words, so a 512-lane sweep
+    /// costs far less than eight 64-lane ones.
+    ///
+    /// # Panics
+    /// If `lw` is not 1, 4, or 8, a buffer has the wrong length, or
+    /// `scratch` was made by another circuit.
+    pub fn eval_words_into(
+        &self,
+        inputs: &[u64],
+        lw: usize,
+        scratch: &mut EvalScratch,
+        out: &mut [u64],
+    ) {
+        assert!(
+            matches!(lw, 1 | 4 | 8),
+            "lane group width must be 1, 4, or 8 words"
         );
+        let (ins, outs) = (self.stream.input_slots.len(), self.stream.outputs.len());
+        assert_eq!(inputs.len(), ins * lw, "wrong number of input blocks");
+        assert_eq!(out.len(), outs * lw, "wrong number of output blocks");
         assert_eq!(
-            out.len(),
-            self.stream.outputs.len(),
-            "wrong number of output blocks"
-        );
-        assert_eq!(
-            scratch.vals.len(),
-            self.stream.slot_count,
+            scratch.slots, self.stream.slot_count,
             "scratch sized for another circuit"
         );
-        let vals = &mut scratch.vals[..];
+        let words = self.stream.slot_count * lw;
+        if scratch.vals.len() < words {
+            scratch.vals.resize(words, 0);
+        }
+        let vals = &mut scratch.vals[..words];
         for (ord, &slot) in self.stream.input_slots.iter().enumerate() {
-            vals[slot as usize] = inputs[ord];
+            let at = slot as usize * lw;
+            for (k, val) in vals[at..at + lw].iter_mut().enumerate() {
+                *val = inputs[k * ins + ord];
+            }
         }
         for &(slot, value) in &self.stream.forces {
-            vals[slot as usize] = if value { !0u64 } else { 0u64 };
+            let at = slot as usize * lw;
+            vals[at..at + lw].fill(if value { !0u64 } else { 0u64 });
         }
-        self.stream.sweep(1, vals, self.simd);
+        self.stream.sweep(lw, vals, self.simd);
         for (o, &(slot, inverted)) in self.stream.outputs.iter().enumerate() {
-            out[o] = vals[slot as usize] ^ (inverted as u64).wrapping_neg();
+            let flip = (inverted as u64).wrapping_neg();
+            let at = slot as usize * lw;
+            for (k, &val) in vals[at..at + lw].iter().enumerate() {
+                out[k * outs + o] = val ^ flip;
+            }
         }
     }
 
@@ -639,7 +671,8 @@ impl CompiledNetlist {
     }
 }
 
-/// Reusable per-evaluation scratch: one 64-lane word per value slot.
+/// Reusable per-evaluation scratch: `lw` 64-lane words per value slot
+/// for the widest lane group swept through it so far.
 ///
 /// Allocated once via [`CompiledNetlist::scratch`] and reused across calls
 /// (e.g. across clock cycles of a frame simulation) to keep the hot loop
@@ -647,6 +680,8 @@ impl CompiledNetlist {
 /// leaks between calls.
 #[derive(Debug, Clone)]
 pub struct EvalScratch {
+    /// Value slots of the circuit this scratch was made for.
+    slots: usize,
     vals: Vec<u64>,
 }
 
@@ -899,9 +934,79 @@ mod tests {
                         reference,
                         "{simd:?} level-parallel, seed {seed}, {vectors} vectors"
                     );
+                    for lw in [1usize, 4, 8] {
+                        assert_lane_groups_match(&nl, &compiled, &m, lw);
+                    }
                 }
             }
         }
+    }
+
+    /// Sweep every word of `m` through `eval_words_into` in `lw`-word
+    /// groups (zero words pad the last group) and require each output
+    /// word to equal the one-word `eval_word_into` of the same input
+    /// block, and each real vector to equal `Netlist::eval`.
+    fn assert_lane_groups_match(
+        nl: &Netlist,
+        compiled: &CompiledNetlist,
+        m: &BitMatrix,
+        lw: usize,
+    ) {
+        let (ins, outs) = (compiled.input_count(), compiled.output_count());
+        let words = m.words_per_row();
+        let block = |w: usize| -> Vec<u64> {
+            (0..ins)
+                .map(|i| if w < words { m.row_words(i)[w] } else { 0 })
+                .collect()
+        };
+        let mut wide = compiled.scratch();
+        let mut narrow = compiled.scratch();
+        let mut one = vec![0u64; outs];
+        for w0 in (0..words).step_by(lw) {
+            let inputs: Vec<u64> = (w0..w0 + lw).flat_map(block).collect();
+            let mut out = vec![0u64; outs * lw];
+            compiled.eval_words_into(&inputs, lw, &mut wide, &mut out);
+            for k in 0..lw {
+                compiled.eval_word_into(&block(w0 + k), &mut narrow, &mut one);
+                assert_eq!(
+                    out[k * outs..(k + 1) * outs],
+                    one[..],
+                    "{:?}, lw {lw}, word {}",
+                    compiled.simd,
+                    w0 + k
+                );
+                for lane in (0..64).step_by(13) {
+                    let v = 64 * (w0 + k) + lane;
+                    if v >= m.vectors() {
+                        break;
+                    }
+                    let got: Vec<bool> = (0..outs)
+                        .map(|o| out[k * outs + o] >> lane & 1 == 1)
+                        .collect();
+                    assert_eq!(
+                        got,
+                        nl.eval(&m.column(v)),
+                        "{:?}, lw {lw}, vector {v}",
+                        compiled.simd
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scratch sized for another circuit")]
+    fn a_scratch_from_another_circuit_is_rejected() {
+        let sink = kitchen_sink().compile();
+        let majority = majority3().compile();
+        assert_ne!(sink.slot_count(), majority.slot_count());
+        // Grown wide enough for any sweep of either circuit, the scratch
+        // still belongs to the majority circuit alone.
+        let mut scratch = majority.scratch();
+        let mut wide = vec![0u64; majority.output_count() * 8];
+        majority.eval_words_into(&[0u64; 3 * 8], 8, &mut scratch, &mut wide);
+        let mut out = vec![0u64; sink.output_count()];
+        sink.eval_word_into(&vec![0u64; sink.input_count()], &mut scratch, &mut out);
     }
 
     #[test]

@@ -326,10 +326,17 @@ impl TierWorker {
         self.inner.shard()
     }
 
-    /// Messages held on the uplink, remapped but not yet admitted
-    /// downstream.
+    /// Messages held on the uplink: remapped but not yet admitted
+    /// downstream, or delivered by a frame the shard executed but has not
+    /// handed out yet (it joins the egress hold when handed out). Neither
+    /// counts in any fabric's in-flight gauge.
     pub fn held(&self) -> u64 {
-        self.egress.len() as u64
+        let executed = if self.is_spine() {
+            0
+        } else {
+            self.inner.queued_deliveries()
+        };
+        self.egress.len() as u64 + executed
     }
 
     /// Whether a step right now would make progress — the simulation
@@ -481,4 +488,81 @@ pub fn tree_snapshot(core: &TierCore, workers: &[TierWorker]) -> TreeSnapshot {
         held += worker.held();
     }
     TreeSnapshot { tiers, held }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::topology::TierSpec;
+    use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
+    use fabric::FabricConfig;
+
+    fn tier(fabrics: usize) -> TierSpec {
+        TierSpec {
+            fabrics,
+            switch: Arc::new(
+                RevsortSwitch::new(16, 8, RevsortLayout::TwoDee)
+                    .staged()
+                    .clone(),
+            ),
+            config: FabricConfig::new(1),
+        }
+    }
+
+    /// A leaf that routed several frames in one batch holds their
+    /// deliveries before handing them out: they are in no fabric's
+    /// in-flight gauge and not yet on the link, so `held` must count them
+    /// for the end-to-end ledger to balance at every step.
+    #[test]
+    fn ledger_holds_while_a_leaf_holds_executed_frames() {
+        let core = TierCore::new(TierTopology::new(vec![tier(2), tier(1)]));
+        let mut workers = core.workers();
+        // One external user: every message hashes onto the same leaf
+        // wire, so the leaf routes them one per frame, in one batch.
+        let user = 77usize;
+        for id in 0..3u64 {
+            let step = core.try_submit(Message::new(id, user, vec![0xB0 | id as u8; 8]));
+            assert_eq!(step, TierSubmit::Done(SubmitOutcome::Accepted));
+        }
+        let (leaf, _) = core.topology().ingress(user as u64);
+        let leaf = workers
+            .iter()
+            .position(|w| w.tier() == 0 && w.fabric() == leaf)
+            .expect("the user's leaf has a worker");
+        assert!(matches!(workers[leaf].step(), TierStep::Frame(_)));
+        assert_eq!(
+            workers[leaf].held(),
+            3,
+            "one delivery on the link and two in executed frames"
+        );
+        assert!(tree_ledger(&core, &workers).holds());
+
+        let mut delivered = Vec::new();
+        let mut steps = 0;
+        loop {
+            let mut progressed = false;
+            for i in 0..workers.len() {
+                match workers[i].step() {
+                    TierStep::Frame(run) => {
+                        progressed = true;
+                        if workers[i].is_spine() {
+                            delivered.extend(run.delivered.iter().map(|d| d.message.id));
+                        }
+                    }
+                    TierStep::Forwarded => progressed = true,
+                    TierStep::ForwardStalled | TierStep::Idle | TierStep::Done => {}
+                }
+                steps += 1;
+                let ledger = tree_ledger(&core, &workers);
+                assert!(ledger.holds(), "step {steps}: {ledger:?}");
+            }
+            if !progressed {
+                break;
+            }
+        }
+        delivered.sort_unstable();
+        assert_eq!(delivered, vec![0, 1, 2]);
+        assert_eq!(workers.iter().map(TierWorker::held).sum::<u64>(), 0);
+        assert_eq!(core.in_flight(), 0);
+    }
 }
