@@ -185,18 +185,21 @@ pub fn design(args: &Parsed) -> Result<String, String> {
     Ok(out)
 }
 
-/// `route`: one setup cycle.
-pub fn route(args: &Parsed) -> Result<String, String> {
-    let design = Design::parse(args.required("design")?)?;
-    let raw = args.required("valid")?;
-    let valid: Vec<bool> = raw
-        .chars()
+/// Parse a `--valid` string of `0`/`1` characters.
+fn parse_bits(raw: &str) -> Result<Vec<bool>, String> {
+    raw.chars()
         .map(|c| match c {
             '0' => Ok(false),
             '1' => Ok(true),
             other => Err(format!("--valid must be 0/1 bits, found `{other}`")),
         })
-        .collect::<Result<_, _>>()?;
+        .collect()
+}
+
+/// `route`: one setup cycle.
+pub fn route(args: &Parsed) -> Result<String, String> {
+    let design = Design::parse(args.required("design")?)?;
+    let valid = parse_bits(args.required("valid")?)?;
     let switch = design.switch();
     if valid.len() != switch.inputs() {
         return Err(format!(
@@ -1511,6 +1514,40 @@ mod tests {
         assert!(route(&args).is_err());
         let args = parse(&["--design", "columnsort:8x2:12", "--valid", "101"]);
         assert!(route(&args).is_err(), "wrong length must error");
+    }
+
+    proptest::proptest! {
+        /// Any `--valid` string (mostly bits, sometimes a stray character
+        /// or a leading `-`, of a length around n = 16) routes or errs; it
+        /// never panics.
+        #[test]
+        fn any_valid_string_routes_or_errs(
+            picks in proptest::collection::vec(0u32..64, 12..20),
+            stray in 0u32..0x11_0000,
+        ) {
+            let raw: String = picks
+                .iter()
+                .map(|&p| match p {
+                    0..=29 => '0',
+                    30..=61 => '1',
+                    62 => char::from_u32(stray).unwrap_or('\u{fffd}'),
+                    _ => '-',
+                })
+                .collect();
+            let bits = parse_bits(&raw);
+            proptest::prop_assert_eq!(bits.is_ok(), raw.chars().all(|c| c == '0' || c == '1'));
+            let argv: Vec<String> = ["--design", "revsort:16:8", "--valid", &raw]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            if let Ok(args) = Parsed::parse(&argv) {
+                let routed = route(&args);
+                if let Ok(text) = &routed {
+                    proptest::prop_assert!(text.starts_with("Revsort"), "{text}");
+                }
+                proptest::prop_assert_eq!(routed.is_ok(), bits.is_ok() && raw.len() == 16);
+            }
+        }
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //!
 //! The hash covers gate order, gate kinds, input literals and wire
 //! numbering, so any change to how a switch is elaborated — even one that
-//! leaves the logic function intact — shows up here. The compiled
-//! instruction, slot and level counts are functions of the netlist, so
-//! they are pinned too. If an intentional elaboration change lands, run
+//! leaves the logic function intact — shows up here. A second table pins
+//! the lowered instruction and slot counts of the compiled control and
+//! datapath netlists, which also move when only the lowering changes. If
+//! an intentional elaboration or lowering change lands, run
 //!
 //! ```text
 //! cargo test -p concentrator --test golden_netlists -- --nocapture
 //! ```
 //!
-//! and replace the table below with the `("name", 0x…)` lines the failing
-//! test prints.
+//! and replace the affected table with the lines the failing test prints.
 
 use concentrator::full_columnsort::FullColumnsortHyperconcentrator;
 use concentrator::full_revsort::FullRevsortHyperconcentrator;
@@ -201,5 +201,91 @@ fn elaborations_match_the_golden_hashes() {
     assert_eq!(
         got, GOLDEN,
         "netlist hashes drifted; current table:\n{listing}"
+    );
+}
+
+/// Lowered-stream sizes `(name, insns, slots)` of every compiled control
+/// and datapath netlist: the chips, the design set, and the Revsort
+/// 1024→512 datapath the benchmark serves. They are deterministic
+/// functions of the netlist *and* of `netlist::insn::lower`, so unlike
+/// the hashes above they move whenever lowering changes (shared chain
+/// prefixes, slot allocation order) and show the change in review.
+fn current_counts() -> Vec<(String, usize, usize)> {
+    let mut out = Vec::new();
+    let mut push = |name: String, compiled: &netlist::CompiledNetlist| {
+        out.push((name, compiled.insn_count(), compiled.slot_count()));
+    };
+    for n in [1usize, 3, 4, 7, 16] {
+        let chip = Hyperconcentrator::new(n);
+        push(
+            format!("chip{n}.control"),
+            &chip.build_netlist(false).compile(),
+        );
+        push(
+            format!("chip{n}.datapath"),
+            &chip.build_datapath_netlist().compile(),
+        );
+    }
+    for (name, switch) in designs() {
+        push(
+            format!("{name}.control"),
+            &switch.control_logic(false).compiled,
+        );
+        push(
+            format!("{name}.datapath"),
+            &switch.datapath_logic(false).compiled,
+        );
+    }
+    let big = RevsortSwitch::new(1024, 512, RevsortLayout::TwoDee);
+    push(
+        "revsort1024x512-2d.datapath".into(),
+        &big.staged().datapath_logic(false).compiled,
+    );
+    out
+}
+
+/// Counts with shared chain prefixes in the lowering.
+const GOLDEN_COUNTS: &[(&str, usize, usize)] = &[
+    ("chip1.control", 0, 1),
+    ("chip1.datapath", 0, 2),
+    ("chip3.control", 11, 8),
+    ("chip3.datapath", 25, 16),
+    ("chip4.control", 21, 12),
+    ("chip4.datapath", 46, 24),
+    ("chip7.control", 66, 26),
+    ("chip7.datapath", 142, 52),
+    ("chip16.control", 342, 105),
+    ("chip16.datapath", 681, 207),
+    ("revsort16x8-2d.control", 251, 48),
+    ("revsort16x8-2d.datapath", 536, 96),
+    ("revsort16x8-3d.control", 251, 48),
+    ("revsort16x8-3d.datapath", 536, 96),
+    ("revsort64x28-2d.control", 2029, 257),
+    ("revsort64x28-2d.datapath", 4140, 523),
+    ("columnsort8x2.control", 344, 64),
+    ("columnsort8x2.datapath", 716, 132),
+    ("columnsort8x4.control", 693, 128),
+    ("columnsort8x4.datapath", 1395, 262),
+    ("full-revsort16.control", 754, 48),
+    ("full-revsort16.datapath", 1598, 96),
+    ("full-columnsort8x2.control", 784, 96),
+    ("full-columnsort8x2.datapath", 1605, 193),
+    ("revsort1024x512-2d.datapath", 229535, 21923),
+];
+
+#[test]
+fn lowered_streams_match_the_golden_counts() {
+    let current = current_counts();
+    let listing: String = current
+        .iter()
+        .map(|(name, insns, slots)| format!("    (\"{name}\", {insns}, {slots}),\n"))
+        .collect();
+    let got: Vec<(&str, usize, usize)> = current
+        .iter()
+        .map(|(n, i, s)| (n.as_str(), *i, *s))
+        .collect();
+    assert_eq!(
+        got, GOLDEN_COUNTS,
+        "lowered instruction/slot counts drifted; current table:\n{listing}"
     );
 }

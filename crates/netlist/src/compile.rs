@@ -148,7 +148,7 @@ pub(crate) struct Schedule {
 
 impl Schedule {
     /// Levelize `nl` via the depth report, then flatten.
-    fn new(nl: &Netlist) -> Self {
+    pub(crate) fn new(nl: &Netlist) -> Self {
         let depth = nl.depth_report();
         // Stable sort by output-wire depth keeps builder order within a
         // level, so compilation is deterministic.
@@ -848,7 +848,10 @@ mod tests {
 
     /// A seeded random netlist: `inputs` primary inputs, `gates` gates of
     /// every kind with random (often inverted) fan-ins up to 6 wide, and
-    /// a random mix of plain and inverted outputs.
+    /// a random mix of plain and inverted outputs. Half the gates open
+    /// with a leading pair drawn from a small, slowly refreshed pool and
+    /// read only primary inputs after it, so gates sharing a pair share a
+    /// level, and wide ones on one chip share their chain prefix.
     fn random_netlist(seed: u64, inputs: usize, gates: usize) -> Netlist {
         let mut state = seed;
         let mut next = move |bound: usize| {
@@ -860,9 +863,10 @@ mod tests {
         };
         let mut nl = Netlist::new();
         let mut lits: Vec<Literal> = nl.inputs_n(inputs).into_iter().map(Literal::pos).collect();
+        let mut pool = [(lits[0], lits[0]); 3];
         for _ in 0..gates {
             let fan_in = 1 + next(6);
-            let ins: Vec<Literal> = (0..fan_in)
+            let mut ins: Vec<Literal> = (0..fan_in)
                 .map(|_| {
                     let lit = lits[next(lits.len())];
                     if next(2) == 0 {
@@ -872,6 +876,19 @@ mod tests {
                     }
                 })
                 .collect();
+            if next(8) == 0 {
+                // Refresh one pool pair from the newest literals.
+                let recent = |k: usize| lits[lits.len() - 1 - k % lits.len().min(8)];
+                pool[next(3)] = (recent(next(8)), recent(next(8)).complement());
+            }
+            if fan_in >= 2 && next(2) == 0 {
+                // A pooled pair plus primary inputs: every gate opening
+                // with this pair lands on the same level.
+                (ins[0], ins[1]) = pool[next(3)];
+                for lit in &mut ins[2..] {
+                    *lit = lits[next(inputs)];
+                }
+            }
             let lit = match next(6) {
                 0 => nl.and(ins),
                 1 => nl.or(ins),
@@ -887,6 +904,12 @@ mod tests {
             nl.mark_output(if next(2) == 0 { lit.complement() } else { lit });
         }
         nl
+    }
+
+    /// Instructions `nl` lowers to with no chain prefix shared: one per
+    /// gate of fan-in ≤ 2, k − 1 per wider gate.
+    fn unshared_insn_count(nl: &Netlist) -> usize {
+        nl.gates().iter().map(|g| g.inputs.len().max(2) - 1).sum()
     }
 
     /// Every kernel family the dispatcher knows, whether or not this CPU
@@ -908,9 +931,11 @@ mod tests {
     fn every_runnable_kernel_is_bit_identical() {
         let kernels = runnable_kernels();
         assert_eq!(kernels[0], Simd::Scalar);
+        let mut sharing = 0;
         for seed in 0..12u64 {
             let nl = random_netlist(seed, 3 + seed as usize % 9, 40 + 17 * seed as usize);
             let mut compiled = nl.compile_partitioned(1 + seed as usize % 4);
+            sharing += usize::from(compiled.insn_count() < unshared_insn_count(&nl));
             for vectors in [1usize, 63, 65, 257, 530, 1000] {
                 let m = BitMatrix::from_fn(nl.input_count(), vectors, |row, v| {
                     (v.wrapping_mul(0x9E37_79B9).wrapping_add(seed as usize) >> (row % 29)) & 1 == 1
@@ -940,6 +965,10 @@ mod tests {
                 }
             }
         }
+        assert!(
+            sharing >= 10,
+            "only {sharing} of 12 netlists share a prefix"
+        );
     }
 
     /// Sweep every word of `m` through `eval_words_into` in `lw`-word
@@ -1137,38 +1166,54 @@ mod tests {
         nl.outputs().iter().map(|&l| read(&values, l)).collect()
     }
 
+    /// Three-way check of every single-wire fault: the faulted stream,
+    /// the faulted schedule's own sweep and the scalar fault model agree
+    /// on every input vector (one lane each, ≤ 6 inputs). The random
+    /// netlists carry shared chain prefixes, so faults on a shared pair's
+    /// wires and on the gates reading its temporary are covered.
     #[test]
     fn single_wire_faults_match_the_reference_model() {
-        let nl = kitchen_sink();
-        let compiled = nl.compile();
-        let n = nl.input_count();
-        for wire in 0..nl.wire_count() as u32 {
-            for kind in [
-                WireFaultKind::Stuck0,
-                WireFaultKind::Stuck1,
-                WireFaultKind::Flip,
-            ] {
-                let fault = WireFault {
-                    wire: Wire(wire),
-                    kind,
-                };
-                let faulted = compiled.with_faults(&[fault]);
-                for vector in 0..(1usize << n) {
-                    let bits: Vec<bool> = (0..n).map(|i| (vector >> i) & 1 == 1).collect();
-                    let words: Vec<u64> = bits.iter().map(|&b| if b { !0u64 } else { 0 }).collect();
-                    let got: Vec<bool> = faulted
-                        .eval_word(&words)
-                        .iter()
-                        .map(|&w| w & 1 == 1)
-                        .collect();
+        let mut netlists = vec![kitchen_sink()];
+        netlists.extend((0..4).map(|seed| random_netlist(seed, 4 + seed as usize % 3, 60)));
+        let mut sharing = 0;
+        for (k, nl) in netlists.iter().enumerate() {
+            let n = nl.input_count();
+            let compiled = nl.compile_partitioned(1 + k % 3);
+            sharing += usize::from(compiled.insn_count() < unshared_insn_count(nl));
+            let vectors = 1usize << n;
+            let lanes: Vec<u64> = (0..n)
+                .map(|i| (0..vectors).fold(0u64, |w, v| w | (((v >> i) & 1) as u64) << v))
+                .collect();
+            for wire in 0..nl.wire_count() as u32 {
+                for kind in [
+                    WireFaultKind::Stuck0,
+                    WireFaultKind::Stuck1,
+                    WireFaultKind::Flip,
+                ] {
+                    let fault = WireFault {
+                        wire: Wire(wire),
+                        kind,
+                    };
+                    let faulted = compiled.with_faults(&[fault]);
+                    let got = faulted.eval_word(&lanes);
                     assert_eq!(
                         got,
-                        eval_with_fault(&nl, fault, &bits),
-                        "wire {wire} {kind:?} vector {vector:#x}"
+                        faulted.eval_word_reference(&lanes),
+                        "netlist {k}, wire {wire} {kind:?}: stream vs schedule"
                     );
+                    for vector in 0..vectors {
+                        let bits: Vec<bool> = (0..n).map(|i| (vector >> i) & 1 == 1).collect();
+                        let lane: Vec<bool> = got.iter().map(|&w| w >> vector & 1 == 1).collect();
+                        assert_eq!(
+                            lane,
+                            eval_with_fault(nl, fault, &bits),
+                            "netlist {k}, wire {wire} {kind:?}, vector {vector:#x}"
+                        );
+                    }
                 }
             }
         }
+        assert!(sharing >= 3, "only {sharing} netlists share a prefix");
     }
 
     #[test]

@@ -32,10 +32,23 @@
 //!   barrier between levels, chips striped across threads. Slot recycling
 //!   deferred to level boundaries guarantees no two chips touch the same
 //!   slot within a level (checked by [`InsnStream::self_check`]).
+//! * **Shared chain prefixes.** Within one (level, chip) group, wide
+//!   AND/OR/XOR gates (fan-in ≥ 3) that open with the same `(op, lit₀,
+//!   lit₁)` pair share one instruction: the pair is computed once into a
+//!   temporary slot and each gate's chain starts from it (`dst = tmp op
+//!   lit₂ …`). The hyperconcentrator merge folds each selector
+//!   `eⱼ = L_{j−1} ∧ ¬L_j` into every `eⱼ ∧ R_{i−j}` term of its level,
+//!   so the selector pair is computed once per merge rather than once
+//!   per gate. The temporary is freed at the next level boundary like
+//!   any other slot, and sharing never crosses chips, so the
+//!   write-disjointness above still holds. The netlist and [`Schedule`]
+//!   are untouched: this is purely a property of the lowered stream.
 
-use crate::compile::{unpack, Op, Schedule};
+use crate::compile::{unpack, Op, PackedLit, Schedule};
 use crate::matrix::BitMatrix;
 use crate::partition::Partition;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Barrier;
 
 /// Opcode field of [`Insn::opword`] (bits 0..3).
@@ -93,9 +106,67 @@ pub(crate) struct InsnStream {
     pub outputs: Vec<(u32, bool)>,
 }
 
+/// Leading pair `(opcode, lit₀, lit₁)` of a chain that can be shared.
+type PrefixKey = (u32, PackedLit, PackedLit);
+
+/// A chain prefix within one (level, chip) group: how many wide gates
+/// open with it, and the temporary slot holding it once emitted.
+struct Prefix {
+    uses: u32,
+    slot: u32,
+}
+
+/// Multiplicative hasher for the prefix map (the `FxHash` scheme: add,
+/// multiply, rotate the well-mixed high bits down on `finish`): `lower`
+/// hashes every wide gate twice, and the default SipHash costs several
+/// times more per key. Keys are literals of the netlist being compiled;
+/// one crafted to collide can only slow its own lowering, never change
+/// the stream.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.0 = self
+            .0
+            .wrapping_add(u64::from(n))
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// The shareable leading pair of schedule gate `g`: AND/OR/XOR gates of
+/// fan-in ≥ 3 only, whose chain keeps at least one instruction of its
+/// own after the shared one.
+#[inline]
+fn prefix_key(sched: &Schedule, g: usize) -> Option<PrefixKey> {
+    let op2 = match sched.ops[g] {
+        Op::And => OP_AND,
+        Op::Or => OP_OR,
+        Op::Xor => OP_XOR,
+        _ => return None,
+    };
+    match sched.gate_lits(g) {
+        [first, second, _, ..] => Some((op2, *first, *second)),
+        _ => None,
+    }
+}
+
 /// Lower `sched` onto `part`'s chips: liveness-allocate slots, emit the
-/// instruction stream in (level, chip, gate) order, and record the
-/// per-level chip ranges.
+/// instruction stream in (level, chip, gate) order with shared chain
+/// prefixes, and record the per-level chip ranges.
 pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
     let num_levels = sched.levels.len() - 1;
     let chips = part.chips.max(1);
@@ -158,6 +229,10 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
     let mut level_bounds = vec![0u32];
     let mut chip_ranges = Vec::with_capacity(num_levels * chips);
     let mut drained = 0usize;
+    // One map reused by every group, so lowering allocates nothing per
+    // group once it has grown to the widest one.
+    let mut prefixes: HashMap<PrefixKey, Prefix, BuildHasherDefault<MulHasher>> =
+        HashMap::default();
 
     for l in 0..num_levels {
         // Def level of this schedule level is l + 1: recycle every slot
@@ -169,7 +244,23 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
         let def_level = (l + 1) as u32;
         for c in 0..chips {
             let start = insns.len() as u32;
-            for &g in &by_level_chip[l * chips + c] {
+            let group = &by_level_chip[l * chips + c];
+            // Count each leading pair's wide gates in this group alone:
+            // a prefix shared across chips would be read by a chip that
+            // did not write it within the level.
+            prefixes.clear();
+            for &g in group {
+                if let Some(key) = prefix_key(sched, g as usize) {
+                    prefixes
+                        .entry(key)
+                        .or_insert(Prefix {
+                            uses: 0,
+                            slot: u32::MAX,
+                        })
+                        .uses += 1;
+                }
+            }
+            for &g in group {
                 let g = g as usize;
                 let w = sched.outs[g] as usize;
                 let dst = alloc(&mut free);
@@ -177,7 +268,20 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
                 if !pinned[w] {
                     pending[last_use[w].max(def_level) as usize].push(dst);
                 }
-                emit_gate(sched, g, dst, &slot_of, &mut insns);
+                // A pair opening two or more chains is emitted once, at
+                // its first use, into a temporary freed at the next level
+                // boundary.
+                let shared = prefix_key(sched, g).and_then(|key| {
+                    let prefix = prefixes.get_mut(&key).filter(|p| p.uses >= 2)?;
+                    if prefix.slot == u32::MAX {
+                        let tmp = alloc(&mut free);
+                        pending[def_level as usize].push(tmp);
+                        insns.push(pair_insn(key, tmp, &slot_of));
+                        prefix.slot = tmp;
+                    }
+                    Some(prefix.slot)
+                });
+                emit_gate(sched, g, dst, shared, &slot_of, &mut insns);
             }
             chip_ranges.push((start, insns.len() as u32));
         }
@@ -219,14 +323,40 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
     stream
 }
 
-/// Emit the instruction(s) computing schedule gate `g` into `dst`.
-fn emit_gate(sched: &Schedule, g: usize, dst: u32, slot_of: &[u32], insns: &mut Vec<Insn>) {
-    let slot = |packed: u32| -> (u32, bool) {
-        let lit = unpack(packed);
-        let s = slot_of[lit.wire.index()];
-        debug_assert_ne!(s, u32::MAX, "gate reads an unallocated wire");
-        (s, lit.inverted)
-    };
+/// Slot and inversion flag of the wire a packed literal reads.
+#[inline]
+fn lit_slot(packed: PackedLit, slot_of: &[u32]) -> (u32, bool) {
+    let lit = unpack(packed);
+    let s = slot_of[lit.wire.index()];
+    debug_assert_ne!(s, u32::MAX, "gate reads an unallocated wire");
+    (s, lit.inverted)
+}
+
+/// The instruction `dst = first op2 second` opening an accumulator chain.
+#[inline]
+fn pair_insn((op2, first, second): PrefixKey, dst: u32, slot_of: &[u32]) -> Insn {
+    let (a, ia) = lit_slot(first, slot_of);
+    let (b, ib) = lit_slot(second, slot_of);
+    Insn {
+        a,
+        b,
+        dst,
+        opword: op2 | if ia { INV_A } else { 0 } | if ib { INV_B } else { 0 },
+    }
+}
+
+/// Emit the instruction(s) computing schedule gate `g` into `dst`. With
+/// `shared`, the gate's leading pair already sits in that temporary slot
+/// and the chain starts from it.
+fn emit_gate(
+    sched: &Schedule,
+    g: usize,
+    dst: u32,
+    shared: Option<u32>,
+    slot_of: &[u32],
+    insns: &mut Vec<Insn>,
+) {
+    let slot = |packed: PackedLit| lit_slot(packed, slot_of);
     let konst = |value: bool| Insn {
         a: 0,
         b: 0,
@@ -271,20 +401,18 @@ fn emit_gate(sched: &Schedule, g: usize, dst: u32, slot_of: &[u32], insns: &mut 
             });
         }
         [first, second, rest @ ..] => {
-            let (a, ia) = slot(*first);
-            let (b, ib) = slot(*second);
-            insns.push(Insn {
-                a,
-                b,
-                dst,
-                opword: op2 | if ia { INV_A } else { 0 } | if ib { INV_B } else { 0 },
+            // Accumulator chain: dst = acc op next, same level and chip,
+            // executed sequentially by the owning worker. `acc` is the
+            // shared prefix's temporary or, unshared, `dst` itself once
+            // the opening pair is stored there.
+            let acc = shared.unwrap_or_else(|| {
+                insns.push(pair_insn((op2, *first, *second), dst, slot_of));
+                dst
             });
-            // Accumulator chain: dst = dst op next, same level and chip,
-            // executed sequentially by the owning worker.
-            for &packed in rest {
+            for (k, &packed) in rest.iter().enumerate() {
                 let (b, ib) = slot(packed);
                 insns.push(Insn {
-                    a: dst,
+                    a: if k == 0 { acc } else { dst },
                     b,
                     dst,
                     opword: op2 | if ib { INV_B } else { 0 },
@@ -834,5 +962,119 @@ impl InsnStream {
                 });
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Literal, Netlist};
+
+    /// Lower `nl` onto a hand-placed partition (`chip_of_gate` in
+    /// schedule order) and check the stream.
+    fn lower_placed(nl: &Netlist, chip_of_gate: Vec<u32>, chips: usize) -> InsnStream {
+        let sched = Schedule::new(nl);
+        assert_eq!(chip_of_gate.len(), sched.ops.len());
+        let stream = lower(
+            &sched,
+            &Partition {
+                chips,
+                chip_of_gate,
+            },
+        );
+        stream.self_check();
+        stream
+    }
+
+    /// Every input vector of `nl` (≤ 6 inputs, one lane each) through one
+    /// sequential sweep and one two-thread level-parallel sweep of
+    /// `stream`, against `Netlist::eval`.
+    fn assert_truth_table(nl: &Netlist, stream: &InsnStream) {
+        let n = nl.input_count();
+        let vectors = 1usize << n;
+        let m = BitMatrix::from_fn(n, vectors, |row, v| (v >> row) & 1 == 1);
+        let mut seq = BitMatrix::zeroed(nl.outputs().len(), vectors);
+        let mut vals = vec![0u64; stream.slot_count];
+        let mut sink = |o: usize, w: usize, v: u64| *seq.word_mut(o, w) = v;
+        stream.sweep_word_range(&m, 0, 1, 1, &mut vals, Simd::Scalar, &mut sink);
+        let mut par = BitMatrix::zeroed(nl.outputs().len(), vectors);
+        stream.eval_level_parallel(&m, &mut par, 2, Simd::Scalar);
+        for v in 0..vectors {
+            let expected = nl.eval(&m.column(v));
+            assert_eq!(seq.column(v), expected, "sequential, vector {v}");
+            assert_eq!(par.column(v), expected, "level-parallel, vector {v}");
+        }
+    }
+
+    fn insn(opword: u32, a: u32, b: u32, dst: u32) -> Insn {
+        Insn { a, b, dst, opword }
+    }
+
+    #[test]
+    fn a_leading_pair_is_shared_once_per_level_and_chip() {
+        // Inputs a..f are slots 0..5. On chip 0, two AND-3 gates open
+        // with `a ∧ ¬b` and share it; an OR-3 over the same literals is a
+        // different pair. On chip 1, a third AND-3 opens with `a ∧ ¬b`
+        // too, but a prefix never crosses chips.
+        let mut nl = Netlist::new();
+        let x: Vec<Literal> = nl.inputs_n(6).into_iter().map(Literal::pos).collect();
+        let (a, nb) = (x[0], x[1].complement());
+        let g0 = nl.and([a, nb, x[2]]);
+        let g1 = nl.and([a, nb, x[3]]);
+        let g2 = nl.or([a, nb, x[4]]);
+        let g3 = nl.and([a, nb, x[5]]);
+        for g in [g0, g1, g2, g3] {
+            nl.mark_output(g);
+        }
+        let stream = lower_placed(&nl, vec![0, 0, 0, 1], 2);
+
+        // Unshared, every 3-input gate costs two instructions (8 total);
+        // the shared pair saves exactly one.
+        assert_eq!(stream.insns.len(), 7);
+        // Six inputs, four pinned outputs, one temporary (slot 7).
+        assert_eq!(stream.slot_count, 11);
+        assert_eq!(
+            stream.insns,
+            [
+                insn(OP_AND | INV_B, 0, 1, 7),  // shared temporary: a ∧ ¬b
+                insn(OP_AND, 7, 2, 6),          // g0 = tmp ∧ c
+                insn(OP_AND, 7, 3, 8),          // g1 = tmp ∧ d
+                insn(OP_OR | INV_B, 0, 1, 9),   // g2 opens its own pair ...
+                insn(OP_OR, 9, 4, 9),           // ... and chains e
+                insn(OP_AND | INV_B, 0, 1, 10), // g3 on chip 1 recomputes it
+                insn(OP_AND, 10, 5, 10),
+            ]
+        );
+        assert_eq!(stream.chip_ranges, [(0, 5), (5, 7)]);
+        let outputs: Vec<u32> = stream.outputs.iter().map(|&(s, _)| s).collect();
+        assert_eq!(outputs, [6, 8, 9, 10]);
+        assert_truth_table(&nl, &stream);
+    }
+
+    #[test]
+    fn a_temporary_is_recycled_only_at_the_next_level() {
+        // Level 1 shares `a ∧ b` between two gates; level 2 gates then
+        // allocate into recycled slots. The temporary must still hold
+        // its pair until the last level-1 reader has run, and only the
+        // next level may reuse it.
+        let mut nl = Netlist::new();
+        let x: Vec<Literal> = nl.inputs_n(5).into_iter().map(Literal::pos).collect();
+        let p = nl.and([x[0], x[1], x[2]]);
+        let q = nl.and([x[0], x[1], x[3]]);
+        let r = nl.and([p, q, x[4]]);
+        let s = nl.xor([p, q.complement(), x[2]]);
+        nl.mark_output(r);
+        nl.mark_output(s);
+        let stream = lower_placed(&nl, vec![0; 4], 1);
+        assert_eq!(stream.insns.len(), 1 + 1 + 1 + 2 + 2);
+        let tmp = stream.insns[0].dst;
+        let level1 = &stream.insns[..stream.level_bounds[1] as usize];
+        assert!(level1[1..].iter().all(|i| i.dst != tmp && i.a == tmp));
+        let level2 = &stream.insns[stream.level_bounds[1] as usize..];
+        assert!(
+            level2.iter().any(|i| i.dst == tmp),
+            "the temporary's slot is free again at level 2"
+        );
+        assert_truth_table(&nl, &stream);
     }
 }
