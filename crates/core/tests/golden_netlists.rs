@@ -209,7 +209,8 @@ fn elaborations_match_the_golden_hashes() {
 /// 1024→512 datapath the benchmark serves. They are deterministic
 /// functions of the netlist *and* of `netlist::insn::lower`, so unlike
 /// the hashes above they move whenever lowering changes (shared chain
-/// prefixes, slot allocation order) and show the change in review.
+/// prefixes, fused AND–OR terms, slot allocation order) and show the
+/// change in review.
 fn current_counts() -> Vec<(String, usize, usize)> {
     let mut out = Vec::new();
     let mut push = |name: String, compiled: &netlist::CompiledNetlist| {
@@ -244,33 +245,34 @@ fn current_counts() -> Vec<(String, usize, usize)> {
     out
 }
 
-/// Counts with shared chain prefixes in the lowering.
+/// Counts with shared chain prefixes and fused AND–OR planes in the
+/// lowering.
 const GOLDEN_COUNTS: &[(&str, usize, usize)] = &[
     ("chip1.control", 0, 1),
     ("chip1.datapath", 0, 2),
-    ("chip3.control", 11, 8),
-    ("chip3.datapath", 25, 16),
-    ("chip4.control", 21, 12),
-    ("chip4.datapath", 46, 24),
-    ("chip7.control", 66, 26),
-    ("chip7.datapath", 142, 52),
-    ("chip16.control", 342, 105),
-    ("chip16.datapath", 681, 207),
-    ("revsort16x8-2d.control", 251, 48),
-    ("revsort16x8-2d.datapath", 536, 96),
-    ("revsort16x8-3d.control", 251, 48),
-    ("revsort16x8-3d.datapath", 536, 96),
-    ("revsort64x28-2d.control", 2029, 257),
-    ("revsort64x28-2d.datapath", 4140, 523),
-    ("columnsort8x2.control", 344, 64),
-    ("columnsort8x2.datapath", 716, 132),
-    ("columnsort8x4.control", 693, 128),
-    ("columnsort8x4.datapath", 1395, 262),
-    ("full-revsort16.control", 754, 48),
-    ("full-revsort16.datapath", 1598, 96),
-    ("full-columnsort8x2.control", 784, 96),
-    ("full-columnsort8x2.datapath", 1605, 193),
-    ("revsort1024x512-2d.datapath", 229535, 21923),
+    ("chip3.control", 9, 7),
+    ("chip3.datapath", 18, 14),
+    ("chip4.control", 16, 10),
+    ("chip4.datapath", 32, 20),
+    ("chip7.control", 50, 20),
+    ("chip7.datapath", 99, 40),
+    ("chip16.control", 239, 64),
+    ("chip16.datapath", 443, 107),
+    ("revsort16x8-2d.control", 191, 40),
+    ("revsort16x8-2d.datapath", 368, 78),
+    ("revsort16x8-3d.control", 191, 40),
+    ("revsort16x8-3d.datapath", 368, 78),
+    ("revsort64x28-2d.control", 1477, 199),
+    ("revsort64x28-2d.datapath", 2748, 332),
+    ("columnsort8x2.control", 252, 47),
+    ("columnsort8x2.datapath", 484, 91),
+    ("columnsort8x4.control", 509, 98),
+    ("columnsort8x4.datapath", 931, 167),
+    ("full-revsort16.control", 574, 40),
+    ("full-revsort16.datapath", 1094, 76),
+    ("full-columnsort8x2.control", 577, 69),
+    ("full-columnsort8x2.datapath", 1083, 123),
+    ("revsort1024x512-2d.datapath", 136031, 6630),
 ];
 
 #[test]

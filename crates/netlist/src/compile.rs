@@ -851,7 +851,10 @@ mod tests {
     /// a random mix of plain and inverted outputs. Half the gates open
     /// with a leading pair drawn from a small, slowly refreshed pool and
     /// read only primary inputs after it, so gates sharing a pair share a
-    /// level, and wide ones on one chip share their chain prefix.
+    /// level, and wide ones on one chip share their chain prefix. One
+    /// gate in seven is an AND–OR plane: an OR over AND-2 and AND-3 terms
+    /// that nothing else reads (the AND-3s open with a pooled pair), which
+    /// lowering fuses into the OR's chain.
     fn random_netlist(seed: u64, inputs: usize, gates: usize) -> Netlist {
         let mut state = seed;
         let mut next = move |bound: usize| {
@@ -889,12 +892,25 @@ mod tests {
                     *lit = lits[next(inputs)];
                 }
             }
-            let lit = match next(6) {
+            let lit = match next(7) {
                 0 => nl.and(ins),
                 1 => nl.or(ins),
                 2 => nl.xor(ins),
                 3 => nl.buf(ins[0]),
                 4 => nl.constant(next(2) == 0),
+                5 => {
+                    let terms: Vec<Literal> = (0..fan_in)
+                        .map(|k| match next(3) {
+                            0 => ins[k],
+                            1 => nl.and([ins[k], ins[(k + 1) % fan_in]]),
+                            _ => {
+                                let (p, q) = pool[next(3)];
+                                nl.and([p, q, ins[k]])
+                            }
+                        })
+                        .collect();
+                    nl.or(terms)
+                }
                 _ => nl.and([ins[0], ins[ins.len() - 1].complement()]),
             };
             lits.push(lit);
@@ -906,10 +922,40 @@ mod tests {
         nl
     }
 
-    /// Instructions `nl` lowers to with no chain prefix shared: one per
-    /// gate of fan-in ≤ 2, k − 1 per wider gate.
+    /// Instructions `nl` lowers to with no chain prefix shared and no AND
+    /// fused: one per gate of fan-in ≤ 2, k − 1 per wider gate.
     fn unshared_insn_count(nl: &Netlist) -> usize {
         nl.gates().iter().map(|g| g.inputs.len().max(2) - 1).sum()
+    }
+
+    /// `OP_ANDOR` instructions in `compiled`'s stream.
+    fn andor_count(compiled: &CompiledNetlist) -> usize {
+        use crate::insn::{OP_ANDOR, OP_MASK};
+        let ops = compiled.stream.insns.iter().map(|i| i.opword & OP_MASK);
+        ops.filter(|&op| op == OP_ANDOR).count()
+    }
+
+    /// The wires lowering fuses into an OR's chain: outputs of ANDs of
+    /// fan-in 2 or 3 that are no primary output and are read exactly
+    /// once, as a positive OR literal.
+    fn fusable_wires(nl: &Netlist) -> Vec<Wire> {
+        let mut reads = vec![(0usize, false); nl.wire_count()];
+        for gate in nl.gates() {
+            for lit in &gate.inputs {
+                let r = &mut reads[lit.wire.index()];
+                *r = (r.0 + 1, gate.kind == GateKind::Or && !lit.inverted);
+            }
+        }
+        nl.gates()
+            .iter()
+            .filter(|g| {
+                g.kind == GateKind::And
+                    && matches!(g.inputs.len(), 2 | 3)
+                    && reads[g.output.index()] == (1, true)
+                    && !nl.outputs().iter().any(|o| o.wire == g.output)
+            })
+            .map(|g| g.output)
+            .collect()
     }
 
     /// Every kernel family the dispatcher knows, whether or not this CPU
@@ -926,16 +972,19 @@ mod tests {
     /// Forced dispatch: the same random netlists and ragged matrices give
     /// bit-identical results through every runnable kernel at every lane
     /// width and on the level-parallel path, so the scalar and AVX2
-    /// kernels stay covered on hosts whose probe would pick AVX-512.
+    /// kernels stay covered on hosts whose probe would pick AVX-512. The
+    /// netlists carry fused AND–OR planes, so every kernel runs
+    /// `OP_ANDOR`.
     #[test]
     fn every_runnable_kernel_is_bit_identical() {
         let kernels = runnable_kernels();
         assert_eq!(kernels[0], Simd::Scalar);
-        let mut sharing = 0;
+        let (mut sharing, mut fusing) = (0, 0);
         for seed in 0..12u64 {
             let nl = random_netlist(seed, 3 + seed as usize % 9, 40 + 17 * seed as usize);
             let mut compiled = nl.compile_partitioned(1 + seed as usize % 4);
             sharing += usize::from(compiled.insn_count() < unshared_insn_count(&nl));
+            fusing += usize::from(andor_count(&compiled) > 0);
             for vectors in [1usize, 63, 65, 257, 530, 1000] {
                 let m = BitMatrix::from_fn(nl.input_count(), vectors, |row, v| {
                     (v.wrapping_mul(0x9E37_79B9).wrapping_add(seed as usize) >> (row % 29)) & 1 == 1
@@ -969,6 +1018,7 @@ mod tests {
             sharing >= 10,
             "only {sharing} of 12 netlists share a prefix"
         );
+        assert!(fusing >= 10, "only {fusing} of 12 netlists run OP_ANDOR");
     }
 
     /// Sweep every word of `m` through `eval_words_into` in `lw`-word
@@ -1169,17 +1219,20 @@ mod tests {
     /// Three-way check of every single-wire fault: the faulted stream,
     /// the faulted schedule's own sweep and the scalar fault model agree
     /// on every input vector (one lane each, ≤ 6 inputs). The random
-    /// netlists carry shared chain prefixes, so faults on a shared pair's
-    /// wires and on the gates reading its temporary are covered.
+    /// netlists carry shared chain prefixes and fused AND–OR planes, so
+    /// faults on a shared pair's wires, on the gates reading its
+    /// temporary, and on fused AND terms (which a stuck-at or flip
+    /// unfuses) are covered, and faulted streams run `OP_ANDOR`.
     #[test]
     fn single_wire_faults_match_the_reference_model() {
         let mut netlists = vec![kitchen_sink()];
         netlists.extend((0..4).map(|seed| random_netlist(seed, 4 + seed as usize % 3, 60)));
-        let mut sharing = 0;
+        let (mut sharing, mut term_faults, mut fused_faulted) = (0, 0, 0);
         for (k, nl) in netlists.iter().enumerate() {
             let n = nl.input_count();
             let compiled = nl.compile_partitioned(1 + k % 3);
             sharing += usize::from(compiled.insn_count() < unshared_insn_count(nl));
+            let terms = fusable_wires(nl);
             let vectors = 1usize << n;
             let lanes: Vec<u64> = (0..n)
                 .map(|i| (0..vectors).fold(0u64, |w, v| w | (((v >> i) & 1) as u64) << v))
@@ -1195,6 +1248,8 @@ mod tests {
                         kind,
                     };
                     let faulted = compiled.with_faults(&[fault]);
+                    term_faults += usize::from(terms.contains(&fault.wire));
+                    fused_faulted += usize::from(andor_count(&faulted) > 0);
                     let got = faulted.eval_word(&lanes);
                     assert_eq!(
                         got,
@@ -1214,6 +1269,8 @@ mod tests {
             }
         }
         assert!(sharing >= 3, "only {sharing} netlists share a prefix");
+        assert!(term_faults > 0, "no fault hits a fused AND term");
+        assert!(fused_faulted > 0, "no faulted stream runs OP_ANDOR");
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! module compiles the schedule **once** into the form hardware emulation
 //! engines use:
 //!
-//! * **Dense instructions.** Every gate lowers to one or more fixed-width
-//!   16-byte records (`op/src-a/src-b/dst`, inversion flags packed into the
-//!   opcode word). Fan-in-k gates become a seeded accumulator chain of k−1
-//!   binary ops into the destination, so the emulator's hot loop is a
-//!   single linear pass with no indirection: fetch, two loads, op, store.
+//! * **Dense instructions.** Every gate but a fused AND term (below)
+//!   lowers to one or more fixed-width 16-byte records
+//!   (`op/src-a/src-b/dst`, inversion flags packed into the opcode word).
+//!   Fan-in-k gates become a seeded accumulator chain of k−1 binary ops
+//!   into the destination, so the emulator's hot loop is a single linear
+//!   pass with no indirection: fetch, two loads, op, store.
 //! * **Level-blocked slot allocation.** Wire values live in *slots*
 //!   assigned by a liveness pass: a wire's slot is recycled once its last
 //!   reader level has run. Peak live wires is far below total wires in a
@@ -39,10 +40,32 @@
 //!   lit₂ …`). The hyperconcentrator merge folds each selector
 //!   `eⱼ = L_{j−1} ∧ ¬L_j` into every `eⱼ ∧ R_{i−j}` term of its level,
 //!   so the selector pair is computed once per merge rather than once
-//!   per gate. The temporary is freed at the next level boundary like
-//!   any other slot, and sharing never crosses chips, so the
-//!   write-disjointness above still holds. The netlist and [`Schedule`]
-//!   are untouched: this is purely a property of the lowered stream.
+//!   per gate. The temporary is freed at the level boundary after its
+//!   last reader like any other slot, and sharing never crosses chips,
+//!   so the write-disjointness above still holds. The netlist and
+//!   [`Schedule`] are untouched: this is purely a property of the lowered
+//!   stream.
+//! * **AND–OR planes.** The hyperconcentrator chip is AND planes feeding
+//!   OR planes, and nearly every AND term has exactly one reader, an OR.
+//!   An AND of fan-in 2 or 3 whose output is read once, as a positive
+//!   literal of an OR, and is no primary output gets no slot and no
+//!   instruction of its own: its OR's chain absorbs it, opening with
+//!   `dst = a ∧ b` or folding it in with one `OP_ANDOR` (`dst |= a ∧ b`).
+//!   A fan-in-3 term reads its leading pair from a temporary computed at
+//!   the AND's own level (the shared selector above, or a pair of its
+//!   own). The term's operands stay live until the OR's level, which may
+//!   be on another chip: cross-level reads are ordinary. A faulted AND is
+//!   never absorbed, since a stuck-at makes it a constant and a flip
+//!   inverts its OR's literal.
+//! * **Chain-step order.** Within each (level, chip) group, instructions
+//!   are stably ordered by their step along their dependency chain inside
+//!   the group: every chain's first instruction, then every second, and
+//!   so on. Independent accumulators interleave, so no single
+//!   read-modify-write chain serializes the sweep. Frees wait for level
+//!   boundaries, so the only hazards inside a group are reads after
+//!   writes (a chain reading its accumulator, a gate reading a
+//!   temporary), and the order keeps every one of them
+//!   ([`InsnStream::self_check`] verifies it).
 
 use crate::compile::{unpack, Op, PackedLit, Schedule};
 use crate::matrix::BitMatrix;
@@ -58,17 +81,21 @@ pub(crate) const OP_XOR: u32 = 2;
 pub(crate) const OP_COPY: u32 = 3;
 pub(crate) const OP_CONST0: u32 = 4;
 pub(crate) const OP_CONST1: u32 = 5;
+/// `dst |= a ∧ b`: folds a fused AND term into an OR accumulator, so it
+/// reads `dst` as well as writing it.
+pub(crate) const OP_ANDOR: u32 = 6;
 /// Inversion flag of source a (bit 3) / source b (bit 4) of `opword`.
 pub(crate) const INV_A: u32 = 1 << 3;
 pub(crate) const INV_B: u32 = 1 << 4;
 
-const OP_MASK: u32 = 7;
+pub(crate) const OP_MASK: u32 = 7;
 
-/// One emulator instruction: `dst = a op b` over a whole lane group.
+/// One emulator instruction: `dst = a op b` (or `dst |= a ∧ b`) over a
+/// whole lane group.
 ///
 /// 16 bytes, fixed width: the stream is a flat `Vec<Insn>` the sweep walks
 /// front to back, so instruction fetch is a linear prefetch-friendly scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[repr(C)]
 pub(crate) struct Insn {
     /// Source slot a (ignored by const ops).
@@ -80,6 +107,21 @@ pub(crate) struct Insn {
     /// Opcode plus inversion flags: bits 0..3 opcode, bit 3 invert a,
     /// bit 4 invert b.
     pub opword: u32,
+}
+
+impl Insn {
+    /// The slots this instruction reads: none for constants, `a` for a
+    /// copy, `a` and `b` otherwise, and `dst` too for [`OP_ANDOR`].
+    #[inline]
+    fn reads(&self) -> impl Iterator<Item = u32> {
+        let n = match self.opword & OP_MASK {
+            OP_CONST0 | OP_CONST1 => 0,
+            OP_COPY => 1,
+            OP_ANDOR => 3,
+            _ => 2,
+        };
+        [self.a, self.b, self.dst].into_iter().take(n)
+    }
 }
 
 /// The compiled instruction stream plus everything the emulator needs to
@@ -110,9 +152,11 @@ pub(crate) struct InsnStream {
 type PrefixKey = (u32, PackedLit, PackedLit);
 
 /// A chain prefix within one (level, chip) group: how many wide gates
-/// open with it, and the temporary slot holding it once emitted.
+/// open with it, the level after which its last reader is done, and the
+/// temporary slot holding it once emitted.
 struct Prefix {
     uses: u32,
+    free_at: u32,
     slot: u32,
 }
 
@@ -164,9 +208,36 @@ fn prefix_key(sched: &Schedule, g: usize) -> Option<PrefixKey> {
     }
 }
 
+/// What lowering knows about a wire's readers, in one record so the
+/// walks over literals touch one cache line per wire.
+#[derive(Clone, Copy)]
+struct WireUse {
+    /// The last level (1-based; inputs are level 0) at which the wire is
+    /// read.
+    last_use: u32,
+    /// The fused AND gate driving the wire, or a reader state: `UNREAD`,
+    /// `READ_BY_OR` (exactly one reader, a positive OR literal) or
+    /// `READ_ELSEWHERE` (any other reader or a second one; a primary
+    /// output counts as one).
+    term: u32,
+}
+
+const UNREAD: u32 = u32::MAX;
+const READ_BY_OR: u32 = u32::MAX - 1;
+const READ_ELSEWHERE: u32 = u32::MAX - 2;
+
+impl WireUse {
+    /// Whether `term` names a fused AND.
+    #[inline]
+    fn is_term(self) -> bool {
+        self.term < READ_ELSEWHERE
+    }
+}
+
 /// Lower `sched` onto `part`'s chips: liveness-allocate slots, emit the
-/// instruction stream in (level, chip, gate) order with shared chain
-/// prefixes, and record the per-level chip ranges.
+/// instruction stream in (level, chip) groups with shared chain prefixes
+/// and fused AND–OR terms, order each group by chain step, and record the
+/// per-level chip ranges.
 pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
     let num_levels = sched.levels.len() - 1;
     let chips = part.chips.max(1);
@@ -181,21 +252,54 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
         }
     }
 
-    // Liveness: the last level (1-based; inputs are level 0) at which each
-    // wire is read. Output wires are pinned — their slot never recycles,
-    // so the post-sweep output read always sees the final value.
-    let mut last_use = vec![0u32; sched.wire_count];
-    for (l, level) in sched.levels.windows(2).enumerate() {
-        for g in level[0] as usize..level[1] as usize {
-            for &packed in sched.gate_lits(g) {
-                let w = (packed >> 1) as usize;
-                last_use[w] = last_use[w].max(l as u32 + 1);
-            }
-        }
-    }
+    // Output wires are pinned — their slot never recycles, so the
+    // post-sweep output read always sees the final value.
     let mut pinned = vec![false; sched.wire_count];
     for &packed in &sched.outputs {
         pinned[(packed >> 1) as usize] = true;
+    }
+
+    // Liveness, walked backwards so every reader of a wire is seen before
+    // its driver. The same walk fuses AND–OR planes: an AND of fan-in 2
+    // or 3 whose output is read once, as a positive OR literal, and by
+    // nothing outside, becomes a term of that OR's chain, and its
+    // output's `term` becomes its gate index. The term's operands are
+    // then read where the OR runs, at the AND output's `last_use`, except
+    // a fan-in-3 AND's leading pair, which its own level still computes
+    // into a temporary.
+    let unread = WireUse {
+        last_use: 0,
+        term: UNREAD,
+    };
+    let mut uses = vec![unread; sched.wire_count];
+    for &packed in &sched.outputs {
+        uses[(packed >> 1) as usize].term = READ_ELSEWHERE;
+    }
+    for (l, level) in sched.levels.windows(2).enumerate().rev() {
+        for g in (level[0] as usize..level[1] as usize).rev() {
+            let w = sched.outs[g] as usize;
+            let lits = sched.gate_lits(g);
+            let fused = sched.ops[g] == Op::And
+                && matches!(lits.len(), 2 | 3)
+                && uses[w].term == READ_BY_OR;
+            // Literals read at this gate's own level; the rest at its OR's.
+            let here = match (fused, lits.len()) {
+                (false, k) => k,
+                (true, 3) => 2,
+                (true, _) => 0,
+            };
+            if fused {
+                uses[w].term = g as u32;
+            }
+            let (own, at_or) = (l as u32 + 1, uses[w].last_use);
+            let by_or = sched.ops[g] == Op::Or;
+            for (k, &packed) in lits.iter().enumerate() {
+                let u = &mut uses[(packed >> 1) as usize];
+                u.last_use = u.last_use.max(if k < here { own } else { at_or });
+                let sole = u.term == UNREAD && by_or && packed & 1 == 0;
+                u.term = if sole { READ_BY_OR } else { READ_ELSEWHERE };
+            }
+        }
     }
 
     // Slot allocation with frees deferred to level boundaries: a slot
@@ -221,7 +325,7 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
         slot_of[w as usize] = s;
         input_slots.push(s);
         if !pinned[w as usize] {
-            pending[last_use[w as usize] as usize].push(s);
+            pending[uses[w as usize].last_use as usize].push(s);
         }
     }
 
@@ -229,10 +333,11 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
     let mut level_bounds = vec![0u32];
     let mut chip_ranges = Vec::with_capacity(num_levels * chips);
     let mut drained = 0usize;
-    // One map reused by every group, so lowering allocates nothing per
-    // group once it has grown to the widest one.
+    // One map and one group stage reused by every group, so lowering
+    // allocates nothing per group once they have grown to the widest one.
     let mut prefixes: HashMap<PrefixKey, Prefix, BuildHasherDefault<MulHasher>> =
         HashMap::default();
+    let mut stage = GroupStage::default();
 
     for l in 0..num_levels {
         // Def level of this schedule level is l + 1: recycle every slot
@@ -247,42 +352,64 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
             let group = &by_level_chip[l * chips + c];
             // Count each leading pair's wide gates in this group alone:
             // a prefix shared across chips would be read by a chip that
-            // did not write it within the level.
+            // did not write it within the level. A fused AND's pair is
+            // read where its OR runs.
             prefixes.clear();
             for &g in group {
                 if let Some(key) = prefix_key(sched, g as usize) {
-                    prefixes
-                        .entry(key)
-                        .or_insert(Prefix {
-                            uses: 0,
-                            slot: u32::MAX,
-                        })
-                        .uses += 1;
+                    let w = sched.outs[g as usize] as usize;
+                    let read_at = if uses[w].is_term() {
+                        uses[w].last_use
+                    } else {
+                        def_level
+                    };
+                    let prefix = prefixes.entry(key).or_insert(Prefix {
+                        uses: 0,
+                        free_at: 0,
+                        slot: u32::MAX,
+                    });
+                    prefix.uses += 1;
+                    prefix.free_at = prefix.free_at.max(read_at);
                 }
             }
             for &g in group {
                 let g = g as usize;
                 let w = sched.outs[g] as usize;
-                let dst = alloc(&mut free);
-                slot_of[w] = dst;
-                if !pinned[w] {
-                    pending[last_use[w].max(def_level) as usize].push(dst);
-                }
-                // A pair opening two or more chains is emitted once, at
-                // its first use, into a temporary freed at the next level
-                // boundary.
+                let fused = uses[w].is_term();
+                let dst = if fused {
+                    u32::MAX
+                } else {
+                    let dst = alloc(&mut free);
+                    slot_of[w] = dst;
+                    if !pinned[w] {
+                        pending[uses[w].last_use.max(def_level) as usize].push(dst);
+                    }
+                    dst
+                };
+                // A pair opening two or more chains, or a fused AND's
+                // pair, is emitted once, at its first use, into a
+                // temporary freed after its last reader's level.
                 let shared = prefix_key(sched, g).and_then(|key| {
-                    let prefix = prefixes.get_mut(&key).filter(|p| p.uses >= 2)?;
+                    let prefix = prefixes.get_mut(&key).filter(|p| p.uses >= 2 || fused)?;
                     if prefix.slot == u32::MAX {
                         let tmp = alloc(&mut free);
-                        pending[def_level as usize].push(tmp);
-                        insns.push(pair_insn(key, tmp, &slot_of));
+                        pending[prefix.free_at as usize].push(tmp);
+                        stage.push(pair_insn(key, tmp, &slot_of), 0);
                         prefix.slot = tmp;
                     }
                     Some(prefix.slot)
                 });
-                emit_gate(sched, g, dst, shared, &slot_of, &mut insns);
+                if fused {
+                    // The OR's chain emits the term; a fan-in-3 AND's
+                    // wire reads as the temporary holding its pair.
+                    if let Some(tmp) = shared {
+                        slot_of[w] = tmp;
+                    }
+                    continue;
+                }
+                emit_gate(sched, g, dst, shared, &slot_of, &uses, &mut stage);
             }
+            stage.flush(&mut insns);
             chip_ranges.push((start, insns.len() as u32));
         }
         level_bounds.push(insns.len() as u32);
@@ -323,102 +450,199 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
     stream
 }
 
+/// A chain operand: a slot and whether it is read inverted.
+type Src = (u32, bool);
+
 /// Slot and inversion flag of the wire a packed literal reads.
 #[inline]
-fn lit_slot(packed: PackedLit, slot_of: &[u32]) -> (u32, bool) {
+fn lit_slot(packed: PackedLit, slot_of: &[u32]) -> Src {
     let lit = unpack(packed);
     let s = slot_of[lit.wire.index()];
     debug_assert_ne!(s, u32::MAX, "gate reads an unallocated wire");
     (s, lit.inverted)
 }
 
-/// The instruction `dst = first op2 second` opening an accumulator chain.
+/// The instruction `dst = a op b`, or `dst |= a ∧ b` for [`OP_ANDOR`].
 #[inline]
-fn pair_insn((op2, first, second): PrefixKey, dst: u32, slot_of: &[u32]) -> Insn {
-    let (a, ia) = lit_slot(first, slot_of);
-    let (b, ib) = lit_slot(second, slot_of);
+fn binary(op: u32, (a, ia): Src, (b, ib): Src, dst: u32) -> Insn {
     Insn {
         a,
         b,
         dst,
-        opword: op2 | if ia { INV_A } else { 0 } | if ib { INV_B } else { 0 },
+        opword: op | if ia { INV_A } else { 0 } | if ib { INV_B } else { 0 },
     }
 }
 
-/// Emit the instruction(s) computing schedule gate `g` into `dst`. With
-/// `shared`, the gate's leading pair already sits in that temporary slot
-/// and the chain starts from it.
+/// The instruction `dst = value` on every lane.
+#[inline]
+fn konst(value: bool, dst: u32) -> Insn {
+    let opword = if value { OP_CONST1 } else { OP_CONST0 };
+    binary(opword, (0, false), (0, false), dst)
+}
+
+/// The instruction `dst = first op2 second` opening an accumulator chain.
+#[inline]
+fn pair_insn((op2, first, second): PrefixKey, dst: u32, slot_of: &[u32]) -> Insn {
+    binary(
+        op2,
+        lit_slot(first, slot_of),
+        lit_slot(second, slot_of),
+        dst,
+    )
+}
+
+/// The two operands of the fused AND term an OR reads through `packed`:
+/// an AND-2's literals, or an AND-3's pair temporary (which its wire's
+/// slot entry names) and last literal.
+fn term_operands(
+    sched: &Schedule,
+    packed: PackedLit,
+    slot_of: &[u32],
+    uses: &[WireUse],
+) -> (Src, Src) {
+    let w = (packed >> 1) as usize;
+    debug_assert_eq!(packed & 1, 0, "a fused AND is read as a positive literal");
+    match *sched.gate_lits(uses[w].term as usize) {
+        [a, b] => (lit_slot(a, slot_of), lit_slot(b, slot_of)),
+        [_, _, c] => ((slot_of[w], false), lit_slot(c, slot_of)),
+        _ => unreachable!("only ANDs of fan-in 2 or 3 are fused"),
+    }
+}
+
+/// Stage the instruction(s) computing schedule gate `g` into `dst`.
+/// With `shared`, the gate's leading pair already sits in that temporary
+/// slot and the chain starts from it. An OR's literals on wires whose
+/// `uses` name a fused AND are the terms of its chain.
 fn emit_gate(
     sched: &Schedule,
     g: usize,
     dst: u32,
     shared: Option<u32>,
     slot_of: &[u32],
-    insns: &mut Vec<Insn>,
+    uses: &[WireUse],
+    stage: &mut GroupStage,
 ) {
-    let slot = |packed: PackedLit| lit_slot(packed, slot_of);
-    let konst = |value: bool| Insn {
-        a: 0,
-        b: 0,
-        dst,
-        opword: if value { OP_CONST1 } else { OP_CONST0 },
+    // Chain step of the next instruction: every instruction after the
+    // first reads the accumulator its predecessor wrote, and one reading
+    // the shared temporary comes after the group's step-0 write of it.
+    // Every other slot a chain reads was written at an earlier level.
+    let mut step = 0;
+    let mut push = |insn: Insn, reads_shared: bool| {
+        step = step.max(u32::from(reads_shared));
+        stage.push(insn, step);
+        step += 1;
     };
-    let lits = sched.gate_lits(g);
     let op2 = match sched.ops[g] {
-        Op::ConstTrue => {
-            insns.push(konst(true));
-            return;
-        }
-        Op::ConstFalse => {
-            insns.push(konst(false));
-            return;
-        }
-        Op::Buf => {
-            let (a, inv) = slot(lits[0]);
-            insns.push(Insn {
-                a,
-                b: 0,
-                dst,
-                opword: OP_COPY | if inv { INV_A } else { 0 },
-            });
+        Op::ConstTrue | Op::ConstFalse => {
+            push(konst(sched.ops[g] == Op::ConstTrue, dst), false);
             return;
         }
         Op::And => OP_AND,
-        Op::Or => OP_OR,
+        // A Buf is a one-input OR: its chain is one copy.
+        Op::Or | Op::Buf => OP_OR,
         Op::Xor => OP_XOR,
     };
-    match lits {
-        // Fold identities of the interpreters: empty AND is true, empty
-        // OR/XOR are false.
-        [] => insns.push(konst(op2 == OP_AND)),
-        [only] => {
-            let (a, inv) = slot(*only);
-            insns.push(Insn {
-                a,
-                b: 0,
-                dst,
-                opword: OP_COPY | if inv { INV_A } else { 0 },
-            });
+    let lits = sched.gate_lits(g);
+    // Plain operands (the shared temporary standing for the first two
+    // literals) and fused terms. Accumulator chain: dst = acc op next,
+    // same level and chip, executed by the owning worker.
+    let (opening, rest) = match shared {
+        Some(tmp) => (Some((tmp, false)), &lits[2..]),
+        None => (None, lits),
+    };
+    let term = |packed: &&PackedLit| uses[(**packed >> 1) as usize].is_term();
+    let plains = opening.into_iter().chain(
+        rest.iter()
+            .filter(|p| !term(p))
+            .map(|&p| lit_slot(p, slot_of)),
+    );
+    // `dst` holds the chain's value once `open`; a lone plain operand
+    // waits for the first term to open the chain.
+    let mut open = false;
+    let mut held = None;
+    for src in plains {
+        if open {
+            push(binary(op2, (dst, false), src, dst), false);
+        } else if let Some(first) = held.take() {
+            // With `shared`, `first` is the temporary.
+            push(binary(op2, first, src, dst), shared.is_some());
+            open = true;
+        } else {
+            held = Some(src);
         }
-        [first, second, rest @ ..] => {
-            // Accumulator chain: dst = acc op next, same level and chip,
-            // executed sequentially by the owning worker. `acc` is the
-            // shared prefix's temporary or, unshared, `dst` itself once
-            // the opening pair is stored there.
-            let acc = shared.unwrap_or_else(|| {
-                insns.push(pair_insn((op2, *first, *second), dst, slot_of));
-                dst
-            });
-            for (k, &packed) in rest.iter().enumerate() {
-                let (b, ib) = slot(packed);
-                insns.push(Insn {
-                    a: if k == 0 { acc } else { dst },
-                    b,
-                    dst,
-                    opword: op2 | if ib { INV_B } else { 0 },
-                });
+    }
+    for &packed in rest.iter().filter(term) {
+        let (a, b) = term_operands(sched, packed, slot_of, uses);
+        let op = if open { OP_ANDOR } else { OP_AND };
+        push(binary(op, a, b, dst), false);
+        open = true;
+        if let Some(src) = held.take() {
+            push(binary(op2, (dst, false), src, dst), false);
+        }
+    }
+    if !open {
+        // One operand is a copy; none folds to the interpreters' identity
+        // (empty AND is true, empty OR/XOR false).
+        let insn = match held {
+            Some(src) => binary(OP_COPY, src, (0, false), dst),
+            None => konst(op2 == OP_AND, dst),
+        };
+        push(insn, false);
+    }
+}
+
+/// One (level, chip) group's instructions, staged with their chain
+/// steps until [`GroupStage::flush`] appends them to the stream in
+/// chain-step order. Its buffers are reused across groups.
+///
+/// An instruction's step is its dependency depth inside the group: 0
+/// unless it reads a slot written earlier in the group, and otherwise one
+/// more than the step of that write. A stable counting sort by step runs
+/// every chain's first instruction, then every second, and so on, so
+/// independent accumulators interleave. This is legal because frees wait
+/// for level boundaries: inside a group no slot is written after another
+/// instruction read its old value, so the only hazards are reads after
+/// writes (a chain reading its accumulator, a gate reading a temporary),
+/// and a read's step is above its write's.
+#[derive(Default)]
+struct GroupStage {
+    insns: Vec<Insn>,
+    steps: Vec<u32>,
+    starts: Vec<u32>,
+}
+
+impl GroupStage {
+    #[inline]
+    fn push(&mut self, insn: Insn, step: u32) {
+        self.insns.push(insn);
+        self.steps.push(step);
+    }
+
+    /// Append the staged group to `out` in chain-step order and empty
+    /// the stage.
+    fn flush(&mut self, out: &mut Vec<Insn>) {
+        if self.steps.is_sorted() {
+            out.extend_from_slice(&self.insns);
+        } else {
+            let top = *self.steps.iter().max().unwrap_or(&0) as usize;
+            self.starts.clear();
+            self.starts.resize(top + 2, 0);
+            for &s in &self.steps {
+                self.starts[s as usize + 1] += 1;
+            }
+            for k in 1..self.starts.len() {
+                self.starts[k] += self.starts[k - 1];
+            }
+            let base = out.len();
+            out.resize(base + self.insns.len(), Insn::default());
+            for (&i, &s) in self.insns.iter().zip(&self.steps) {
+                let at = &mut self.starts[s as usize];
+                out[base + *at as usize] = i;
+                *at += 1;
             }
         }
+        self.insns.clear();
+        self.steps.clear();
     }
 }
 
@@ -474,7 +698,11 @@ pub(crate) fn simd_available(simd: Simd) -> bool {
 /// [`InsnStream::sweep`] asserts the buffer length; `lower` hands out
 /// only slots below the `slot_count` it records, and
 /// [`InsnStream::self_check`] verifies every slot after each debug-build
-/// `lower`.
+/// `lower`. [`OP_ANDOR`] also reads `dst`: were its accumulator not
+/// written earlier in the group, it would read a stale but initialized
+/// word, so the result would be wrong, not undefined (`self_check`
+/// verifies the order too). An opcode outside `OP_AND..=OP_ANDOR`
+/// panics.
 #[inline(always)]
 unsafe fn exec<const LW: usize>(vals: *mut u64, i: Insn) {
     let ma = (((i.opword >> 3) & 1) as u64).wrapping_neg();
@@ -508,11 +736,17 @@ unsafe fn exec<const LW: usize>(vals: *mut u64, i: Insn) {
                 *d.add(k) = 0;
             }
         }
-        _ => {
+        OP_CONST1 => {
             for k in 0..LW {
                 *d.add(k) = !0;
             }
         }
+        OP_ANDOR => {
+            for k in 0..LW {
+                *d.add(k) |= (*a.add(k) ^ ma) & (*b.add(k) ^ mb);
+            }
+        }
+        op => unreachable!("unknown opcode {op}"),
     }
 }
 
@@ -521,14 +755,17 @@ mod x86 {
     //! Explicit 256/512-bit kernels. The portable `exec` loops already
     //! auto-vectorize to the baseline 128-bit SSE2; these widen one
     //! instruction's lane group to one or two native vector ops.
-    use super::{Insn, OP_AND, OP_CONST0, OP_COPY, OP_MASK, OP_OR, OP_XOR};
+    use super::{Insn, OP_AND, OP_ANDOR, OP_CONST0, OP_CONST1, OP_COPY, OP_MASK, OP_OR, OP_XOR};
     use std::arch::x86_64::*;
 
     /// # Safety
     /// The CPU must support AVX2: callers reach this only through a
     /// [`super::Simd`] that [`super::detect_simd`] returned after probing
     /// for it. `vals` must cover `slot_count * 4` words and the
-    /// instruction's slots must be `< slot_count`, as for [`super::exec`].
+    /// instruction's slots must be `< slot_count`, as for [`super::exec`];
+    /// as there, `OP_ANDOR` reads `dst`, so an accumulator its group did
+    /// not write first gives a wrong result rather than undefined
+    /// behaviour, and an unknown opcode panics.
     #[inline]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn exec_w4(vals: *mut u64, i: Insn) {
@@ -552,7 +789,15 @@ mod x86 {
             ),
             OP_COPY => _mm256_xor_si256(_mm256_loadu_si256(a), ma),
             OP_CONST0 => _mm256_setzero_si256(),
-            _ => _mm256_set1_epi64x(-1),
+            OP_CONST1 => _mm256_set1_epi64x(-1),
+            OP_ANDOR => _mm256_or_si256(
+                _mm256_loadu_si256(d),
+                _mm256_and_si256(
+                    _mm256_xor_si256(_mm256_loadu_si256(a), ma),
+                    _mm256_xor_si256(_mm256_loadu_si256(b), mb),
+                ),
+            ),
+            op => unreachable!("unknown opcode {op}"),
         };
         _mm256_storeu_si256(d, r);
     }
@@ -585,7 +830,15 @@ mod x86 {
                 ),
                 OP_COPY => _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma),
                 OP_CONST0 => _mm256_setzero_si256(),
-                _ => _mm256_set1_epi64x(-1),
+                OP_CONST1 => _mm256_set1_epi64x(-1),
+                OP_ANDOR => _mm256_or_si256(
+                    _mm256_loadu_si256(d.add(h)),
+                    _mm256_and_si256(
+                        _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma),
+                        _mm256_xor_si256(_mm256_loadu_si256(b.add(h)), mb),
+                    ),
+                ),
+                op => unreachable!("unknown opcode {op}"),
             };
             _mm256_storeu_si256(d.add(h), r);
         }
@@ -595,7 +848,8 @@ mod x86 {
     /// The CPU must support AVX-512F: callers reach this only through
     /// `Simd::Avx512`, which [`super::detect_simd`] returns only after
     /// probing for it. `vals` must cover `slot_count * 8` words and the
-    /// instruction's slots must be `< slot_count`, as for [`super::exec`].
+    /// instruction's slots must be `< slot_count`, as for [`super::exec`]
+    /// (including its `OP_ANDOR` and unknown-opcode notes).
     #[inline]
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn exec_w8_avx512(vals: *mut u64, i: Insn) {
@@ -619,7 +873,15 @@ mod x86 {
             ),
             OP_COPY => _mm512_xor_si512(_mm512_loadu_si512(a), ma),
             OP_CONST0 => _mm512_setzero_si512(),
-            _ => _mm512_set1_epi64(-1),
+            OP_CONST1 => _mm512_set1_epi64(-1),
+            OP_ANDOR => _mm512_or_si512(
+                _mm512_loadu_si512(d),
+                _mm512_and_si512(
+                    _mm512_xor_si512(_mm512_loadu_si512(a), ma),
+                    _mm512_xor_si512(_mm512_loadu_si512(b), mb),
+                ),
+            ),
+            op => unreachable!("unknown opcode {op}"),
         };
         _mm512_storeu_si512(d, r);
     }
@@ -785,13 +1047,15 @@ impl InsnStream {
         }
     }
 
-    /// Validate the stream: every slot index in range, and every level's
-    /// instructions parallel-safe across chips — no slot written by two
+    /// Validate the stream: every slot index in range; every level's
+    /// instructions parallel-safe across chips (no slot written by two
     /// chips in one level, and no slot read by one chip while another
-    /// writes it in the same level (same-chip read-after-write is the
-    /// sequential accumulator chain and is allowed).
+    /// writes it in the same level; `OP_ANDOR` reads its `dst`); and
+    /// every (level, chip) group in dependency order, which is the
+    /// chain-step sort's contract: a read of a slot the group writes
+    /// comes after the group's first write of it, so in particular every
+    /// `OP_ANDOR` accumulates into a slot its group has already written.
     pub(crate) fn self_check(&self) {
-        use std::collections::HashMap;
         let n = self.slot_count as u32;
         for i in &self.insns {
             assert!(
@@ -806,41 +1070,52 @@ impl InsnStream {
             assert!(s < n, "output slot out of range");
         }
         assert_eq!(self.chip_ranges.len(), self.level_count() * self.chips);
+        // Per slot: (level, chip) of its latest write, and (group, index
+        // in group) of the current group's first write.
+        let none = (u32::MAX, u32::MAX);
+        let mut writer = vec![none; self.slot_count];
+        let mut first = vec![none; self.slot_count];
         for l in 0..self.level_count() {
-            let mut writer: HashMap<u32, usize> = HashMap::new();
-            for c in 0..self.chips {
+            let level = l as u32;
+            let group = |c: usize| {
                 let (lo, hi) = self.chip_ranges[l * self.chips + c];
                 assert!(
                     self.level_bounds[l] <= lo && hi <= self.level_bounds[l + 1],
                     "chip range escapes its level"
                 );
-                for i in &self.insns[lo as usize..hi as usize] {
-                    if let Some(&prev) = writer.get(&i.dst) {
-                        assert_eq!(
-                            prev, c,
-                            "slot {} written by chips {} and {} in level {}",
-                            i.dst, prev, c, l
-                        );
-                    }
-                    writer.insert(i.dst, c);
+                &self.insns[lo as usize..hi as usize]
+            };
+            for c in 0..self.chips {
+                for i in group(c) {
+                    let (wl, wc) = writer[i.dst as usize];
+                    assert!(
+                        wl != level || wc == c as u32,
+                        "slot {} written by chips {wc} and {c} in level {l}",
+                        i.dst
+                    );
+                    writer[i.dst as usize] = (level, c as u32);
                 }
             }
             for c in 0..self.chips {
-                let (lo, hi) = self.chip_ranges[l * self.chips + c];
-                for i in &self.insns[lo as usize..hi as usize] {
-                    let op = i.opword & OP_MASK;
-                    let reads: &[u32] = match op {
-                        OP_CONST0 | OP_CONST1 => &[],
-                        OP_COPY => std::slice::from_ref(&i.a),
-                        _ => &[i.a, i.b],
-                    };
-                    for &r in reads {
-                        if let Some(&wc) = writer.get(&r) {
-                            assert_eq!(
-                                wc, c,
-                                "chip {c} reads slot {r} written by chip {wc} in level {l}"
-                            );
-                        }
+                let id = (l * self.chips + c) as u32;
+                for (k, i) in group(c).iter().enumerate() {
+                    if first[i.dst as usize].0 != id {
+                        first[i.dst as usize] = (id, k as u32);
+                    }
+                }
+                for (k, i) in group(c).iter().enumerate() {
+                    for r in i.reads() {
+                        let (wl, wc) = writer[r as usize];
+                        assert!(
+                            wl != level || wc == c as u32,
+                            "chip {c} reads slot {r} written by chip {wc} in level {l}"
+                        );
+                        let (fg, fk) = first[r as usize];
+                        assert!(
+                            fg != id || fk < k as u32,
+                            "instruction {k} of level {l} chip {c} reads slot {r} \
+                             before its group writes it"
+                        );
                     }
                 }
             }
@@ -1033,13 +1308,15 @@ mod tests {
         assert_eq!(stream.insns.len(), 7);
         // Six inputs, four pinned outputs, one temporary (slot 7).
         assert_eq!(stream.slot_count, 11);
+        // Chain-step order on chip 0: the temporary and g2's opening pair
+        // (step 0), then the three instructions that read them (step 1).
         assert_eq!(
             stream.insns,
             [
                 insn(OP_AND | INV_B, 0, 1, 7),  // shared temporary: a ∧ ¬b
+                insn(OP_OR | INV_B, 0, 1, 9),   // g2 opens its own pair ...
                 insn(OP_AND, 7, 2, 6),          // g0 = tmp ∧ c
                 insn(OP_AND, 7, 3, 8),          // g1 = tmp ∧ d
-                insn(OP_OR | INV_B, 0, 1, 9),   // g2 opens its own pair ...
                 insn(OP_OR, 9, 4, 9),           // ... and chains e
                 insn(OP_AND | INV_B, 0, 1, 10), // g3 on chip 1 recomputes it
                 insn(OP_AND, 10, 5, 10),
@@ -1076,5 +1353,91 @@ mod tests {
             "the temporary's slot is free again at level 2"
         );
         assert_truth_table(&nl, &stream);
+    }
+
+    #[test]
+    fn single_reader_and_terms_fold_into_their_or_chains() {
+        // Inputs a..e are slots 0..4. Level 1 is four ANDs, each read
+        // once by a positive OR literal at level 2: an AND-2, two AND-3s
+        // opening with the shared pair c ∧ ¬d, and an AND-2 that is a
+        // one-input OR's only literal.
+        let mut nl = Netlist::new();
+        let x: Vec<Literal> = nl.inputs_n(5).into_iter().map(Literal::pos).collect();
+        let (a, b, c, nd, e) = (x[0], x[1], x[2], x[3].complement(), x[4]);
+        let t1 = nl.and([a, b]);
+        let t2 = nl.and([c, nd, e]);
+        let t3 = nl.and([c, nd, a]);
+        let t4 = nl.and([b, e.complement()]);
+        let o1 = nl.or([t1, t2]);
+        let o2 = nl.or([b, t3]);
+        let o3 = nl.or([t4]);
+        for o in [o1, o2, o3] {
+            nl.mark_output(o);
+        }
+        let stream = lower_placed(&nl, vec![0; 7], 1);
+
+        // Unfused this is 8 instructions (t1, the shared pair, t2, t3,
+        // t4, o1, o2 and o3's copy); fused, the ANDs leave only their
+        // shared pair (slot 5), kept live until the ORs' level.
+        assert_eq!(
+            stream.insns,
+            [
+                insn(OP_AND | INV_B, 2, 3, 5), // level 1: tmp = c ∧ ¬d
+                insn(OP_AND, 0, 1, 3),         // o1 opens with t1 = a ∧ b
+                insn(OP_AND, 5, 0, 2),         // o2 opens with t3 = tmp ∧ a
+                insn(OP_AND | INV_B, 1, 4, 6), // o3 = t4 = b ∧ ¬e, no copy
+                insn(OP_ANDOR, 5, 4, 3),       // o1 |= tmp ∧ e (t2)
+                insn(OP_OR, 2, 1, 2),          // o2 |= b
+            ]
+        );
+        assert_eq!(stream.level_bounds, [0, 1, 6]);
+        // c and d are last read at level 1, so o1 and o2 reuse them.
+        assert_eq!(stream.slot_count, 7);
+        let outputs: Vec<u32> = stream.outputs.iter().map(|&(s, _)| s).collect();
+        assert_eq!(outputs, [3, 2, 6]);
+        assert_truth_table(&nl, &stream);
+
+        // The ORs on another chip than their ANDs read the terms' operands
+        // across chips, one level later.
+        let split = lower_placed(&nl, vec![0, 0, 0, 0, 1, 1, 0], 2);
+        assert_eq!(split.insns.len(), 6);
+        assert_truth_table(&nl, &split);
+    }
+
+    #[test]
+    fn an_and_is_fused_only_into_a_sole_positive_or_literal() {
+        // t = a ∧ b and u = b ∧ c feed o = t ∨ u. `fused` says whether t's
+        // pair is computed in o's chain, at o's level, rather than at its
+        // own level 1.
+        let build = |edit: &dyn Fn(&mut Netlist, Literal, Literal) -> Literal| {
+            let mut nl = Netlist::new();
+            let x: Vec<Literal> = nl.inputs_n(3).into_iter().map(Literal::pos).collect();
+            let t = nl.and([x[0], x[1]]);
+            let u = nl.and([x[1], x[2]]);
+            let o = edit(&mut nl, t, u);
+            nl.mark_output(o);
+            nl
+        };
+        let fused = |nl: &Netlist| {
+            let stream = lower_placed(nl, vec![0; nl.gates().len()], 1);
+            assert_truth_table(nl, &stream);
+            let at = stream
+                .insns
+                .iter()
+                .position(|i| (i.opword, i.a, i.b) == (OP_AND, 0, 1))
+                .expect("t's pair is computed");
+            at >= stream.level_bounds[1] as usize
+        };
+        assert!(fused(&build(&|nl, t, u| nl.or([t, u]))));
+        assert!(!fused(&build(&|nl, t, u| {
+            nl.mark_output(t); // a primary output keeps its slot
+            nl.or([t, u])
+        })));
+        assert!(!fused(&build(&|nl, t, u| {
+            let o = nl.or([t, u]);
+            nl.xor([o, t]) // a second reader
+        })));
+        assert!(!fused(&build(&|nl, t, u| nl.or([t.complement(), u]))));
+        assert!(!fused(&build(&|nl, t, u| nl.and([t, u]))));
     }
 }
