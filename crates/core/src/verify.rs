@@ -7,18 +7,19 @@
 //! [`monte_carlo_check`]) route every pattern through
 //! [`ConcentratorSwitch::route`] — the message-level functional model. The
 //! `_compiled` variants and [`measure_epsilon`] are word-parallel end to
-//! end: seeded patterns are drawn 64 bits per word straight into the
-//! columns of a [`BitMatrix`] through its lane view, 64 patterns per word
-//! sweep the switch's cached compiled netlist
-//! ([`StagedSwitch::datapath_logic`], [`StagedSwitch::trace_logic`]), and
-//! the results are scored from whole words — bit-sliced lane counters for
-//! the guarantee screen, popcounts and trailing-ones/leading-zeros runs of
-//! each output column ([`CleanDirtySplit::from_words`]) for ε. Only
-//! screened-out suspects ever reach the per-pattern `route()` path (solely
-//! to produce a rich failure report).
+//! end: seeded patterns are drawn lane-major, one row word for 64 patterns
+//! at a time (SplitMix64 is a pure function of trial and draw index, so
+//! every lane's stream advances in step), 64 patterns per word sweep the
+//! switch's cached compiled netlist ([`StagedSwitch::datapath_logic`],
+//! [`StagedSwitch::trace_logic`]), and the results are scored from whole
+//! words — bit-sliced lane counters for the guarantee screen, popcounts
+//! and trailing-ones/leading-zeros runs of each output column
+//! ([`CleanDirtySplit::from_words`]) for ε. Only screened-out suspects
+//! ever reach the per-pattern `route()` path (solely to produce a rich
+//! failure report).
 
 use meshsort::CleanDirtySplit;
-use netlist::{BitMatrix, WORD_BITS};
+use netlist::{transpose64, BitMatrix, CompiledNetlist, WORD_BITS};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -37,6 +38,21 @@ const SCREEN_DENSITIES: [f64; 5] = [0.05, 0.25, 0.5, 0.75, 0.95];
 const EPSILON_MIX: u64 = 0x9FB2_1C65_1E98_DF25;
 const EPSILON_DENSITIES: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
 
+/// Patterns per [`measure_epsilon`] work unit: one 512-lane sweep.
+const EPSILON_GROUP: usize = 8 * WORD_BITS;
+
+/// SplitMix64's state increment: draw `k` (from 0) of `SplitMix64(s)` is
+/// `splitmix_mix(s + (k + 1)·GAMMA)`.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function.
+#[inline(always)]
+fn splitmix_mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Deterministic SplitMix64 — a tiny seeded generator so verification runs
 /// are reproducible without threading an RNG type through the API.
 #[derive(Debug, Clone, Copy)]
@@ -45,11 +61,8 @@ pub struct SplitMix64(pub u64);
 impl SplitMix64 {
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(GAMMA);
+        splitmix_mix(self.0)
     }
 
     /// A Bernoulli(`p`) draw.
@@ -297,41 +310,159 @@ fn bernoulli_threshold(p: f64) -> u64 {
     lo
 }
 
-/// A seeded verification campaign's patterns, generated block by block
-/// straight into [`BitMatrix`] columns. Pattern `t < trials` is
+/// The generator body for 64 lanes: for each row word, advance every
+/// lane's SplitMix64 state by one draw and set bit `j` when lane `j`'s
+/// draw falls below its threshold. A lane with threshold 0 never sets its
+/// bit. Written once and compiled per instruction set ([`Fill`]).
+#[inline(always)]
+fn fill_rows_body(states: &mut [u64; WORD_BITS], thresholds: &[u64; WORD_BITS], rows: &mut [u64]) {
+    for row in rows {
+        let mut word = 0u64;
+        for (j, (state, &threshold)) in states.iter_mut().zip(thresholds).enumerate() {
+            *state = state.wrapping_add(GAMMA);
+            word |= ((splitmix_mix(*state) < threshold) as u64) << j;
+        }
+        *row = word;
+    }
+}
+
+/// Which compilation of [`fill_rows_body`] the pattern generator runs,
+/// probed once per [`PatternSource`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fill {
+    /// The baseline target's code (no 64-bit vector multiply).
+    Portable,
+    /// AVX2: 4 lanes per vector, the multiplies emulated from 32-bit ones.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// AVX-512F/DQ: 8 lanes per vector with `vpmullq`.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Fill {
+    /// Every variant this target compiles, widest last.
+    #[cfg(test)]
+    const ALL: &'static [Fill] = &[
+        Fill::Portable,
+        #[cfg(target_arch = "x86_64")]
+        Fill::Avx2,
+        #[cfg(target_arch = "x86_64")]
+        Fill::Avx512,
+    ];
+
+    /// The widest variant the running CPU supports. An x86 variant is
+    /// used only after [`Fill::available`] approved it, here or in the
+    /// test entry `PatternSource::with_fill`, so that check is what the
+    /// `target_feature` contract of the kernels in `x86` relies on.
+    fn detect() -> Fill {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if Fill::Avx512.available() {
+                return Fill::Avx512;
+            }
+            if Fill::Avx2.available() {
+                return Fill::Avx2;
+            }
+        }
+        Fill::Portable
+    }
+
+    /// Whether the running CPU supports this variant.
+    fn available(self) -> bool {
+        match self {
+            Fill::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Fill::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Fill::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512dq")
+            }
+        }
+    }
+
+    /// Run [`fill_rows_body`] compiled for this variant.
+    fn rows(self, states: &mut [u64; WORD_BITS], thresholds: &[u64; WORD_BITS], rows: &mut [u64]) {
+        debug_assert!(self.available(), "{self:?} fill on a CPU without it");
+        match self {
+            Fill::Portable => fill_rows_body(states, thresholds, rows),
+            // SAFETY: a `Fill::Avx2` exists only where `Fill::detect` or the
+            // test entry `PatternSource::with_fill` saw
+            // `is_x86_feature_detected!("avx2")` succeed on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            Fill::Avx2 => unsafe { x86::fill_rows_avx2(states, thresholds, rows) },
+            // SAFETY: a `Fill::Avx512` exists only where `Fill::detect` or
+            // the test entry `PatternSource::with_fill` saw
+            // `is_x86_feature_detected!` succeed for both "avx512f" and
+            // "avx512dq" on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            Fill::Avx512 => unsafe { x86::fill_rows_avx512(states, thresholds, rows) },
+        }
+    }
+}
+
+/// [`fill_rows_body`] compiled with wider instruction sets enabled.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{fill_rows_body, WORD_BITS};
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn fill_rows_avx2(
+        states: &mut [u64; WORD_BITS],
+        thresholds: &[u64; WORD_BITS],
+        rows: &mut [u64],
+    ) {
+        fill_rows_body(states, thresholds, rows)
+    }
+
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) fn fill_rows_avx512(
+        states: &mut [u64; WORD_BITS],
+        thresholds: &[u64; WORD_BITS],
+        rows: &mut [u64],
+    ) {
+        fill_rows_body(states, thresholds, rows)
+    }
+}
+
+/// A seeded verification campaign's patterns. Pattern `t < trials` is
 /// `SplitMix64(seed ^ t·mix).valid_bits(n, densities[t % densities.len()])`
-/// — the same stream, drawn 64 bits per column word against an integer
-/// threshold; the patterns after it are [`adversarial_patterns`].
+/// — the same stream, drawn lane-major: draw `k` of trial `t` is
+/// `splitmix_mix(seed ^ t·mix + (k+1)·GAMMA)`, a pure function of
+/// `(t, k)`, so 64 trials' draws for row `k` come out as one word
+/// against integer thresholds. The patterns after them are
+/// [`adversarial_patterns`].
 struct PatternSource {
     n: usize,
     trials: usize,
     seed: u64,
     mix: u64,
     thresholds: Vec<u64>,
-    /// The adversarial patterns, packed 64 rows per word.
-    adversaries: Vec<Vec<u64>>,
+    adversaries: Vec<Vec<bool>>,
+    fill: Fill,
 }
 
 impl PatternSource {
     fn new(n: usize, trials: usize, seed: u64, mix: u64, densities: &[f64]) -> Self {
-        let adversaries = adversarial_patterns(n)
-            .iter()
-            .map(|pattern| {
-                let mut words = vec![0u64; n.div_ceil(WORD_BITS)];
-                for (r, &bit) in pattern.iter().enumerate() {
-                    words[r / WORD_BITS] |= (bit as u64) << (r % WORD_BITS);
-                }
-                words
-            })
-            .collect();
         PatternSource {
             n,
             trials,
             seed,
             mix,
             thresholds: densities.iter().map(|&p| bernoulli_threshold(p)).collect(),
-            adversaries,
+            adversaries: adversarial_patterns(n),
+            fill: Fill::detect(),
         }
+    }
+
+    /// The same source on the generator variant `fill`, which this CPU
+    /// must support: the entry the generator tests use to run every
+    /// variant.
+    #[cfg(test)]
+    fn with_fill(self, fill: Fill) -> Self {
+        assert!(fill.available(), "{fill:?} fill on a CPU without it");
+        PatternSource { fill, ..self }
     }
 
     /// Random trials plus adversarial patterns.
@@ -339,32 +470,76 @@ impl PatternSource {
         self.trials + self.adversaries.len()
     }
 
+    /// Patterns `first..first + lanes` (`lanes ≤ 64`) as one word per row:
+    /// bit `j` of `rows[r]` is row `r` of pattern `first + j`. Lanes past
+    /// `lanes` read zero.
+    fn fill_word(&self, first: usize, lanes: usize, rows: &mut [u64]) {
+        assert!(lanes <= WORD_BITS, "at most one word of lanes");
+        assert_eq!(rows.len(), self.n, "one word per row");
+        if first < self.trials {
+            let mut states = [0u64; WORD_BITS];
+            let mut thresholds = [0u64; WORD_BITS];
+            for (j, t) in (first..self.trials.min(first + lanes)).enumerate() {
+                states[j] = self.seed ^ (t as u64).wrapping_mul(self.mix);
+                thresholds[j] = self.thresholds[t % self.thresholds.len()];
+            }
+            self.fill.rows(&mut states, &thresholds, rows);
+        } else {
+            rows.fill(0);
+        }
+        for t in first.max(self.trials)..first + lanes {
+            let lane = t - first;
+            for (row, &bit) in rows.iter_mut().zip(&self.adversaries[t - self.trials]) {
+                *row |= (bit as u64) << lane;
+            }
+        }
+    }
+
     /// Patterns `base..base + count`, one per column.
     fn block(&self, base: usize, count: usize) -> BitMatrix {
         let mut block = BitMatrix::zeroed(self.n, count);
-        let cw = block.column_words();
-        let mut columns = vec![0u64; WORD_BITS * cw];
+        let mut rows = vec![0u64; self.n];
         for w in 0..block.words_per_row() {
             let first = base + w * WORD_BITS;
-            let lanes = WORD_BITS.min(base + count - first);
-            for (t, column) in (first..first + lanes).zip(columns.chunks_exact_mut(cw)) {
-                if t < self.trials {
-                    let mut rng = SplitMix64(self.seed ^ (t as u64).wrapping_mul(self.mix));
-                    let threshold = self.thresholds[t % self.thresholds.len()];
-                    for (k, word) in column.iter_mut().enumerate() {
-                        *word = 0;
-                        for bit in 0..WORD_BITS.min(self.n - k * WORD_BITS) {
-                            *word |= ((rng.next_u64() < threshold) as u64) << bit;
-                        }
-                    }
-                } else {
-                    column.copy_from_slice(&self.adversaries[t - self.trials]);
-                }
+            self.fill_word(first, WORD_BITS.min(base + count - first), &mut rows);
+            for (r, &word) in rows.iter().enumerate() {
+                *block.word_mut(r, w) = word;
             }
-            block.write_lane_columns(w, &columns);
         }
         block
     }
+}
+
+/// Bit `j` of lane mask `r` is bit `r` of `j`: row `r < 6` of any 64
+/// consecutive patterns counting up from a multiple of 64.
+const LANE_MASKS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// Patterns `base..base + count` of the exhaustive enumeration (pattern
+/// `v`'s row `r` is bit `r` of `v`), one per column, for a 64-aligned
+/// `base`. Each row word is written in closed form: rows below 6 are the
+/// [`LANE_MASKS`], and a higher row is constant across a word's 64 lanes.
+fn counting_block(n: usize, base: u64, count: usize) -> BitMatrix {
+    assert_eq!(base % WORD_BITS as u64, 0, "64-aligned block");
+    let mut block = BitMatrix::zeroed(n, count);
+    for w in 0..block.words_per_row() {
+        let first = base + (w * WORD_BITS) as u64;
+        let lanes = !0u64 >> (WORD_BITS - (count - w * WORD_BITS).min(WORD_BITS));
+        for r in 0..n {
+            let word = match LANE_MASKS.get(r) {
+                Some(&mask) => mask,
+                None => (first >> r & 1).wrapping_neg(),
+            };
+            *block.word_mut(r, w) = word & lanes;
+        }
+    }
+    block
 }
 
 /// [`exhaustive_check`] over the compiled batch engine: all `2^n` patterns
@@ -381,7 +556,7 @@ pub fn exhaustive_check_compiled(switch: &StagedSwitch) -> Result<(), CheckFailu
     let mut base = 0u64;
     while base < total {
         let count = (SCREEN_CHUNK as u64).min(total - base) as usize;
-        let block = BitMatrix::from_fn(n, count, |row, v| (base + v as u64) >> row & 1 == 1);
+        let block = counting_block(n, base, count);
         for suspect in staged_screen(switch, &block) {
             let valid = block.column(suspect);
             let violations = check_concentration(switch, &valid);
@@ -446,35 +621,100 @@ pub struct EpsilonReport {
 /// output truncation to `m` wires), over `trials` seeded random patterns
 /// (densities 0.1–0.9) plus the [`adversarial_patterns`].
 ///
-/// Word-parallel end to end: patterns are generated 64 per word into the
-/// lanes of a [`BitMatrix`], swept 64 at a time through the cached
-/// compiled full-trace netlist ([`StagedSwitch::trace_logic`], which
-/// agrees gate-for-gate with the message-level [`StagedSwitch::trace`]),
-/// and each output column is read back through the lane view as packed
-/// words and scored in closed form by [`CleanDirtySplit::from_words`] and
-/// [`CleanDirtySplit::epsilon`] — equal to
-/// [`meshsort::nearsort_epsilon`] on 0/1 sequences, without a sort.
+/// Word-parallel end to end and spread over
+/// [`std::thread::available_parallelism`] threads: each thread takes
+/// 512-pattern groups in turn, draws each group lane-major straight into
+/// the sweep's input words, sweeps it once through the cached compiled
+/// full-trace netlist ([`StagedSwitch::trace_logic`], which agrees
+/// gate-for-gate with the message-level [`StagedSwitch::trace`]), turns
+/// each 64×64 output block into packed output columns ([`transpose64`]),
+/// and scores them in closed form by [`CleanDirtySplit::from_words`] and
+/// [`CleanDirtySplit::epsilon`] — equal to [`meshsort::nearsort_epsilon`]
+/// on 0/1 sequences, without a sort. The report is a maximum over
+/// patterns, so it does not depend on the thread count.
 pub fn measure_epsilon(switch: &StagedSwitch, trials: usize, seed: u64) -> EpsilonReport {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    measure_epsilon_threads(switch, trials, seed, threads)
+}
+
+/// [`measure_epsilon`] on `threads` threads (at most one per group).
+fn measure_epsilon_threads(
+    switch: &StagedSwitch,
+    trials: usize,
+    seed: u64,
+    threads: usize,
+) -> EpsilonReport {
     let source = PatternSource::new(switch.n, trials, seed, EPSILON_MIX, &EPSILON_DENSITIES);
-    let elab = switch.trace_logic(false);
-    let total = source.total();
-    let (mut worst_epsilon, mut worst_dirty) = (0usize, 0usize);
-    let mut base = 0usize;
-    while base < total {
-        let count = SCREEN_CHUNK.min(total - base);
-        let out = elab.compiled.eval_matrix(&source.block(base, count));
-        for split in out.map_lane_columns(|column| CleanDirtySplit::from_words(column, out.rows()))
-        {
-            worst_epsilon = worst_epsilon.max(split.epsilon());
-            worst_dirty = worst_dirty.max(split.dirty_len);
-        }
-        base += count;
-    }
+    let compiled = &switch.trace_logic(false).compiled;
+    let groups = source.total().div_ceil(EPSILON_GROUP);
+    let threads = threads.clamp(1, groups);
+    let worst = |first: usize| worst_split(&source, compiled, (first..groups).step_by(threads));
+    let (worst_epsilon, worst_dirty) = std::thread::scope(|scope| {
+        let others: Vec<_> = (1..threads)
+            .map(|t| scope.spawn(move || worst(t)))
+            .collect();
+        others
+            .into_iter()
+            .map(|h| h.join().expect("ε worker panicked"))
+            .fold(worst(0), |a, b| (a.0.max(b.0), a.1.max(b.1)))
+    });
     EpsilonReport {
-        trials: total,
+        trials: source.total(),
         worst_epsilon,
         worst_dirty,
     }
+}
+
+/// The largest ε and dirty-window length over the pattern groups
+/// `groups` of [`measure_epsilon`]. Each group is drawn into the
+/// word-major input layout of [`CompiledNetlist::eval_words_into`] and
+/// swept in one lane group of 8, 4 or 1 words (the tail group's unused
+/// words are swept but not scored); the buffers serve every group.
+fn worst_split(
+    source: &PatternSource,
+    compiled: &CompiledNetlist,
+    groups: impl Iterator<Item = usize>,
+) -> (usize, usize) {
+    let (ins, outs) = (compiled.input_count(), compiled.output_count());
+    assert_eq!(ins, source.n, "one input per switch input");
+    let cw = outs.div_ceil(WORD_BITS);
+    let total = source.total();
+    let mut scratch = compiled.scratch();
+    let mut inputs = vec![0u64; 8 * ins];
+    let mut out = vec![0u64; 8 * outs];
+    let mut columns = vec![0u64; WORD_BITS * cw];
+    let mut block = [0u64; WORD_BITS];
+    let mut worst = (0, 0);
+    for g in groups {
+        let base = g * EPSILON_GROUP;
+        let words = EPSILON_GROUP.min(total - base).div_ceil(WORD_BITS);
+        let lw = match words {
+            1 => 1,
+            2..=4 => 4,
+            _ => 8,
+        };
+        for (w, rows) in inputs.chunks_exact_mut(ins).take(words).enumerate() {
+            let first = base + w * WORD_BITS;
+            source.fill_word(first, WORD_BITS.min(total - first), rows);
+        }
+        compiled.eval_words_into(&inputs[..lw * ins], lw, &mut scratch, &mut out[..lw * outs]);
+        for (w, word_out) in out.chunks_exact(outs).take(words).enumerate() {
+            for (k, rows) in word_out.chunks(WORD_BITS).enumerate() {
+                block[..rows.len()].copy_from_slice(rows);
+                block[rows.len()..].fill(0);
+                transpose64(&mut block);
+                for (lane, &word) in block.iter().enumerate() {
+                    columns[lane * cw + k] = word;
+                }
+            }
+            let lanes = WORD_BITS.min(total - base - w * WORD_BITS);
+            for column in columns.chunks_exact(cw).take(lanes) {
+                let split = CleanDirtySplit::from_words(column, outs);
+                worst = (worst.0.max(split.epsilon()), worst.1.max(split.dirty_len));
+            }
+        }
+    }
+    worst
 }
 
 #[cfg(test)]
@@ -708,24 +948,81 @@ mod tests {
 
     #[test]
     fn pattern_blocks_equal_packed_valid_bits() {
-        for (mix, densities) in [
-            (EPSILON_MIX, &EPSILON_DENSITIES),
-            (SCREEN_MIX, &SCREEN_DENSITIES),
-        ] {
-            for n in [1usize, 16, 63, 64, 65, 96, 130] {
-                let trials = 150;
-                let source = PatternSource::new(n, trials, 0xC0FFEE, mix, densities);
-                for (base, count) in [(0, source.total()), (37, 100), (140, source.total() - 140)] {
-                    let block = source.block(base, count);
-                    assert!(block.tail_is_clear());
-                    let patterns =
-                        reference_patterns(n, trials, 0xC0FFEE, mix, densities, base..base + count);
+        let skipped: Vec<_> = Fill::ALL.iter().filter(|f| !f.available()).collect();
+        if !skipped.is_empty() {
+            eprintln!("pattern fills this CPU cannot run, skipped: {skipped:?}");
+        }
+        for &fill in Fill::ALL.iter().filter(|f| f.available()) {
+            for (mix, densities) in [
+                (EPSILON_MIX, &EPSILON_DENSITIES),
+                (SCREEN_MIX, &SCREEN_DENSITIES),
+            ] {
+                for n in [1usize, 16, 63, 64, 65, 96, 130] {
+                    let trials = 150;
+                    let source =
+                        PatternSource::new(n, trials, 0xC0FFEE, mix, densities).with_fill(fill);
+                    let total = source.total();
+                    for (base, count) in [
+                        (0, total),
+                        (37, 100),
+                        (64, 64),
+                        (120, 35),
+                        (140, total - 140),
+                        (150, total - 150),
+                    ] {
+                        let block = source.block(base, count);
+                        assert!(block.tail_is_clear());
+                        let patterns = reference_patterns(
+                            n,
+                            trials,
+                            0xC0FFEE,
+                            mix,
+                            densities,
+                            base..base + count,
+                        );
+                        assert_eq!(
+                            block,
+                            pack_columns(n, &patterns),
+                            "{fill:?} n={n} mix {mix:#x} patterns {base}+{count}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn epsilon_is_independent_of_threads_and_group_boundaries() {
+        for (switch, _) in oracle_switches() {
+            for trials in [0, 1, 511, 512, 513, 5000] {
+                let reference = measure_epsilon_reference(&switch, trials, 7);
+                for threads in [1, 2, 3] {
                     assert_eq!(
-                        block,
-                        pack_columns(n, &patterns),
-                        "n={n} mix {mix:#x} patterns {base}+{count}"
+                        measure_epsilon_threads(&switch, trials, 7, threads),
+                        reference,
+                        "{} n={} trials {trials} threads {threads}",
+                        switch.name,
+                        switch.n
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn counting_blocks_equal_the_enumeration() {
+        for n in [1usize, 3, 6, 7, 12] {
+            let total = 1u64 << n;
+            for (base, count) in [(0, total.min(2048)), (64, 100), (128, 64), (192, 1)] {
+                if base + count > total {
+                    continue;
+                }
+                let count = count as usize;
+                assert_eq!(
+                    counting_block(n, base, count),
+                    BitMatrix::from_fn(n, count, |row, v| (base + v as u64) >> row & 1 == 1),
+                    "n={n} patterns {base}+{count}"
+                );
             }
         }
     }

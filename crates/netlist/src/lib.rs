@@ -53,7 +53,7 @@ pub use compile::{CompiledNetlist, EvalScratch, WireFault, WireFaultKind, DEFAUL
 pub use depth::DepthReport;
 pub use eval::{BitBlock, WORD_BITS};
 pub use gate::{Gate, GateKind};
-pub use matrix::BitMatrix;
+pub use matrix::{transpose64, BitMatrix};
 pub use partition::PartitionReport;
 pub use stats::AreaReport;
 pub use wire::{Literal, Wire};

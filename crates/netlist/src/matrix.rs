@@ -6,7 +6,12 @@ use crate::eval::WORD_BITS;
 /// is what bit `i` of `block[j]` was. Swaps ever smaller off-diagonal
 /// sub-blocks (32, 16, …, 1 bits wide), so it costs 6·32 masked word
 /// swaps instead of 4096 bit moves. Applying it twice is the identity.
-fn transpose64(block: &mut [u64; 64]) {
+///
+/// On 64 signals' words of one 64-vector lane word it yields each
+/// vector's bits packed 64 signals per word: the step behind
+/// [`BitMatrix::read_lane_columns`], for callers that hold lane words
+/// outside a matrix.
+pub fn transpose64(block: &mut [u64; 64]) {
     let mut width = 32;
     let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
     while width != 0 {
@@ -134,7 +139,7 @@ impl BitMatrix {
     }
 
     /// Words per lane column (`⌈rows/64⌉`): the length of one test
-    /// vector packed 64 rows per word, as the lane view reads and writes it.
+    /// vector packed 64 rows per word, as the lane view reads it.
     #[inline]
     pub fn column_words(&self) -> usize {
         self.rows.div_ceil(WORD_BITS)
@@ -160,33 +165,6 @@ impl BitMatrix {
             transpose64(&mut block);
             for (lane, &word) in block.iter().enumerate() {
                 columns[lane * cw + k] = word;
-            }
-        }
-    }
-
-    /// The inverse of [`Self::read_lane_columns`]: overwrite word `w` of
-    /// every row from the 64 lanes' column words. Bits past the last row
-    /// are ignored, and lanes past the last vector are dropped, so the
-    /// tail invariant holds afterwards.
-    pub fn write_lane_columns(&mut self, w: usize, columns: &[u64]) {
-        let cw = self.column_words();
-        assert!(w < self.words, "word {w} out of range");
-        assert_eq!(columns.len(), WORD_BITS * cw, "one column per lane");
-        let used = self.vectors - w * WORD_BITS;
-        let lanes = if used >= WORD_BITS {
-            !0
-        } else {
-            (1u64 << used) - 1
-        };
-        let mut block = [0u64; WORD_BITS];
-        for k in 0..cw {
-            for (lane, slot) in block.iter_mut().enumerate() {
-                *slot = columns[lane * cw + k];
-            }
-            transpose64(&mut block);
-            let rows = k * WORD_BITS..self.rows.min((k + 1) * WORD_BITS);
-            for (&word, r) in block.iter().zip(rows) {
-                self.data[r * self.words + w] = word & lanes;
             }
         }
     }
@@ -337,32 +315,6 @@ mod tests {
                     let bits: Vec<bool> =
                         (0..rows).map(|r| c[r / 64] >> (r % 64) & 1 == 1).collect();
                     assert_eq!(bits, m.column(v), "{rows} rows, vector {v}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn write_lane_columns_inverts_read_and_keeps_the_tail_clear() {
-        for rows in [1usize, 63, 64, 65, 130] {
-            for vectors in [1usize, 63, 64, 65, 130] {
-                let m = scrambled(rows, vectors);
-                let cw = m.column_words();
-                let mut copy = BitMatrix::zeroed(rows, vectors);
-                let mut columns = vec![0u64; 64 * cw];
-                for w in 0..m.words_per_row() {
-                    m.read_lane_columns(w, &mut columns);
-                    copy.write_lane_columns(w, &columns);
-                }
-                assert_eq!(copy, m, "{rows} rows, {vectors} vectors");
-                // Garbage past the last row and lane never reaches the matrix.
-                columns.fill(!0);
-                for w in 0..copy.words_per_row() {
-                    copy.write_lane_columns(w, &columns);
-                }
-                assert!(copy.tail_is_clear(), "{rows} rows, {vectors} vectors");
-                for r in 0..rows {
-                    assert_eq!(copy.row_popcount(r), vectors);
                 }
             }
         }
