@@ -4,9 +4,9 @@
 //!
 //! Unlike the Criterion-harnessed benches, this one writes a machine-
 //! readable summary to `BENCH_netlist_eval.json` at the repository root:
-//! vectors/second per engine for n ∈ {256, 1024, 4096}, lane-width ×
-//! thread-count ablation rows for the emulator, and the chip-partition
-//! pin table at the largest size.
+//! vectors/second per engine for n ∈ {256, 1024, 4096}, lane-width
+//! ablation rows for the emulator (one thread through `eval_words_into`),
+//! and the chip-partition pin table at the largest size.
 //!
 //! Flags (after `cargo bench -p bench --bench netlist_eval --`):
 //!
@@ -28,8 +28,7 @@ use netlist::BitMatrix;
 /// whole 512-lane groups (the verification and campaign workloads batch
 /// at least this wide).
 const MATRIX_VECTORS: usize = 4096;
-/// Lanes per call for the ablation rows — wide enough that every thread
-/// in a 4-way split still sweeps full 512-lane groups.
+/// Vectors per ablation measurement: a whole number of 512-lane groups.
 const ABLATION_VECTORS: usize = 4096;
 const MIN_MEASURE: Duration = Duration::from_millis(300);
 
@@ -68,7 +67,6 @@ struct SizeResult {
 struct AblationRow {
     n: usize,
     lanes: usize,
-    threads: usize,
     vps: f64,
 }
 
@@ -138,27 +136,38 @@ fn measure(n: usize) -> SizeResult {
     }
 }
 
-/// Lane-width × thread-count sweep over the emulator at one size.
+/// Lane-width sweep over the emulator at one size: the same vectors
+/// through `eval_words_into` in groups of 1, 4 or 8 words on one thread,
+/// with one scratch and one pair of word-major buffers.
 fn ablate(n: usize) -> Vec<AblationRow> {
     let switch = RevsortSwitch::new(n, n / 2, RevsortLayout::TwoDee);
     let elab = switch.staged().control_logic(true);
     let compiled = &elab.compiled;
     let patterns = random_patterns(n, ABLATION_VECTORS);
+    let words = patterns.words_per_row();
+    let (ins, outs) = (compiled.input_count(), compiled.output_count());
+    let word_in: Vec<u64> = (0..words)
+        .flat_map(|w| (0..ins).map(move |i| (w, i)))
+        .map(|(w, i)| patterns.word(i, w))
+        .collect();
+    let mut word_out = vec![0u64; words * outs];
+    let mut scratch = compiled.scratch();
     let mut rows = Vec::new();
-    for lanes in [64usize, 256, 512] {
-        for threads in [1usize, 2, 4] {
-            let spc = seconds_per_call(|| {
-                black_box(compiled.eval_matrix_lanes(black_box(&patterns), lanes, threads));
-            });
-            let vps = ABLATION_VECTORS as f64 / spc;
-            println!("  ablation n={n} lanes={lanes:3} threads={threads}  {vps:>12.0} v/s");
-            rows.push(AblationRow {
-                n,
-                lanes,
-                threads,
-                vps,
-            });
-        }
+    for lw in [1usize, 4, 8] {
+        let spc = seconds_per_call(|| {
+            for w0 in (0..words).step_by(lw) {
+                compiled.eval_words_into(
+                    black_box(&word_in[w0 * ins..(w0 + lw) * ins]),
+                    lw,
+                    &mut scratch,
+                    &mut word_out[w0 * outs..(w0 + lw) * outs],
+                );
+            }
+            black_box(&word_out);
+        });
+        let (lanes, vps) = (64 * lw, ABLATION_VECTORS as f64 / spc);
+        println!("  ablation n={n} lanes={lanes:3} threads=1  {vps:>12.0} v/s");
+        rows.push(AblationRow { n, lanes, vps });
     }
     rows
 }
@@ -258,10 +267,9 @@ fn main() {
     for (i, r) in ablation.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"n\": {}, \"lanes\": {}, \"threads\": {}, \"vps\": {:.1}}}{}",
+            "    {{\"n\": {}, \"lanes\": {}, \"threads\": 1, \"vps\": {:.1}}}{}",
             r.n,
             r.lanes,
-            r.threads,
             r.vps,
             if i + 1 < ablation.len() { "," } else { "" }
         );

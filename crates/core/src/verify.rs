@@ -19,7 +19,7 @@
 //! failure report).
 
 use meshsort::CleanDirtySplit;
-use netlist::{transpose64, BitMatrix, CompiledNetlist, WORD_BITS};
+use netlist::{lane_group, transpose64, BitMatrix, CompiledNetlist, WORD_BITS};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -668,8 +668,9 @@ fn measure_epsilon_threads(
 /// The largest ε and dirty-window length over the pattern groups
 /// `groups` of [`measure_epsilon`]. Each group is drawn into the
 /// word-major input layout of [`CompiledNetlist::eval_words_into`] and
-/// swept in one lane group of 8, 4 or 1 words (the tail group's unused
-/// words are swept but not scored); the buffers serve every group.
+/// swept in one [`lane_group`] (the tail group's pad words, left over
+/// from the previous group, are swept but not scored); the buffers serve
+/// every group.
 fn worst_split(
     source: &PatternSource,
     compiled: &CompiledNetlist,
@@ -688,11 +689,7 @@ fn worst_split(
     for g in groups {
         let base = g * EPSILON_GROUP;
         let words = EPSILON_GROUP.min(total - base).div_ceil(WORD_BITS);
-        let lw = match words {
-            1 => 1,
-            2..=4 => 4,
-            _ => 8,
-        };
+        let lw = lane_group(words);
         for (w, rows) in inputs.chunks_exact_mut(ins).take(words).enumerate() {
             let first = base + w * WORD_BITS;
             source.fill_word(first, WORD_BITS.min(total - first), rows);

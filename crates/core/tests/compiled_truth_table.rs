@@ -7,7 +7,7 @@ use concentrator::full_columnsort::FullColumnsortHyperconcentrator;
 use concentrator::full_revsort::FullRevsortHyperconcentrator;
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::{ColumnsortSwitch, StagedSwitch};
-use netlist::BitMatrix;
+use netlist::{BitMatrix, CompiledNetlist};
 
 const CHUNK: usize = 4096;
 
@@ -74,21 +74,34 @@ fn full_revsort_hyperconcentrator_n16_truth_table() {
     assert_truth_table_identical(switch.staged(), false);
 }
 
+/// Every word of `inputs` through `eval_word_into` on its own: the
+/// per-word baseline, word `w` of output `o` at `w * outputs + o`.
+fn per_word(compiled: &CompiledNetlist, inputs: &BitMatrix) -> Vec<u64> {
+    let outs = compiled.output_count();
+    let mut scratch = compiled.scratch();
+    let mut out = vec![0u64; inputs.words_per_row() * outs];
+    for (w, word) in out.chunks_exact_mut(outs).enumerate() {
+        let block: Vec<u64> = (0..inputs.rows()).map(|i| inputs.word(i, w)).collect();
+        compiled.eval_word_into(&block, &mut scratch, word);
+    }
+    out
+}
+
 #[test]
-fn revsort_n16_truth_table_every_lane_width_and_thread_count() {
+fn revsort_n16_truth_table_every_lane_width() {
     // Pin the instruction-stream emulator at every lane width (64/256/512
-    // vectors per fetch) and thread count (1/2/4), plus the level-parallel
-    // team sweep, against the scalar interpreter over the entire 2^16
-    // truth table. One scalar sweep establishes the expected table; every
-    // configuration must then be bit-identical to it.
+    // vectors per fetch), and the `eval_matrix` driver over them, against
+    // the scalar interpreter over the entire 2^16 truth table. One
+    // per-word sweep establishes the expected table; every lane group and
+    // the driver must then be bit-identical to it.
     let switch = RevsortSwitch::new(16, 12, RevsortLayout::TwoDee);
     let elab = switch.staged().control_logic(true);
-    let n = 16usize;
+    let compiled = &elab.compiled;
+    let (n, outs) = (16usize, compiled.output_count());
     let total = 1usize << n;
     let inputs = BitMatrix::from_fn(n, total, |row, v| v >> row & 1 == 1);
 
-    let baseline = elab.compiled.eval_matrix_lanes(&inputs, 64, 1);
-    assert!(baseline.tail_is_clear());
+    let baseline = per_word(compiled, &inputs);
     let mut scratch = Vec::new();
     for pattern in (0..total).step_by(523) {
         scratch.clear();
@@ -96,24 +109,39 @@ fn revsort_n16_truth_table_every_lane_width_and_thread_count() {
         let expected = elab.netlist.eval(&scratch);
         for (o, &bit) in expected.iter().enumerate() {
             assert_eq!(
-                baseline.get(o, pattern),
+                baseline[pattern / 64 * outs + o] >> (pattern % 64) & 1 == 1,
                 bit,
                 "pattern {pattern:#06x} output {o}"
             );
         }
     }
 
-    for lanes in [64usize, 256, 512] {
-        for threads in [1usize, 2, 4] {
-            let out = elab.compiled.eval_matrix_lanes(&inputs, lanes, threads);
-            assert!(out.tail_is_clear(), "lanes {lanes} threads {threads}");
-            assert_eq!(out, baseline, "lanes {lanes} threads {threads}");
+    let mut group_scratch = compiled.scratch();
+    for lw in [1usize, 4, 8] {
+        let mut out = vec![0u64; lw * outs];
+        for w0 in (0..inputs.words_per_row()).step_by(lw) {
+            let block: Vec<u64> = (w0..w0 + lw)
+                .flat_map(|w| (0..n).map(move |i| (w, i)))
+                .map(|(w, i)| inputs.word(i, w))
+                .collect();
+            compiled.eval_words_into(&block, lw, &mut group_scratch, &mut out);
+            assert_eq!(
+                out[..],
+                baseline[w0 * outs..(w0 + lw) * outs],
+                "lw {lw}, word {w0}"
+            );
         }
     }
-    for threads in [1usize, 2, 4] {
-        let out = elab.compiled.eval_matrix_level_threads(&inputs, threads);
-        assert!(out.tail_is_clear(), "level threads {threads}");
-        assert_eq!(out, baseline, "level threads {threads}");
+    let out = compiled.eval_matrix(&inputs);
+    assert!(out.tail_is_clear());
+    for w in 0..inputs.words_per_row() {
+        for o in 0..outs {
+            assert_eq!(
+                out.word(o, w),
+                baseline[w * outs + o],
+                "word {w} output {o}"
+            );
+        }
     }
 }
 

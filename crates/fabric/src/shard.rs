@@ -32,7 +32,7 @@ use std::sync::Arc;
 use concentrator::faults::{ChipFault, FaultySwitch};
 use concentrator::spec::{ConcentratorKind, ConcentratorSwitch};
 use concentrator::{Elaboration, StagedSwitch};
-use netlist::{CompiledNetlist, EvalScratch, WORD_BITS};
+use netlist::{lane_group, CompiledNetlist, EvalScratch, WORD_BITS};
 use switchsim::Message;
 
 use crate::config::{HealthPolicy, RetryBudget};
@@ -562,10 +562,9 @@ impl Shard {
         }
     }
 
-    /// Sweep lane words `0..lanes` through the compiled datapath in the
-    /// widest lane groups the kernels run: 8 words while more than 4
-    /// remain, else 4 while more than 1 remain, else 1. Lane words past
-    /// `lanes` in the last group are zero.
+    /// Sweep lane words `0..lanes` through the compiled datapath in
+    /// [`lane_group`] steps. Lane words past `lanes` in the last group are
+    /// zero.
     fn sweep_lanes(&mut self, lanes: usize) {
         let (compiled, scratch) = match &mut self.fault {
             Some(faulted) => (&faulted.compiled, &mut faulted.scratch),
@@ -574,11 +573,7 @@ impl Shard {
         let (inputs, outputs) = (compiled.input_count(), compiled.output_count());
         let mut lo = 0;
         while lo < lanes {
-            let lw = match lanes - lo {
-                1 => 1,
-                2..=4 => 4,
-                _ => 8,
-            };
+            let lw = lane_group(lanes - lo);
             let hi = lo + lw;
             if self.word_in.len() < hi * inputs {
                 self.word_in.resize(hi * inputs, 0);

@@ -18,16 +18,21 @@
 //! 2. **Instruction stream** (phase 2, [`crate::insn`]): the schedule is
 //!    lowered onto a chip partition ([`crate::partition`]) as a dense
 //!    stream of fixed-width op/src-a/src-b/dst records over
-//!    liveness-recycled value slots, and the emulator sweeps it over a
-//!    [`BitMatrix`] in lane groups of 64, 256, or 512 test vectors
-//!    (portable unrolled u64, AVX2, or AVX-512 kernels), either splitting
-//!    lanes across threads or splitting each level's instruction range
-//!    across a barrier-synchronized team.
+//!    liveness-recycled value slots, and the emulator sweeps it in lane
+//!    groups of 64, 256, or 512 test vectors (portable unrolled u64, AVX2,
+//!    or AVX-512 kernels).
+//!
+//! The emulator has one entry point per lane group,
+//! [`CompiledNetlist::eval_words_into`], and one rule for sizing the
+//! groups of a batch, [`lane_group`]. [`CompiledNetlist::eval_matrix`] is
+//! a thin driver over both for [`BitMatrix`] batches: it walks the matrix
+//! in lane groups and, for wide batches only, splits whole 8-word groups
+//! across threads.
 //!
 //! Literal semantics are shared with the interpreters through
 //! [`Literal::apply`] / [`Literal::apply_word`], so all paths agree by
 //! construction; the equivalence is additionally enforced by truth-table
-//! and property tests at every lane width and thread count.
+//! and property tests at every lane width.
 
 use crate::builder::Netlist;
 use crate::gate::GateKind;
@@ -36,9 +41,30 @@ pub use crate::matrix::BitMatrix;
 use crate::partition::{partition_schedule, report, Partition, PartitionReport};
 use crate::wire::{Literal, Wire};
 
-/// Chips the default compilation partitions onto — enough for the level-
-/// parallel sweep to feed eight workers, cheap to ignore on fewer.
+/// Chips the default compilation partitions onto: the chip count of the
+/// packaging table and of the (level, chip) groups the lowered stream is
+/// ordered by. Prefix sharing never crosses chips, so the count shapes
+/// the instruction stream (and its gated instruction counts), but never
+/// an output.
 pub const DEFAULT_CHIPS: usize = 8;
+
+/// Smallest share of a [`CompiledNetlist::eval_matrix`] batch, in 64-lane
+/// words, worth a thread of its own.
+const MIN_THREAD_WORDS: usize = 16;
+
+/// Width, in 64-lane words, of the next lane group when `words_left`
+/// words of a batch remain: 1 when one is left, 4 when two to four are,
+/// else 8. A group wider than what is left is padded; the outputs of
+/// [`CompiledNetlist::eval_words_into`] for real words do not depend on
+/// what the pad words hold.
+#[inline]
+pub fn lane_group(words_left: usize) -> usize {
+    match words_left {
+        ..=1 => 1,
+        2..=4 => 4,
+        _ => 8,
+    }
+}
 
 /// How a faulted wire misbehaves (see [`CompiledNetlist::with_faults`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -318,9 +344,9 @@ impl Netlist {
         self.compile_partitioned(DEFAULT_CHIPS)
     }
 
-    /// Compile with an explicit chip count (≥ 1). The partition bounds
-    /// both the level-parallel sweep's useful worker count and the
-    /// chips/pins packaging table.
+    /// Compile with an explicit chip count (≥ 1). The partition sets the
+    /// chips/pins packaging table and the (level, chip) groups of the
+    /// lowered stream; every chip count evaluates to the same outputs.
     pub fn compile_partitioned(&self, chips: usize) -> CompiledNetlist {
         CompiledNetlist::new_partitioned(self, chips)
     }
@@ -508,25 +534,8 @@ impl CompiledNetlist {
         if scratch.vals.len() < words {
             scratch.vals.resize(words, 0);
         }
-        let vals = &mut scratch.vals[..words];
-        for (ord, &slot) in self.stream.input_slots.iter().enumerate() {
-            let at = slot as usize * lw;
-            for (k, val) in vals[at..at + lw].iter_mut().enumerate() {
-                *val = inputs[k * ins + ord];
-            }
-        }
-        for &(slot, value) in &self.stream.forces {
-            let at = slot as usize * lw;
-            vals[at..at + lw].fill(if value { !0u64 } else { 0u64 });
-        }
-        self.stream.sweep(lw, vals, self.simd);
-        for (o, &(slot, inverted)) in self.stream.outputs.iter().enumerate() {
-            let flip = (inverted as u64).wrapping_neg();
-            let at = slot as usize * lw;
-            for (k, &val) in vals[at..at + lw].iter().enumerate() {
-                out[k * outs + o] = val ^ flip;
-            }
-        }
+        self.stream
+            .eval_words(inputs, lw, &mut scratch.vals, out, self.simd);
     }
 
     /// Allocating convenience over [`CompiledNetlist::eval_word_into`].
@@ -547,101 +556,50 @@ impl CompiledNetlist {
 
     /// Evaluate every vector of `inputs` (one row per primary input).
     ///
-    /// Picks a strategy from the batch shape: wide batches split lanes
-    /// across threads (no synchronization inside a sweep); narrow batches
-    /// over large circuits run the level-parallel team sweep. Results are
-    /// bit-identical either way. Unused lanes in the final word of every
-    /// output row are zeroed, so row popcounts are exact over the
-    /// matrix's `vectors` columns.
+    /// Walks the matrix through [`CompiledNetlist::eval_words_into`] in
+    /// [`lane_group`] steps, with one scratch and one pair of word-major
+    /// buffers per thread. Whole 8-word groups are split across
+    /// [`std::thread::available_parallelism`] threads when each thread
+    /// gets at least 16 words; narrower batches run on the calling
+    /// thread. Unused lanes in the final word of every output row are
+    /// zeroed, so row popcounts are exact over the matrix's `vectors`
+    /// columns.
     pub fn eval_matrix(&self, inputs: &BitMatrix) -> BitMatrix {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let words = inputs.words_per_row();
-        if threads > 1 && words < 2 * threads && self.insn_count() >= 1 << 15 {
-            self.eval_matrix_level_threads(inputs, threads)
-        } else {
-            self.eval_matrix_threads(inputs, threads)
-        }
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.eval_matrix_on(inputs, threads)
     }
 
-    /// [`CompiledNetlist::eval_matrix`] with an explicit worker count,
-    /// splitting the lane dimension: word-chunks of the matrix fan out to
-    /// `threads` scoped threads, each sweeping its chunk in 512-lane
-    /// groups with a private scratch. With one thread (or few words) the
-    /// sweep runs inline. Results are identical either way.
-    pub fn eval_matrix_threads(&self, inputs: &BitMatrix, threads: usize) -> BitMatrix {
-        self.eval_matrix_lanes(inputs, 512, threads)
-    }
-
-    /// Lane-splitting evaluation with an explicit maximum lane-group
-    /// width (64, 256, or 512 test vectors per instruction fetch) — the
-    /// ablation and equivalence-test surface for the emulator's width.
-    pub fn eval_matrix_lanes(
-        &self,
-        inputs: &BitMatrix,
-        max_lanes: usize,
-        threads: usize,
-    ) -> BitMatrix {
+    /// [`CompiledNetlist::eval_matrix`] on at most `threads` threads.
+    fn eval_matrix_on(&self, inputs: &BitMatrix, threads: usize) -> BitMatrix {
         assert_eq!(
             inputs.rows(),
-            self.stream.input_slots.len(),
+            self.input_count(),
             "wrong number of input rows"
         );
-        let max_lw = match max_lanes {
-            64 => 1,
-            256 => 4,
-            512 => 8,
-            _ => panic!("lane width must be 64, 256, or 512"),
-        };
         let words = inputs.words_per_row();
-        let mut out = BitMatrix::zeroed(self.stream.outputs.len(), inputs.vectors());
-        let threads = threads.clamp(1, words.max(1));
-        if threads <= 1 || words < 2 {
-            let mut vals = vec![0u64; self.stream.slot_count * max_lw];
-            let mut sink = |o: usize, w: usize, v: u64| *out.word_mut(o, w) = v;
-            self.stream
-                .sweep_word_range(inputs, 0, words, max_lw, &mut vals, self.simd, &mut sink);
-        } else {
-            // Chunk the word range; each worker owns disjoint columns and a
-            // private scratch, and returns its output slab for stitching.
-            let chunk = words.div_ceil(threads);
-            let outputs = self.stream.outputs.len();
-            let slabs = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(words);
-                    if lo >= hi {
-                        break;
-                    }
-                    let inputs = &inputs;
-                    handles.push((
-                        lo,
-                        hi,
-                        scope.spawn(move || {
-                            let mut vals = vec![0u64; self.stream.slot_count * max_lw];
-                            let mut slab = vec![0u64; outputs * (hi - lo)];
-                            let width = hi - lo;
-                            let mut sink =
-                                |o: usize, w: usize, v: u64| slab[o * width + (w - lo)] = v;
-                            self.stream.sweep_word_range(
-                                inputs, lo, hi, max_lw, &mut vals, self.simd, &mut sink,
-                            );
-                            slab
-                        }),
-                    ));
-                }
-                handles
+        let threads = threads.clamp(1, (words / MIN_THREAD_WORDS).max(1));
+        // Thread `t` sweeps words `start(t)..start(t + 1)`: an even share
+        // of the 8-word groups, so only the last one can be ragged.
+        let groups = words.div_ceil(8);
+        let start = |t: usize| (t * groups / threads * 8).min(words);
+        let slabs = std::thread::scope(|scope| {
+            let others: Vec<_> = (1..threads)
+                .map(|t| scope.spawn(move || self.sweep_slab(inputs, start(t)..start(t + 1))))
+                .collect();
+            let mut slabs = vec![self.sweep_slab(inputs, start(0)..start(1))];
+            slabs.extend(
+                others
                     .into_iter()
-                    .map(|(lo, hi, h)| (lo, hi, h.join().expect("eval worker panicked")))
-                    .collect::<Vec<_>>()
-            });
-            for (lo, hi, slab) in slabs {
-                for o in 0..outputs {
-                    for w in lo..hi {
-                        *out.word_mut(o, w) = slab[o * (hi - lo) + (w - lo)];
-                    }
+                    .map(|h| h.join().expect("eval worker panicked")),
+            );
+            slabs
+        });
+        let mut out = BitMatrix::zeroed(self.output_count(), inputs.vectors());
+        for (t, slab) in slabs.iter().enumerate() {
+            let (lo, width) = (start(t), start(t + 1) - start(t));
+            for o in 0..self.output_count() {
+                for (k, &word) in slab[o * width..(o + 1) * width].iter().enumerate() {
+                    *out.word_mut(o, lo + k) = word;
                 }
             }
         }
@@ -650,24 +608,38 @@ impl CompiledNetlist {
         out
     }
 
-    /// Level-parallel evaluation: instead of splitting lanes, a
-    /// barrier-synchronized team of `threads` workers executes each
-    /// level's instruction range concurrently, chips striped across
-    /// workers — the emulator-side use of the chip partition. Profitable
-    /// when the circuit is much wider than the batch; bit-identical to
-    /// the lane-splitting path.
-    pub fn eval_matrix_level_threads(&self, inputs: &BitMatrix, threads: usize) -> BitMatrix {
-        assert_eq!(
-            inputs.rows(),
-            self.stream.input_slots.len(),
-            "wrong number of input rows"
-        );
-        let mut out = BitMatrix::zeroed(self.stream.outputs.len(), inputs.vectors());
-        self.stream
-            .eval_level_parallel(inputs, &mut out, threads, self.simd);
-        out.mask_tail();
-        debug_assert!(out.tail_is_clear());
-        out
+    /// Sweep words `range` of `inputs` in [`lane_group`] steps, zero words
+    /// padding the last group, and return the outputs row-major: word
+    /// `range.start + k` of output `o` at `o * range.len() + k`.
+    fn sweep_slab(&self, inputs: &BitMatrix, range: std::ops::Range<usize>) -> Vec<u64> {
+        let (ins, outs, width) = (self.input_count(), self.output_count(), range.len());
+        let mut scratch = self.scratch();
+        let (mut word_in, mut word_out) = (vec![0u64; 8 * ins], vec![0u64; 8 * outs]);
+        let mut slab = vec![0u64; outs * width];
+        let mut w = range.start;
+        while w < range.end {
+            let lw = lane_group(range.end - w);
+            let real = lw.min(range.end - w);
+            for (i, row) in (0..ins).map(|i| (i, inputs.row_words(i))) {
+                for (k, &word) in row[w..w + real].iter().enumerate() {
+                    word_in[k * ins + i] = word;
+                }
+            }
+            word_in[real * ins..lw * ins].fill(0);
+            self.eval_words_into(
+                &word_in[..lw * ins],
+                lw,
+                &mut scratch,
+                &mut word_out[..lw * outs],
+            );
+            for k in 0..real {
+                for o in 0..outs {
+                    slab[o * width + w - range.start + k] = word_out[k * outs + o];
+                }
+            }
+            w += real;
+        }
+        slab
     }
 }
 
@@ -970,8 +942,8 @@ mod tests {
     }
 
     /// Forced dispatch: the same random netlists and ragged matrices give
-    /// bit-identical results through every runnable kernel at every lane
-    /// width and on the level-parallel path, so the scalar and AVX2
+    /// bit-identical results through every runnable kernel, in
+    /// `eval_matrix` and at every lane width, so the scalar and AVX2
     /// kernels stay covered on hosts whose probe would pick AVX-512. The
     /// netlists carry fused AND–OR planes, so every kernel runs
     /// `OP_ANDOR`.
@@ -990,23 +962,16 @@ mod tests {
                     (v.wrapping_mul(0x9E37_79B9).wrapping_add(seed as usize) >> (row % 29)) & 1 == 1
                 });
                 compiled.simd = Simd::Scalar;
-                let reference = compiled.eval_matrix_lanes(&m, 64, 1);
+                let reference = per_word(&compiled, &m);
                 for v in (0..vectors).step_by(37) {
                     assert_eq!(reference.column(v), nl.eval(&m.column(v)), "seed {seed}");
                 }
                 for &simd in &kernels {
                     compiled.simd = simd;
-                    for lanes in [64usize, 256, 512] {
-                        assert_eq!(
-                            compiled.eval_matrix_lanes(&m, lanes, 1),
-                            reference,
-                            "{simd:?}, seed {seed}, {vectors} vectors, {lanes} lanes"
-                        );
-                    }
                     assert_eq!(
-                        compiled.eval_matrix_level_threads(&m, 2),
+                        compiled.eval_matrix(&m),
                         reference,
-                        "{simd:?} level-parallel, seed {seed}, {vectors} vectors"
+                        "{simd:?}, seed {seed}, {vectors} vectors"
                     );
                     for lw in [1usize, 4, 8] {
                         assert_lane_groups_match(&nl, &compiled, &m, lw);
@@ -1019,6 +984,23 @@ mod tests {
             "only {sharing} of 12 netlists share a prefix"
         );
         assert!(fusing >= 10, "only {fusing} of 12 netlists run OP_ANDOR");
+    }
+
+    /// The per-word baseline: every word of `m` through `eval_word_into`
+    /// on its own, stored with a clear tail.
+    fn per_word(compiled: &CompiledNetlist, m: &BitMatrix) -> BitMatrix {
+        let mut out = BitMatrix::zeroed(compiled.output_count(), m.vectors());
+        let mut scratch = compiled.scratch();
+        let mut word = vec![0u64; compiled.output_count()];
+        for w in 0..m.words_per_row() {
+            let block: Vec<u64> = (0..m.rows()).map(|i| m.word(i, w)).collect();
+            compiled.eval_word_into(&block, &mut scratch, &mut word);
+            for (o, &v) in word.iter().enumerate() {
+                *out.word_mut(o, w) = v;
+            }
+        }
+        out.mask_tail();
+        out
     }
 
     /// Sweep every word of `m` through `eval_words_into` in `lw`-word
@@ -1088,39 +1070,102 @@ mod tests {
         sink.eval_word_into(&vec![0u64; sink.input_count()], &mut scratch, &mut out);
     }
 
+    /// The private split of `eval_matrix` at 1–4 threads, over word
+    /// counts below, at and around the 16-words-per-thread bar, with a
+    /// ragged final word: every split equals the per-word baseline, keeps
+    /// the tail clear, and sweeps through every lane-group width.
     #[test]
-    fn eval_matrix_threads_matches_inline_at_every_lane_width() {
-        let nl = majority3();
+    fn eval_matrix_splits_match_the_per_word_baseline() {
+        let nl = kitchen_sink();
         let compiled = nl.compile();
-        let m = BitMatrix::from_fn(3, 1000, |row, v| (v >> row) & 1 == 1);
-        let inline = compiled.eval_matrix_threads(&m, 1);
-        for lanes in [64usize, 256, 512] {
-            for threads in [1usize, 2, 3, 7, 16] {
-                assert_eq!(
-                    compiled.eval_matrix_lanes(&m, lanes, threads),
-                    inline,
-                    "lanes {lanes} threads {threads}"
-                );
+        for words in [0usize, 1, 3, 15, 16, 17, 33, 64] {
+            let vectors = (64 * words).saturating_sub(13);
+            let m = BitMatrix::from_fn(nl.input_count(), vectors, |row, v| {
+                (v.wrapping_mul(0x9E37_79B9) >> (row % 31)) & 1 == 1
+            });
+            assert_eq!(m.words_per_row(), words);
+            let reference = per_word(&compiled, &m);
+            for threads in [1usize, 2, 3, 4] {
+                let out = compiled.eval_matrix_on(&m, threads);
+                assert!(out.tail_is_clear(), "{words} words, {threads} threads");
+                assert_eq!(out, reference, "{words} words, {threads} threads");
+                for o in 0..out.rows() {
+                    assert!(out.row_popcount(o) <= vectors);
+                }
+            }
+            if words == 17 {
+                for lw in [1usize, 4, 8] {
+                    assert_lane_groups_match(&nl, &compiled, &m, lw);
+                }
             }
         }
     }
 
+    /// Pad words never reach real outputs: with 1–7 real words in a
+    /// 4- or 8-word lane group, the real words' outputs equal the
+    /// per-word baseline whether the pad words are all zero, all one or
+    /// random, through every runnable kernel.
     #[test]
-    fn eval_matrix_level_threads_matches_lane_split() {
+    fn pad_words_never_reach_real_outputs() {
+        let mut state = 0x0123_4567_89AB_CDEFu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state ^ state >> 29
+        };
+        for seed in 0..6u64 {
+            let nl = random_netlist(seed, 3 + seed as usize % 9, 40 + 17 * seed as usize);
+            let mut compiled = nl.compile_partitioned(1 + seed as usize % 4);
+            let (ins, outs) = (compiled.input_count(), compiled.output_count());
+            let real: Vec<u64> = (0..7 * ins).map(|_| next()).collect();
+            compiled.simd = Simd::Scalar;
+            let mut scratch = compiled.scratch();
+            let mut baseline = vec![0u64; 7 * outs];
+            for (block, word) in real.chunks_exact(ins).zip(baseline.chunks_exact_mut(outs)) {
+                compiled.eval_word_into(block, &mut scratch, word);
+            }
+            for simd in runnable_kernels() {
+                compiled.simd = simd;
+                for lw in [4usize, 8] {
+                    for words in 1..lw {
+                        for pad in 0..3 {
+                            let mut inputs = real[..words * ins].to_vec();
+                            inputs.extend((words * ins..lw * ins).map(|_| match pad {
+                                0 => 0,
+                                1 => !0,
+                                _ => next(),
+                            }));
+                            let mut out = vec![0u64; lw * outs];
+                            compiled.eval_words_into(&inputs, lw, &mut scratch, &mut out);
+                            assert_eq!(
+                                out[..words * outs],
+                                baseline[..words * outs],
+                                "{simd:?}, seed {seed}, lw {lw}, {words} real words, pad {pad}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every chip count lowers to a stream that passes `self_check` and
+    /// evaluates to the per-word baseline, in `eval_matrix` and at every
+    /// lane width.
+    #[test]
+    fn every_chip_count_matches_the_per_word_baseline() {
         let nl = kitchen_sink();
+        let m = BitMatrix::from_fn(nl.input_count(), 530, |row, v| {
+            (v.wrapping_mul(0x9E37_79B9) >> (row % 31)) & 1 == 1
+        });
+        let reference = per_word(&nl.compile_partitioned(1), &m);
         for chips in [1usize, 2, 4, 8] {
             let compiled = nl.compile_partitioned(chips);
             compiled.self_check();
-            let m = BitMatrix::from_fn(nl.input_count(), 530, |row, v| {
-                (v.wrapping_mul(0x9E37_79B9) >> (row % 31)) & 1 == 1
-            });
-            let inline = compiled.eval_matrix_threads(&m, 1);
-            for threads in [1usize, 2, 4, 8] {
-                assert_eq!(
-                    compiled.eval_matrix_level_threads(&m, threads),
-                    inline,
-                    "chips {chips} threads {threads}"
-                );
+            assert_eq!(compiled.eval_matrix(&m), reference, "chips {chips}");
+            for lw in [1usize, 4, 8] {
+                assert_lane_groups_match(&nl, &compiled, &m, lw);
             }
         }
     }

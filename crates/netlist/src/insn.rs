@@ -29,10 +29,12 @@
 //! * **Chip-partitioned levels.** Gates are assigned to chips by the
 //!   partitioner pass ([`crate::partition`]); the stream is ordered
 //!   (level, chip, gate), and per-(level, chip) instruction ranges are
-//!   recorded so a thread team can execute one level concurrently —
-//!   barrier between levels, chips striped across threads. Slot recycling
-//!   deferred to level boundaries guarantees no two chips touch the same
-//!   slot within a level (checked by [`InsnStream::self_check`]).
+//!   recorded. Prefix sharing and chain-step order work within these
+//!   groups. Slot recycling deferred to level boundaries guarantees no
+//!   two chips touch the same slot within a level (checked by
+//!   [`InsnStream::self_check`]), so the chips of one level are
+//!   independent units of work, though the emulator sweeps the whole
+//!   stream in order on one thread per lane group.
 //! * **Shared chain prefixes.** Within one (level, chip) group, wide
 //!   AND/OR/XOR gates (fan-in ≥ 3) that open with the same `(op, lit₀,
 //!   lit₁)` pair share one instruction: the pair is computed once into a
@@ -68,11 +70,9 @@
 //!   ([`InsnStream::self_check`] verifies it).
 
 use crate::compile::{unpack, Op, PackedLit, Schedule};
-use crate::matrix::BitMatrix;
 use crate::partition::Partition;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Barrier;
 
 /// Opcode field of [`Insn::opword`] (bits 0..3).
 pub(crate) const OP_AND: u32 = 0;
@@ -695,7 +695,7 @@ pub(crate) fn simd_available(simd: Simd) -> bool {
 /// # Safety
 /// `vals` must point to at least `slot_count * LW` writable words, and
 /// the instruction's slots `a`, `b`, `dst` must be `< slot_count`.
-/// [`InsnStream::sweep`] asserts the buffer length; `lower` hands out
+/// [`InsnStream::eval_words`] slices the buffer to that length; `lower` hands out
 /// only slots below the `slot_count` it records, and
 /// [`InsnStream::self_check`] verifies every slot after each debug-build
 /// `lower`. [`OP_ANDOR`] also reads `dst`: were its accumulator not
@@ -927,21 +927,18 @@ impl InsnStream {
         self.level_bounds.len() - 1
     }
 
-    /// Execute instructions `[lo, hi)` over lane groups of `lw` words.
+    /// Execute every instruction, in order, over lane groups of `lw` words.
     ///
     /// # Safety
     /// `vals` must cover `slot_count * lw` words, `lw ∈ {1, 4, 8}`, and
     /// `simd` must be a value [`detect_simd`] returned on this CPU. Slot
-    /// bounds are the stream's own invariant (see [`exec`]). When several
-    /// threads run ranges over the same `vals` concurrently, the ranges
-    /// must belong to distinct chips of one level (see
-    /// [`InsnStream::eval_level_parallel`]).
-    unsafe fn run_range(&self, lo: usize, hi: usize, lw: usize, vals: *mut u64, simd: Simd) {
+    /// bounds are the stream's own invariant (see [`exec`]).
+    unsafe fn run(&self, lw: usize, vals: *mut u64, simd: Simd) {
         debug_assert!(
             simd_available(simd),
             "{simd:?} kernels on a CPU without them"
         );
-        let insns = &self.insns[lo..hi];
+        let insns = &self.insns[..];
         match lw {
             1 => {
                 for &i in insns {
@@ -972,78 +969,45 @@ impl InsnStream {
         }
     }
 
-    /// One full sequential sweep over a lane group of `lw` words. Inputs
-    /// and forces must already be loaded into `vals`.
-    pub(crate) fn sweep(&self, lw: usize, vals: &mut [u64], simd: Simd) {
-        assert!(vals.len() >= self.slot_count * lw, "vals buffer too small");
-        // SAFETY: the assert above gives `vals` the `slot_count * lw` words
-        // `run_range` needs; every slot is `< slot_count` because `lower`
-        // allocates no slot past the count it records (`self_check`
-        // verifies it in debug builds); `run_range` itself rejects an `lw`
-        // outside {1, 4, 8}; and `simd` came from `detect_simd` (the
-        // engine's only source of it), so an AVX kernel runs only on a CPU
-        // that reported the feature.
-        unsafe { self.run_range(0, self.insns.len(), lw, vals.as_mut_ptr(), simd) }
-    }
-
-    /// Load the lane group starting at word `w0` (width `lw`) from
-    /// `inputs` into `vals`, then apply stuck-input forces.
-    pub(crate) fn load_group(&self, inputs: &BitMatrix, w0: usize, lw: usize, vals: &mut [u64]) {
-        for (ord, &slot) in self.input_slots.iter().enumerate() {
-            let src = &inputs.row_words(ord)[w0..w0 + lw];
-            vals[slot as usize * lw..slot as usize * lw + lw].copy_from_slice(src);
-        }
-        for &(slot, value) in &self.forces {
-            let fill = if value { !0u64 } else { 0u64 };
-            vals[slot as usize * lw..slot as usize * lw + lw].fill(fill);
-        }
-    }
-
-    /// Read the output lane group back out of `vals` into `sink(output,
-    /// word-within-group, value)`.
-    pub(crate) fn store_group(
+    /// Evaluate one lane group of `lw` words: load `inputs` (word `k` of
+    /// primary input `i` at `inputs[k * inputs_per_word + i]`) and the
+    /// stuck-input forces into `vals`, sweep the whole stream, and write
+    /// word `k` of output `o` to `out[k * outputs + o]`.
+    pub(crate) fn eval_words(
         &self,
+        inputs: &[u64],
         lw: usize,
-        vals: &[u64],
-        mut sink: impl FnMut(usize, usize, u64),
+        vals: &mut [u64],
+        out: &mut [u64],
+        simd: Simd,
     ) {
-        for (o, &(slot, inverted)) in self.outputs.iter().enumerate() {
-            let m = (inverted as u64).wrapping_neg();
-            for k in 0..lw {
-                sink(o, k, vals[slot as usize * lw + k] ^ m);
+        let (ins, outs) = (self.input_slots.len(), self.outputs.len());
+        let vals = &mut vals[..self.slot_count * lw];
+        for (ord, &slot) in self.input_slots.iter().enumerate() {
+            let at = slot as usize * lw;
+            for (k, val) in vals[at..at + lw].iter_mut().enumerate() {
+                *val = inputs[k * ins + ord];
             }
         }
-    }
-
-    /// Sweep an entire word range `[lo, hi)` of `inputs` into `sink`,
-    /// choosing the widest lane group that fits at each step (bounded by
-    /// `max_lw`). `vals` must cover `slot_count * max_lw` words.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sweep_word_range(
-        &self,
-        inputs: &BitMatrix,
-        lo: usize,
-        hi: usize,
-        max_lw: usize,
-        vals: &mut [u64],
-        simd: Simd,
-        sink: &mut impl FnMut(usize, usize, u64),
-    ) {
-        let mut w = lo;
-        while w < hi {
-            let left = hi - w;
-            let lw = if left >= 8 && max_lw >= 8 {
-                8
-            } else if left >= 4 && max_lw >= 4 {
-                4
-            } else {
-                1
-            };
-            self.load_group(inputs, w, lw, vals);
-            self.sweep(lw, &mut vals[..self.slot_count * lw], simd);
-            let base = w;
-            self.store_group(lw, vals, |o, k, v| sink(o, base + k, v));
-            w += lw;
+        for &(slot, value) in &self.forces {
+            let at = slot as usize * lw;
+            vals[at..at + lw].fill(if value { !0u64 } else { 0u64 });
+        }
+        // SAFETY: `vals` was sliced to exactly the `slot_count * lw` words
+        // `run` needs (the slicing panics if the buffer is shorter); every
+        // slot is `< slot_count` because `lower` allocates no slot past the
+        // count it records (`self_check` verifies it in debug builds);
+        // `run` itself rejects an `lw` outside {1, 4, 8} before touching
+        // memory; and `simd` came from `detect_simd` (the engine's only
+        // source of it), so an AVX kernel runs only on a CPU that reported
+        // the feature.
+        unsafe { self.run(lw, vals.as_mut_ptr(), simd) }
+        for (o, &(slot, inverted)) in self.outputs.iter().enumerate() {
+            let flip = (inverted as u64).wrapping_neg();
+            let at = slot as usize * lw;
+            for (k, &val) in vals[at..at + lw].iter().enumerate() {
+                out[k * outs + o] = val ^ flip;
+            }
         }
     }
 
@@ -1121,123 +1085,6 @@ impl InsnStream {
             }
         }
     }
-
-    /// Level-parallel evaluation: a team of `threads` workers sweeps every
-    /// lane group of `inputs` cooperatively — chips striped across
-    /// workers, one barrier per level — instead of splitting lanes.
-    /// Profitable when the circuit is large but the batch is narrow.
-    pub(crate) fn eval_level_parallel(
-        &self,
-        inputs: &BitMatrix,
-        out: &mut BitMatrix,
-        threads: usize,
-        simd: Simd,
-    ) {
-        let words = inputs.words_per_row();
-        let team = threads.clamp(1, self.chips.max(1));
-        let mut vals = vec![0u64; self.slot_count * 8];
-        if team <= 1 || words == 0 {
-            let mut sink = |o: usize, w: usize, v: u64| *out.word_mut(o, w) = v;
-            self.sweep_word_range(inputs, 0, words, 8, &mut vals, simd, &mut sink);
-            return;
-        }
-
-        // Group plan shared by every worker: (start word, group width).
-        let mut groups = Vec::new();
-        let mut w = 0usize;
-        while w < words {
-            let lw = if words - w >= 8 {
-                8
-            } else if words - w >= 4 {
-                4
-            } else {
-                1
-            };
-            groups.push((w, lw));
-            w += lw;
-        }
-
-        struct ValsPtr(*mut u64);
-        // SAFETY: the pointer targets `vals`, which outlives the thread
-        // scope below; sending it to a worker is sound because every
-        // access through it follows the level discipline described at
-        // the `run_range` call in `run_levels`.
-        unsafe impl Send for ValsPtr {}
-        // SAFETY: shared use from several workers at once is limited to
-        // `run_range` calls on distinct chips of one level, which write
-        // disjoint slots and read none another chip writes (`lower` defers
-        // slot frees to level boundaries; `self_check` verifies it in
-        // debug builds), with a barrier between levels.
-        unsafe impl Sync for ValsPtr {}
-        impl ValsPtr {
-            // Accessor rather than field reads in closures: 2021 disjoint
-            // capture would otherwise capture the raw `*mut u64` field
-            // itself, bypassing the wrapper's Send/Sync.
-            #[inline]
-            fn get(&self) -> *mut u64 {
-                self.0
-            }
-        }
-        debug_assert_eq!(vals.len(), self.slot_count * 8);
-        let shared = ValsPtr(vals.as_mut_ptr());
-        let barrier = Barrier::new(team);
-        let levels = self.level_count();
-
-        let run_levels = |tid: usize, lw: usize| {
-            for l in 0..levels {
-                let mut c = tid;
-                while c < self.chips {
-                    let (lo, hi) = self.chip_ranges[l * self.chips + c];
-                    // SAFETY: `shared` covers `slot_count * 8` words (the
-                    // debug_assert above), enough for any `lw`; slots are
-                    // in range as in `sweep`; `simd` came from
-                    // `detect_simd`. Workers running concurrently hold
-                    // distinct chips of level `l`, whose instructions write
-                    // disjoint slots and read none another chip writes
-                    // (`lower` defers frees to level boundaries;
-                    // `self_check` verifies it in debug builds), and the
-                    // `barrier.wait()` below orders every write of level
-                    // `l` before any read of level `l + 1`.
-                    unsafe { self.run_range(lo as usize, hi as usize, lw, shared.get(), simd) };
-                    c += team;
-                }
-                barrier.wait();
-            }
-        };
-
-        std::thread::scope(|scope| {
-            for tid in 1..team {
-                let barrier = &barrier;
-                let groups = &groups;
-                scope.spawn(move || {
-                    for &(_, lw) in groups {
-                        barrier.wait(); // leader finished loading inputs
-                        run_levels(tid, lw);
-                        barrier.wait(); // leader may now store outputs
-                    }
-                });
-            }
-            // The caller's thread is worker 0 and owns load/store phases;
-            // between the closing and opening barriers the other workers
-            // are parked, so touching `vals` directly is race-free.
-            for &(w0, lw) in &groups {
-                // SAFETY: `shared` is `vals`' pointer and `vals` holds
-                // `slot_count * 8` words. Between one group's closing
-                // barrier and the next group's opening barrier every other
-                // worker is parked in `barrier.wait()`, so this slice is the
-                // only live access to `vals` while it exists.
-                let vals =
-                    unsafe { std::slice::from_raw_parts_mut(shared.get(), self.slot_count * 8) };
-                self.load_group(inputs, w0, lw, &mut vals[..self.slot_count * lw]);
-                barrier.wait();
-                run_levels(0, lw);
-                barrier.wait();
-                self.store_group(lw, &vals[..self.slot_count * lw], |o, k, v| {
-                    *out.word_mut(o, w0 + k) = v;
-                });
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -1261,23 +1108,38 @@ mod tests {
         stream
     }
 
-    /// Every input vector of `nl` (≤ 6 inputs, one lane each) through one
-    /// sequential sweep and one two-thread level-parallel sweep of
-    /// `stream`, against `Netlist::eval`.
+    /// `stream` in lane groups of 1, 4 and 8 words on this CPU's kernels.
+    /// Word 0 of a group carries every input vector of `nl` (≤ 6 inputs,
+    /// one per lane); the others carry rotations and complements of it.
+    /// Each word of a group must equal that word swept alone (`lw = 1`),
+    /// and each lane must equal `Netlist::eval`.
     fn assert_truth_table(nl: &Netlist, stream: &InsnStream) {
-        let n = nl.input_count();
-        let vectors = 1usize << n;
-        let m = BitMatrix::from_fn(n, vectors, |row, v| (v >> row) & 1 == 1);
-        let mut seq = BitMatrix::zeroed(nl.outputs().len(), vectors);
-        let mut vals = vec![0u64; stream.slot_count];
-        let mut sink = |o: usize, w: usize, v: u64| *seq.word_mut(o, w) = v;
-        stream.sweep_word_range(&m, 0, 1, 1, &mut vals, Simd::Scalar, &mut sink);
-        let mut par = BitMatrix::zeroed(nl.outputs().len(), vectors);
-        stream.eval_level_parallel(&m, &mut par, 2, Simd::Scalar);
-        for v in 0..vectors {
-            let expected = nl.eval(&m.column(v));
-            assert_eq!(seq.column(v), expected, "sequential, vector {v}");
-            assert_eq!(par.column(v), expected, "level-parallel, vector {v}");
+        let (n, outs) = (nl.input_count(), stream.outputs.len());
+        let block = |k: usize| -> Vec<u64> {
+            (0..n)
+                .map(|i| {
+                    let table = (0..64).fold(0u64, |w, v| w | ((v >> i) & 1) << v);
+                    table.rotate_left(7 * k as u32) ^ (k as u64 & 1).wrapping_neg()
+                })
+                .collect()
+        };
+        let simd = detect_simd();
+        let mut vals = vec![0u64; stream.slot_count * 8];
+        let mut one = vec![0u64; outs];
+        for lw in [1usize, 4, 8] {
+            let inputs: Vec<u64> = (0..lw).flat_map(block).collect();
+            let mut out = vec![0u64; outs * lw];
+            stream.eval_words(&inputs, lw, &mut vals, &mut out, simd);
+            for k in 0..lw {
+                let words = block(k);
+                stream.eval_words(&words, 1, &mut vals, &mut one, Simd::Scalar);
+                assert_eq!(out[k * outs..(k + 1) * outs], one[..], "lw {lw}, word {k}");
+                for lane in 0..64 {
+                    let bits: Vec<bool> = words.iter().map(|&w| w >> lane & 1 == 1).collect();
+                    let got: Vec<bool> = one.iter().map(|&w| w >> lane & 1 == 1).collect();
+                    assert_eq!(got, nl.eval(&bits), "lw {lw}, word {k}, lane {lane}");
+                }
+            }
         }
     }
 

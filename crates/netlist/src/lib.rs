@@ -49,7 +49,9 @@ mod verilog;
 mod wire;
 
 pub use builder::Netlist;
-pub use compile::{CompiledNetlist, EvalScratch, WireFault, WireFaultKind, DEFAULT_CHIPS};
+pub use compile::{
+    lane_group, CompiledNetlist, EvalScratch, WireFault, WireFaultKind, DEFAULT_CHIPS,
+};
 pub use depth::DepthReport;
 pub use eval::{BitBlock, WORD_BITS};
 pub use gate::{Gate, GateKind};

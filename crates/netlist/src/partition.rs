@@ -4,16 +4,19 @@
 //! a partial concentrator is split across identical chips, and the cost of
 //! a partition is the wires that must cross chip boundaries (Sections 4–6
 //! count exactly those pins for the Revsort and Columnsort packagings).
-//! The emulator has the *same* shape of problem: a level-parallel sweep
-//! partitions each level's instruction range across worker threads, and a
-//! value produced on one worker and consumed on another is a cross-"chip"
-//! wire (a cache line bouncing between cores instead of a package pin).
+//! The emulator's lowering has the *same* shape of problem: it orders the
+//! instruction stream by (level, chip), shares chain prefixes and orders
+//! chains within each (level, chip) group, and keeps the chips of one
+//! level write-disjoint, so a value produced on one chip and consumed on
+//! another is a cross-chip wire. The emulator itself sweeps the whole
+//! stream in order on one thread per lane group; the grouping does not
+//! change any output.
 //!
 //! One pass therefore serves both: [`partition_schedule`] assigns every
-//! scheduled gate to a chip, balancing gate counts *within each level* (so
-//! a level sweep splits evenly across workers) while greedily minimizing
-//! cut wires, and [`PartitionReport`] prices the result in the paper's
-//! currency — gates per chip, pins per chip, and total cut wires.
+//! scheduled gate to a chip, balancing gate counts *within each level*
+//! while greedily minimizing cut wires, and [`PartitionReport`] prices the
+//! result in the paper's currency — gates per chip, pins per chip, and
+//! total cut wires.
 //!
 //! The partitioner is deliberately a two-pass heuristic, not an exact
 //! min-cut: a fan-in-affinity greedy placement (each gate lands where most

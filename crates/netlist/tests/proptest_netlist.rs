@@ -215,11 +215,12 @@ proptest! {
         }
     }
 
-    /// Every lane width × thread count of the emulator — and the
-    /// level-parallel team sweep — produces bit-identical matrices with a
-    /// clear tail, on ragged vector counts.
+    /// Every lane width of the emulator, and the `eval_matrix` driver,
+    /// agree with the per-word `eval_word_into` baseline on ragged vector
+    /// counts (pad words of the last group are zero), and the driver's
+    /// matrix has a clear tail.
     #[test]
-    fn lane_widths_and_threads_agree(
+    fn lane_widths_agree(
         n_inputs in 1usize..6,
         recipes in proptest::collection::vec(recipe_strategy(), 1..20),
         vectors in 1usize..600,
@@ -227,22 +228,34 @@ proptest! {
     ) {
         let nl = build(n_inputs, &recipes);
         let compiled = nl.compile();
+        let outs = compiled.output_count();
         let m = BitMatrix::from_fn(n_inputs, vectors, |row, v| {
             (seed.rotate_left((row * 13 + v) as u32) & 1) == 1
         });
-        let baseline = compiled.eval_matrix_lanes(&m, 64, 1);
-        prop_assert!(baseline.tail_is_clear());
-        for lanes in [64usize, 256, 512] {
-            for threads in [1usize, 2, 4] {
-                let out = compiled.eval_matrix_lanes(&m, lanes, threads);
-                prop_assert!(out.tail_is_clear(), "lanes {} threads {}", lanes, threads);
-                prop_assert_eq!(&out, &baseline, "lanes {} threads {}", lanes, threads);
+        let words = m.words_per_row();
+        let block = |w: usize| -> Vec<u64> {
+            (0..n_inputs).map(|i| if w < words { m.word(i, w) } else { 0 }).collect()
+        };
+        let mut scratch = compiled.scratch();
+        let mut baseline = vec![0u64; (words + 7) * outs];
+        for w in 0..words + 7 {
+            compiled.eval_word_into(&block(w), &mut scratch, &mut baseline[w * outs..(w + 1) * outs]);
+        }
+        for lw in [1usize, 4, 8] {
+            let mut out = vec![0u64; lw * outs];
+            for w0 in (0..words).step_by(lw) {
+                let inputs: Vec<u64> = (w0..w0 + lw).flat_map(block).collect();
+                compiled.eval_words_into(&inputs, lw, &mut scratch, &mut out);
+                prop_assert_eq!(&out[..], &baseline[w0 * outs..(w0 + lw) * outs], "lw {} word {}", lw, w0);
             }
         }
-        for threads in [1usize, 2, 4] {
-            let out = compiled.eval_matrix_level_threads(&m, threads);
-            prop_assert!(out.tail_is_clear(), "level threads {}", threads);
-            prop_assert_eq!(&out, &baseline, "level threads {}", threads);
+        let out = compiled.eval_matrix(&m);
+        prop_assert!(out.tail_is_clear());
+        for w in 0..words {
+            let tail = if w + 1 == words && vectors % 64 != 0 { (1u64 << (vectors % 64)) - 1 } else { !0 };
+            for o in 0..outs {
+                prop_assert_eq!(out.word(o, w), baseline[w * outs + o] & tail, "word {} output {}", w, o);
+            }
         }
     }
 
