@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench::{banner, TextTable};
+use bench::{banner, bench_header, TextTable};
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::StagedSwitch;
 use fabric::{drive_sync, one_per_tick, DriveReport, Fabric, FabricConfig, LoadPlan};
@@ -196,7 +196,10 @@ fn main() {
     );
 
     // ---- BENCH_fabric.json ------------------------------------------
-    let mut json = String::from("{\n  \"benchmark\": \"fabric\",\n");
+    let mut json = String::from("{\n");
+    for (key, value) in bench_header("fabric", false) {
+        let _ = writeln!(json, "  \"{key}\": {},", value.to_compact());
+    }
     let _ = writeln!(
         json,
         "  \"switch\": \"Revsort n={N} m={M} (2-D layout)\",\n  \"workload\": \"Bernoulli, {PAYLOAD_BYTES}-byte payloads, seed {SEED}\","

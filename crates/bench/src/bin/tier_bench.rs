@@ -17,7 +17,7 @@
 //! Wall-clock rates in the JSON are timing data and vary run to run;
 //! the counters (generated, delivered, ledger) are deterministic.
 
-use bench::banner;
+use bench::{banner, bench_header};
 use serde_json::{object, ToJson, Value};
 use tiers::{drive_tree, reference_tree, run_tree_bench, TierBenchOptions};
 
@@ -109,8 +109,7 @@ fn main() {
     }
 
     // ---- BENCH_tiers.json -------------------------------------------
-    let value = object([
-        ("benchmark", Value::String("tiers".into())),
+    let value = object(bench_header("tiers", false).into_iter().chain([
         (
             "geometry",
             Value::String(
@@ -143,7 +142,7 @@ fn main() {
             ]),
         ),
         ("report", report.to_json()),
-    ]);
+    ]));
     let text = format!("{}\n", serde_json::to_string_pretty(&value).unwrap());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tiers.json");
     std::fs::write(path, &text).expect("write BENCH_tiers.json");

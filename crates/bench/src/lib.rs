@@ -7,6 +7,8 @@
 
 use std::fmt::Display;
 
+use serde_json::{ToJson, Value};
+
 pub mod grids;
 pub mod render;
 
@@ -109,6 +111,38 @@ pub fn banner(experiment: &str, paper_ref: &str) {
     println!("==========================================================================");
 }
 
+/// Version of the `BENCH_*.json` layout under [`bench_header`]; raise it
+/// when a key that readers rely on moves or changes meaning.
+pub const BENCH_SCHEMA_VERSION: u64 = 1;
+
+/// The header a `BENCH_*.json` file leads with: which benchmark wrote
+/// it, the commit it ran from (`git describe --always --dirty`, so a
+/// tree with uncommitted changes reads `<parent>-dirty`), the host's
+/// cores, whether it ran in quick mode, and [`BENCH_SCHEMA_VERSION`].
+pub fn bench_header(benchmark: &str, quick: bool) -> Vec<(&'static str, Value)> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    vec![
+        ("benchmark", Value::String(benchmark.into())),
+        ("commit", Value::String(commit())),
+        ("host_cores", (cores as u64).to_json()),
+        ("quick", Value::Bool(quick)),
+        ("schema_version", BENCH_SCHEMA_VERSION.to_json()),
+    ]
+}
+
+/// The repository's commit as `git describe` names it, or `"unknown"`
+/// where git or the repository is missing.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["-C", concat!(env!("CARGO_MANIFEST_DIR"), "/../..")])
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".into(), |text| text.trim().to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,6 +166,24 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("value"));
         assert!(lines[3].ends_with("z"));
+    }
+
+    #[test]
+    fn bench_header_names_every_field() {
+        let header = bench_header("tiers", false);
+        let keys: Vec<_> = header.iter().map(|(k, _)| *k).collect();
+        assert_eq!(
+            keys,
+            [
+                "benchmark",
+                "commit",
+                "host_cores",
+                "quick",
+                "schema_version"
+            ]
+        );
+        assert_eq!(header[0].1, Value::String("tiers".into()));
+        assert_eq!(header[3].1, Value::Bool(false));
     }
 
     #[test]

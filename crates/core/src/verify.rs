@@ -313,7 +313,9 @@ fn bernoulli_threshold(p: f64) -> u64 {
 /// The generator body for 64 lanes: for each row word, advance every
 /// lane's SplitMix64 state by one draw and set bit `j` when lane `j`'s
 /// draw falls below its threshold. A lane with threshold 0 never sets its
-/// bit. Written once and compiled per instruction set ([`Fill`]).
+/// bit. Written once and compiled for AVX2 and for AVX-512 ([`Fill`]);
+/// the baseline target runs [`fill_rows_scalar`] instead.
+#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn fill_rows_body(states: &mut [u64; WORD_BITS], thresholds: &[u64; WORD_BITS], rows: &mut [u64]) {
     for row in rows {
@@ -326,11 +328,34 @@ fn fill_rows_body(states: &mut [u64; WORD_BITS], thresholds: &[u64; WORD_BITS], 
     }
 }
 
-/// Which compilation of [`fill_rows_body`] the pattern generator runs,
-/// probed once per [`PatternSource`].
+/// The generator body for [`Fill::Portable`], in a shape the vectorizer
+/// leaves alone. On the baseline target the shared body vectorizes to SSE2 and emulates
+/// each 64-bit multiply from three `pmuludq`s, which is slower than
+/// plain `imul`s. Here each lane's bit enters at the top of the word and
+/// the word shifts right once per lane: a loop-carried recurrence that
+/// is not a reduction, so the lane loop stays scalar. After all 64 lanes,
+/// lane `j`'s bit has moved down to bit `j`, as in the shared body.
+fn fill_rows_scalar(
+    states: &mut [u64; WORD_BITS],
+    thresholds: &[u64; WORD_BITS],
+    rows: &mut [u64],
+) {
+    for row in rows {
+        let mut word = 0u64;
+        for (state, &threshold) in states.iter_mut().zip(thresholds) {
+            *state = state.wrapping_add(GAMMA);
+            word = word >> 1 | ((splitmix_mix(*state) < threshold) as u64) << (WORD_BITS - 1);
+        }
+        *row = word;
+    }
+}
+
+/// Which pattern fill the generator runs, probed once per
+/// [`PatternSource`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fill {
-    /// The baseline target's code (no 64-bit vector multiply).
+    /// The baseline target's code, kept scalar ([`fill_rows_scalar`]):
+    /// it has no 64-bit vector multiply.
     Portable,
     /// AVX2: 4 lanes per vector, the multiplies emulated from 32-bit ones.
     #[cfg(target_arch = "x86_64")]
@@ -382,11 +407,11 @@ impl Fill {
         }
     }
 
-    /// Run [`fill_rows_body`] compiled for this variant.
+    /// Run this variant's pattern fill.
     fn rows(self, states: &mut [u64; WORD_BITS], thresholds: &[u64; WORD_BITS], rows: &mut [u64]) {
         debug_assert!(self.available(), "{self:?} fill on a CPU without it");
         match self {
-            Fill::Portable => fill_rows_body(states, thresholds, rows),
+            Fill::Portable => fill_rows_scalar(states, thresholds, rows),
             // SAFETY: a `Fill::Avx2` exists only where `Fill::detect` or the
             // test entry `PatternSource::with_fill` saw
             // `is_x86_feature_detected!("avx2")` succeed on this CPU.

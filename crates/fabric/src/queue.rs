@@ -29,7 +29,7 @@
 //!   slots, then stores `head` (release/`SeqCst`). The producer refreshes
 //!   its cached head with an acquire load before reusing a slot, so slot
 //!   reuse happens-after the consumer finished with it.
-//! * **parking handshake** — a producer that must park announces itself
+//! * **spin, then park** — a producer that must park announces itself
 //!   (`parked_producers`, `SeqCst`) *before* re-checking fullness
 //!   (`SeqCst` load of `head`); the consumer stores `head` (`SeqCst`)
 //!   *before* checking `parked_producers`. Sequential consistency over
@@ -38,7 +38,14 @@
 //!   and the waker locks the sleeper's mutex before notifying, so the
 //!   wakeup cannot be lost between the re-check and the wait. The
 //!   empty-ring consumer park is the mirror image over `tail` and
-//!   `consumer_parked`.
+//!   `consumer_parked`. Before it parks, the consumer first spins on
+//!   `tail` (acquire loads, yielding its CPU every 32 spins) for at
+//!   most `SPIN_BUDGET` (100 µs), holding one of the process-wide spin
+//!   slots (one fewer than the process's CPUs):
+//!   a frame that lands within the budget is taken without a futex
+//!   wake-up, and a spin that runs out falls through to the unchanged
+//!   park. The spin publishes nothing, so the handshake's argument is
+//!   untouched.
 //!
 //! Every state transition is also reachable without blocking:
 //! [`IngressQueue::try_push`] returns [`TryPush::WouldBlock`] (handing the
@@ -53,12 +60,135 @@
 //! shim deliberately exposes no condition variables.
 
 use std::cell::UnsafeCell;
+use std::hint::spin_loop;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 use switchsim::Message;
 
 use crate::config::Backpressure;
+
+/// How long a consumer that finds its ring empty spins on `tail` before
+/// it parks. The `open-64` serving workload (a frame every 60 µs, about
+/// 15–19 µs of work each, so a ~40 µs idle gap) read this
+/// `latency_p50_us` on a 2-core host, median and range of four 8 s runs
+/// per budget, the budgets taking turns:
+///
+/// | budget | p50 (µs) |
+/// |---|---|
+/// | 0 (park at once) | 22.8 (21.1–23.2) |
+/// | 20 µs | 22.1 (19.6–27.1) |
+/// | 50 µs | 13.7 (12.8–15.2) |
+/// | 100 µs | 13.5 (12.2–14.2) |
+/// | 200 µs | 13.7 (11.7–15.0) |
+///
+/// A spin shorter than the idle gap still ends in the same futex
+/// wake-up, so it gains nothing; from 50 µs on, the next frame lands
+/// while the consumer spins. 100 µs keeps a 2× margin over the gap.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
+
+/// A spinning consumer yields its CPU once every this many spins (a few
+/// µs). On a CPU with nothing else to run the yield returns at once, but
+/// where more threads are runnable than there are CPUs (76 `TierService`
+/// workers on 2 cores) the spin gives way to them instead of taking a
+/// core from real work: `tier_bench` read a median 55.8k tree msgs/s
+/// spinning without yields against 64.7k for the parent, and 67.4k
+/// yielding on every spin. Yielding every 32 spins kept that (92.3k
+/// against 88.5k for every spin, in a faster phase of the host) and
+/// `open-64`'s p50 as without yields (12.9 µs both, parent 21.7).
+const SPINS_PER_YIELD: u32 = 32;
+
+/// Slots for consumers spinning at once, shared by every ring of the
+/// process, so that spinners never hold every CPU a producer could run
+/// on. A consumer that gets no slot parks at once.
+struct SpinSlots {
+    spinning: AtomicUsize,
+    /// The most consumers ever seen spinning at once.
+    #[cfg(test)]
+    most: AtomicUsize,
+}
+
+impl SpinSlots {
+    const fn new() -> SpinSlots {
+        SpinSlots {
+            spinning: AtomicUsize::new(0),
+            #[cfg(test)]
+            most: AtomicUsize::new(0),
+        }
+    }
+
+    /// Take a slot if fewer than `cap` are taken.
+    fn acquire(&self, cap: usize) -> bool {
+        let taken = self
+            .spinning
+            .fetch_update(Ordering::AcqRel, Ordering::Relaxed, |n| {
+                (n < cap).then_some(n + 1)
+            });
+        #[cfg(test)]
+        if let Ok(before) = taken {
+            self.most.fetch_max(before + 1, Ordering::Relaxed);
+        }
+        taken.is_ok()
+    }
+
+    fn release(&self) {
+        self.spinning.fetch_sub(1, Ordering::Release);
+    }
+}
+
+static SPIN_SLOTS: SpinSlots = SpinSlots::new();
+
+/// How many consumers may spin at once: one fewer than the CPUs the
+/// process may use, so a one-CPU process never spins. Counted once per
+/// process (see [`process_cpus`]); after that each wait pays one load.
+fn spin_cap() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| process_cpus().saturating_sub(1))
+}
+
+/// The CPUs this process may use. On Linux `available_parallelism`
+/// counts the *calling thread's* affinity mask (then clips it to the
+/// cgroup CPU quota), so a thread pinned to one CPU reads 1 however many
+/// the process owns. The count is therefore taken on a short-lived
+/// thread that first widens its own mask to every CPU, which the kernel
+/// clips to the process's cpuset. A process confined to one CPU by its
+/// cpuset or its quota reads 1; one whose threads merely all pinned
+/// themselves to the same CPU reads its cpuset. Where the probe thread
+/// cannot start, the caller's own count stands.
+#[cfg(target_os = "linux")]
+fn process_cpus() -> usize {
+    extern "C" {
+        /// Restrict thread `pid` (0: the caller) to the CPUs in `mask`.
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    }
+    let probe = std::thread::Builder::new().spawn(|| {
+        // The C library's `cpu_set_t` size (1024 CPUs); the kernel
+        // ignores bits past its own CPU count.
+        let every_cpu = [u64::MAX; 16];
+        // SAFETY: `every_cpu` is a readable buffer of exactly the size
+        // passed, and pid 0 names this probe thread, whose mask nothing
+        // else depends on. On failure the mask stays as inherited.
+        unsafe {
+            sched_setaffinity(0, std::mem::size_of_val(&every_cpu), every_cpu.as_ptr());
+        }
+        caller_cpus()
+    });
+    probe
+        .ok()
+        .and_then(|thread| thread.join().ok())
+        .unwrap_or_else(caller_cpus)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn process_cpus() -> usize {
+    caller_cpus()
+}
+
+/// `available_parallelism` as seen from the calling thread.
+fn caller_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 /// What a blocking push did. Mirrors [`SubmitOutcome`](crate::SubmitOutcome)
 /// minus the synchronous-only backpressure hand-back (a blocked producer
@@ -173,6 +303,9 @@ pub struct IngressQueue {
     consumer_parked: AtomicBool,
     /// Paired with the consumer mutex.
     not_empty: Condvar,
+    /// Times the consumer announced a park on an empty ring.
+    #[cfg(test)]
+    consumer_parks: AtomicUsize,
 }
 
 // SAFETY: the `UnsafeCell` slots are the only non-`Sync` state, and every
@@ -221,6 +354,8 @@ impl IngressQueue {
             consumer: Mutex::new(ConsumerSide { cached_tail: start }),
             consumer_parked: AtomicBool::new(false),
             not_empty: Condvar::new(),
+            #[cfg(test)]
+            consumer_parks: AtomicUsize::new(0),
         }
     }
 
@@ -543,8 +678,25 @@ impl IngressQueue {
 
     /// Pop up to `max` messages, blocking while the queue is empty and
     /// open. Returns `None` once the queue is closed **and** empty.
+    ///
+    /// On an empty open ring the consumer spins for up to 100 µs if it
+    /// gets a process-wide spin slot, and parks on the condvar only if
+    /// nothing lands meanwhile.
     pub fn pop_batch_blocking(&self, max: usize) -> Option<Vec<Message>> {
+        self.pop_batch_spin_then_park(max, SPIN_BUDGET, &SPIN_SLOTS, spin_cap())
+    }
+
+    /// [`Self::pop_batch_blocking`] with the spin budget, the slots and
+    /// their cap passed in, so tests can set all three.
+    fn pop_batch_spin_then_park(
+        &self,
+        max: usize,
+        budget: Duration,
+        slots: &SpinSlots,
+        cap: usize,
+    ) -> Option<Vec<Message>> {
         let mut cons = self.consumer.lock().expect("ingress ring poisoned");
+        let mut spun = false;
         loop {
             let batch = self.take(&mut cons, max);
             if !batch.is_empty() {
@@ -555,6 +707,21 @@ impl IngressQueue {
             if self.closed.load(Ordering::SeqCst) {
                 return None;
             }
+            // Spin once per wait, without the consumer mutex (a shedding
+            // producer or `close` may need it meanwhile); `take` and the
+            // close check above then run again under it.
+            if !spun {
+                spun = true;
+                if slots.acquire(cap) {
+                    drop(cons);
+                    self.spin_while_empty(budget);
+                    slots.release();
+                    cons = self.consumer.lock().expect("ingress ring poisoned");
+                    continue;
+                }
+            }
+            #[cfg(test)]
+            self.consumer_parks.fetch_add(1, Ordering::Relaxed);
             // Announce-then-recheck, mirroring the producer park: a
             // publisher either sees the flag (and lock-then-notifies) or
             // published before our SeqCst tail load (and we see the data).
@@ -565,6 +732,24 @@ impl IngressQueue {
                 cons = self.not_empty.wait(cons).expect("ingress ring poisoned");
             }
             self.consumer_parked.store(false, Ordering::SeqCst);
+        }
+    }
+
+    /// Spin until a publication lands (acquire load of `tail`), the
+    /// queue closes, or `budget` runs out, yielding every
+    /// [`SPINS_PER_YIELD`] spins.
+    fn spin_while_empty(&self, budget: Duration) {
+        let start = Instant::now();
+        let mut spins = 0u32;
+        while self.tail.load(Ordering::Acquire) == self.head.load(Ordering::Relaxed)
+            && !self.closed.load(Ordering::Acquire)
+            && start.elapsed() < budget
+        {
+            spin_loop();
+            spins = spins.wrapping_add(1);
+            if spins.is_multiple_of(SPINS_PER_YIELD) {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -952,43 +1137,178 @@ mod tests {
         assert_eq!(q.pop_batch_blocking(4), None);
     }
 
-    /// Threaded smoke test: a consumer parked on an empty queue is woken
-    /// by the first push, without any timing assumptions.
-    #[test]
-    fn consumer_wakes_on_push() {
-        let q = Arc::new(IngressQueue::new(4));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch_blocking(4))
-        };
-        q.push(msg(7), Backpressure::Block);
-        let batch = consumer.join().unwrap().expect("open queue yields batch");
-        assert_eq!(batch[0].id, 7);
+    /// A spin budget no test outlasts: a spinning consumer in these tests
+    /// leaves its spin only through a push or a close, never by timing.
+    const FOREVER: Duration = Duration::from_secs(600);
+
+    /// The consumer-side configurations every wake-up test runs under:
+    /// no spin slot (park at once), and one slot with a spin budget.
+    fn consumer_modes() -> [(usize, Duration); 2] {
+        [(0, FOREVER), (1, SPIN_BUDGET)]
     }
 
-    /// Threaded smoke test: a parked consumer is woken by a batched
+    /// Yield until `ready` holds: a handshake on queue state, not a
+    /// timed wait.
+    fn wait_until(ready: impl Fn() -> bool) {
+        while !ready() {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Threaded smoke test: a consumer waiting on an empty queue is woken
+    /// by the first push, without any timing assumptions — parked at
+    /// once, or spinning first.
+    #[test]
+    fn consumer_wakes_on_push() {
+        for (cap, budget) in consumer_modes() {
+            let q = Arc::new(IngressQueue::new(4));
+            let slots = Arc::new(SpinSlots::new());
+            let consumer = {
+                let (q, slots) = (Arc::clone(&q), Arc::clone(&slots));
+                std::thread::spawn(move || q.pop_batch_spin_then_park(4, budget, &slots, cap))
+            };
+            q.push(msg(7), Backpressure::Block);
+            let batch = consumer.join().unwrap().expect("open queue yields batch");
+            assert_eq!(batch[0].id, 7, "cap {cap}");
+        }
+    }
+
+    /// Threaded smoke test: a waiting consumer is woken by a batched
     /// publication (one tail store for the whole frame), and a blocking
     /// batch producer lands an oversized frame as the consumer drains —
-    /// no sleeps, both sides keyed purely on queue state.
+    /// no sleeps, both sides keyed purely on queue state, with and
+    /// without the spin.
     #[test]
     fn batched_publication_wakes_consumer_and_blocking_batch_completes() {
-        let q = Arc::new(IngressQueue::new(2));
+        for (cap, budget) in consumer_modes() {
+            let q = Arc::new(IngressQueue::new(2));
+            let slots = Arc::new(SpinSlots::new());
+            let consumer = {
+                let (q, slots) = (Arc::clone(&q), Arc::clone(&slots));
+                std::thread::spawn(move || {
+                    let mut seen = Vec::new();
+                    while let Some(batch) = q.pop_batch_spin_then_park(2, budget, &slots, cap) {
+                        seen.extend(ids(&batch));
+                    }
+                    seen
+                })
+            };
+            let result = q.push_batch((0..7).map(msg).collect(), Backpressure::Block);
+            assert_eq!(result.enqueued, 7);
+            assert!(result.blocked.is_empty());
+            q.close();
+            let seen = consumer.join().unwrap();
+            assert_eq!(
+                seen,
+                vec![0, 1, 2, 3, 4, 5, 6],
+                "FIFO across parks, cap {cap}"
+            );
+            assert_eq!(q.counters(), (7, 0, 0));
+            assert_eq!(slots.spinning.load(Ordering::SeqCst), 0, "slot released");
+        }
+    }
+
+    /// A push that lands while the consumer spins is taken straight
+    /// away: the consumer never announces a park.
+    #[test]
+    fn push_during_spin_is_taken_without_parking() {
+        let q = Arc::new(IngressQueue::new(4));
+        let slots = Arc::new(SpinSlots::new());
         let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut seen = Vec::new();
-                while let Some(batch) = q.pop_batch_blocking(2) {
-                    seen.extend(ids(&batch));
-                }
-                seen
-            })
+            let (q, slots) = (Arc::clone(&q), Arc::clone(&slots));
+            std::thread::spawn(move || q.pop_batch_spin_then_park(4, FOREVER, &slots, 1))
         };
-        let result = q.push_batch((0..7).map(msg).collect(), Backpressure::Block);
-        assert_eq!(result.enqueued, 7);
-        assert!(result.blocked.is_empty());
+        wait_until(|| slots.spinning.load(Ordering::SeqCst) == 1);
+        q.push(msg(3), Backpressure::Block);
+        let batch = consumer.join().unwrap().expect("open queue yields batch");
+        assert_eq!(ids(&batch), vec![3]);
+        assert_eq!(q.consumer_parks.load(Ordering::SeqCst), 0);
+        assert_eq!(slots.spinning.load(Ordering::SeqCst), 0, "slot released");
+    }
+
+    /// `close` during the spin ends the wait with the closed-and-empty
+    /// `None`, again without a park.
+    #[test]
+    fn close_during_spin_returns_none() {
+        let q = Arc::new(IngressQueue::new(4));
+        let slots = Arc::new(SpinSlots::new());
+        let consumer = {
+            let (q, slots) = (Arc::clone(&q), Arc::clone(&slots));
+            std::thread::spawn(move || q.pop_batch_spin_then_park(4, FOREVER, &slots, 1))
+        };
+        wait_until(|| slots.spinning.load(Ordering::SeqCst) == 1);
         q.close();
-        let seen = consumer.join().unwrap();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5, 6], "FIFO across parks");
-        assert_eq!(q.counters(), (7, 0, 0));
+        assert_eq!(consumer.join().unwrap(), None);
+        assert_eq!(q.consumer_parks.load(Ordering::SeqCst), 0);
+    }
+
+    /// With no spin slot to take (cap 0, as in a one-CPU process) the
+    /// consumer parks at once, however long its budget.
+    #[test]
+    fn cap_zero_parks_at_once() {
+        let q = Arc::new(IngressQueue::new(4));
+        let slots = Arc::new(SpinSlots::new());
+        let consumer = {
+            let (q, slots) = (Arc::clone(&q), Arc::clone(&slots));
+            std::thread::spawn(move || q.pop_batch_spin_then_park(4, FOREVER, &slots, 0))
+        };
+        wait_until(|| q.consumer_parked.load(Ordering::SeqCst));
+        q.push(msg(5), Backpressure::Block);
+        let batch = consumer.join().unwrap().expect("open queue yields batch");
+        assert_eq!(ids(&batch), vec![5]);
+        assert_eq!(q.consumer_parks.load(Ordering::SeqCst), 1);
+        assert_eq!(slots.most.load(Ordering::SeqCst), 0, "nobody spun");
+    }
+
+    /// The spin cap counts the process's CPUs, which are never fewer
+    /// than the calling thread's, and is read once: one fewer than them.
+    #[test]
+    fn spin_cap_is_one_fewer_than_the_process_cpus() {
+        let caller = caller_cpus();
+        let cpus = process_cpus();
+        assert!(cpus >= caller, "process {cpus} < caller {caller}");
+        assert_eq!(spin_cap(), cpus - 1);
+    }
+
+    /// K consumers start waiting on K empty rings at once under cap 1:
+    /// exactly one spins, the rest park, and the high-water mark never
+    /// passes one.
+    #[test]
+    fn spin_cap_bounds_concurrent_spinners() {
+        const K: usize = 4;
+        let queues: Vec<_> = (0..K).map(|_| Arc::new(IngressQueue::new(4))).collect();
+        let slots = Arc::new(SpinSlots::new());
+        let start = Arc::new(std::sync::Barrier::new(K + 1));
+        let consumers: Vec<_> = queues
+            .iter()
+            .map(|q| {
+                let (q, slots, start) = (Arc::clone(q), Arc::clone(&slots), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    q.pop_batch_spin_then_park(4, FOREVER, &slots, 1)
+                })
+            })
+            .collect();
+        start.wait();
+        wait_until(|| {
+            slots.spinning.load(Ordering::SeqCst) == 1
+                && queues
+                    .iter()
+                    .filter(|q| q.consumer_parked.load(Ordering::SeqCst))
+                    .count()
+                    == K - 1
+        });
+        for q in &queues {
+            q.close();
+        }
+        for consumer in consumers {
+            assert_eq!(consumer.join().unwrap(), None);
+        }
+        assert_eq!(slots.most.load(Ordering::SeqCst), 1);
+        let parks: usize = queues
+            .iter()
+            .map(|q| q.consumer_parks.load(Ordering::SeqCst))
+            .sum();
+        assert!(parks >= K - 1, "{parks} parks");
     }
 }
