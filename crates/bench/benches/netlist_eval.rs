@@ -19,6 +19,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use bench::bench_header;
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::verify::SplitMix64;
 use netlist::BitMatrix;
@@ -57,6 +58,7 @@ struct SizeResult {
     gates: usize,
     levels: usize,
     insns: usize,
+    runs: usize,
     slots: usize,
     scalar_vps: f64,
     block64_vps: f64,
@@ -128,6 +130,7 @@ fn measure(n: usize) -> SizeResult {
         gates: nl.gate_count(),
         levels: compiled.level_count(),
         insns: compiled.insn_count(),
+        runs: compiled.run_count(),
         slots: compiled.slot_count(),
         scalar_vps: 1.0 / scalar_spc,
         block64_vps: 64.0 / block_spc,
@@ -194,10 +197,11 @@ fn main() {
     for &n in sizes {
         let r = measure(n);
         println!(
-            "n={:5}  gates={:7}  insns={:7}  slots={:6}  levels={:3}  scalar={:>10.0} v/s  block64={:>11.0} v/s  schedule={:>11.0} v/s  emulator={:>12.0} v/s  speedup={:6.1}x",
+            "n={:5}  gates={:7}  insns={:7}  runs={:5}  slots={:6}  levels={:3}  scalar={:>10.0} v/s  block64={:>11.0} v/s  schedule={:>11.0} v/s  emulator={:>12.0} v/s  speedup={:6.1}x",
             r.n,
             r.gates,
             r.insns,
+            r.runs,
             r.slots,
             r.levels,
             r.scalar_vps,
@@ -239,19 +243,21 @@ fn main() {
         }
     }
 
-    let mut json = String::from("{\n  \"benchmark\": \"netlist_eval\",\n");
+    let mut json = String::from("{\n");
+    for (key, value) in bench_header("netlist_eval", quick) {
+        let _ = writeln!(json, "  \"{key}\": {},", value.to_compact());
+    }
     json.push_str("  \"netlist\": \"Revsort switch control logic (m = n/2, with pads)\",\n");
     json.push_str("  \"units\": \"vectors_per_second\",\n");
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(json, "  \"quick\": {quick},");
     json.push_str("  \"sizes\": [\n");
     for (i, r) in results.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"n\": {}, \"gates\": {}, \"insns\": {}, \"slots\": {}, \"levels\": {}, \"scalar\": {:.1}, \"block64\": {:.1}, \"schedule\": {:.1}, \"compiled\": {:.1}, \"speedup_block64_vs_scalar\": {:.2}, \"speedup_compiled_vs_scalar\": {:.2}}}{}",
+            "    {{\"n\": {}, \"gates\": {}, \"insns\": {}, \"runs\": {}, \"slots\": {}, \"levels\": {}, \"scalar\": {:.1}, \"block64\": {:.1}, \"schedule\": {:.1}, \"compiled\": {:.1}, \"speedup_block64_vs_scalar\": {:.2}, \"speedup_compiled_vs_scalar\": {:.2}}}{}",
             r.n,
             r.gates,
             r.insns,
+            r.runs,
             r.slots,
             r.levels,
             r.scalar_vps,

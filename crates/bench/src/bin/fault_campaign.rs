@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use bench::{banner, TextTable};
+use bench::{banner, bench_header, TextTable};
 use concentrator::faults::{
     run_campaign, CampaignReport, CampaignSpec, ChipFault, FaultCampaign, FaultMode,
 };
@@ -161,7 +161,10 @@ fn main() {
     );
 
     // ---- BENCH_faults.json -------------------------------------------
-    let mut json = String::from("{\n  \"benchmark\": \"faults\",\n");
+    let mut json = String::from("{\n");
+    for (key, value) in bench_header("faults", false) {
+        let _ = writeln!(json, "  \"{key}\": {},", value.to_compact());
+    }
     let _ = writeln!(
         json,
         "  \"switch\": \"Revsort n=64 m=48 (2-D layout)\",\n  \"seed\": {SEED},\n  \"frames\": {FRAMES},\n  \"density\": {DENSITY},"

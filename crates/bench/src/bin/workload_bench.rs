@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use bench::{banner, TextTable};
+use bench::{banner, bench_header, TextTable};
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::StagedSwitch;
 use fabric::trace::{frames, generate};
@@ -224,7 +224,10 @@ fn main() {
     );
 
     // ---- BENCH_workloads.json ----------------------------------------
-    let mut json = String::from("{\n  \"benchmark\": \"workloads\",\n");
+    let mut json = String::from("{\n");
+    for (key, value) in bench_header("workloads", false) {
+        let _ = writeln!(json, "  \"{key}\": {},", value.to_compact());
+    }
     let _ = writeln!(
         json,
         "  \"switch\": \"Revsort n={N} m={M} (2-D layout)\",\n  \"workload\": \"{TICKS} ticks x {N} sources, 8-byte payloads, seed {SEED}\",\n  \"serving\": \"1 shard, queue 256, shed-oldest, retry budget 2\","

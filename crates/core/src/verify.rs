@@ -657,6 +657,10 @@ pub struct EpsilonReport {
 /// [`CleanDirtySplit::epsilon`] — equal to [`meshsort::nearsort_epsilon`]
 /// on 0/1 sequences, without a sort. The report is a maximum over
 /// patterns, so it does not depend on the thread count.
+///
+/// The thread count is [`std::thread::available_parallelism`] as the
+/// *calling* thread sees it, which honours its CPU affinity: a caller
+/// pinned to one CPU runs the whole call on one thread.
 pub fn measure_epsilon(switch: &StagedSwitch, trials: usize, seed: u64) -> EpsilonReport {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     measure_epsilon_threads(switch, trials, seed, threads)

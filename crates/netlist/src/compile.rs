@@ -456,6 +456,13 @@ impl CompiledNetlist {
         self.stream.insns.len()
     }
 
+    /// Number of opcode runs in the lowered stream: the emulator's
+    /// dispatches per sweep.
+    #[inline]
+    pub fn run_count(&self) -> usize {
+        self.stream.runs.len()
+    }
+
     /// Value slots the emulator sweeps over — peak live wires after
     /// level-blocked recycling, and the scratch words per lane. For the
     /// switch netlists this is a small fraction of [`Self::wire_count`],

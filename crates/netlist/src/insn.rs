@@ -59,15 +59,23 @@
 //!   be on another chip: cross-level reads are ordinary. A faulted AND is
 //!   never absorbed, since a stuck-at makes it a constant and a flip
 //!   inverts its OR's literal.
-//! * **Chain-step order.** Within each (level, chip) group, instructions
-//!   are stably ordered by their step along their dependency chain inside
-//!   the group: every chain's first instruction, then every second, and
-//!   so on. Independent accumulators interleave, so no single
-//!   read-modify-write chain serializes the sweep. Frees wait for level
-//!   boundaries, so the only hazards inside a group are reads after
-//!   writes (a chain reading its accumulator, a gate reading a
-//!   temporary), and the order keeps every one of them
-//!   ([`InsnStream::self_check`] verifies it).
+//! * **(Step, opcode) order.** Within each (level, chip) group,
+//!   instructions are stably ordered by their step along their dependency
+//!   chain inside the group, and within a step by opword: every chain's
+//!   first instruction, then every second, and so on. Independent
+//!   accumulators interleave, so no single read-modify-write chain
+//!   serializes the sweep. Frees wait for level boundaries, so the only
+//!   hazards inside a group are reads after writes (a chain reading its
+//!   accumulator, a gate reading a temporary); a read's step is above its
+//!   write's, so instructions of one step are independent and any order
+//!   among them keeps every hazard ([`InsnStream::self_check`] verifies
+//!   it).
+//! * **Opcode runs.** The order gathers each step's same-opword
+//!   instructions into one run, and `lower` records the maximal runs of
+//!   the stream (a few hundred where the opword would otherwise change
+//!   thousands of times). The emulator dispatches once per run into a
+//!   loop monomorphized on its opcode, with the inversion masks hoisted
+//!   out of the loop, so no instruction pays an opcode branch.
 
 use crate::compile::{unpack, Op, PackedLit, Schedule};
 use crate::partition::Partition;
@@ -138,6 +146,10 @@ pub(crate) struct InsnStream {
     pub chip_ranges: Vec<(u32, u32)>,
     /// Number of chips the stream is partitioned into.
     pub chips: usize,
+    /// Opcode runs: maximal stretches of instructions sharing one opword,
+    /// as `(end, opword)` with run `r` at `insns[runs[r - 1].0..runs[r].0]`
+    /// (from 0 for the first). The emulator dispatches once per run.
+    pub runs: Vec<(u32, u32)>,
     /// Value slots required (scratch words per lane).
     pub slot_count: usize,
     /// Slot of each primary input, in input-ordinal order.
@@ -236,8 +248,8 @@ impl WireUse {
 
 /// Lower `sched` onto `part`'s chips: liveness-allocate slots, emit the
 /// instruction stream in (level, chip) groups with shared chain prefixes
-/// and fused AND–OR terms, order each group by chain step, and record the
-/// per-level chip ranges.
+/// and fused AND–OR terms, order each group by (chain step, opword), and
+/// record the per-level chip ranges and the opcode runs.
 pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
     let num_levels = sched.levels.len() - 1;
     let chips = part.chips.max(1);
@@ -436,6 +448,7 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
         .collect();
 
     let stream = InsnStream {
+        runs: opcode_runs(&insns),
         insns,
         level_bounds,
         chip_ranges,
@@ -448,6 +461,19 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
     #[cfg(debug_assertions)]
     stream.self_check();
     stream
+}
+
+/// The maximal same-opword runs of `insns`, as `(end, opword)`.
+fn opcode_runs(insns: &[Insn]) -> Vec<(u32, u32)> {
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    for (k, i) in insns.iter().enumerate() {
+        let end = k as u32 + 1;
+        match runs.last_mut() {
+            Some(run) if run.1 == i.opword => run.0 = end,
+            _ => runs.push((end, i.opword)),
+        }
+    }
+    runs
 }
 
 /// A chain operand: a slot and whether it is read inverted.
@@ -593,7 +619,7 @@ fn emit_gate(
 
 /// One (level, chip) group's instructions, staged with their chain
 /// steps until [`GroupStage::flush`] appends them to the stream in
-/// chain-step order. Its buffers are reused across groups.
+/// (chain step, opword) order. Its buffers are reused across groups.
 ///
 /// An instruction's step is its dependency depth inside the group: 0
 /// unless it reads a slot written earlier in the group, and otherwise one
@@ -603,31 +629,39 @@ fn emit_gate(
 /// for level boundaries: inside a group no slot is written after another
 /// instruction read its old value, so the only hazards are reads after
 /// writes (a chain reading its accumulator, a gate reading a temporary),
-/// and a read's step is above its write's.
+/// and a read's step is above its write's. Instructions of one step are
+/// therefore independent, and sorting them by opword as well gathers
+/// each step's same-opword instructions into one run the emulator
+/// dispatches once.
 #[derive(Default)]
 struct GroupStage {
     insns: Vec<Insn>,
-    steps: Vec<u32>,
+    /// Sort key per instruction: `step << OPWORD_BITS | opword`.
+    keys: Vec<u32>,
     starts: Vec<u32>,
 }
+
+/// Width of [`Insn::opword`]: opcode and the two inversion flags.
+const OPWORD_BITS: u32 = 5;
 
 impl GroupStage {
     #[inline]
     fn push(&mut self, insn: Insn, step: u32) {
+        debug_assert!(insn.opword < 1 << OPWORD_BITS);
         self.insns.push(insn);
-        self.steps.push(step);
+        self.keys.push(step << OPWORD_BITS | insn.opword);
     }
 
-    /// Append the staged group to `out` in chain-step order and empty
-    /// the stage.
+    /// Append the staged group to `out` in (chain step, opword) order and
+    /// empty the stage.
     fn flush(&mut self, out: &mut Vec<Insn>) {
-        if self.steps.is_sorted() {
+        if self.keys.is_sorted() {
             out.extend_from_slice(&self.insns);
         } else {
-            let top = *self.steps.iter().max().unwrap_or(&0) as usize;
+            let top = *self.keys.iter().max().unwrap_or(&0) as usize;
             self.starts.clear();
             self.starts.resize(top + 2, 0);
-            for &s in &self.steps {
+            for &s in &self.keys {
                 self.starts[s as usize + 1] += 1;
             }
             for k in 1..self.starts.len() {
@@ -635,14 +669,14 @@ impl GroupStage {
             }
             let base = out.len();
             out.resize(base + self.insns.len(), Insn::default());
-            for (&i, &s) in self.insns.iter().zip(&self.steps) {
+            for (&i, &s) in self.insns.iter().zip(&self.keys) {
                 let at = &mut self.starts[s as usize];
                 out[base + *at as usize] = i;
                 *at += 1;
             }
         }
         self.insns.clear();
-        self.steps.clear();
+        self.keys.clear();
     }
 }
 
@@ -690,232 +724,125 @@ pub(crate) fn simd_available(simd: Simd) -> bool {
     }
 }
 
-/// Execute one instruction over a lane group of `LW` words.
-///
-/// # Safety
-/// `vals` must point to at least `slot_count * LW` writable words, and
-/// the instruction's slots `a`, `b`, `dst` must be `< slot_count`.
-/// [`InsnStream::eval_words`] slices the buffer to that length; `lower` hands out
-/// only slots below the `slot_count` it records, and
-/// [`InsnStream::self_check`] verifies every slot after each debug-build
-/// `lower`. [`OP_ANDOR`] also reads `dst`: were its accumulator not
-/// written earlier in the group, it would read a stale but initialized
-/// word, so the result would be wrong, not undefined (`self_check`
-/// verifies the order too). An opcode outside `OP_AND..=OP_ANDOR`
-/// panics.
-#[inline(always)]
-unsafe fn exec<const LW: usize>(vals: *mut u64, i: Insn) {
-    let ma = (((i.opword >> 3) & 1) as u64).wrapping_neg();
-    let mb = (((i.opword >> 4) & 1) as u64).wrapping_neg();
-    let a = vals.add(i.a as usize * LW);
-    let b = vals.add(i.b as usize * LW);
-    let d = vals.add(i.dst as usize * LW);
-    match i.opword & OP_MASK {
-        OP_AND => {
+/// A kernel family for one lane-group width: a branch-free loop over a
+/// run of instructions that share one opword.
+trait Kernel {
+    /// Execute `run`, in order, over lane groups of this kernel's width:
+    /// every instruction computes opcode `OP` with source a read through
+    /// mask `ma` and source b through `mb` (all ones to invert).
+    ///
+    /// # Safety
+    /// `vals` must point to at least `slot_count` writable lane groups of
+    /// this kernel's width, every instruction of `run` must name slots
+    /// `a`, `b`, `dst` below `slot_count`, and the CPU must support the
+    /// kernel's target features. [`InsnStream::eval_words`] slices the buffer to that
+    /// length; `lower` hands out only slots below the `slot_count` it
+    /// records, and [`InsnStream::self_check`] verifies every slot after
+    /// each debug-build `lower`; [`InsnStream::run`] picks an AVX kernel
+    /// only for a [`Simd`] that [`detect_simd`] returned. [`OP_ANDOR`]
+    /// also reads `dst`: were its accumulator not written earlier in the
+    /// group, it would read a stale but initialized word, so the result
+    /// would be wrong, not undefined (`self_check` verifies the order
+    /// too).
+    unsafe fn exec<const OP: u32>(vals: *mut u64, run: &[Insn], ma: u64, mb: u64);
+}
+
+/// Portable unrolled u64 loops over `LW`-word lane groups, which the
+/// compiler auto-vectorizes to the baseline 128-bit SSE2.
+struct Portable<const LW: usize>;
+
+impl<const LW: usize> Kernel for Portable<LW> {
+    #[inline(always)]
+    unsafe fn exec<const OP: u32>(vals: *mut u64, run: &[Insn], ma: u64, mb: u64) {
+        for i in run {
+            let a = vals.add(i.a as usize * LW);
+            let b = vals.add(i.b as usize * LW);
+            let d = vals.add(i.dst as usize * LW);
             for k in 0..LW {
-                *d.add(k) = (*a.add(k) ^ ma) & (*b.add(k) ^ mb);
+                // Sources an opcode ignores are never loaded once `OP`
+                // is folded.
+                let (x, y) = (*a.add(k) ^ ma, *b.add(k) ^ mb);
+                *d.add(k) = match OP {
+                    OP_AND => x & y,
+                    OP_OR => x | y,
+                    OP_XOR => x ^ y,
+                    OP_COPY => x,
+                    OP_CONST0 => 0,
+                    OP_CONST1 => !0,
+                    OP_ANDOR => *d.add(k) | (x & y),
+                    _ => unreachable!("unknown opcode {OP}"),
+                };
             }
         }
-        OP_OR => {
-            for k in 0..LW {
-                *d.add(k) = (*a.add(k) ^ ma) | (*b.add(k) ^ mb);
-            }
-        }
-        OP_XOR => {
-            for k in 0..LW {
-                *d.add(k) = (*a.add(k) ^ ma) ^ (*b.add(k) ^ mb);
-            }
-        }
-        OP_COPY => {
-            for k in 0..LW {
-                *d.add(k) = *a.add(k) ^ ma;
-            }
-        }
-        OP_CONST0 => {
-            for k in 0..LW {
-                *d.add(k) = 0;
-            }
-        }
-        OP_CONST1 => {
-            for k in 0..LW {
-                *d.add(k) = !0;
-            }
-        }
-        OP_ANDOR => {
-            for k in 0..LW {
-                *d.add(k) |= (*a.add(k) ^ ma) & (*b.add(k) ^ mb);
-            }
-        }
-        op => unreachable!("unknown opcode {op}"),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! Explicit 256/512-bit kernels. The portable `exec` loops already
+    //! Explicit 256/512-bit kernels. The portable loops already
     //! auto-vectorize to the baseline 128-bit SSE2; these widen one
     //! instruction's lane group to one or two native vector ops.
-    use super::{Insn, OP_AND, OP_ANDOR, OP_CONST0, OP_CONST1, OP_COPY, OP_MASK, OP_OR, OP_XOR};
+    use super::{Insn, Kernel, OP_AND, OP_ANDOR, OP_CONST0, OP_CONST1, OP_COPY, OP_OR, OP_XOR};
     use std::arch::x86_64::*;
 
-    /// # Safety
-    /// The CPU must support AVX2: callers reach this only through a
-    /// [`super::Simd`] that [`super::detect_simd`] returned after probing
-    /// for it. `vals` must cover `slot_count * 4` words and the
-    /// instruction's slots must be `< slot_count`, as for [`super::exec`];
-    /// as there, `OP_ANDOR` reads `dst`, so an accumulator its group did
-    /// not write first gives a wrong result rather than undefined
-    /// behaviour, and an unknown opcode panics.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn exec_w4(vals: *mut u64, i: Insn) {
-        let ma = _mm256_set1_epi64x((((i.opword >> 3) & 1) as i64).wrapping_neg());
-        let mb = _mm256_set1_epi64x((((i.opword >> 4) & 1) as i64).wrapping_neg());
-        let a = vals.add(i.a as usize * 4) as *const __m256i;
-        let b = vals.add(i.b as usize * 4) as *const __m256i;
-        let d = vals.add(i.dst as usize * 4) as *mut __m256i;
-        let r = match i.opword & OP_MASK {
-            OP_AND => _mm256_and_si256(
-                _mm256_xor_si256(_mm256_loadu_si256(a), ma),
-                _mm256_xor_si256(_mm256_loadu_si256(b), mb),
-            ),
-            OP_OR => _mm256_or_si256(
-                _mm256_xor_si256(_mm256_loadu_si256(a), ma),
-                _mm256_xor_si256(_mm256_loadu_si256(b), mb),
-            ),
-            OP_XOR => _mm256_xor_si256(
-                _mm256_xor_si256(_mm256_loadu_si256(a), ma),
-                _mm256_xor_si256(_mm256_loadu_si256(b), mb),
-            ),
-            OP_COPY => _mm256_xor_si256(_mm256_loadu_si256(a), ma),
-            OP_CONST0 => _mm256_setzero_si256(),
-            OP_CONST1 => _mm256_set1_epi64x(-1),
-            OP_ANDOR => _mm256_or_si256(
-                _mm256_loadu_si256(d),
-                _mm256_and_si256(
-                    _mm256_xor_si256(_mm256_loadu_si256(a), ma),
-                    _mm256_xor_si256(_mm256_loadu_si256(b), mb),
-                ),
-            ),
-            op => unreachable!("unknown opcode {op}"),
-        };
-        _mm256_storeu_si256(d, r);
-    }
+    /// AVX2 over `H` 256-bit halves: 4-word lane groups (`H = 1`) or
+    /// 8-word ones (`H = 2`).
+    pub(super) struct Avx2<const H: usize>;
 
-    /// # Safety
-    /// As [`exec_w4`] (AVX2, probed by [`super::detect_simd`]), with
-    /// `vals` covering `slot_count * 8` words: the two 256-bit halves of
-    /// an 8-word group.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn exec_w8_avx2(vals: *mut u64, i: Insn) {
-        let ma = _mm256_set1_epi64x((((i.opword >> 3) & 1) as i64).wrapping_neg());
-        let mb = _mm256_set1_epi64x((((i.opword >> 4) & 1) as i64).wrapping_neg());
-        let a = vals.add(i.a as usize * 8) as *const __m256i;
-        let b = vals.add(i.b as usize * 8) as *const __m256i;
-        let d = vals.add(i.dst as usize * 8) as *mut __m256i;
-        for h in 0..2 {
-            let r = match i.opword & OP_MASK {
-                OP_AND => _mm256_and_si256(
-                    _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma),
-                    _mm256_xor_si256(_mm256_loadu_si256(b.add(h)), mb),
-                ),
-                OP_OR => _mm256_or_si256(
-                    _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma),
-                    _mm256_xor_si256(_mm256_loadu_si256(b.add(h)), mb),
-                ),
-                OP_XOR => _mm256_xor_si256(
-                    _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma),
-                    _mm256_xor_si256(_mm256_loadu_si256(b.add(h)), mb),
-                ),
-                OP_COPY => _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma),
-                OP_CONST0 => _mm256_setzero_si256(),
-                OP_CONST1 => _mm256_set1_epi64x(-1),
-                OP_ANDOR => _mm256_or_si256(
-                    _mm256_loadu_si256(d.add(h)),
-                    _mm256_and_si256(
-                        _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma),
-                        _mm256_xor_si256(_mm256_loadu_si256(b.add(h)), mb),
-                    ),
-                ),
-                op => unreachable!("unknown opcode {op}"),
-            };
-            _mm256_storeu_si256(d.add(h), r);
+    impl<const H: usize> Kernel for Avx2<H> {
+        #[target_feature(enable = "avx2")]
+        unsafe fn exec<const OP: u32>(vals: *mut u64, run: &[Insn], ma: u64, mb: u64) {
+            let (ma, mb) = (_mm256_set1_epi64x(ma as i64), _mm256_set1_epi64x(mb as i64));
+            for i in run {
+                let a = vals.add(i.a as usize * 4 * H) as *const __m256i;
+                let b = vals.add(i.b as usize * 4 * H) as *const __m256i;
+                let d = vals.add(i.dst as usize * 4 * H) as *mut __m256i;
+                for h in 0..H {
+                    let x = _mm256_xor_si256(_mm256_loadu_si256(a.add(h)), ma);
+                    let y = _mm256_xor_si256(_mm256_loadu_si256(b.add(h)), mb);
+                    let r = match OP {
+                        OP_AND => _mm256_and_si256(x, y),
+                        OP_OR => _mm256_or_si256(x, y),
+                        OP_XOR => _mm256_xor_si256(x, y),
+                        OP_COPY => x,
+                        OP_CONST0 => _mm256_setzero_si256(),
+                        OP_CONST1 => _mm256_set1_epi64x(-1),
+                        OP_ANDOR => {
+                            _mm256_or_si256(_mm256_loadu_si256(d.add(h)), _mm256_and_si256(x, y))
+                        }
+                        _ => unreachable!("unknown opcode {OP}"),
+                    };
+                    _mm256_storeu_si256(d.add(h), r);
+                }
+            }
         }
     }
 
-    /// # Safety
-    /// The CPU must support AVX-512F: callers reach this only through
-    /// `Simd::Avx512`, which [`super::detect_simd`] returns only after
-    /// probing for it. `vals` must cover `slot_count * 8` words and the
-    /// instruction's slots must be `< slot_count`, as for [`super::exec`]
-    /// (including its `OP_ANDOR` and unknown-opcode notes).
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn exec_w8_avx512(vals: *mut u64, i: Insn) {
-        let ma = _mm512_set1_epi64((((i.opword >> 3) & 1) as i64).wrapping_neg());
-        let mb = _mm512_set1_epi64((((i.opword >> 4) & 1) as i64).wrapping_neg());
-        let a = vals.add(i.a as usize * 8) as *const __m512i;
-        let b = vals.add(i.b as usize * 8) as *const __m512i;
-        let d = vals.add(i.dst as usize * 8) as *mut __m512i;
-        let r = match i.opword & OP_MASK {
-            OP_AND => _mm512_and_si512(
-                _mm512_xor_si512(_mm512_loadu_si512(a), ma),
-                _mm512_xor_si512(_mm512_loadu_si512(b), mb),
-            ),
-            OP_OR => _mm512_or_si512(
-                _mm512_xor_si512(_mm512_loadu_si512(a), ma),
-                _mm512_xor_si512(_mm512_loadu_si512(b), mb),
-            ),
-            OP_XOR => _mm512_xor_si512(
-                _mm512_xor_si512(_mm512_loadu_si512(a), ma),
-                _mm512_xor_si512(_mm512_loadu_si512(b), mb),
-            ),
-            OP_COPY => _mm512_xor_si512(_mm512_loadu_si512(a), ma),
-            OP_CONST0 => _mm512_setzero_si512(),
-            OP_CONST1 => _mm512_set1_epi64(-1),
-            OP_ANDOR => _mm512_or_si512(
-                _mm512_loadu_si512(d),
-                _mm512_and_si512(
-                    _mm512_xor_si512(_mm512_loadu_si512(a), ma),
-                    _mm512_xor_si512(_mm512_loadu_si512(b), mb),
-                ),
-            ),
-            op => unreachable!("unknown opcode {op}"),
-        };
-        _mm512_storeu_si512(d, r);
-    }
+    /// AVX-512F over 8-word lane groups: one 512-bit op per instruction.
+    pub(super) struct Avx512;
 
-    /// Run `insns` in order over 4-word lane groups.
-    ///
-    /// # Safety
-    /// As [`exec_w4`], for every instruction of `insns`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn run_w4(insns: &[Insn], vals: *mut u64) {
-        for &i in insns {
-            exec_w4(vals, i);
-        }
-    }
-
-    /// Run `insns` in order over 8-word lane groups with AVX2.
-    ///
-    /// # Safety
-    /// As [`exec_w8_avx2`], for every instruction of `insns`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn run_w8_avx2(insns: &[Insn], vals: *mut u64) {
-        for &i in insns {
-            exec_w8_avx2(vals, i);
-        }
-    }
-
-    /// Run `insns` in order over 8-word lane groups with AVX-512F.
-    ///
-    /// # Safety
-    /// As [`exec_w8_avx512`], for every instruction of `insns`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn run_w8_avx512(insns: &[Insn], vals: *mut u64) {
-        for &i in insns {
-            exec_w8_avx512(vals, i);
+    impl Kernel for Avx512 {
+        #[target_feature(enable = "avx512f")]
+        unsafe fn exec<const OP: u32>(vals: *mut u64, run: &[Insn], ma: u64, mb: u64) {
+            let (ma, mb) = (_mm512_set1_epi64(ma as i64), _mm512_set1_epi64(mb as i64));
+            for i in run {
+                let a = vals.add(i.a as usize * 8) as *const __m512i;
+                let b = vals.add(i.b as usize * 8) as *const __m512i;
+                let d = vals.add(i.dst as usize * 8) as *mut __m512i;
+                let x = _mm512_xor_si512(_mm512_loadu_si512(a), ma);
+                let y = _mm512_xor_si512(_mm512_loadu_si512(b), mb);
+                let r = match OP {
+                    OP_AND => _mm512_and_si512(x, y),
+                    OP_OR => _mm512_or_si512(x, y),
+                    OP_XOR => _mm512_xor_si512(x, y),
+                    OP_COPY => x,
+                    OP_CONST0 => _mm512_setzero_si512(),
+                    OP_CONST1 => _mm512_set1_epi64(-1),
+                    OP_ANDOR => _mm512_or_si512(_mm512_loadu_si512(d), _mm512_and_si512(x, y)),
+                    _ => unreachable!("unknown opcode {OP}"),
+                };
+                _mm512_storeu_si512(d, r);
+            }
         }
     }
 }
@@ -932,40 +859,50 @@ impl InsnStream {
     /// # Safety
     /// `vals` must cover `slot_count * lw` words, `lw ∈ {1, 4, 8}`, and
     /// `simd` must be a value [`detect_simd`] returned on this CPU. Slot
-    /// bounds are the stream's own invariant (see [`exec`]).
+    /// bounds are the stream's own invariant (see [`Kernel::exec`]).
     unsafe fn run(&self, lw: usize, vals: *mut u64, simd: Simd) {
         debug_assert!(
             simd_available(simd),
             "{simd:?} kernels on a CPU without them"
         );
-        let insns = &self.insns[..];
-        match lw {
-            1 => {
-                for &i in insns {
-                    exec::<1>(vals, i);
-                }
-            }
-            4 => match simd {
-                #[cfg(target_arch = "x86_64")]
-                Simd::Avx2 | Simd::Avx512 => x86::run_w4(insns, vals),
-                _ => {
-                    for &i in insns {
-                        exec::<4>(vals, i);
-                    }
-                }
-            },
-            8 => match simd {
-                #[cfg(target_arch = "x86_64")]
-                Simd::Avx512 => x86::run_w8_avx512(insns, vals),
-                #[cfg(target_arch = "x86_64")]
-                Simd::Avx2 => x86::run_w8_avx2(insns, vals),
-                _ => {
-                    for &i in insns {
-                        exec::<8>(vals, i);
-                    }
-                }
-            },
+        match (lw, simd) {
+            (1, _) => self.sweep::<Portable<1>>(vals),
+            #[cfg(target_arch = "x86_64")]
+            (4, Simd::Avx2 | Simd::Avx512) => self.sweep::<x86::Avx2<1>>(vals),
+            (4, _) => self.sweep::<Portable<4>>(vals),
+            #[cfg(target_arch = "x86_64")]
+            (8, Simd::Avx512) => self.sweep::<x86::Avx512>(vals),
+            #[cfg(target_arch = "x86_64")]
+            (8, Simd::Avx2) => self.sweep::<x86::Avx2<2>>(vals),
+            (8, _) => self.sweep::<Portable<8>>(vals),
             _ => unreachable!("lane group width must be 1, 4, or 8 words"),
+        }
+    }
+
+    /// Walk the opcode runs, dispatching each once into `K`'s loop for
+    /// its opcode with its inversion masks hoisted.
+    ///
+    /// # Safety
+    /// As [`Kernel::exec`], for every run of the stream. An opcode outside
+    /// `OP_AND..=OP_ANDOR` panics.
+    #[inline(always)]
+    unsafe fn sweep<K: Kernel>(&self, vals: *mut u64) {
+        let mut lo = 0;
+        for &(end, opword) in &self.runs {
+            let run = &self.insns[lo..end as usize];
+            let ma = u64::from(opword & INV_A != 0).wrapping_neg();
+            let mb = u64::from(opword & INV_B != 0).wrapping_neg();
+            match opword & OP_MASK {
+                OP_AND => K::exec::<OP_AND>(vals, run, ma, mb),
+                OP_OR => K::exec::<OP_OR>(vals, run, ma, mb),
+                OP_XOR => K::exec::<OP_XOR>(vals, run, ma, mb),
+                OP_COPY => K::exec::<OP_COPY>(vals, run, ma, mb),
+                OP_CONST0 => K::exec::<OP_CONST0>(vals, run, ma, mb),
+                OP_CONST1 => K::exec::<OP_CONST1>(vals, run, ma, mb),
+                OP_ANDOR => K::exec::<OP_ANDOR>(vals, run, ma, mb),
+                op => unreachable!("unknown opcode {op}"),
+            }
+            lo = end as usize;
         }
     }
 
@@ -1011,15 +948,45 @@ impl InsnStream {
         }
     }
 
-    /// Validate the stream: every slot index in range; every level's
-    /// instructions parallel-safe across chips (no slot written by two
-    /// chips in one level, and no slot read by one chip while another
-    /// writes it in the same level; `OP_ANDOR` reads its `dst`); and
-    /// every (level, chip) group in dependency order, which is the
-    /// chain-step sort's contract: a read of a slot the group writes
-    /// comes after the group's first write of it, so in particular every
-    /// `OP_ANDOR` accumulates into a slot its group has already written.
+    /// Validate the stream: every slot index in range; the opcode runs
+    /// tiling the stream (contiguous, none empty, adjacent runs of
+    /// different opwords, every instruction of its run's known opword);
+    /// every level's instructions parallel-safe across chips (no slot
+    /// written by two chips in one level, and no slot read by one chip
+    /// while another writes it in the same level; `OP_ANDOR` reads its
+    /// `dst`); and every (level, chip) group in dependency order, which
+    /// is the chain-step sort's contract: a read of a slot the group
+    /// writes comes after the group's first write of it, so in particular
+    /// every `OP_ANDOR` accumulates into a slot its group has already
+    /// written.
     pub(crate) fn self_check(&self) {
+        let mut lo = 0;
+        for (r, &(end, opword)) in self.runs.iter().enumerate() {
+            let end = end as usize;
+            assert!(
+                lo < end && end <= self.insns.len(),
+                "opcode run {r} is empty or leaves the stream"
+            );
+            assert!(
+                opword & OP_MASK <= OP_ANDOR && opword < 1 << OPWORD_BITS,
+                "opcode run {r} has unknown opword {opword:#x}"
+            );
+            assert!(
+                r == 0 || self.runs[r - 1].1 != opword,
+                "opcode runs {} and {r} share opword {opword:#x}",
+                r - 1
+            );
+            for (k, i) in self.insns[lo..end].iter().enumerate() {
+                assert_eq!(
+                    i.opword,
+                    opword,
+                    "instruction {} is not of its opcode run {r}",
+                    lo + k
+                );
+            }
+            lo = end;
+        }
+        assert_eq!(lo, self.insns.len(), "opcode runs end before the stream");
         let n = self.slot_count as u32;
         for i in &self.insns {
             assert!(
@@ -1248,8 +1215,20 @@ mod tests {
                 insn(OP_AND, 0, 1, 3),         // o1 opens with t1 = a ∧ b
                 insn(OP_AND, 5, 0, 2),         // o2 opens with t3 = tmp ∧ a
                 insn(OP_AND | INV_B, 1, 4, 6), // o3 = t4 = b ∧ ¬e, no copy
-                insn(OP_ANDOR, 5, 4, 3),       // o1 |= tmp ∧ e (t2)
                 insn(OP_OR, 2, 1, 2),          // o2 |= b
+                insn(OP_ANDOR, 5, 4, 3),       // o1 |= tmp ∧ e (t2)
+            ]
+        );
+        // Step 0 of level 2 is one OP_AND run and one inverted one; step
+        // 1 sorts OP_OR before OP_ANDOR.
+        assert_eq!(
+            stream.runs,
+            [
+                (1, OP_AND | INV_B),
+                (3, OP_AND),
+                (4, OP_AND | INV_B),
+                (5, OP_OR),
+                (6, OP_ANDOR),
             ]
         );
         assert_eq!(stream.level_bounds, [0, 1, 6]);
@@ -1264,6 +1243,52 @@ mod tests {
         let split = lower_placed(&nl, vec![0, 0, 0, 0, 1, 1, 0], 2);
         assert_eq!(split.insns.len(), 6);
         assert_truth_table(&nl, &split);
+    }
+
+    #[test]
+    fn each_step_of_a_group_is_sorted_into_opcode_runs() {
+        // One level, one chip: OR, inverted-AND, AND and inverted-OR gates
+        // of fan-in 2 interleaved, so chain-step order alone would change
+        // opword at every instruction.
+        let mut nl = Netlist::new();
+        let x: Vec<Literal> = nl.inputs_n(4).into_iter().map(Literal::pos).collect();
+        for k in 0..8 {
+            let (a, b) = (x[k % 4], x[(k + 1) % 4]);
+            let g = match k % 4 {
+                0 => nl.or([a, b]),
+                1 => nl.and([a, b.complement()]),
+                2 => nl.and([a, b]),
+                _ => nl.or([a.complement(), b]),
+            };
+            nl.mark_output(g);
+        }
+        let stream = lower_placed(&nl, vec![0; 8], 1);
+        assert_eq!(
+            stream.runs,
+            [
+                (2, OP_AND),
+                (4, OP_OR),
+                (6, OP_OR | INV_A),
+                (8, OP_AND | INV_B)
+            ]
+        );
+        assert_truth_table(&nl, &stream);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not of its opcode run")]
+    fn self_check_rejects_a_shifted_run_boundary() {
+        let mut nl = Netlist::new();
+        let x: Vec<Literal> = nl.inputs_n(2).into_iter().map(Literal::pos).collect();
+        let g = nl.and([x[0], x[1]]);
+        let h = nl.or([x[0], x[1]]);
+        nl.mark_output(g);
+        nl.mark_output(h);
+        let mut stream = lower_placed(&nl, vec![0; 2], 1);
+        assert_eq!(stream.runs, [(1, OP_AND), (2, OP_OR)]);
+        // The AND run now claims the OR.
+        stream.runs[0].0 = 2;
+        stream.self_check();
     }
 
     #[test]
