@@ -7,14 +7,13 @@
 //! measured ε toward the proven bound, and by tests to confirm the bounds
 //! survive directed attack, not just random sampling.
 
-use meshsort::CleanDirtySplit;
-use netlist::{BitMatrix, WORD_BITS};
+use netlist::WORD_BITS;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::spec::ConcentratorSwitch;
 use crate::staged::StagedSwitch;
-use crate::verify::SplitMix64;
+use crate::verify::{ColumnSplits, Load, SplitMix64};
 
 /// Result of a hill-climb campaign.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -77,36 +76,38 @@ where
 
 /// Maximize a *batched* objective by steepest-ascent hill climbing: each
 /// round packs up to 64 single-bit-flip neighbors of the current pattern
-/// into the lanes of one [`BitMatrix`] and scores them all with a single
-/// call. Built for compiled-netlist objectives, where one
-/// [`CompiledNetlist::eval_matrix`](netlist::CompiledNetlist::eval_matrix)
+/// into the lanes of one word per input wire and scores them all with a
+/// single call. Built for compiled-netlist objectives, where one
+/// [`CompiledNetlist::eval_word_into`](netlist::CompiledNetlist::eval_word_into)
 /// sweep prices the whole neighborhood at roughly the cost the scalar
 /// interpreter charges for one pattern.
 ///
-/// The objective receives an n-row matrix (one row per input wire, one
-/// lane per candidate) and must return one score per lane. Deterministic
-/// for a given seed.
+/// The objective receives `n` words (bit `l` of word `r` is input wire
+/// `r` of candidate `l`) and the candidate count `lanes` ≤ 64, and must
+/// return one score per candidate; lanes past `lanes` read zero.
+/// Deterministic for a given seed.
 pub fn hill_climb_block<F>(
     n: usize,
     restarts: usize,
     rounds: usize,
     seed: u64,
-    objective: F,
+    mut objective: F,
 ) -> SearchReport
 where
-    F: Fn(&BitMatrix) -> Vec<usize>,
+    F: FnMut(&[u64], usize) -> Vec<usize>,
 {
     assert!(n > 0 && restarts > 0, "need a non-trivial search space");
     let mut best_score = 0usize;
     let mut best_pattern = Vec::new();
     let mut evaluations = 0usize;
     let mut positions: Vec<usize> = (0..n).collect();
+    let mut neighbors = vec![0u64; n];
     for restart in 0..restarts {
         let mut rng = SplitMix64(seed ^ (restart as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
         let density = 0.1 + 0.8 * (restart as f64 / restarts.max(1) as f64);
         let mut pattern = rng.valid_bits(n, density);
-        let start = BitMatrix::from_fn(n, 1, |row, _| pattern[row]);
-        let mut score = objective(&start)[0];
+        let start: Vec<u64> = pattern.iter().map(|&bit| bit as u64).collect();
+        let mut score = objective(&start, 1)[0];
         evaluations += 1;
         let lanes = n.min(WORD_BITS);
         for _ in 0..rounds {
@@ -117,15 +118,14 @@ where
             }
             let flips = &positions[..lanes];
             // Lane `l` holds the pattern with bit `flips[l]` flipped.
-            let mut neighbors = BitMatrix::zeroed(n, lanes);
             let all_lanes = u64::MAX >> (WORD_BITS - lanes);
-            for (row, &bit) in pattern.iter().enumerate() {
-                *neighbors.word_mut(row, 0) = if bit { all_lanes } else { 0 };
+            for (word, &bit) in neighbors.iter_mut().zip(&pattern) {
+                *word = if bit { all_lanes } else { 0 };
             }
             for (lane, &row) in flips.iter().enumerate() {
-                *neighbors.word_mut(row, 0) ^= 1 << lane;
+                neighbors[row] ^= 1 << lane;
             }
-            let scores = objective(&neighbors);
+            let scores = objective(&neighbors, lanes);
             assert_eq!(scores.len(), lanes, "objective must score every lane");
             evaluations += lanes;
             let (lane, &candidate) = scores
@@ -153,8 +153,8 @@ where
 /// Directed attack on a staged switch's nearsortedness: maximize the
 /// dirty-window ε of the final-stage wire vector, scoring 64 candidate
 /// patterns per compiled sweep through the switch's cached trace netlist.
-/// Each lane's ε comes in closed form from its packed output column
-/// ([`CleanDirtySplit::epsilon`]).
+/// Each lane's ε comes in closed form from its packed output column, by
+/// the scorer [`crate::verify::measure_epsilon`] uses.
 pub fn epsilon_attack(
     switch: &StagedSwitch,
     restarts: usize,
@@ -162,16 +162,23 @@ pub fn epsilon_attack(
     seed: u64,
 ) -> SearchReport {
     let elab = switch.trace_logic(false);
-    hill_climb_block(switch.n, restarts, rounds, seed, |patterns| {
-        let out = elab.compiled.eval_matrix(patterns);
-        out.map_lane_columns(|column| CleanDirtySplit::from_words(column, out.rows()).epsilon())
+    let compiled = &elab.compiled;
+    let mut scratch = compiled.scratch();
+    let mut out = vec![0u64; compiled.output_count()];
+    let mut splits = ColumnSplits::default();
+    hill_climb_block(switch.n, restarts, rounds, seed, |rows, lanes| {
+        compiled.eval_word_into(rows, &mut scratch, &mut out);
+        let mut scores = vec![0; lanes];
+        splits.each(&out, lanes, |lane, split| scores[lane] = split.epsilon());
+        scores
     })
 }
 
 /// Directed attack on a staged switch's concentration guarantee: maximize
 /// messages *lost* among at-most-capacity offered loads, scoring 64
-/// candidates per compiled sweep through the cached datapath netlist. A
-/// correct switch pins this objective at zero.
+/// candidates per compiled sweep through the cached datapath netlist, by
+/// the load scorer the compiled guarantee screens use. A correct switch
+/// pins this objective at zero.
 pub fn deficiency_attack(
     switch: &StagedSwitch,
     restarts: usize,
@@ -179,39 +186,26 @@ pub fn deficiency_attack(
     seed: u64,
 ) -> SearchReport {
     let elab = switch.datapath_logic(false);
+    let compiled = &elab.compiled;
     let capacity = switch.guaranteed_capacity();
-    let (n, m) = (switch.n, switch.m);
-    let popcount =
-        |column: &[u64]| -> usize { column.iter().map(|w| w.count_ones() as usize).sum() };
-    hill_climb_block(n, restarts, rounds, seed, |patterns| {
+    let n = switch.n;
+    let mut scratch = compiled.scratch();
+    let mut fed = vec![0u64; 2 * n];
+    let mut out = vec![0u64; compiled.output_count()];
+    hill_climb_block(n, restarts, rounds, seed, |rows, lanes| {
         // Feed the valid bits on both the valid and data rails, so an
         // output carries a real message iff valid_out ∧ data_out.
-        let vectors = patterns.vectors();
-        let mut fed = BitMatrix::zeroed(2 * n, vectors);
-        for row in 0..n {
-            for w in 0..patterns.words_per_row() {
-                let word = patterns.word(row, w);
-                *fed.word_mut(row, w) = word;
-                *fed.word_mut(n + row, w) = word;
-            }
-        }
-        let out = elab.compiled.eval_matrix(&fed);
-        let mut real = BitMatrix::zeroed(m, vectors);
-        for o in 0..m {
-            for w in 0..out.words_per_row() {
-                *real.word_mut(o, w) = out.word(o, w) & out.word(m + o, w);
-            }
-        }
-        let offered = patterns.map_lane_columns(popcount);
-        let delivered = real.map_lane_columns(popcount);
-        offered
-            .into_iter()
-            .zip(delivered)
-            .map(|(k, delivered)| {
+        fed[..n].copy_from_slice(rows);
+        fed[n..].copy_from_slice(rows);
+        compiled.eval_word_into(&fed, &mut scratch, &mut out);
+        let load = Load::of_word(&fed, &out);
+        (0..lanes)
+            .map(|lane| {
+                let k = load.offered(lane);
                 if k > capacity {
                     0 // outside the guarantee's precondition
                 } else {
-                    k - delivered
+                    k - load.delivered(lane)
                 }
             })
             .collect()
@@ -293,9 +287,9 @@ mod tests {
 
     #[test]
     fn block_climb_finds_the_all_ones_maximum_of_popcount() {
-        let report = hill_climb_block(24, 4, 40, 1, |patterns| {
-            (0..patterns.vectors())
-                .map(|lane| (0..24).filter(|&r| patterns.get(r, lane)).count())
+        let report = hill_climb_block(24, 4, 40, 1, |rows, lanes| {
+            (0..lanes)
+                .map(|lane| rows.iter().filter(|&&row| row >> lane & 1 == 1).count())
                 .collect()
         });
         assert_eq!(
@@ -307,11 +301,11 @@ mod tests {
 
     #[test]
     fn block_climb_deterministic_for_fixed_seed() {
-        let f = |patterns: &BitMatrix| -> Vec<usize> {
-            (0..patterns.vectors())
+        let f = |rows: &[u64], lanes: usize| -> Vec<usize> {
+            (0..lanes)
                 .map(|lane| {
                     (0..16)
-                        .filter(|&r| patterns.get(r, lane) && r % 3 == 0)
+                        .filter(|&r| rows[r] >> lane & 1 == 1 && r % 3 == 0)
                         .count()
                 })
                 .collect()

@@ -7,28 +7,28 @@
 //! [`monte_carlo_check`]) route every pattern through
 //! [`ConcentratorSwitch::route`] — the message-level functional model. The
 //! `_compiled` variants and [`measure_epsilon`] are word-parallel end to
-//! end: seeded patterns are drawn lane-major, one row word for 64 patterns
-//! at a time (SplitMix64 is a pure function of trial and draw index, so
-//! every lane's stream advances in step), 64 patterns per word sweep the
-//! switch's cached compiled netlist ([`StagedSwitch::datapath_logic`],
-//! [`StagedSwitch::trace_logic`]), and the results are scored from whole
-//! words — bit-sliced lane counters for the guarantee screen, popcounts
-//! and trailing-ones/leading-zeros runs of each output column
-//! ([`CleanDirtySplit::from_words`]) for ε. Only screened-out suspects
-//! ever reach the per-pattern `route()` path (solely to produce a rich
-//! failure report).
+//! end, and all three run on the one batch driver,
+//! [`netlist::CompiledNetlist::sweep`]: each 64-pattern word is written
+//! straight into the driver's input words — seeded patterns drawn
+//! lane-major (SplitMix64 is a pure function of trial and draw index, so
+//! every lane's stream advances in step), exhaustive ones in closed form —
+//! swept through the switch's cached compiled netlist
+//! ([`StagedSwitch::datapath_logic`], [`StagedSwitch::trace_logic`]), and
+//! scored from whole words by one of two per-word scorers, which the
+//! attacks in [`crate::search`] share: `Load` (bit-sliced counts of the
+//! messages offered and delivered per lane) for the guarantee screens,
+//! `ColumnSplits` (popcounts and trailing-ones/leading-zeros runs of
+//! each output column, [`CleanDirtySplit::from_words`]) for ε. Only
+//! screened-out suspects ever reach the per-pattern `route()` path (solely
+//! to produce a rich failure report).
 
 use meshsort::CleanDirtySplit;
-use netlist::{lane_group, transpose64, BitMatrix, CompiledNetlist, WORD_BITS};
+use netlist::{sweep_threads, transpose64, WORD_BITS};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::spec::{check_concentration, ConcentratorKind, ConcentratorSwitch};
 use crate::staged::StagedSwitch;
-
-/// Patterns per screening chunk: bounds peak matrix memory while keeping
-/// whole words busy.
-const SCREEN_CHUNK: usize = 2048;
 
 /// Per-trial seed mixer and density grid of the Monte Carlo checks.
 const SCREEN_MIX: u64 = 0xA24B_AED4_963E_E407;
@@ -37,9 +37,6 @@ const SCREEN_DENSITIES: [f64; 5] = [0.05, 0.25, 0.5, 0.75, 0.95];
 /// Per-trial seed mixer and density grid of [`measure_epsilon`].
 const EPSILON_MIX: u64 = 0x9FB2_1C65_1E98_DF25;
 const EPSILON_DENSITIES: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
-
-/// Patterns per [`measure_epsilon`] work unit: one 512-lane sweep.
-const EPSILON_GROUP: usize = 8 * WORD_BITS;
 
 /// SplitMix64's state increment: draw `k` (from 0) of `SplitMix64(s)` is
 /// `splitmix_mix(s + (k + 1)·GAMMA)`.
@@ -98,20 +95,17 @@ where
     );
     (0u64..(1u64 << n))
         .into_par_iter()
-        .map(|pattern| {
-            let valid: Vec<bool> = (0..n).map(|i| (pattern >> i) & 1 == 1).collect();
-            let violations = check_concentration(switch, &valid);
-            if violations.is_empty() {
-                Ok(())
-            } else {
-                Err(CheckFailure {
-                    pattern: valid,
-                    violations: violations.iter().map(|v| format!("{v:?}")).collect(),
-                })
-            }
-        })
-        .find_map_first(|r| r.err())
+        .find_map_first(|pattern| failure(switch, (0..n).map(|i| pattern >> i & 1 == 1).collect()))
         .map_or(Ok(()), Err)
+}
+
+/// The failure report for `valid`, if `switch` breaks its guarantee on it.
+fn failure<S: ConcentratorSwitch + ?Sized>(switch: &S, valid: Vec<bool>) -> Option<CheckFailure> {
+    let violations = check_concentration(switch, &valid);
+    (!violations.is_empty()).then(|| CheckFailure {
+        pattern: valid,
+        violations: violations.iter().map(|v| format!("{v:?}")).collect(),
+    })
 }
 
 /// Structured adversarial valid-bit patterns — the layouts known to
@@ -166,24 +160,15 @@ where
         .filter_map(|t| {
             let mut rng = SplitMix64(seed ^ (t as u64).wrapping_mul(SCREEN_MIX));
             let p = SCREEN_DENSITIES[t % SCREEN_DENSITIES.len()];
-            let valid = rng.valid_bits(n, p);
-            let violations = check_concentration(switch, &valid);
-            (!violations.is_empty()).then(|| CheckFailure {
-                pattern: valid,
-                violations: violations.iter().map(|v| format!("{v:?}")).collect(),
-            })
+            failure(switch, rng.valid_bits(n, p))
         })
         .collect();
     let adversary_count = adversaries.len();
-    for valid in adversaries {
-        let violations = check_concentration(switch, &valid);
-        if !violations.is_empty() {
-            failures.push(CheckFailure {
-                pattern: valid,
-                violations: violations.iter().map(|v| format!("{v:?}")).collect(),
-            });
-        }
-    }
+    failures.extend(
+        adversaries
+            .into_iter()
+            .filter_map(|valid| failure(switch, valid)),
+    );
     MonteCarloReport {
         trials: trials + adversary_count,
         failures,
@@ -226,67 +211,141 @@ impl LaneCounts {
     }
 }
 
-/// Screen a block of valid-bit patterns (one per [`BitMatrix`] column)
-/// against `switch`'s guarantee using one compiled datapath sweep. Returns
-/// the column indices that *may* violate the guarantee; every column not
-/// returned is proven clean.
+/// Messages offered and delivered in each of the 64 lanes of one swept
+/// datapath word: the per-word load scorer of the guarantee screens and
+/// [`crate::search::deficiency_attack`].
 ///
-/// The valid bits are fed on both the valid and the data rails, so an
+/// The valid bits go in on both the valid and the data rails, so an
 /// output carries a *real* (non-padding) message exactly when its valid
 /// and data bits are both set — padding constants carry data 0, and a
 /// staged switch cannot route an invalid input by construction, so
 /// phantom-message checks need no per-pattern work.
-fn staged_screen(switch: &StagedSwitch, patterns: &BitMatrix) -> Vec<usize> {
-    let n = switch.n;
-    let m = switch.m;
-    assert_eq!(patterns.rows(), n, "one row per switch input");
+pub(crate) struct Load {
+    offered: LaneCounts,
+    delivered: LaneCounts,
+    /// Lanes where a silent output precedes a carrying one.
+    prefix_break: u64,
+}
+
+impl Load {
+    /// Score one word: `inputs` holds the `2n` input words (valid rail,
+    /// then data rail) and `outputs` the `2m` output words, in the same
+    /// order.
+    pub(crate) fn of_word(inputs: &[u64], outputs: &[u64]) -> Load {
+        let (valid_in, m) = (&inputs[..inputs.len() / 2], outputs.len() / 2);
+        let mut load = Load {
+            offered: LaneCounts::default(),
+            delivered: LaneCounts::default(),
+            prefix_break: 0,
+        };
+        for &word in valid_in {
+            load.offered.add(word);
+        }
+        let mut prev_real = !0u64;
+        for (&valid, &data) in outputs[..m].iter().zip(&outputs[m..]) {
+            let real = valid & data;
+            load.delivered.add(real);
+            load.prefix_break |= !prev_real & real;
+            prev_real = real;
+        }
+        load
+    }
+
+    /// Messages offered in `lane`.
+    pub(crate) fn offered(&self, lane: usize) -> usize {
+        self.offered.get(lane)
+    }
+
+    /// Messages delivered in `lane`.
+    pub(crate) fn delivered(&self, lane: usize) -> usize {
+        self.delivered.get(lane)
+    }
+}
+
+/// The per-word ε scorer of [`measure_epsilon`] and
+/// [`crate::search::epsilon_attack`]: turns each 64×64 block of one swept
+/// word of trace outputs into packed output columns ([`transpose64`]) and
+/// splits each lane's column in closed form
+/// ([`CleanDirtySplit::from_words`]). Holds the column buffer, so one
+/// scorer serves every word.
+#[derive(Default)]
+pub(crate) struct ColumnSplits {
+    columns: Vec<u64>,
+}
+
+impl ColumnSplits {
+    /// Call `f(lane, split)` for lanes `0..lanes` of one word, where
+    /// `outputs[o]` is output `o`'s word.
+    pub(crate) fn each(
+        &mut self,
+        outputs: &[u64],
+        lanes: usize,
+        mut f: impl FnMut(usize, CleanDirtySplit),
+    ) {
+        let cw = outputs.len().div_ceil(WORD_BITS);
+        self.columns.resize(WORD_BITS * cw, 0);
+        let mut block = [0u64; WORD_BITS];
+        for (k, rows) in outputs.chunks(WORD_BITS).enumerate() {
+            block[..rows.len()].copy_from_slice(rows);
+            block[rows.len()..].fill(0);
+            transpose64(&mut block);
+            for (lane, &word) in block.iter().enumerate() {
+                self.columns[lane * cw + k] = word;
+            }
+        }
+        for (lane, column) in self.columns.chunks_exact(cw).take(lanes).enumerate() {
+            f(lane, CleanDirtySplit::from_words(column, outputs.len()));
+        }
+    }
+}
+
+/// Real patterns in word `w` of a `total`-pattern batch.
+fn lanes(total: usize, w: usize) -> usize {
+    WORD_BITS.min(total - w * WORD_BITS)
+}
+
+/// Screen `total` valid-bit patterns against `switch`'s guarantee in one
+/// driver sweep of its compiled datapath, on at most `threads` threads.
+/// `fill(first, lanes, rows)` writes patterns `first..first + lanes` as
+/// one word per switch input, straight into the valid rail of the
+/// driver's input words; the data rail gets a copy. `suspect(acc, t)`
+/// receives every pattern `t` that *may* violate the guarantee, in
+/// increasing order within a thread; every pattern not passed is proven
+/// clean. Returns the per-thread accumulators.
+fn staged_screen<A: Default + Send>(
+    switch: &StagedSwitch,
+    total: usize,
+    threads: usize,
+    fill: impl Fn(usize, usize, &mut [u64]) + Sync,
+    suspect: impl Fn(&mut A, usize) + Sync,
+) -> Vec<A> {
+    let (n, m) = (switch.n, switch.m);
     let cap = switch.guaranteed_capacity();
     let hyper = matches!(switch.kind, ConcentratorKind::Hyperconcentrator);
     let elab = switch.datapath_logic(false);
-
-    let vectors = patterns.vectors();
-    let mut fed = BitMatrix::zeroed(2 * n, vectors);
-    for r in 0..n {
-        for w in 0..patterns.words_per_row() {
-            let word = patterns.word(r, w);
-            *fed.word_mut(r, w) = word;
-            *fed.word_mut(n + r, w) = word;
-        }
-    }
-    let out = elab.compiled.eval_matrix(&fed);
-
-    let mut suspects = Vec::new();
-    for w in 0..patterns.words_per_row() {
-        let mut offered = LaneCounts::default();
-        for r in 0..n {
-            offered.add(patterns.word(r, w));
-        }
-        let mut routed = LaneCounts::default();
-        // A hyperconcentrator's delivered set must be a prefix: flag any
-        // lane where a silent output is followed by a carrying one.
-        let mut prefix_break = 0u64;
-        let mut prev_real = !0u64;
-        for o in 0..m {
-            let real = out.word(o, w) & out.word(m + o, w);
-            routed.add(real);
-            prefix_break |= !prev_real & real;
-            prev_real = real;
-        }
-        let base = w * netlist::WORD_BITS;
-        let lanes = netlist::WORD_BITS.min(vectors - base);
-        for lane in 0..lanes {
-            let k = offered.get(lane);
-            let delivered = routed.get(lane);
-            let mut bad = delivered < k.min(cap);
-            if hyper {
-                bad |= (prefix_break >> lane) & 1 == 1 || delivered != k.min(m);
+    assert_eq!(elab.compiled.input_count(), 2 * n, "valid and data rails");
+    elab.compiled.sweep(
+        total.div_ceil(WORD_BITS),
+        threads,
+        |w, rows| {
+            let (valid, data) = rows.split_at_mut(n);
+            fill(w * WORD_BITS, lanes(total, w), valid);
+            data.copy_from_slice(valid);
+        },
+        |acc, w, inputs, outputs| {
+            let load = Load::of_word(inputs, outputs);
+            for lane in 0..lanes(total, w) {
+                let (k, delivered) = (load.offered(lane), load.delivered(lane));
+                let mut bad = delivered < k.min(cap);
+                if hyper {
+                    bad |= load.prefix_break >> lane & 1 == 1 || delivered != k.min(m);
+                }
+                if bad {
+                    suspect(acc, w * WORD_BITS + lane);
+                }
             }
-            if bad {
-                suspects.push(base + lane);
-            }
-        }
-    }
-    suspects
+        },
+    )
 }
 
 /// The integer cutoff behind [`SplitMix64::bernoulli`]: for every `x`,
@@ -520,18 +579,11 @@ impl PatternSource {
         }
     }
 
-    /// Patterns `base..base + count`, one per column.
-    fn block(&self, base: usize, count: usize) -> BitMatrix {
-        let mut block = BitMatrix::zeroed(self.n, count);
+    /// Pattern `t` as one bit per switch input.
+    fn pattern(&self, t: usize) -> Vec<bool> {
         let mut rows = vec![0u64; self.n];
-        for w in 0..block.words_per_row() {
-            let first = base + w * WORD_BITS;
-            self.fill_word(first, WORD_BITS.min(base + count - first), &mut rows);
-            for (r, &word) in rows.iter().enumerate() {
-                *block.word_mut(r, w) = word;
-            }
-        }
-        block
+        self.fill_word(t, 1, &mut rows);
+        rows.iter().map(|&row| row & 1 == 1).collect()
     }
 }
 
@@ -546,87 +598,89 @@ const LANE_MASKS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
-/// Patterns `base..base + count` of the exhaustive enumeration (pattern
-/// `v`'s row `r` is bit `r` of `v`), one per column, for a 64-aligned
-/// `base`. Each row word is written in closed form: rows below 6 are the
-/// [`LANE_MASKS`], and a higher row is constant across a word's 64 lanes.
-fn counting_block(n: usize, base: u64, count: usize) -> BitMatrix {
-    assert_eq!(base % WORD_BITS as u64, 0, "64-aligned block");
-    let mut block = BitMatrix::zeroed(n, count);
-    for w in 0..block.words_per_row() {
-        let first = base + (w * WORD_BITS) as u64;
-        let lanes = !0u64 >> (WORD_BITS - (count - w * WORD_BITS).min(WORD_BITS));
-        for r in 0..n {
-            let word = match LANE_MASKS.get(r) {
-                Some(&mask) => mask,
-                None => (first >> r & 1).wrapping_neg(),
-            };
-            *block.word_mut(r, w) = word & lanes;
-        }
+/// Patterns `first..first + lanes` of the exhaustive enumeration (pattern
+/// `v`'s row `r` is bit `r` of `v`) as one word per row, for a 64-aligned
+/// `first`; lanes past `lanes` read zero. Each row word is written in
+/// closed form: rows below 6 are the [`LANE_MASKS`], and a higher row is
+/// constant across a word's 64 lanes.
+fn counting_word(first: usize, lanes: usize, rows: &mut [u64]) {
+    assert_eq!(first % WORD_BITS, 0, "64-aligned word");
+    let used = !0u64 >> (WORD_BITS - lanes);
+    for (r, row) in rows.iter_mut().enumerate() {
+        let word = match LANE_MASKS.get(r) {
+            Some(&mask) => mask,
+            None => (first as u64 >> r & 1).wrapping_neg(),
+        };
+        *row = word & used;
     }
-    block
 }
 
 /// [`exhaustive_check`] over the compiled batch engine: all `2^n` patterns
 /// stream through the cached compiled datapath netlist, 64 per word;
 /// `route()` runs only on screened suspects to reconstruct the violation
-/// report.
+/// report. On a violation it reports the lowest-index failing pattern, as
+/// [`exhaustive_check`] does.
 pub fn exhaustive_check_compiled(switch: &StagedSwitch) -> Result<(), CheckFailure> {
+    exhaustive_check_threads(switch, sweep_threads())
+}
+
+/// [`exhaustive_check_compiled`] on at most `threads` threads. Each
+/// thread keeps the first failure among its suspects, which come in
+/// increasing order, and the lowest of those wins.
+fn exhaustive_check_threads(switch: &StagedSwitch, threads: usize) -> Result<(), CheckFailure> {
     let n = switch.n;
     assert!(
         n <= 24,
         "exhaustive check over 2^{n} patterns is infeasible"
     );
-    let total = 1u64 << n;
-    let mut base = 0u64;
-    while base < total {
-        let count = (SCREEN_CHUNK as u64).min(total - base) as usize;
-        let block = counting_block(n, base, count);
-        for suspect in staged_screen(switch, &block) {
-            let valid = block.column(suspect);
-            let violations = check_concentration(switch, &valid);
-            if !violations.is_empty() {
-                return Err(CheckFailure {
-                    pattern: valid,
-                    violations: violations.iter().map(|v| format!("{v:?}")).collect(),
-                });
+    let first_failures = staged_screen(
+        switch,
+        1 << n,
+        threads,
+        counting_word,
+        |first: &mut Option<(usize, CheckFailure)>, t| {
+            if first.is_none() {
+                *first = failure(switch, (0..n).map(|r| t >> r & 1 == 1).collect()).map(|f| (t, f));
             }
-        }
-        base += count as u64;
-    }
-    Ok(())
+        },
+    );
+    let lowest = first_failures.into_iter().flatten().min_by_key(|&(t, _)| t);
+    lowest.map_or(Ok(()), |(_, f)| Err(f))
 }
 
 /// [`monte_carlo_check`] over the compiled batch engine. Pattern generation
 /// is identical (same seeds, densities, and adversarial suite), so reports
-/// are comparable; only the evaluation strategy differs.
+/// are comparable; only the evaluation strategy differs. Failures come in
+/// pattern order.
 pub fn monte_carlo_check_compiled(
     switch: &StagedSwitch,
     trials: usize,
     seed: u64,
 ) -> MonteCarloReport {
+    monte_carlo_check_threads(switch, trials, seed, sweep_threads())
+}
+
+/// [`monte_carlo_check_compiled`] on at most `threads` threads: the
+/// threads' suspects are merged and sorted before `route()` re-checks
+/// them.
+fn monte_carlo_check_threads(
+    switch: &StagedSwitch,
+    trials: usize,
+    seed: u64,
+    threads: usize,
+) -> MonteCarloReport {
     let source = PatternSource::new(switch.n, trials, seed, SCREEN_MIX, &SCREEN_DENSITIES);
     let total = source.total();
-    let mut failures = Vec::new();
-    let mut base = 0usize;
-    while base < total {
-        let count = SCREEN_CHUNK.min(total - base);
-        let block = source.block(base, count);
-        for suspect in staged_screen(switch, &block) {
-            let valid = block.column(suspect);
-            let violations = check_concentration(switch, &valid);
-            if !violations.is_empty() {
-                failures.push(CheckFailure {
-                    pattern: valid,
-                    violations: violations.iter().map(|v| format!("{v:?}")).collect(),
-                });
-            }
-        }
-        base += count;
-    }
+    let fill = |first, lanes, rows: &mut [u64]| source.fill_word(first, lanes, rows);
+    let push = |suspects: &mut Vec<usize>, t| suspects.push(t);
+    let mut suspects = staged_screen(switch, total, threads, fill, push).concat();
+    suspects.sort_unstable();
     MonteCarloReport {
         trials: total,
-        failures,
+        failures: suspects
+            .into_iter()
+            .filter_map(|t| failure(switch, source.pattern(t)))
+            .collect(),
     }
 }
 
@@ -646,101 +700,62 @@ pub struct EpsilonReport {
 /// output truncation to `m` wires), over `trials` seeded random patterns
 /// (densities 0.1–0.9) plus the [`adversarial_patterns`].
 ///
-/// Word-parallel end to end and spread over
-/// [`std::thread::available_parallelism`] threads: each thread takes
-/// 512-pattern groups in turn, draws each group lane-major straight into
-/// the sweep's input words, sweeps it once through the cached compiled
-/// full-trace netlist ([`StagedSwitch::trace_logic`], which agrees
-/// gate-for-gate with the message-level [`StagedSwitch::trace`]), turns
-/// each 64×64 output block into packed output columns ([`transpose64`]),
-/// and scores them in closed form by [`CleanDirtySplit::from_words`] and
-/// [`CleanDirtySplit::epsilon`] — equal to [`meshsort::nearsort_epsilon`]
-/// on 0/1 sequences, without a sort. The report is a maximum over
-/// patterns, so it does not depend on the thread count.
+/// Word-parallel end to end, on the batch driver
+/// ([`netlist::CompiledNetlist::sweep`]) over
+/// [`netlist::sweep_threads`] threads: each 64-pattern word is drawn
+/// lane-major straight into the driver's input words, swept in 512-lane
+/// groups through the cached compiled full-trace netlist
+/// ([`StagedSwitch::trace_logic`], which agrees gate-for-gate with the
+/// message-level [`StagedSwitch::trace`]), and scored by `ColumnSplits`
+/// in closed form ([`CleanDirtySplit::epsilon`]) — equal to
+/// [`meshsort::nearsort_epsilon`] on 0/1 sequences, without a sort. The
+/// report is a maximum over patterns, so it does not depend on the thread
+/// count.
 ///
 /// The thread count is [`std::thread::available_parallelism`] as the
 /// *calling* thread sees it, which honours its CPU affinity: a caller
 /// pinned to one CPU runs the whole call on one thread.
 pub fn measure_epsilon(switch: &StagedSwitch, trials: usize, seed: u64) -> EpsilonReport {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    measure_epsilon_threads(switch, trials, seed, threads)
+    measure_epsilon_threads(switch, trials, seed, sweep_threads())
 }
 
-/// [`measure_epsilon`] on `threads` threads (at most one per group).
+/// [`measure_epsilon`] on at most `threads` threads.
 fn measure_epsilon_threads(
     switch: &StagedSwitch,
     trials: usize,
     seed: u64,
     threads: usize,
 ) -> EpsilonReport {
+    /// One thread's scorer and running maxima.
+    #[derive(Default)]
+    struct Worst {
+        splits: ColumnSplits,
+        epsilon: usize,
+        dirty: usize,
+    }
     let source = PatternSource::new(switch.n, trials, seed, EPSILON_MIX, &EPSILON_DENSITIES);
-    let compiled = &switch.trace_logic(false).compiled;
-    let groups = source.total().div_ceil(EPSILON_GROUP);
-    let threads = threads.clamp(1, groups);
-    let worst = |first: usize| worst_split(&source, compiled, (first..groups).step_by(threads));
-    let (worst_epsilon, worst_dirty) = std::thread::scope(|scope| {
-        let others: Vec<_> = (1..threads)
-            .map(|t| scope.spawn(move || worst(t)))
-            .collect();
-        others
-            .into_iter()
-            .map(|h| h.join().expect("ε worker panicked"))
-            .fold(worst(0), |a, b| (a.0.max(b.0), a.1.max(b.1)))
-    });
-    EpsilonReport {
-        trials: source.total(),
-        worst_epsilon,
-        worst_dirty,
-    }
-}
-
-/// The largest ε and dirty-window length over the pattern groups
-/// `groups` of [`measure_epsilon`]. Each group is drawn into the
-/// word-major input layout of [`CompiledNetlist::eval_words_into`] and
-/// swept in one [`lane_group`] (the tail group's pad words, left over
-/// from the previous group, are swept but not scored); the buffers serve
-/// every group.
-fn worst_split(
-    source: &PatternSource,
-    compiled: &CompiledNetlist,
-    groups: impl Iterator<Item = usize>,
-) -> (usize, usize) {
-    let (ins, outs) = (compiled.input_count(), compiled.output_count());
-    assert_eq!(ins, source.n, "one input per switch input");
-    let cw = outs.div_ceil(WORD_BITS);
     let total = source.total();
-    let mut scratch = compiled.scratch();
-    let mut inputs = vec![0u64; 8 * ins];
-    let mut out = vec![0u64; 8 * outs];
-    let mut columns = vec![0u64; WORD_BITS * cw];
-    let mut block = [0u64; WORD_BITS];
-    let mut worst = (0, 0);
-    for g in groups {
-        let base = g * EPSILON_GROUP;
-        let words = EPSILON_GROUP.min(total - base).div_ceil(WORD_BITS);
-        let lw = lane_group(words);
-        for (w, rows) in inputs.chunks_exact_mut(ins).take(words).enumerate() {
-            let first = base + w * WORD_BITS;
-            source.fill_word(first, WORD_BITS.min(total - first), rows);
-        }
-        compiled.eval_words_into(&inputs[..lw * ins], lw, &mut scratch, &mut out[..lw * outs]);
-        for (w, word_out) in out.chunks_exact(outs).take(words).enumerate() {
-            for (k, rows) in word_out.chunks(WORD_BITS).enumerate() {
-                block[..rows.len()].copy_from_slice(rows);
-                block[rows.len()..].fill(0);
-                transpose64(&mut block);
-                for (lane, &word) in block.iter().enumerate() {
-                    columns[lane * cw + k] = word;
-                }
-            }
-            let lanes = WORD_BITS.min(total - base - w * WORD_BITS);
-            for column in columns.chunks_exact(cw).take(lanes) {
-                let split = CleanDirtySplit::from_words(column, outs);
-                worst = (worst.0.max(split.epsilon()), worst.1.max(split.dirty_len));
-            }
-        }
+    let worst = switch.trace_logic(false).compiled.sweep(
+        total.div_ceil(WORD_BITS),
+        threads,
+        |w, rows| source.fill_word(w * WORD_BITS, lanes(total, w), rows),
+        |acc: &mut Worst, w, _, outputs| {
+            let Worst {
+                splits,
+                epsilon,
+                dirty,
+            } = acc;
+            splits.each(outputs, lanes(total, w), |_, split| {
+                *epsilon = (*epsilon).max(split.epsilon());
+                *dirty = (*dirty).max(split.dirty_len);
+            });
+        },
+    );
+    EpsilonReport {
+        trials: total,
+        worst_epsilon: worst.iter().map(|w| w.epsilon).max().unwrap_or(0),
+        worst_dirty: worst.iter().map(|w| w.dirty).max().unwrap_or(0),
     }
-    worst
 }
 
 #[cfg(test)]
@@ -749,9 +764,10 @@ mod tests {
     use crate::columnsort_switch::ColumnsortSwitch;
     use crate::hyper::Hyperconcentrator;
     use crate::revsort_switch::{RevsortLayout, RevsortSwitch};
+    use netlist::BitMatrix;
 
     /// Pack boolean patterns (one per column) into a [`BitMatrix`], bit by
-    /// bit: the reference for [`PatternSource::block`].
+    /// bit: the reference for [`PatternSource::fill_word`].
     fn pack_columns(n: usize, patterns: &[Vec<bool>]) -> BitMatrix {
         let mut m = BitMatrix::zeroed(n, patterns.len());
         for (v, pattern) in patterns.iter().enumerate() {
@@ -793,29 +809,20 @@ mod tests {
     /// [`measure_epsilon`].
     fn measure_epsilon_reference(switch: &StagedSwitch, trials: usize, seed: u64) -> EpsilonReport {
         let n = switch.n;
-        let elab = switch.trace_logic(false);
         let total = trials + adversarial_patterns(n).len();
+        let patterns =
+            reference_patterns(n, trials, seed, EPSILON_MIX, &EPSILON_DENSITIES, 0..total);
+        let out = switch
+            .trace_logic(false)
+            .compiled
+            .eval_matrix(&pack_columns(n, &patterns));
         let (mut worst_epsilon, mut worst_dirty) = (0usize, 0usize);
-        let mut base = 0usize;
-        while base < total {
-            let count = SCREEN_CHUNK.min(total - base);
-            let patterns = reference_patterns(
-                n,
-                trials,
-                seed,
-                EPSILON_MIX,
-                &EPSILON_DENSITIES,
-                base..base + count,
-            );
-            let out = elab.compiled.eval_matrix(&pack_columns(n, &patterns));
-            for v in 0..count {
-                let bits = out.column(v);
-                let eps = meshsort::nearsort_epsilon(&bits, meshsort::SortOrder::Descending);
-                let dirty = meshsort::clean_dirty_split(&bits).dirty_len;
-                worst_epsilon = worst_epsilon.max(eps);
-                worst_dirty = worst_dirty.max(dirty);
-            }
-            base += count;
+        for v in 0..total {
+            let bits = out.column(v);
+            let eps = meshsort::nearsort_epsilon(&bits, meshsort::SortOrder::Descending);
+            let dirty = meshsort::clean_dirty_split(&bits).dirty_len;
+            worst_epsilon = worst_epsilon.max(eps);
+            worst_dirty = worst_dirty.max(dirty);
         }
         EpsilonReport {
             trials: total,
@@ -825,7 +832,7 @@ mod tests {
     }
 
     /// [`monte_carlo_check_compiled`] over per-pattern `Vec<bool>`s packed
-    /// bit by bit: its oracle.
+    /// bit by bit, screened on one thread: its oracle.
     fn monte_carlo_check_compiled_reference(
         switch: &StagedSwitch,
         trials: usize,
@@ -833,33 +840,29 @@ mod tests {
     ) -> MonteCarloReport {
         let n = switch.n;
         let total = trials + adversarial_patterns(n).len();
-        let mut failures = Vec::new();
-        let mut base = 0usize;
-        while base < total {
-            let count = SCREEN_CHUNK.min(total - base);
-            let patterns = reference_patterns(
-                n,
-                trials,
-                seed,
-                SCREEN_MIX,
-                &SCREEN_DENSITIES,
-                base..base + count,
-            );
-            for suspect in staged_screen(switch, &pack_columns(n, &patterns)) {
-                let valid = patterns[suspect].clone();
-                let violations = check_concentration(switch, &valid);
-                if !violations.is_empty() {
-                    failures.push(CheckFailure {
-                        pattern: valid,
-                        violations: violations.iter().map(|v| format!("{v:?}")).collect(),
-                    });
-                }
+        let patterns = reference_patterns(n, trials, seed, SCREEN_MIX, &SCREEN_DENSITIES, 0..total);
+        let fill = |first: usize, lanes: usize, rows: &mut [u64]| {
+            for (r, row) in rows.iter_mut().enumerate() {
+                *row = (0..lanes).fold(0, |word, j| word | (patterns[first + j][r] as u64) << j);
             }
-            base += count;
-        }
+        };
+        let push = |suspects: &mut Vec<usize>, t| suspects.push(t);
+        let suspects = staged_screen(switch, total, 1, fill, push).concat();
         MonteCarloReport {
             trials: total,
-            failures,
+            failures: suspects
+                .into_iter()
+                .filter_map(|t| failure(switch, patterns[t].clone()))
+                .collect(),
+        }
+    }
+
+    /// Two lists of failures agree pattern for pattern.
+    fn assert_same_failures(a: &[CheckFailure], b: &[CheckFailure], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (a, b) in a.iter().zip(b) {
+            assert_eq!(a.pattern, b.pattern, "{what}");
+            assert_eq!(a.violations, b.violations, "{what}");
         }
     }
 
@@ -941,11 +944,7 @@ mod tests {
                 let reference = monte_carlo_check_compiled_reference(&switch, trials, seed);
                 let what = format!("{} n={} seed {seed}", switch.name, switch.n);
                 assert_eq!(fast.trials, reference.trials, "{what}");
-                assert_eq!(fast.failures.len(), reference.failures.len(), "{what}");
-                for (a, b) in fast.failures.iter().zip(&reference.failures) {
-                    assert_eq!(a.pattern, b.pattern, "{what}");
-                    assert_eq!(a.violations, b.violations, "{what}");
-                }
+                assert_same_failures(&fast.failures, &reference.failures, &what);
             }
         }
     }
@@ -988,48 +987,65 @@ mod tests {
                     let source =
                         PatternSource::new(n, trials, 0xC0FFEE, mix, densities).with_fill(fill);
                     let total = source.total();
-                    for (base, count) in [
-                        (0, total),
-                        (37, 100),
+                    let patterns =
+                        reference_patterns(n, trials, 0xC0FFEE, mix, densities, 0..total);
+                    let mut rows = vec![0u64; n];
+                    for (first, lanes) in [
+                        (0, 64),
+                        (37, 64),
                         (64, 64),
                         (120, 35),
                         (140, total - 140),
                         (150, total - 150),
                     ] {
-                        let block = source.block(base, count);
-                        assert!(block.tail_is_clear());
-                        let patterns = reference_patterns(
-                            n,
-                            trials,
-                            0xC0FFEE,
-                            mix,
-                            densities,
-                            base..base + count,
-                        );
-                        assert_eq!(
-                            block,
-                            pack_columns(n, &patterns),
-                            "{fill:?} n={n} mix {mix:#x} patterns {base}+{count}"
-                        );
+                        source.fill_word(first, lanes, &mut rows);
+                        let packed = pack_columns(n, &patterns[first..first + lanes]);
+                        for (r, &row) in rows.iter().enumerate() {
+                            assert_eq!(
+                                row,
+                                packed.word(r, 0),
+                                "{fill:?} n={n} mix {mix:#x} patterns {first}+{lanes} row {r}"
+                            );
+                        }
                     }
+                    assert_eq!(source.pattern(150), patterns[150]);
                 }
             }
         }
     }
 
+    /// ε and the guarantee screens at 1–3 threads, over batches below, at
+    /// and around one 512-pattern group: every report equals its
+    /// single-threaded reference — MC failures in pattern order, and the
+    /// exhaustive screen's lowest-index failing pattern, for the switches
+    /// of n ≤ 16.
     #[test]
     fn epsilon_is_independent_of_threads_and_group_boundaries() {
-        for (switch, _) in oracle_switches() {
+        let mut cases = oracle_switches();
+        cases.push((broken_read_off(), 0));
+        for (switch, _) in cases {
+            let what = format!("{} n={}", switch.name, switch.n);
             for trials in [0, 1, 511, 512, 513, 5000] {
-                let reference = measure_epsilon_reference(&switch, trials, 7);
+                let epsilon = measure_epsilon_reference(&switch, trials, 7);
+                let screen = monte_carlo_check_compiled_reference(&switch, trials, 7);
                 for threads in [1, 2, 3] {
+                    let what = format!("{what} trials {trials} threads {threads}");
                     assert_eq!(
                         measure_epsilon_threads(&switch, trials, 7, threads),
-                        reference,
-                        "{} n={} trials {trials} threads {threads}",
-                        switch.name,
-                        switch.n
+                        epsilon,
+                        "{what}"
                     );
+                    let report = monte_carlo_check_threads(&switch, trials, 7, threads);
+                    assert_eq!(report.trials, screen.trials, "{what}");
+                    assert_same_failures(&report.failures, &screen.failures, &what);
+                }
+            }
+            if switch.n <= 16 {
+                let routed = exhaustive_check(&switch).err();
+                for threads in [1, 2, 3] {
+                    let what = format!("{what} exhaustive, threads {threads}");
+                    let screened = exhaustive_check_threads(&switch, threads).err();
+                    assert_same_failures(screened.as_slice(), routed.as_slice(), &what);
                 }
             }
         }
@@ -1038,17 +1054,16 @@ mod tests {
     #[test]
     fn counting_blocks_equal_the_enumeration() {
         for n in [1usize, 3, 6, 7, 12] {
-            let total = 1u64 << n;
-            for (base, count) in [(0, total.min(2048)), (64, 100), (128, 64), (192, 1)] {
-                if base + count > total {
-                    continue;
+            let total = 1usize << n;
+            let mut rows = vec![0u64; n];
+            for first in (0..total).step_by(64) {
+                let lanes = 64.min(total - first);
+                counting_word(first, lanes, &mut rows);
+                for (r, &row) in rows.iter().enumerate() {
+                    let want =
+                        (0..lanes).fold(0u64, |w, j| w | (((first + j) >> r & 1) as u64) << j);
+                    assert_eq!(row, want, "n={n} word {first} row {r}");
                 }
-                let count = count as usize;
-                assert_eq!(
-                    counting_block(n, base, count),
-                    BitMatrix::from_fn(n, count, |row, v| (base + v as u64) >> row & 1 == 1),
-                    "n={n} patterns {base}+{count}"
-                );
             }
         }
     }
@@ -1136,6 +1151,8 @@ mod tests {
         );
         let legacy = monte_carlo_check(&broken, 100, 11);
         assert_eq!(report.failures.len(), legacy.failures.len());
-        assert!(exhaustive_check_compiled(&broken).is_err());
+        // The lowest-index failing pattern: input 0 alone.
+        let failure = exhaustive_check_compiled(&broken).expect_err("broken switch");
+        assert_eq!(failure.pattern, [true, false, false, false]);
     }
 }

@@ -23,16 +23,19 @@
 //!    or AVX-512 kernels).
 //!
 //! The emulator has one entry point per lane group,
-//! [`CompiledNetlist::eval_words_into`], and one rule for sizing the
-//! groups of a batch, [`lane_group`]. [`CompiledNetlist::eval_matrix`] is
-//! a thin driver over both for [`BitMatrix`] batches: it walks the matrix
-//! in lane groups and, for wide batches only, splits whole 8-word groups
-//! across threads.
+//! [`CompiledNetlist::eval_words_into`], and one driver for batches,
+//! [`CompiledNetlist::sweep`]: it owns the word-major buffers, the
+//! scratch, the lane-group rule ([`lane_group`]), pad zeroing and the
+//! thread split, and callers give it a per-word fill and a per-word score.
+//! [`CompiledNetlist::eval_matrix`] is a short wrapper over it for
+//! [`BitMatrix`] batches.
 //!
 //! Literal semantics are shared with the interpreters through
 //! [`Literal::apply`] / [`Literal::apply_word`], so all paths agree by
 //! construction; the equivalence is additionally enforced by truth-table
 //! and property tests at every lane width.
+
+use std::sync::Mutex;
 
 use crate::builder::Netlist;
 use crate::gate::GateKind;
@@ -48,9 +51,9 @@ use crate::wire::{Literal, Wire};
 /// an output.
 pub const DEFAULT_CHIPS: usize = 8;
 
-/// Smallest share of a [`CompiledNetlist::eval_matrix`] batch, in 64-lane
-/// words, worth a thread of its own.
-const MIN_THREAD_WORDS: usize = 16;
+/// Words per [`CompiledNetlist::sweep`] group: one 512-lane sweep, the
+/// driver's unit of work and of its thread split.
+const GROUP_WORDS: usize = 8;
 
 /// Width, in 64-lane words, of the next lane group when `words_left`
 /// words of a batch remain: 1 when one is left, 4 when two to four are,
@@ -64,6 +67,14 @@ pub fn lane_group(words_left: usize) -> usize {
         2..=4 => 4,
         _ => 8,
     }
+}
+
+/// The most threads a library caller of [`CompiledNetlist::sweep`] asks
+/// for: [`std::thread::available_parallelism`] as the *calling* thread
+/// sees it, which honours its CPU affinity, so a caller pinned to one CPU
+/// runs the whole sweep itself.
+pub fn sweep_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// How a faulted wire misbehaves (see [`CompiledNetlist::with_faults`]).
@@ -561,92 +572,101 @@ impl CompiledNetlist {
         self.schedule.eval_word(inputs)
     }
 
-    /// Evaluate every vector of `inputs` (one row per primary input).
-    ///
-    /// Walks the matrix through [`CompiledNetlist::eval_words_into`] in
-    /// [`lane_group`] steps, with one scratch and one pair of word-major
-    /// buffers per thread. Whole 8-word groups are split across
-    /// [`std::thread::available_parallelism`] threads when each thread
-    /// gets at least 16 words; narrower batches run on the calling
-    /// thread. Unused lanes in the final word of every output row are
+    /// Evaluate every vector of `inputs` (one row per primary input):
+    /// [`CompiledNetlist::sweep`] on [`sweep_threads`] threads, each word
+    /// gathered from the matrix rows and its outputs stored straight into
+    /// the result. Unused lanes in the final word of every output row are
     /// zeroed, so row popcounts are exact over the matrix's `vectors`
     /// columns.
     pub fn eval_matrix(&self, inputs: &BitMatrix) -> BitMatrix {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.eval_matrix_on(inputs, threads)
-    }
-
-    /// [`CompiledNetlist::eval_matrix`] on at most `threads` threads.
-    fn eval_matrix_on(&self, inputs: &BitMatrix, threads: usize) -> BitMatrix {
         assert_eq!(
             inputs.rows(),
             self.input_count(),
             "wrong number of input rows"
         );
-        let words = inputs.words_per_row();
-        let threads = threads.clamp(1, (words / MIN_THREAD_WORDS).max(1));
-        // Thread `t` sweeps words `start(t)..start(t + 1)`: an even share
-        // of the 8-word groups, so only the last one can be ragged.
-        let groups = words.div_ceil(8);
-        let start = |t: usize| (t * groups / threads * 8).min(words);
-        let slabs = std::thread::scope(|scope| {
-            let others: Vec<_> = (1..threads)
-                .map(|t| scope.spawn(move || self.sweep_slab(inputs, start(t)..start(t + 1))))
-                .collect();
-            let mut slabs = vec![self.sweep_slab(inputs, start(0)..start(1))];
-            slabs.extend(
-                others
-                    .into_iter()
-                    .map(|h| h.join().expect("eval worker panicked")),
-            );
-            slabs
-        });
-        let mut out = BitMatrix::zeroed(self.output_count(), inputs.vectors());
-        for (t, slab) in slabs.iter().enumerate() {
-            let (lo, width) = (start(t), start(t + 1) - start(t));
-            for o in 0..self.output_count() {
-                for (k, &word) in slab[o * width..(o + 1) * width].iter().enumerate() {
-                    *out.word_mut(o, lo + k) = word;
+        let out = Mutex::new(BitMatrix::zeroed(self.output_count(), inputs.vectors()));
+        self.sweep::<()>(
+            inputs.words_per_row(),
+            sweep_threads(),
+            |w, rows| {
+                for (i, word) in rows.iter_mut().enumerate() {
+                    *word = inputs.word(i, w);
                 }
-            }
-        }
+            },
+            |_, w, _, words| {
+                let mut out = out.lock().expect("an eval_matrix worker panicked");
+                for (o, &word) in words.iter().enumerate() {
+                    *out.word_mut(o, w) = word;
+                }
+            },
+        );
+        let mut out = out.into_inner().expect("an eval_matrix worker panicked");
         out.mask_tail();
-        debug_assert!(out.tail_is_clear());
         out
     }
 
-    /// Sweep words `range` of `inputs` in [`lane_group`] steps, zero words
-    /// padding the last group, and return the outputs row-major: word
-    /// `range.start + k` of output `o` at `o * range.len() + k`.
-    fn sweep_slab(&self, inputs: &BitMatrix, range: std::ops::Range<usize>) -> Vec<u64> {
-        let (ins, outs, width) = (self.input_count(), self.output_count(), range.len());
-        let mut scratch = self.scratch();
-        let (mut word_in, mut word_out) = (vec![0u64; 8 * ins], vec![0u64; 8 * outs]);
-        let mut slab = vec![0u64; outs * width];
-        let mut w = range.start;
-        while w < range.end {
-            let lw = lane_group(range.end - w);
-            let real = lw.min(range.end - w);
-            for (i, row) in (0..ins).map(|i| (i, inputs.row_words(i))) {
-                for (k, &word) in row[w..w + real].iter().enumerate() {
-                    word_in[k * ins + i] = word;
+    /// Sweep a batch of `words` 64-lane input words and score each output
+    /// word: the one batch driver over
+    /// [`CompiledNetlist::eval_words_into`].
+    ///
+    /// The batch is cut into groups of 8 words, each swept in one
+    /// [`lane_group`]; a short final group is padded with zero words,
+    /// which are never scored. Group `g` goes to thread `g % t`, where `t`
+    /// is `threads` clamped to `1..=groups`; one thread runs on the
+    /// caller, with no spawn. Every thread allocates its scratch, its
+    /// word-major input and output buffers and its accumulator once.
+    /// Within a thread, words are filled and scored in increasing order.
+    ///
+    /// * `fill(w, rows)` writes input word `w`: `rows[i]` is primary input
+    ///   `i` of vectors `64w..64w + 64`.
+    /// * `score(acc, w, inputs, outputs)` folds word `w` into the calling
+    ///   thread's accumulator; `inputs` is what `fill` wrote and
+    ///   `outputs[o]` is primary output `o` of the same vectors.
+    ///
+    /// Returns the accumulators, one per thread, in thread order. Library
+    /// callers pass [`sweep_threads`]; a result that is a maximum, a sum
+    /// or a sorted merge over words does not depend on it.
+    pub fn sweep<A: Default + Send>(
+        &self,
+        words: usize,
+        threads: usize,
+        fill: impl Fn(usize, &mut [u64]) + Sync,
+        score: impl Fn(&mut A, usize, &[u64], &[u64]) + Sync,
+    ) -> Vec<A> {
+        let (ins, outs) = (self.input_count(), self.output_count());
+        let groups = words.div_ceil(GROUP_WORDS);
+        let threads = threads.clamp(1, groups.max(1));
+        let run = |t: usize| {
+            let mut scratch = self.scratch();
+            let mut inputs = vec![0u64; GROUP_WORDS * ins];
+            let mut out = vec![0u64; GROUP_WORDS * outs];
+            let mut acc = A::default();
+            for g in (t..groups).step_by(threads) {
+                let first = g * GROUP_WORDS;
+                let real = GROUP_WORDS.min(words - first);
+                let lw = lane_group(real);
+                for k in 0..real {
+                    fill(first + k, &mut inputs[k * ins..(k + 1) * ins]);
+                }
+                inputs[real * ins..lw * ins].fill(0);
+                self.eval_words_into(&inputs[..lw * ins], lw, &mut scratch, &mut out[..lw * outs]);
+                for k in 0..real {
+                    let word_in = &inputs[k * ins..(k + 1) * ins];
+                    score(&mut acc, first + k, word_in, &out[k * outs..(k + 1) * outs]);
                 }
             }
-            word_in[real * ins..lw * ins].fill(0);
-            self.eval_words_into(
-                &word_in[..lw * ins],
-                lw,
-                &mut scratch,
-                &mut word_out[..lw * outs],
+            acc
+        };
+        std::thread::scope(|scope| {
+            let others: Vec<_> = (1..threads).map(|t| scope.spawn(move || run(t))).collect();
+            let mut accs = vec![run(0)];
+            accs.extend(
+                others
+                    .into_iter()
+                    .map(|h| h.join().expect("sweep worker panicked")),
             );
-            for k in 0..real {
-                for o in 0..outs {
-                    slab[o * width + w - range.start + k] = word_out[k * outs + o];
-                }
-            }
-            w += real;
-        }
-        slab
+            accs
+        })
     }
 }
 
@@ -1077,29 +1097,53 @@ mod tests {
         sink.eval_word_into(&vec![0u64; sink.input_count()], &mut scratch, &mut out);
     }
 
-    /// The private split of `eval_matrix` at 1–4 threads, over word
-    /// counts below, at and around the 16-words-per-thread bar, with a
-    /// ragged final word: every split equals the per-word baseline, keeps
-    /// the tail clear, and sweeps through every lane-group width.
+    /// The driver at 1–4 threads, over word counts below, at and around
+    /// whole groups, with a ragged final word: every word is scored once,
+    /// in increasing order within its thread, with the inputs its fill
+    /// wrote and outputs equal to the per-word baseline; and
+    /// `eval_matrix` over the same batch keeps the tail clear.
     #[test]
-    fn eval_matrix_splits_match_the_per_word_baseline() {
+    fn sweep_splits_match_the_per_word_baseline() {
         let nl = kitchen_sink();
         let compiled = nl.compile();
-        for words in [0usize, 1, 3, 15, 16, 17, 33, 64] {
+        for words in [0usize, 1, 3, 7, 8, 9, 17, 33, 64] {
             let vectors = (64 * words).saturating_sub(13);
             let m = BitMatrix::from_fn(nl.input_count(), vectors, |row, v| {
                 (v.wrapping_mul(0x9E37_79B9) >> (row % 31)) & 1 == 1
             });
             assert_eq!(m.words_per_row(), words);
             let reference = per_word(&compiled, &m);
+            let block = |w: usize| -> Vec<u64> { (0..m.rows()).map(|i| m.word(i, w)).collect() };
             for threads in [1usize, 2, 3, 4] {
-                let out = compiled.eval_matrix_on(&m, threads);
-                assert!(out.tail_is_clear(), "{words} words, {threads} threads");
-                assert_eq!(out, reference, "{words} words, {threads} threads");
-                for o in 0..out.rows() {
-                    assert!(out.row_popcount(o) <= vectors);
+                let accs = compiled.sweep(
+                    words,
+                    threads,
+                    |w, rows| rows.copy_from_slice(&block(w)),
+                    |acc: &mut Vec<usize>, w, inputs, outputs| {
+                        assert_eq!(inputs, block(w), "word {w}");
+                        let want: Vec<u64> =
+                            (0..outputs.len()).map(|o| reference.word(o, w)).collect();
+                        let tail = if 64 * (w + 1) > vectors {
+                            !0u64 >> (64 * (w + 1) - vectors)
+                        } else {
+                            !0
+                        };
+                        let got: Vec<u64> = outputs.iter().map(|&x| x & tail).collect();
+                        assert_eq!(got, want, "{words} words, {threads} threads, word {w}");
+                        acc.push(w);
+                    },
+                );
+                assert_eq!(accs.len(), threads.clamp(1, words.div_ceil(8).max(1)));
+                for acc in &accs {
+                    assert!(acc.windows(2).all(|p| p[0] < p[1]), "{threads} threads");
                 }
+                let mut scored: Vec<usize> = accs.concat();
+                scored.sort_unstable();
+                assert_eq!(scored, (0..words).collect::<Vec<_>>(), "{threads} threads");
             }
+            let out = compiled.eval_matrix(&m);
+            assert!(out.tail_is_clear(), "{words} words");
+            assert_eq!(out, reference, "{words} words");
             if words == 17 {
                 for lw in [1usize, 4, 8] {
                     assert_lane_groups_match(&nl, &compiled, &m, lw);

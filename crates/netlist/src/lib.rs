@@ -50,7 +50,8 @@ mod wire;
 
 pub use builder::Netlist;
 pub use compile::{
-    lane_group, CompiledNetlist, EvalScratch, WireFault, WireFaultKind, DEFAULT_CHIPS,
+    lane_group, sweep_threads, CompiledNetlist, EvalScratch, WireFault, WireFaultKind,
+    DEFAULT_CHIPS,
 };
 pub use depth::DepthReport;
 pub use eval::{BitBlock, WORD_BITS};

@@ -1,6 +1,6 @@
-//! Multi-vector bit matrices: the data the batch emulator sweeps over.
-
-use crate::eval::WORD_BITS;
+//! Row-major bit matrices, the batch format of
+//! [`crate::CompiledNetlist::eval_matrix`], and the 64×64 bit transpose
+//! that turns a swept word of signals into per-vector columns.
 
 /// Transpose a 64×64 bit block in place: afterwards bit `j` of `block[i]`
 /// is what bit `i` of `block[j]` was. Swaps ever smaller off-diagonal
@@ -8,9 +8,9 @@ use crate::eval::WORD_BITS;
 /// swaps instead of 4096 bit moves. Applying it twice is the identity.
 ///
 /// On 64 signals' words of one 64-vector lane word it yields each
-/// vector's bits packed 64 signals per word: the step behind
-/// [`BitMatrix::read_lane_columns`], for callers that hold lane words
-/// outside a matrix.
+/// vector's bits packed 64 signals per word: how the ε scorer turns a
+/// swept word of output signals into one packed output column per
+/// vector.
 pub fn transpose64(block: &mut [u64; 64]) {
     let mut width = 32;
     let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
@@ -138,54 +138,6 @@ impl BitMatrix {
         &self.data[row * self.words..(row + 1) * self.words]
     }
 
-    /// Words per lane column (`⌈rows/64⌉`): the length of one test
-    /// vector packed 64 rows per word, as the lane view reads it.
-    #[inline]
-    pub fn column_words(&self) -> usize {
-        self.rows.div_ceil(WORD_BITS)
-    }
-
-    /// The lane view of word `w`: for each of its 64 lanes (test vectors
-    /// `64w..64w + 64`), that vector's bits packed 64 rows per word.
-    /// `columns[lane * cw + k]` receives rows `64k..64k + 64` of the lane,
-    /// where `cw` is [`Self::column_words`]; row `64k + b` lands in bit
-    /// `b`. Bits past the last row, and lanes past the last vector, read
-    /// as zero. One 64×64 transpose per `cw`, instead of 64·rows bit reads.
-    pub fn read_lane_columns(&self, w: usize, columns: &mut [u64]) {
-        let cw = self.column_words();
-        assert!(w < self.words, "word {w} out of range");
-        assert_eq!(columns.len(), WORD_BITS * cw, "one column per lane");
-        let mut block = [0u64; WORD_BITS];
-        for k in 0..cw {
-            let rows = k * WORD_BITS..self.rows.min((k + 1) * WORD_BITS);
-            block.fill(0);
-            for (slot, r) in block.iter_mut().zip(rows) {
-                *slot = self.data[r * self.words + w];
-            }
-            transpose64(&mut block);
-            for (lane, &word) in block.iter().enumerate() {
-                columns[lane * cw + k] = word;
-            }
-        }
-    }
-
-    /// Apply `f` to every test vector's column words (see
-    /// [`Self::read_lane_columns`]), in vector order.
-    pub fn map_lane_columns<T>(&self, mut f: impl FnMut(&[u64]) -> T) -> Vec<T> {
-        let cw = self.column_words();
-        if cw == 0 {
-            return (0..self.vectors).map(|_| f(&[])).collect();
-        }
-        let mut columns = vec![0u64; WORD_BITS * cw];
-        let mut out = Vec::with_capacity(self.vectors);
-        for w in 0..self.words {
-            self.read_lane_columns(w, &mut columns);
-            let lanes = WORD_BITS.min(self.vectors - w * WORD_BITS);
-            out.extend(columns.chunks_exact(cw).take(lanes).map(&mut f));
-        }
-        out
-    }
-
     /// Extract test vector `vector` as one bit per row.
     pub fn column(&self, vector: usize) -> Vec<bool> {
         (0..self.rows).map(|r| self.get(r, vector)).collect()
@@ -260,14 +212,6 @@ mod tests {
         }
     }
 
-    /// A deterministic, bit-dense filler for the lane-view tests.
-    fn scrambled(rows: usize, vectors: usize) -> BitMatrix {
-        BitMatrix::from_fn(rows, vectors, |r, v| {
-            let x = (r as u64 * 0x9E37_79B9 + v as u64 * 0x85EB_CA6B) ^ (r * v) as u64;
-            x.wrapping_mul(0xC2B2_AE35) >> 61 & 1 == 1
-        })
-    }
-
     #[test]
     fn transpose64_is_an_involution_and_a_transpose() {
         let mut block = [0u64; 64];
@@ -287,37 +231,6 @@ mod tests {
         }
         transpose64(&mut block);
         assert_eq!(block, original);
-    }
-
-    #[test]
-    fn lane_columns_agree_with_column() {
-        for rows in [1usize, 63, 64, 65, 130] {
-            for vectors in [1usize, 63, 64, 65, 130] {
-                let m = scrambled(rows, vectors);
-                let cw = m.column_words();
-                let mut columns = vec![0u64; 64 * cw];
-                for w in 0..m.words_per_row() {
-                    m.read_lane_columns(w, &mut columns);
-                    for lane in 0..64 {
-                        let v = w * 64 + lane;
-                        let got: Vec<bool> = (0..64 * cw)
-                            .map(|r| columns[lane * cw + r / 64] >> (r % 64) & 1 == 1)
-                            .collect();
-                        let want: Vec<bool> = (0..64 * cw)
-                            .map(|r| v < vectors && r < rows && m.get(r, v))
-                            .collect();
-                        assert_eq!(got, want, "{rows} rows, {vectors} vectors, lane {v}");
-                    }
-                }
-                let mapped = m.map_lane_columns(|c| c.to_vec());
-                assert_eq!(mapped.len(), vectors);
-                for (v, c) in mapped.iter().enumerate() {
-                    let bits: Vec<bool> =
-                        (0..rows).map(|r| c[r / 64] >> (r % 64) & 1 == 1).collect();
-                    assert_eq!(bits, m.column(v), "{rows} rows, vector {v}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use deflection::{DeflectionStage, DeflectionStats};
 pub use fairness::{measure_fairness, FairnessReport, RotatingSwitch};
 pub use frame::{simulate_frame, FrameOutcome};
 pub use message::Message;
-pub use multistage::{regular_tree, CompiledCascade, MultistageNetwork};
+pub use multistage::{regular_tree, MultistageNetwork};
 pub use network::{ConcentrationStage, SimulationReport};
 pub use stats::Stats;
 pub use traffic::{mix64, TrafficModel, ZipfSampler};

@@ -11,8 +11,6 @@
 //! unchanged.
 
 use concentrator::spec::{ConcentratorKind, ConcentratorSwitch, Routing};
-use concentrator::StagedSwitch;
-use netlist::BitMatrix;
 
 /// A cascade of concentrator levels. Level `ℓ`'s switches partition the
 /// concatenated outputs of level `ℓ−1` (level 0 partitions the network
@@ -119,94 +117,6 @@ impl ConcentratorSwitch for MultistageNetwork {
             }
         }
         Routing::from_assignment(assignment, self.m)
-    }
-}
-
-/// A cascade of [`StagedSwitch`] levels evaluated entirely at the gate
-/// level through each switch's cached compiled control netlist.
-///
-/// Where [`MultistageNetwork`] routes one valid-bit pattern at a time
-/// through routing tables, this cascade pushes up to 64 setup patterns per
-/// sweep through every switch's [`netlist::CompiledNetlist`]. Each switch
-/// compiles once — on first use, into its shared elaboration cache — and
-/// the compiled form is reused across levels, lanes, and calls.
-pub struct CompiledCascade {
-    levels: Vec<Vec<StagedSwitch>>,
-    n: usize,
-    m: usize,
-}
-
-impl CompiledCascade {
-    /// Build a cascade from per-level switch lists, with the same wiring
-    /// validation as [`MultistageNetwork::new`].
-    pub fn new(levels: Vec<Vec<StagedSwitch>>) -> Self {
-        assert!(!levels.is_empty(), "cascade needs at least one level");
-        assert!(levels.iter().all(|l| !l.is_empty()), "levels need switches");
-        let n = levels[0].iter().map(|s| s.n).sum();
-        let mut carry: usize = n;
-        for (idx, level) in levels.iter().enumerate() {
-            let ins: usize = level.iter().map(|s| s.n).sum();
-            assert_eq!(
-                ins, carry,
-                "level {idx} consumes {ins} wires but {carry} arrive"
-            );
-            carry = level.iter().map(|s| s.m).sum();
-        }
-        CompiledCascade {
-            n,
-            m: carry,
-            levels,
-        }
-    }
-
-    /// Network inputs.
-    pub fn inputs(&self) -> usize {
-        self.n
-    }
-
-    /// Root resource ports.
-    pub fn outputs(&self) -> usize {
-        self.m
-    }
-
-    /// Propagate a batch of setup patterns (one per lane) through every
-    /// level's compiled netlists, returning the valid bits arriving at the
-    /// root ports — which output wires carry messages for each pattern.
-    pub fn deliver_matrix(&self, patterns: &BitMatrix) -> BitMatrix {
-        assert_eq!(patterns.rows(), self.n, "pattern rows must match inputs");
-        let lanes = patterns.vectors();
-        let words = patterns.words_per_row();
-        let mut wires = patterns.clone();
-        for level in &self.levels {
-            let width: usize = level.iter().map(|s| s.m).sum();
-            let mut next = BitMatrix::zeroed(width, lanes);
-            let mut in_cursor = 0usize;
-            let mut out_cursor = 0usize;
-            for switch in level {
-                let mut group = BitMatrix::zeroed(switch.n, lanes);
-                for row in 0..switch.n {
-                    for w in 0..words {
-                        *group.word_mut(row, w) = wires.word(in_cursor + row, w);
-                    }
-                }
-                let out = switch.control_logic(false).compiled.eval_matrix(&group);
-                for row in 0..switch.m {
-                    for w in 0..words {
-                        *next.word_mut(out_cursor + row, w) = out.word(row, w);
-                    }
-                }
-                in_cursor += switch.n;
-                out_cursor += switch.m;
-            }
-            wires = next;
-        }
-        wires
-    }
-
-    /// Single-pattern convenience over [`CompiledCascade::deliver_matrix`].
-    pub fn deliver(&self, valid: &[bool]) -> Vec<bool> {
-        let patterns = BitMatrix::from_fn(self.n, 1, |row, _| valid[row]);
-        self.deliver_matrix(&patterns).column(0)
     }
 }
 
@@ -319,56 +229,6 @@ mod tests {
                 inner.route(&valid),
                 "pattern {pattern:#x}"
             );
-        }
-    }
-
-    fn compiled_hyper_tree() -> CompiledCascade {
-        CompiledCascade::new(
-            (0..3)
-                .map(|level| {
-                    let groups = [4usize, 2, 1][level];
-                    (0..groups)
-                        .map(|_| ColumnsortSwitch::new(8, 2, 8).staged().clone())
-                        .collect()
-                })
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn compiled_cascade_matches_routed_network() {
-        let net = hyper_tree();
-        let cascade = compiled_hyper_tree();
-        assert_eq!(cascade.inputs(), net.inputs());
-        assert_eq!(cascade.outputs(), net.outputs());
-        let mut state = 0xCA5CADEu64;
-        for _ in 0..200 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let valid: Vec<bool> = (0..64).map(|i| state >> i & 1 == 1).collect();
-            let routing = net.route(&valid);
-            let expected: Vec<bool> = routing.output_source.iter().map(|s| s.is_some()).collect();
-            assert_eq!(cascade.deliver(&valid), expected, "state {state:#x}");
-        }
-    }
-
-    #[test]
-    fn compiled_cascade_batches_lanes() {
-        let cascade = compiled_hyper_tree();
-        let mut state = 7u64;
-        let patterns: Vec<Vec<bool>> = (0..100)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (0..64).map(|i| state >> i & 1 == 1).collect()
-            })
-            .collect();
-        let batch = BitMatrix::from_fn(64, patterns.len(), |row, v| patterns[v][row]);
-        let delivered = cascade.deliver_matrix(&batch);
-        for (v, pattern) in patterns.iter().enumerate() {
-            assert_eq!(delivered.column(v), cascade.deliver(pattern), "lane {v}");
         }
     }
 
