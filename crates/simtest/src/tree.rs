@@ -1,14 +1,16 @@
 //! Deterministic simulation of the concentrator *tree*: one seeded
 //! cooperative run of a full [`tiers`] topology under the virtual clock.
 //!
-//! The executor is the tree-shaped sibling of [`crate::sim`]: every
-//! external producer and every [`tiers::TierWorker`] in the tree is a
-//! cooperative task; each scheduler step draws one ready task from a
-//! [`SplitMix64`] stream seeded by the run's `u64` seed, executes
-//! exactly one non-blocking step of it ([`TierCore::try_submit`] /
-//! [`TierCore::retry_submit`] / [`tiers::TierWorker::step`]), and advances the
-//! shared [`VirtualClock`] one tick. The complete run is a pure function
-//! of `(scenario, seed)`.
+//! The executor is the tree-shaped sibling of [`crate::sim`] and the
+//! seeded schedule over [`TreeDriver`], the run state
+//! [`tiers::drive_tree`] steps in a fixed order: every external producer
+//! and every [`tiers::TierWorker`] in the tree is a cooperative task;
+//! each scheduler step draws one ready task from a [`SplitMix64`] stream
+//! seeded by the run's `u64` seed, executes exactly one non-blocking step
+//! of it ([`TreeDriver::step_producer`] / [`TreeDriver::step_worker`]),
+//! and advances the shared [`VirtualClock`] one tick. Parked producers,
+//! the cascaded close and the snapshot are the driver's. The complete
+//! run is a pure function of `(scenario, seed)`.
 //!
 //! Tree-specific machinery on top of the flat executor:
 //!
@@ -44,10 +46,7 @@ use fabric::{
 };
 use serde_json::{object, ToJson, Value};
 use switchsim::TrafficModel;
-use tiers::{
-    tree_ledger, tree_snapshot, TierCore, TierSpec, TierStep, TierSubmit, TierTopology,
-    TreeSnapshot,
-};
+use tiers::{TierSpec, TierStep, TierTopology, TreeDriver, TreeSnapshot};
 
 use crate::oracles::{check_capacity, check_frame, check_lossless, Ledger, Violation};
 use crate::scenarios::shared_switch;
@@ -185,19 +184,6 @@ impl TreeRun {
     }
 }
 
-/// One external producer task: the remainder of its scripted workload
-/// plus its parked state (held message and its chosen leaf placement).
-struct Producer {
-    script: std::collections::VecDeque<Message>,
-    parked: Option<(Message, usize, usize)>,
-}
-
-impl Producer {
-    fn done(&self) -> bool {
-        self.script.is_empty() && self.parked.is_none()
-    }
-}
-
 /// A ready task the scheduler may step next.
 #[derive(Clone, Copy)]
 enum Task {
@@ -225,35 +211,19 @@ fn flatten(ledger: tiers::TreeLedger) -> Ledger {
 /// seed.
 pub fn run_tree_scenario(scenario: &TreeScenario, seed: u64) -> TreeRun {
     scenario.validate();
-    let core = TierCore::new(scenario.topology.clone());
+    let scripts: Vec<Vec<(u64, Vec<Message>)>> = (0..scenario.producers)
+        .map(|p| scenario.plan.frames(scenario.ingress_sources, p))
+        .collect();
+    let mut expected_lossless: HashMap<u64, Vec<u8>> = HashMap::new();
+    if scenario.lossless {
+        for message in scripts.iter().flatten().flat_map(|(_, frame)| frame) {
+            expected_lossless.insert(message.id, message.payload.as_ref().to_vec());
+        }
+    }
+    let mut driver = TreeDriver::new(scenario.topology.clone(), scripts);
     let clock = VirtualClock::new();
     let mut rng = SplitMix64(seed);
-    let mut workers = core.workers();
-    let mut worker_done = vec![false; workers.len()];
-    let mut quarantine_flags = vec![false; workers.len()];
-    let depth = scenario.topology.depth();
-    let mut closed = vec![false; depth];
-
-    let mut expected_lossless: HashMap<u64, Vec<u8>> = HashMap::new();
-    let mut producers: Vec<Producer> = (0..scenario.producers)
-        .map(|p| {
-            let script: std::collections::VecDeque<Message> = scenario
-                .plan
-                .frames(scenario.ingress_sources, p)
-                .into_iter()
-                .flat_map(|(_, frame)| frame)
-                .collect();
-            if scenario.lossless {
-                for message in &script {
-                    expected_lossless.insert(message.id, message.payload.as_ref().to_vec());
-                }
-            }
-            Producer {
-                script,
-                parked: None,
-            }
-        })
-        .collect();
+    let mut quarantine_flags = vec![false; driver.workers().len()];
 
     let mut violations: Vec<Violation> = Vec::new();
     let mut completions: Vec<Delivery> = Vec::new();
@@ -273,7 +243,9 @@ pub fn run_tree_scenario(scenario: &TreeScenario, seed: u64) -> TreeRun {
         // deterministically, before the scheduler draws.
         while next_fault < scenario.faults.len() && scenario.faults[next_fault].at_tick <= tick {
             let event = &scenario.faults[next_fault];
-            core.core(event.tier, event.fabric)
+            driver
+                .core()
+                .core(event.tier, event.fabric)
                 .inject_faults(event.shard, event.faults.clone());
             next_fault += 1;
         }
@@ -284,42 +256,17 @@ pub fn run_tree_scenario(scenario: &TreeScenario, seed: u64) -> TreeRun {
                 .is_some_and(|s| s.tier == tier && s.active(tick))
         };
 
-        // Cascaded close: tier 0 once the producers finish; tier t+1
-        // once tier t is closed and its workers have all drained.
-        if !closed[0] && producers.iter().all(Producer::done) {
-            core.close_tier(0);
-            closed[0] = true;
-        }
-        for tier in 1..depth {
-            if closed[tier] || !closed[tier - 1] {
-                continue;
-            }
-            let upstream_done = workers
-                .iter()
-                .zip(&worker_done)
-                .filter(|(w, _)| w.tier() == tier - 1)
-                .all(|(_, &d)| d);
-            if upstream_done {
-                core.close_tier(tier);
-                closed[tier] = true;
-            }
-        }
+        driver.close_drained_tiers();
 
         // Readiness, in fixed task order (determinism): producers first,
         // then every worker in `(tier, fabric, shard)` order — minus the
         // stalled tier.
-        let mut ready: Vec<Task> = Vec::new();
-        for (p, task) in producers.iter().enumerate() {
-            let runnable = match &task.parked {
-                Some((_, leaf, shard)) => core.leaf_would_accept(*leaf, *shard),
-                None => !task.script.is_empty(),
-            };
-            if runnable {
-                ready.push(Task::Producer(p));
-            }
-        }
-        for (w, worker) in workers.iter().enumerate() {
-            if !worker_done[w] && !stalled(worker.tier()) && worker.ready() {
+        let mut ready: Vec<Task> = (0..scenario.producers)
+            .filter(|&p| driver.producer_ready(p))
+            .map(Task::Producer)
+            .collect();
+        for (w, worker) in driver.workers().iter().enumerate() {
+            if !stalled(worker.tier()) && worker.ready() {
                 ready.push(Task::Worker(w));
             }
         }
@@ -331,21 +278,20 @@ pub fn run_tree_scenario(scenario: &TreeScenario, seed: u64) -> TreeRun {
             // with unfinished work is a deadlock.
             let stall_holds_work = scenario.stall.is_some_and(|s| {
                 s.active(tick)
-                    && workers
+                    && driver
+                        .workers()
                         .iter()
-                        .zip(&worker_done)
-                        .any(|(w, &d)| w.tier() == s.tier && !d && w.ready())
+                        .any(|w| w.tier() == s.tier && w.ready())
             });
             if stall_holds_work {
                 clock.advance(1);
                 continue;
             }
-            let finished = producers.iter().all(Producer::done) && worker_done.iter().all(|&d| d);
-            if !finished {
+            if !driver.finished() {
                 violations.push(Violation::Deadlock {
                     tick,
-                    parked_producers: producers.iter().filter(|t| t.parked.is_some()).count(),
-                    unfinished_workers: worker_done.iter().filter(|&&d| !d).count(),
+                    parked_producers: driver.parked_producers(),
+                    unfinished_workers: driver.workers().iter().filter(|w| !w.done()).count(),
                 });
             }
             break;
@@ -358,60 +304,37 @@ pub fn run_tree_scenario(scenario: &TreeScenario, seed: u64) -> TreeRun {
 
         match choice {
             Task::Producer(p) => {
-                let producer = &mut producers[p];
-                let offer = match producer.parked.take() {
-                    Some((message, leaf, shard)) => core.retry_submit(message, leaf, shard),
-                    None => {
-                        let message = producer.script.pop_front().expect("ready producer");
-                        core.try_submit(message)
-                    }
-                };
-                match offer {
-                    TierSubmit::Done(outcome) => {
-                        if in_stall_window && !matches!(outcome, SubmitOutcome::Accepted) {
-                            stall_backpressure += 1;
-                        }
-                    }
-                    TierSubmit::Blocked {
-                        message,
-                        leaf,
-                        shard,
-                    } => {
-                        if in_stall_window {
-                            stall_backpressure += 1;
-                        }
-                        producer.parked = Some((message, leaf, shard));
-                    }
+                let admitted = driver.step_producer(p);
+                if in_stall_window && admitted != Some(SubmitOutcome::Accepted) {
+                    stall_backpressure += 1;
                 }
             }
             Task::Worker(w) => {
-                let worker = &mut workers[w];
-                match worker.step() {
-                    TierStep::Frame(run) => {
-                        frames += 1;
-                        let switch = &scenario.topology.tiers[worker.tier()].switch;
-                        let shard = worker.shard();
-                        if let Some(v) = check_frame(switch, shard.active_faults(), &run, w, tick) {
-                            violations.push(v);
-                        }
-                        if let Some(v) = check_capacity(shard, &run, tick) {
-                            violations.push(v);
-                        }
-                        if worker.is_spine() {
-                            completions.extend(run.delivered);
-                        }
-                        let flag = core
-                            .core(worker.tier(), worker.fabric())
-                            .shard_quarantined(worker.shard_id());
-                        if flag != quarantine_flags[w] {
-                            quarantine_flags[w] = flag;
-                            if flag {
-                                quarantines += 1;
-                            }
+                let step = driver.step_worker(w);
+                let worker = &driver.workers()[w];
+                if let TierStep::Frame(run) = step {
+                    frames += 1;
+                    let switch = &scenario.topology.tiers[worker.tier()].switch;
+                    let shard = worker.shard();
+                    if let Some(v) = check_frame(switch, shard.active_faults(), &run, w, tick) {
+                        violations.push(v);
+                    }
+                    if let Some(v) = check_capacity(shard, &run, tick) {
+                        violations.push(v);
+                    }
+                    if worker.is_spine() {
+                        completions.extend(run.delivered);
+                    }
+                    let flag = driver
+                        .core()
+                        .core(worker.tier(), worker.fabric())
+                        .shard_quarantined(worker.shard_id());
+                    if flag != quarantine_flags[w] {
+                        quarantine_flags[w] = flag;
+                        if flag {
+                            quarantines += 1;
                         }
                     }
-                    TierStep::Forwarded | TierStep::ForwardStalled | TierStep::Idle => {}
-                    TierStep::Done => worker_done[w] = true,
                 }
             }
         }
@@ -419,7 +342,7 @@ pub fn run_tree_scenario(scenario: &TreeScenario, seed: u64) -> TreeRun {
         // End-to-end conservation holds at *every* tick boundary: each
         // scheduled step is atomic, so the tree-wide ledger can never be
         // caught mid-update.
-        let ledger = tree_ledger(&core, &workers);
+        let ledger = driver.ledger();
         if !ledger.holds() {
             violations.push(Violation::Conservation {
                 tick,
@@ -429,7 +352,8 @@ pub fn run_tree_scenario(scenario: &TreeScenario, seed: u64) -> TreeRun {
         }
     }
 
-    let residual = core.in_flight() + workers.iter().map(|w| w.held()).sum::<u64>();
+    let ledger = driver.ledger();
+    let residual = ledger.in_flight + ledger.held;
     if residual != 0 && violations.is_empty() {
         violations.push(Violation::ResidualInFlight {
             in_flight: residual,
@@ -444,7 +368,7 @@ pub fn run_tree_scenario(scenario: &TreeScenario, seed: u64) -> TreeRun {
     TreeRun {
         scenario: scenario.name.clone(),
         seed,
-        snapshot: tree_snapshot(&core, &workers),
+        snapshot: driver.snapshot(),
         completions,
         violations,
         ticks: clock.now(),

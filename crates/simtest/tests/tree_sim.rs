@@ -86,3 +86,70 @@ fn tree_catalogue_passes_oracles_across_seeds() {
         }
     }
 }
+
+/// One run's pinned figures (see [`tree_runs_are_pinned`]).
+type RunPin = (u64, u64, u64, u64, usize, u64);
+
+/// Every catalogue scenario's exact run at seeds 1..=8: `(ticks, frames,
+/// stall_backpressure, quarantines, violations, FNV-1a of the completion
+/// id sequence)`, scenario by scenario. Any change to the seeded
+/// schedule, the link's forwarding or the close cascade moves a figure.
+#[test]
+fn tree_runs_are_pinned() {
+    let actual: Vec<Vec<RunPin>> = tree_catalogue()
+        .iter()
+        .map(|scenario| {
+            (1..=8u64)
+                .map(|seed| {
+                    let run = run_tree_scenario(scenario, seed);
+                    let ids: Vec<u8> = run
+                        .completions
+                        .iter()
+                        .flat_map(|d| d.message.id.to_le_bytes())
+                        .collect();
+                    (
+                        run.ticks,
+                        run.frames,
+                        run.stall_backpressure,
+                        run.quarantines,
+                        run.violations.len(),
+                        fabric::trace::fnv1a(&ids),
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    let expected: Vec<Vec<RunPin>> = vec![
+        vec![
+            (898, 180, 4, 0, 0, 0x23794189b54e2f2d),
+            (889, 173, 2, 0, 0, 0xcd9ed0a525ebacfd),
+            (909, 177, 2, 0, 0, 0xef4a5bdc8c518a5d),
+            (898, 175, 3, 0, 0, 0x027e86ff55cc8b1d),
+            (901, 176, 4, 0, 0, 0xa4b363221aec4b6d),
+            (886, 171, 2, 0, 0, 0x11451ba2fbc7a34d),
+            (897, 177, 2, 0, 0, 0xf9995824948c397d),
+            (886, 168, 2, 0, 0, 0x7eb265ac7806241d),
+        ],
+        vec![
+            (571, 143, 0, 0, 0, 0x8126025df842b554),
+            (603, 165, 0, 0, 0, 0x57e871c98e30e6d3),
+            (575, 138, 0, 0, 0, 0x0e76da71ef6c9490),
+            (552, 131, 0, 0, 0, 0xfefb18d3aca1a8ed),
+            (574, 144, 0, 0, 0, 0xe02459389c1d8f30),
+            (563, 139, 0, 0, 0, 0x529323172e4786f3),
+            (595, 154, 0, 0, 0, 0xdf6a0be681992f14),
+            (586, 148, 0, 0, 0, 0x5ff4559a9caff879),
+        ],
+        vec![
+            (834, 274, 0, 1, 0, 0x032af7723bc7bd95),
+            (837, 284, 0, 1, 0, 0xfbfe283a936cab9c),
+            (817, 279, 0, 1, 0, 0xee8b22bfb13d5050),
+            (814, 274, 0, 1, 0, 0xffa42ef1f18f3f82),
+            (836, 283, 0, 1, 0, 0x55de78001ca439a6),
+            (831, 280, 0, 1, 0, 0x066dd01d3eaa0185),
+            (839, 274, 0, 1, 0, 0x21236ca736b2808d),
+            (844, 283, 0, 1, 0, 0xcc81b0a8dbf3ad4d),
+        ],
+    ];
+    assert_eq!(actual, expected);
+}

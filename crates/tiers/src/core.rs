@@ -1,25 +1,26 @@
 //! The tree's data plane: per-fabric [`ServiceCore`]s joined by
-//! valid/ready inter-tier links, and the single-step worker state
-//! machine the deterministic simulator and the threaded service share.
+//! valid/ready inter-tier links, and the worker state machine every tree
+//! schedule steps — the cooperative ones through [`TierWorker::step`],
+//! the threaded service through [`TierWorker::step_blocking`].
 //!
-//! **Links and credit backpressure.** A [`TierWorker`] wraps one leaf or
-//! intermediate shard's [`WorkerCore`] and an *egress hold*: the frame's
-//! deliveries, remapped onto downstream input wires, waiting for
-//! downstream admission. The hold is the link's valid side; downstream
-//! ring space is the ready side. While the hold is non-empty the worker
-//! runs **no new frames**, so its own ingress ring fills, its upstream
-//! producers block or shed, and the credit exhaustion propagates tier by
-//! tier down to leaf admission — exactly the wormhole-style
-//! valid/ready handshake, at frame granularity.
+//! **Links and credit backpressure.** A [`TierWorker`] below the spine
+//! wraps one shard's [`WorkerCore`] and its fabric's link: the next
+//! tier's cores and the one inter-tier wire map onto them. Under `step`
+//! the frame's remapped deliveries wait in an *egress hold* (the link's
+//! valid side) for downstream ring space (the ready side). While the
+//! hold is non-empty the worker runs **no new frames**, so its own
+//! ingress ring fills, its upstream producers block or shed, and the
+//! credit exhaustion propagates tier by tier down to leaf admission —
+//! the wormhole-style valid/ready handshake, at frame granularity.
+//! `step_blocking` instead hands the whole frame downstream in one
+//! blocking batch.
 //!
-//! **Load-aware spine placement.** When a held message is first
-//! forwarded, the link picks the downstream fabric with the fewest
-//! messages in flight among fabrics that still have a healthy
-//! (non-quarantined) shard — quarantine steering across fabrics, on top
-//! of the per-fabric shard steering the cores already do. A message
-//! handed back by a full downstream ring under blocking backpressure
-//! stays *placed* (same fabric, same shard) until space opens, mirroring
-//! a blocked producer thread.
+//! **Load-aware spine placement.** A freshly forwarded message (or
+//! frame) goes to the downstream fabric with the fewest messages in
+//! flight among fabrics that still have a healthy (non-quarantined)
+//! shard. A message handed back by a full downstream ring under blocking
+//! backpressure stays *placed* (same fabric, same shard) until space
+//! opens, mirroring a blocked producer thread.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -57,6 +58,20 @@ pub enum TierSubmit {
         /// The shard within that leaf.
         shard: usize,
     },
+}
+
+impl TierSubmit {
+    /// A leaf fabric's admission step, tagged with the leaf.
+    fn at_leaf(step: SubmitStep, leaf: usize) -> TierSubmit {
+        match step {
+            SubmitStep::Done(outcome) => TierSubmit::Done(outcome),
+            SubmitStep::Blocked { message, shard } => TierSubmit::Blocked {
+                message,
+                leaf,
+                shard,
+            },
+        }
+    }
 }
 
 /// Pick the downstream fabric for a fresh forwarded message: fewest
@@ -110,40 +125,30 @@ impl TierCore {
     }
 
     /// Every worker in the tree, in `(tier, fabric, shard)` order — the
-    /// canonical order the sync driver and the simulator step in. Each
-    /// tier's workers share that tier's switch, so the whole tier pays
-    /// one datapath compile.
+    /// canonical order the cooperative schedules step in and the
+    /// threaded service spawns in. Each tier's workers share that tier's
+    /// switch, so the whole tier pays one datapath compile; every
+    /// worker below the spine gets its fabric's link.
     pub fn workers(&self) -> Vec<TierWorker> {
         let mut workers = Vec::new();
         for (tier, spec) in self.topology.tiers.iter().enumerate() {
-            let downstream = if tier + 1 < self.topology.depth() {
-                Some(self.cores[tier + 1].clone())
-            } else {
-                None
-            };
             for fabric in 0..spec.fabrics {
+                let link = (tier + 1 < self.topology.depth()).then(|| {
+                    let ports = self.topology.link_ports(tier);
+                    Link {
+                        downstream: self.cores[tier + 1].clone(),
+                        base: fabric * ports,
+                        ports,
+                        backpressure: self.topology.tiers[tier + 1].config.backpressure,
+                    }
+                });
                 for shard in 0..spec.config.shards {
                     workers.push(TierWorker {
                         tier,
                         fabric,
                         shard_id: shard,
                         inner: self.cores[tier][fabric].worker(shard, Arc::clone(&spec.switch)),
-                        downstream: downstream.clone(),
-                        forward_base: if downstream.is_some() {
-                            fabric * self.topology.link_ports(tier)
-                        } else {
-                            0
-                        },
-                        link_ports: if downstream.is_some() {
-                            self.topology.link_ports(tier)
-                        } else {
-                            0
-                        },
-                        backpressure_down: if tier + 1 < self.topology.depth() {
-                            self.topology.tiers[tier + 1].config.backpressure
-                        } else {
-                            Backpressure::Block
-                        },
+                        link: link.clone(),
                         egress: VecDeque::new(),
                         inner_done: false,
                         forwarded: 0,
@@ -161,27 +166,13 @@ impl TierCore {
     pub fn try_submit(&self, mut message: Message) -> TierSubmit {
         let (leaf, wire) = self.topology.ingress(message.source as u64);
         message.source = wire;
-        match self.cores[0][leaf].try_submit(message) {
-            SubmitStep::Done(outcome) => TierSubmit::Done(outcome),
-            SubmitStep::Blocked { message, shard } => TierSubmit::Blocked {
-                message,
-                leaf,
-                shard,
-            },
-        }
+        TierSubmit::at_leaf(self.cores[0][leaf].try_submit(message), leaf)
     }
 
     /// Re-offer a message handed back by [`TierCore::try_submit`] to its
     /// already-chosen leaf placement.
     pub fn retry_submit(&self, message: Message, leaf: usize, shard: usize) -> TierSubmit {
-        match self.cores[0][leaf].retry_submit(message, shard) {
-            SubmitStep::Done(outcome) => TierSubmit::Done(outcome),
-            SubmitStep::Blocked { message, shard } => TierSubmit::Blocked {
-                message,
-                leaf,
-                shard,
-            },
-        }
+        TierSubmit::at_leaf(self.cores[0][leaf].retry_submit(message, shard), leaf)
     }
 
     /// Submit one external message, blocking while its leaf ring is full
@@ -247,6 +238,40 @@ impl TierCore {
     }
 }
 
+/// One fabric's uplink to the next tier: the downstream cores and the
+/// inter-tier wire map onto them (see [`crate::topology`]).
+#[derive(Clone)]
+struct Link {
+    /// The next tier's cores, in fabric order.
+    downstream: Vec<Arc<ServiceCore>>,
+    /// First downstream input wire this fabric owns.
+    base: usize,
+    /// Downstream input wires this fabric owns
+    /// ([`TierTopology::link_ports`]).
+    ports: usize,
+    /// The next tier's backpressure policy (a placed message's credit
+    /// test).
+    backpressure: Backpressure,
+}
+
+impl Link {
+    /// The downstream input wire a delivery on `output` re-enters on:
+    /// `fabric × ports + (output mod ports)`, the same wire on whichever
+    /// downstream fabric placement picks.
+    fn wire(&self, output: usize) -> usize {
+        self.base + output % self.ports
+    }
+
+    /// A delivery remapped onto its downstream input wire.
+    fn remap(&self, delivery: &Delivery) -> Message {
+        Message::new(
+            delivery.message.id,
+            self.wire(delivery.output),
+            delivery.message.payload.clone(),
+        )
+    }
+}
+
 /// A held egress message on an inter-tier link.
 #[derive(Debug)]
 enum Egress {
@@ -261,7 +286,7 @@ enum Egress {
     },
 }
 
-/// What one [`TierWorker::step`] did.
+/// What one [`TierWorker::step`] or [`TierWorker::step_blocking`] did.
 #[derive(Debug)]
 pub enum TierStep {
     /// Moved the head held message onto a downstream ring.
@@ -270,8 +295,9 @@ pub enum TierStep {
     /// under blocking backpressure): the link is stalled.
     ForwardStalled,
     /// Executed one batched routing frame. At a non-spine tier the
-    /// deliveries were also queued onto the egress hold; at the spine
-    /// they are the tree's completions.
+    /// deliveries were also remapped onto the link (queued on the egress
+    /// hold by `step`, forwarded downstream by `step_blocking`); at the
+    /// spine they are the tree's completions.
     Frame(FrameRun),
     /// Nothing to do right now.
     Idle,
@@ -286,11 +312,8 @@ pub struct TierWorker {
     fabric: usize,
     shard_id: usize,
     inner: WorkerCore,
-    /// Next tier's cores; `None` at the spine.
-    downstream: Option<Vec<Arc<ServiceCore>>>,
-    forward_base: usize,
-    link_ports: usize,
-    backpressure_down: Backpressure,
+    /// The uplink; `None` at the spine.
+    link: Option<Link>,
     egress: VecDeque<Egress>,
     inner_done: bool,
     /// Messages this worker moved onto a downstream ring.
@@ -318,7 +341,13 @@ impl TierWorker {
     /// Whether this worker serves the spine (its deliveries leave the
     /// tree).
     pub fn is_spine(&self) -> bool {
-        self.downstream.is_none()
+        self.link.is_none()
+    }
+
+    /// Whether the worker has finished: its queue closed and drained and
+    /// its egress hold empty (a step returned [`TierStep::Done`]).
+    pub fn done(&self) -> bool {
+        self.inner_done
     }
 
     /// The underlying shard (metrics, health, capacity bound).
@@ -348,17 +377,20 @@ impl TierWorker {
         if let Some(head) = self.egress.front() {
             return match head {
                 Egress::Fresh(_) => true,
-                Egress::Placed { fabric, shard, .. } => self.downstream.as_ref().expect("held")
-                    [*fabric]
-                    .queue(*shard)
-                    .would_accept(self.backpressure_down),
+                Egress::Placed { fabric, shard, .. } => {
+                    let link = self.link.as_ref().expect("egress implies a link");
+                    link.downstream[*fabric]
+                        .queue(*shard)
+                        .would_accept(link.backpressure)
+                }
             };
         }
         !self.inner_done && self.inner.ready()
     }
 
     /// One non-blocking step: forward held egress first (frames wait for
-    /// the link — the credit handshake), else run the inner core.
+    /// the link — the credit handshake), else run the inner core and
+    /// queue a frame's remapped deliveries onto the egress hold.
     pub fn step(&mut self) -> TierStep {
         if !self.egress.is_empty() {
             return self.forward_head();
@@ -366,11 +398,41 @@ impl TierWorker {
         if self.inner_done {
             return TierStep::Done;
         }
-        match self.inner.step() {
-            WorkerStep::Frame(run) => {
-                self.hold_deliveries(&run.delivered);
-                TierStep::Frame(run)
+        let step = self.inner.step();
+        let step = self.settle(step);
+        if let (TierStep::Frame(run), Some(link)) = (&step, &self.link) {
+            for delivery in &run.delivered {
+                self.egress.push_back(Egress::Fresh(link.remap(delivery)));
             }
+        }
+        step
+    }
+
+    /// One blocking step, the threaded tree's loop body: run the inner
+    /// core's blocking step, then, below the spine, forward the frame's
+    /// remapped deliveries as one batch to the least-loaded healthy
+    /// downstream fabric ([`pick_downstream`]), blocking while its ring
+    /// is full under blocking backpressure. One ring reservation and one
+    /// wake per frame keeps downstream sweeps full instead of near-empty.
+    /// Never returns [`TierStep::Idle`] with messages outstanding, and
+    /// never leaves egress held.
+    pub fn step_blocking(&mut self) -> TierStep {
+        let step = self.inner.step_blocking();
+        let step = self.settle(step);
+        if let (TierStep::Frame(run), Some(link)) = (&step, &self.link) {
+            if !run.delivered.is_empty() {
+                let frame: Vec<Message> = run.delivered.iter().map(|d| link.remap(d)).collect();
+                self.forwarded += frame.len() as u64;
+                link.downstream[pick_downstream(&link.downstream)].submit_batch_blocking(frame);
+            }
+        }
+        step
+    }
+
+    /// An inner step as a tier step, recording `Done`.
+    fn settle(&mut self, step: WorkerStep) -> TierStep {
+        match step {
+            WorkerStep::Frame(run) => TierStep::Frame(run),
             WorkerStep::Idle => TierStep::Idle,
             WorkerStep::Done => {
                 self.inner_done = true;
@@ -379,25 +441,13 @@ impl TierWorker {
         }
     }
 
-    /// Queue a frame's deliveries onto the egress hold, remapped onto
-    /// downstream input wires (spine deliveries leave the tree instead).
-    fn hold_deliveries(&mut self, delivered: &[Delivery]) {
-        if self.downstream.is_none() {
-            return;
-        }
-        for delivery in delivered {
-            let wire = self.forward_base + delivery.output % self.link_ports;
-            self.egress.push_back(Egress::Fresh(Message::new(
-                delivery.message.id,
-                wire,
-                delivery.message.payload.clone(),
-            )));
-        }
-    }
-
     /// Try to move the head held message downstream.
     fn forward_head(&mut self) -> TierStep {
-        let down = self.downstream.as_ref().expect("egress implies a link");
+        let down = &self
+            .link
+            .as_ref()
+            .expect("egress implies a link")
+            .downstream;
         let (step, fabric) = match self.egress.pop_front().expect("checked non-empty") {
             Egress::Fresh(message) => {
                 let fabric = pick_downstream(down);
@@ -507,6 +557,116 @@ mod tests {
             ),
             config: FabricConfig::new(1),
         }
+    }
+
+    #[test]
+    fn link_ports_partition_the_downstream_switch() {
+        let core = TierCore::new(TierTopology::new(vec![tier(2), tier(1)]));
+        assert_eq!(core.topology().depth(), 2);
+        assert_eq!(core.topology().link_ports(0), 8);
+        let workers = core.workers();
+        assert!(workers[2].is_spine(), "the spine has no link");
+        let wire = |fabric: usize, output: usize| {
+            workers[fabric]
+                .link
+                .as_ref()
+                .expect("leaves have a link")
+                .wire(output)
+        };
+        // Fabric 0 owns wires 0..8, fabric 1 owns 8..16; outputs fold
+        // into the owner's block.
+        assert_eq!(wire(0, 0), 0);
+        assert_eq!(wire(0, 7), 7);
+        assert_eq!(wire(1, 0), 8);
+        assert_eq!(wire(1, 7), 15);
+        // Wires never collide across fabrics and never exceed n.
+        for fabric in 0..2 {
+            for output in 0..8 {
+                let wire = wire(fabric, output);
+                assert!(wire < 16);
+                assert_eq!(wire / 8, fabric);
+            }
+        }
+    }
+
+    /// The threaded tree's step, run without threads: each leaf frame is
+    /// forwarded whole, in one batch, onto the least-in-flight healthy
+    /// spine (ties to the lowest index) on the link's wires, and nothing
+    /// is ever left held on the link.
+    #[test]
+    fn step_blocking_forwards_whole_frames_to_the_least_loaded_spine() {
+        let core = TierCore::new(TierTopology::new(vec![tier(2), tier(2)]));
+        let mut workers = core.workers();
+        // One external frame: three users per leaf on distinct leaf wires,
+        // so each leaf routes exactly one frame.
+        let mut placed = std::collections::HashSet::new();
+        let mut users = Vec::new();
+        for leaf in 0..2 {
+            users.extend(
+                (0usize..)
+                    .filter(|&user| {
+                        let at = core.topology().ingress(user as u64);
+                        at.0 == leaf && placed.insert(at)
+                    })
+                    .take(3),
+            );
+        }
+        for &user in &users {
+            let step = core.try_submit(Message::new(user as u64, user, vec![user as u8; 4]));
+            assert_eq!(step, TierSubmit::Done(SubmitOutcome::Accepted));
+        }
+        core.close_tier(0);
+
+        let spines = core.tier_cores(1);
+        let mut targets = Vec::new();
+        let mut wires = std::collections::HashMap::new();
+        for leaf in 0..2 {
+            loop {
+                let before: Vec<u64> = spines.iter().map(|c| c.in_flight()).collect();
+                let forwarded = workers[leaf].forwarded;
+                let step = workers[leaf].step_blocking();
+                assert_eq!(workers[leaf].held(), 0);
+                assert!(tree_ledger(&core, &workers).holds());
+                let run = match step {
+                    TierStep::Frame(run) => run,
+                    TierStep::Done => break,
+                    other => panic!("leaf {leaf}: unexpected {other:?}"),
+                };
+                let frame = run.delivered.len() as u64;
+                assert_eq!(frame, 3, "leaf {leaf} delivers its whole frame");
+                assert_eq!(workers[leaf].forwarded, forwarded + frame);
+                let target = (0..2).min_by_key(|&s| (before[s], s)).expect("two spines");
+                for (spine, core) in spines.iter().enumerate() {
+                    let landed = if spine == target { frame } else { 0 };
+                    assert_eq!(core.in_flight(), before[spine] + landed);
+                }
+                targets.push(target);
+                let link = workers[leaf].link.as_ref().expect("leaves have a link");
+                for delivery in &run.delivered {
+                    wires.insert(delivery.message.id, link.wire(delivery.output));
+                }
+            }
+        }
+        assert_eq!(targets, vec![0, 1], "a tie goes to spine 0, then the idler");
+
+        core.close_tier(1);
+        let mut delivered = 0;
+        for spine in 2..4 {
+            loop {
+                match workers[spine].step() {
+                    TierStep::Frame(run) => {
+                        for message in &run.offered {
+                            assert_eq!(message.source, wires[&message.id]);
+                        }
+                        delivered += run.delivered.len();
+                    }
+                    TierStep::Done => break,
+                    other => panic!("spine {spine}: unexpected {other:?}"),
+                }
+                assert!(tree_ledger(&core, &workers).holds());
+            }
+        }
+        assert_eq!(delivered, users.len());
     }
 
     /// A leaf that routed several frames in one batch holds their

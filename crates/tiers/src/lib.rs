@@ -14,18 +14,20 @@
 //!
 //! * [`TierTopology`] — the tree's shape: per-tier fabric counts,
 //!   shared switches, configs, and the fixed inter-tier wire map.
-//! * [`TierCore`] / [`TierWorker`] — the single-step data plane:
-//!   per-fabric [`fabric::ServiceCore`]s joined by valid/ready links
-//!   with frame-granular credit backpressure. Deterministic simulation
-//!   (`simtest`) schedules these directly.
-//! * [`drive_tree`] — the synchronous deterministic driver (the
-//!   conservation matrix and bench determinism assertions). Like
-//!   `fabric`'s [`fabric::drive_sync`] and [`fabric::drive_service`],
-//!   it takes the shared `(tick, Vec<Message>)` frame shape, so plan
-//!   workloads ([`fabric::LoadPlan::frames`]) and replayed traces
-//!   ([`fabric::trace::frames`]) drive it alike.
-//! * [`TierService`] — the threaded tree: a thread per shard, blocking
-//!   forwarding, cascaded drain.
+//! * [`TierCore`] / [`TierWorker`] — the data plane: per-fabric
+//!   [`fabric::ServiceCore`]s joined by valid/ready links with credit
+//!   backpressure; each worker below the spine owns its fabric's link,
+//!   the one copy of the inter-tier wire map.
+//! * [`TreeDriver`] — the run state every cooperative schedule shares:
+//!   workers, external producers and their parked retries, the cascaded
+//!   close rule, ledger and snapshot. [`drive_tree`] is its fixed
+//!   round-robin schedule (the conservation matrix and bench determinism
+//!   assertions), `simtest`'s tree simulator its seeded one. Like
+//!   [`fabric::drive_sync`], `drive_tree` takes the shared
+//!   `(tick, Vec<Message>)` frames of [`fabric::LoadPlan::frames`] and
+//!   [`fabric::trace::frames`].
+//! * [`TierService`] — the threaded tree: a thread per worker looping
+//!   [`TierWorker::step_blocking`], cascaded drain.
 //!
 //! The invariant everything preserves, end to end:
 //!
@@ -53,5 +55,5 @@ pub use bench::{
 };
 pub use service::{TierReport, TierService};
 pub use snapshot::{TreeLedger, TreeSnapshot};
-pub use sync::{drive_tree, TreeReport};
+pub use sync::{drive_tree, TreeDriver, TreeReport};
 pub use topology::{TierSpec, TierTopology};

@@ -1,34 +1,27 @@
 //! The threaded tree: one OS thread per `(tier, fabric, shard)` looping
-//! the shard's blocking step and forwarding deliveries downstream with
-//! real blocking backpressure (`submit_blocking`) — a full spine
-//! pushes the forwarding thread onto the downstream ring's condvar,
-//! which fills the upstream ring, which blocks external producers at
-//! leaf admission: the threaded realization of the credit handshake the
-//! single-step [`crate::core::TierWorker`] models.
+//! [`TierWorker::step_blocking`], which forwards each frame's deliveries
+//! downstream with real blocking backpressure — a full spine pushes the
+//! forwarding thread onto the downstream ring's condvar, which fills the
+//! upstream ring, which blocks external producers at leaf admission: the
+//! threaded realization of the credit handshake the single-step
+//! [`TierWorker::step`] models.
 //!
 //! Drain cascades tier by tier: close the leaves, join their workers
 //! (flushing every uplink), then close the next tier, and so on — no
 //! message can be in transit past a joined tier, so the drain-time
-//! snapshot satisfies the end-to-end identity exactly.
+//! snapshot ([`tree_snapshot`] over the joined workers) satisfies the
+//! end-to-end identity exactly.
 
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use fabric::{Delivery, Message, ShardMetrics, SubmitOutcome, WorkerStep};
+use fabric::{Delivery, Message, SubmitOutcome};
 
-use crate::core::{pick_downstream, TierCore};
+use crate::core::{tree_snapshot, TierCore, TierStep, TierWorker};
 use crate::snapshot::TreeSnapshot;
 use crate::topology::TierTopology;
 
-/// What one joined worker thread hands back.
-struct TierWorkerResult {
-    tier: usize,
-    fabric: usize,
-    metrics: ShardMetrics,
-    /// Spine deliveries only (other tiers forward instead).
-    deliveries: Vec<Delivery>,
-    forwarded: u64,
-}
+/// A joined worker thread: the worker and its spine deliveries.
+type Joined = (TierWorker, Vec<Delivery>);
 
 /// What a threaded tree run delivered.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,81 +37,43 @@ pub struct TierReport {
 
 /// A live concurrent concentrator tree.
 pub struct TierService {
-    core: Arc<TierCore>,
-    /// Worker handles grouped by tier, for the cascaded drain.
-    workers: Vec<Vec<JoinHandle<TierWorkerResult>>>,
+    core: TierCore,
+    /// Worker handles grouped by tier, each tier in spawn order, for the
+    /// cascaded drain.
+    workers: Vec<Vec<JoinHandle<Joined>>>,
 }
 
 impl TierService {
     /// Spawn the whole tree: every tier's fabrics share that tier's
     /// switch (one datapath compile per tier), each shard gets a thread.
     pub fn start(topology: TierTopology) -> TierService {
-        let core = Arc::new(TierCore::new(topology));
-        let depth = core.topology().depth();
-        let mut workers: Vec<Vec<JoinHandle<TierWorkerResult>>> =
-            (0..depth).map(|_| Vec::new()).collect();
-        for (tier, spec) in core.topology().tiers.iter().cloned().enumerate() {
-            let downstream: Option<Vec<_>> =
-                (tier + 1 < depth).then(|| core.tier_cores(tier + 1).to_vec());
-            let link_ports = (tier + 1 < depth).then(|| core.topology().link_ports(tier));
-            for fabric in 0..spec.fabrics {
-                for shard in 0..spec.config.shards {
-                    let mut worker = core
-                        .core(tier, fabric)
-                        .worker(shard, Arc::clone(&spec.switch));
-                    let downstream = downstream.clone();
-                    let forward_base = link_ports.map_or(0, |ports| fabric * ports);
-                    let ports = link_ports.unwrap_or(1);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("tier{tier}-fab{fabric}-shard{shard}"))
-                        .spawn(move || {
-                            let mut deliveries = Vec::new();
-                            let mut forwarded = 0u64;
-                            loop {
-                                match worker.step_blocking() {
-                                    WorkerStep::Frame(run) => match &downstream {
-                                        Some(down) => {
-                                            // Forward the whole frame in one batch
-                                            // to the least-loaded healthy fabric:
-                                            // one ring reservation and one wake
-                                            // per frame keeps downstream sweeps
-                                            // full instead of near-empty.
-                                            if run.delivered.is_empty() {
-                                                continue;
-                                            }
-                                            let frame: Vec<Message> = run
-                                                .delivered
-                                                .into_iter()
-                                                .map(|delivery| {
-                                                    Message::new(
-                                                        delivery.message.id,
-                                                        forward_base + delivery.output % ports,
-                                                        delivery.message.payload,
-                                                    )
-                                                })
-                                                .collect();
-                                            forwarded += frame.len() as u64;
-                                            let target = pick_downstream(down);
-                                            down[target].submit_batch_blocking(frame);
-                                        }
-                                        None => deliveries.extend(run.delivered),
-                                    },
-                                    WorkerStep::Idle => {}
-                                    WorkerStep::Done => break,
-                                }
+        let core = TierCore::new(topology);
+        let mut workers: Vec<Vec<JoinHandle<Joined>>> =
+            (0..core.topology().depth()).map(|_| Vec::new()).collect();
+        for mut worker in core.workers() {
+            let tier = worker.tier();
+            let name = format!(
+                "tier{tier}-fab{}-shard{}",
+                worker.fabric(),
+                worker.shard_id()
+            );
+            let handle = std::thread::Builder::new()
+                .name(name)
+                .spawn(move || {
+                    let mut deliveries = Vec::new();
+                    loop {
+                        match worker.step_blocking() {
+                            TierStep::Frame(run) if worker.is_spine() => {
+                                deliveries.extend(run.delivered)
                             }
-                            TierWorkerResult {
-                                tier,
-                                fabric,
-                                metrics: worker.shard().metrics.clone(),
-                                deliveries,
-                                forwarded,
-                            }
-                        })
-                        .expect("spawn tier worker");
-                    workers[tier].push(handle);
-                }
-            }
+                            TierStep::Done => break,
+                            _ => {}
+                        }
+                    }
+                    (worker, deliveries)
+                })
+                .expect("spawn tier worker");
+            workers[tier].push(handle);
         }
         TierService { core, workers }
     }
@@ -147,45 +102,25 @@ impl TierService {
 
     /// Cascaded graceful shutdown: tier by tier, refuse new work, let
     /// the tier's workers flush their backlogs *and uplinks*, join them,
-    /// then close the next tier. Merges queue counters exactly once per
-    /// shard.
+    /// then close the next tier. The snapshot folds queue counters
+    /// exactly once per shard.
     pub fn drain(self) -> TierReport {
         let depth = self.core.topology().depth();
-        let mut tiers: Vec<Vec<fabric::FabricSnapshot>> = (0..depth)
-            .map(|tier| {
-                self.core
-                    .tier_cores(tier)
-                    .iter()
-                    .map(|_| fabric::FabricSnapshot {
-                        shards: Vec::new(),
-                        in_flight: 0,
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut workers = Vec::new();
         let mut completions = Vec::new();
-        let mut forwarded = vec![0u64; depth.saturating_sub(1)];
         for (tier, handles) in self.workers.into_iter().enumerate() {
             self.core.close_tier(tier);
             for handle in handles {
-                let mut result = handle.join().expect("tier worker panicked");
-                self.core
-                    .core(result.tier, result.fabric)
-                    .fold_queue_counters(tiers[result.tier][result.fabric].shards.len(), {
-                        // Shards join in spawn order, so the next
-                        // un-folded shard index is the current length.
-                        &mut result.metrics
-                    });
-                completions.append(&mut result.deliveries);
-                if result.tier + 1 < depth {
-                    forwarded[result.tier] += result.forwarded;
-                }
-                tiers[result.tier][result.fabric]
-                    .shards
-                    .push(result.metrics);
+                let (worker, mut delivered) = handle.join().expect("tier worker panicked");
+                completions.append(&mut delivered);
+                workers.push(worker);
             }
         }
-        let snapshot = TreeSnapshot { tiers, held: 0 };
+        let mut forwarded = vec![0u64; depth - 1];
+        for worker in workers.iter().filter(|w| !w.is_spine()) {
+            forwarded[worker.tier()] += worker.forwarded;
+        }
+        let snapshot = tree_snapshot(&self.core, &workers);
         debug_assert!(
             snapshot.conserved_end_to_end(),
             "tree drain violates end-to-end conservation: {:?}",

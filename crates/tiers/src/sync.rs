@@ -1,18 +1,172 @@
-//! The deterministic synchronous tree driver: fixed round-robin
-//! stepping of external producers and every worker in `(tier, fabric,
-//! shard)` order. No threads, no entropy beyond the workload seeds —
-//! same topology, same frames ⇒ bit-identical [`TreeReport`]. The
-//! conservation matrix test and the bench's determinism assertion run
-//! through this; the seeded-interleaving explorer lives in `simtest`.
+//! The cooperative tree: [`TreeDriver`], the run state every
+//! single-threaded schedule shares, and [`drive_tree`], its fixed
+//! round-robin schedule. A schedule decides only which task steps next;
+//! producers and their parked retries, the workers, the cascaded close
+//! rule, the ledger and the snapshot are the driver's, so `drive_tree`
+//! and `simtest`'s seeded tree simulator decide each of them alike.
+//! `drive_tree` uses no threads and no entropy beyond the workload seeds:
+//! same topology, same frames ⇒ bit-identical [`TreeReport`].
 
-use fabric::{Delivery, Message};
+use std::collections::VecDeque;
 
-use crate::core::{tree_ledger, tree_snapshot, TierCore, TierStep, TierSubmit};
-use crate::snapshot::TreeSnapshot;
+use fabric::{Delivery, Message, SubmitOutcome};
+
+use crate::core::{tree_ledger, tree_snapshot, TierCore, TierStep, TierSubmit, TierWorker};
+use crate::snapshot::{TreeLedger, TreeSnapshot};
 use crate::topology::TierTopology;
 
 /// Rounds the driver may run before declaring the tree wedged.
 const ROUND_LIMIT: u64 = 1 << 22;
+
+/// One external producer: the rest of its flattened script, plus the
+/// message it holds (with its leaf placement) while that leaf's ring is
+/// full under blocking backpressure.
+struct Producer {
+    script: VecDeque<Message>,
+    parked: Option<(Message, usize, usize)>,
+}
+
+impl Producer {
+    fn done(&self) -> bool {
+        self.script.is_empty() && self.parked.is_none()
+    }
+}
+
+/// The run state of a cooperatively scheduled tree: the cores, every
+/// worker in `(tier, fabric, shard)` order, the external producers and
+/// the per-tier close flags. A schedule steps producers and workers by
+/// index and calls [`TreeDriver::close_drained_tiers`] between steps.
+pub struct TreeDriver {
+    core: TierCore,
+    workers: Vec<TierWorker>,
+    producers: Vec<Producer>,
+    closed: Vec<bool>,
+}
+
+impl TreeDriver {
+    /// Build the tree for `topology`, with one external producer per
+    /// element of `producers`, each playing its frames (from
+    /// [`fabric::LoadPlan::frames`] or [`fabric::trace::frames`]) in
+    /// order, one message per step.
+    pub fn new(topology: TierTopology, producers: Vec<Vec<(u64, Vec<Message>)>>) -> TreeDriver {
+        let core = TierCore::new(topology);
+        let workers = core.workers();
+        let closed = vec![false; core.topology().depth()];
+        let producers = producers
+            .into_iter()
+            .map(|frames| Producer {
+                script: frames.into_iter().flat_map(|(_, frame)| frame).collect(),
+                parked: None,
+            })
+            .collect();
+        TreeDriver {
+            core,
+            workers,
+            producers,
+            closed,
+        }
+    }
+
+    /// The tree's cores (fault injection, quarantine flags).
+    pub fn core(&self) -> &TierCore {
+        &self.core
+    }
+
+    /// Every worker, in `(tier, fabric, shard)` order.
+    pub fn workers(&self) -> &[TierWorker] {
+        &self.workers
+    }
+
+    /// Whether producer `p` can make progress: it holds a parked message
+    /// its leaf ring would now accept, or it has script left.
+    pub fn producer_ready(&self, p: usize) -> bool {
+        let producer = &self.producers[p];
+        match &producer.parked {
+            Some((_, leaf, shard)) => self.core.leaf_would_accept(*leaf, *shard),
+            None => !producer.script.is_empty(),
+        }
+    }
+
+    /// Step producer `p` once: re-offer its parked message to the
+    /// placement already chosen, else offer its next scripted message.
+    /// Returns the admission outcome, or `None` if the leaf ring was full
+    /// under blocking backpressure and the message is parked again.
+    ///
+    /// # Panics
+    /// If the producer has nothing left to offer.
+    pub fn step_producer(&mut self, p: usize) -> Option<SubmitOutcome> {
+        let producer = &mut self.producers[p];
+        let offer = match producer.parked.take() {
+            Some((message, leaf, shard)) => self.core.retry_submit(message, leaf, shard),
+            None => {
+                let message = producer
+                    .script
+                    .pop_front()
+                    .expect("producer has script left");
+                self.core.try_submit(message)
+            }
+        };
+        match offer {
+            TierSubmit::Done(outcome) => Some(outcome),
+            TierSubmit::Blocked {
+                message,
+                leaf,
+                shard,
+            } => {
+                producer.parked = Some((message, leaf, shard));
+                None
+            }
+        }
+    }
+
+    /// Step worker `w` once ([`TierWorker::step`]).
+    pub fn step_worker(&mut self, w: usize) -> TierStep {
+        self.workers[w].step()
+    }
+
+    /// The cascaded close rule: tier 0 closes once every producer has
+    /// finished; tier `t+1` once tier `t` is closed and all its workers
+    /// are done. Call between steps; closing is idempotent.
+    pub fn close_drained_tiers(&mut self) {
+        for tier in 0..self.closed.len() {
+            if self.closed[tier] {
+                continue;
+            }
+            let upstream_done = match tier {
+                0 => self.producers.iter().all(Producer::done),
+                _ => {
+                    let mut upstream = self.workers.iter().filter(|w| w.tier() == tier - 1);
+                    self.closed[tier - 1] && upstream.all(TierWorker::done)
+                }
+            };
+            if upstream_done {
+                self.core.close_tier(tier);
+                self.closed[tier] = true;
+            }
+        }
+    }
+
+    /// Whether every producer and every worker has finished.
+    pub fn finished(&self) -> bool {
+        self.producers.iter().all(Producer::done) && self.workers.iter().all(TierWorker::done)
+    }
+
+    /// Producers holding a parked message.
+    pub fn parked_producers(&self) -> usize {
+        self.producers.iter().filter(|p| p.parked.is_some()).count()
+    }
+
+    /// The live end-to-end ledger ([`tree_ledger`]).
+    pub fn ledger(&self) -> TreeLedger {
+        tree_ledger(&self.core, &self.workers)
+    }
+
+    /// The tree's snapshot ([`tree_snapshot`]); drain-time exact once
+    /// [`TreeDriver::finished`].
+    pub fn snapshot(&self) -> TreeSnapshot {
+        tree_snapshot(&self.core, &self.workers)
+    }
+}
 
 /// What a synchronous tree drive did.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,143 +181,72 @@ pub struct TreeReport {
     pub rounds: u64,
 }
 
-/// One parked external producer's state.
-struct Producer {
-    script: std::vec::IntoIter<Message>,
-    parked: Option<(Message, usize, usize)>,
-}
-
 /// Drive a tree closed-loop: each element of `producers` is one external
 /// source's frames (from [`fabric::LoadPlan::frames`] or
 /// [`fabric::trace::frames`]), played in order against the full
-/// topology and stepped round-robin with the other sources, then a
-/// cascaded drain tier by tier. Ticks are not waited for: a source
-/// offers its next message every round. Sources blocked at leaf
-/// admission hold their message and re-offer it, oldest first — the
-/// closed loop.
+/// topology. Each round offers one message per ready source (a parked
+/// message is re-offered once its leaf has room — the closed loop),
+/// applies the close cascade, then steps every unfinished worker in
+/// `(tier, fabric, shard)` order until it stalls on its link, runs dry or
+/// finishes. Ticks are not waited for.
 ///
-/// Every per-fabric identity and the end-to-end ledger are checked once
-/// per round; the returned snapshot is drain-time exact. Same frames,
-/// same topology ⇒ bit-identical [`TreeReport`].
+/// The end-to-end ledger is checked once per round; the returned
+/// snapshot is drain-time exact. Same frames, same topology ⇒
+/// bit-identical [`TreeReport`].
 ///
 /// # Panics
 /// If conservation is violated at any round, or the tree stops making
 /// progress before draining.
 pub fn drive_tree(topology: &TierTopology, producers: Vec<Vec<(u64, Vec<Message>)>>) -> TreeReport {
-    let core = TierCore::new(topology.clone());
-    let mut workers = core.workers();
-    let mut done = vec![false; workers.len()];
-    let depth = topology.depth();
-    let mut closed = vec![false; depth];
-
-    let mut generated = 0u64;
-    let mut sources: Vec<Producer> = producers
-        .into_iter()
-        .map(|frames| {
-            let script: Vec<Message> = frames.into_iter().flat_map(|(_, frame)| frame).collect();
-            generated += script.len() as u64;
-            Producer {
-                script: script.into_iter(),
-                parked: None,
-            }
-        })
-        .collect();
-
+    let generated = producers
+        .iter()
+        .flatten()
+        .map(|(_, frame)| frame.len() as u64)
+        .sum();
+    let sources = producers.len();
+    let mut driver = TreeDriver::new(topology.clone(), producers);
     let mut completions = Vec::new();
     let mut rounds = 0u64;
     loop {
         rounds += 1;
         assert!(rounds < ROUND_LIMIT, "tree drive failed to drain");
         let mut progressed = false;
-
-        for producer in &mut sources {
-            let offer = match producer.parked.take() {
-                Some((message, leaf, shard)) => {
-                    if !core.leaf_would_accept(leaf, shard) {
-                        producer.parked = Some((message, leaf, shard));
-                        continue;
-                    }
-                    core.retry_submit(message, leaf, shard)
-                }
-                None => match producer.script.next() {
-                    Some(message) => core.try_submit(message),
-                    None => continue,
-                },
-            };
-            progressed = true;
-            if let TierSubmit::Blocked {
-                message,
-                leaf,
-                shard,
-            } = offer
-            {
-                producer.parked = Some((message, leaf, shard));
+        for p in 0..sources {
+            if driver.producer_ready(p) {
+                driver.step_producer(p);
+                progressed = true;
             }
         }
-
-        // Close cascade: tier 0 once the producers are finished, tier
-        // t+1 once tier t's workers have all drained.
-        let producers_done = sources
-            .iter()
-            .all(|p| p.script.len() == 0 && p.parked.is_none());
-        if producers_done && !closed[0] {
-            core.close_tier(0);
-            closed[0] = true;
-        }
-        for tier in 1..depth {
-            let upstream_done = workers
-                .iter()
-                .zip(&done)
-                .filter(|(w, _)| w.tier() == tier - 1)
-                .all(|(_, &d)| d);
-            if closed[tier - 1] && upstream_done && !closed[tier] {
-                core.close_tier(tier);
-                closed[tier] = true;
-            }
-        }
-
-        for (i, worker) in workers.iter_mut().enumerate() {
-            if done[i] {
-                continue;
-            }
-            // Step to quiescence: a worker drains its ring, runs frames,
-            // and forwards until it stalls on the link or runs dry.
-            loop {
-                match worker.step() {
+        driver.close_drained_tiers();
+        for w in 0..driver.workers().len() {
+            while !driver.workers()[w].done() {
+                match driver.step_worker(w) {
                     TierStep::Frame(run) => {
                         progressed = true;
-                        if worker.is_spine() {
+                        if driver.workers()[w].is_spine() {
                             completions.extend(run.delivered);
                         }
                     }
-                    TierStep::Forwarded => progressed = true,
+                    TierStep::Forwarded | TierStep::Done => progressed = true,
                     TierStep::ForwardStalled | TierStep::Idle => break,
-                    TierStep::Done => {
-                        done[i] = true;
-                        progressed = true;
-                        break;
-                    }
                 }
             }
         }
-
-        let ledger = tree_ledger(&core, &workers);
+        let ledger = driver.ledger();
         assert!(
             ledger.holds(),
             "round {rounds}: tree conservation violated: {ledger:?}"
         );
-
-        if done.iter().all(|&d| d) {
+        if driver.finished() {
             break;
         }
         assert!(
             progressed,
             "round {rounds}: tree wedged (producers {} parked, ledger {ledger:?})",
-            sources.iter().filter(|p| p.parked.is_some()).count()
+            driver.parked_producers()
         );
     }
-
-    let snapshot = tree_snapshot(&core, &workers);
+    let snapshot = driver.snapshot();
     debug_assert!(
         snapshot.conserved_end_to_end(),
         "drain snapshot violates end-to-end conservation: {:?}",

@@ -15,7 +15,7 @@
 //! `o` re-enters the next tier on wire `f × ports + (o mod ports)` —
 //! the same wire on whichever downstream fabric the load-aware link
 //! picks, so the wiring is a property of the topology, not of a routing
-//! decision.
+//! decision. Each worker's link (`crate::core`) applies the map.
 //!
 //! **External ingress.** An external source id (a user, of which there
 //! may be millions) is hashed once: the high bits pick the leaf fabric,
@@ -124,13 +124,6 @@ impl TierTopology {
         let wire = (h as u32 as usize) % self.tiers[0].switch.n;
         (leaf, wire)
     }
-
-    /// The tier-`t+1` input wire a message delivered by tier-`t` fabric
-    /// `fabric` on output `output` re-enters on.
-    pub fn forward_wire(&self, t: usize, fabric: usize, output: usize) -> usize {
-        let ports = self.link_ports(t);
-        fabric * ports + (output % ports)
-    }
 }
 
 #[cfg(test)]
@@ -159,27 +152,6 @@ mod tests {
                 config: FabricConfig::new(1),
             },
         ])
-    }
-
-    #[test]
-    fn link_ports_partition_the_downstream_switch() {
-        let topology = two_tier();
-        assert_eq!(topology.depth(), 2);
-        assert_eq!(topology.link_ports(0), 8);
-        // Fabric 0 owns wires 0..8, fabric 1 owns 8..16; outputs fold
-        // into the owner's block.
-        assert_eq!(topology.forward_wire(0, 0, 0), 0);
-        assert_eq!(topology.forward_wire(0, 0, 7), 7);
-        assert_eq!(topology.forward_wire(0, 1, 0), 8);
-        assert_eq!(topology.forward_wire(0, 1, 7), 15);
-        // Wires never collide across fabrics and never exceed n.
-        for fabric in 0..2 {
-            for output in 0..8 {
-                let wire = topology.forward_wire(0, fabric, output);
-                assert!(wire < 16);
-                assert_eq!(wire / 8, fabric);
-            }
-        }
     }
 
     #[test]

@@ -188,3 +188,81 @@ fn limited_retries_surface_as_retry_dropped_in_the_ledger() {
         "overload over 16->2 leaves with no retries must drop: {ledger:?}"
     );
 }
+
+/// One drive's pinned figures: `(rounds, generated, per-tier (frames,
+/// sweeps, delivered), FNV-1a of the completion (id, output) sequence)`.
+type DrivePin = (u64, u64, Vec<(u64, u64, u64)>, u64);
+
+fn drive_pin(report: &tiers::TreeReport) -> DrivePin {
+    let per_tier = (0..report.snapshot.tiers.len())
+        .map(|tier| {
+            let totals = report.snapshot.tier_totals(tier);
+            (totals.frames, totals.sweeps, totals.delivered)
+        })
+        .collect();
+    let bytes: Vec<u8> = report
+        .completions
+        .iter()
+        .flat_map(|d| {
+            d.message
+                .id
+                .to_le_bytes()
+                .into_iter()
+                .chain((d.output as u64).to_le_bytes())
+        })
+        .collect();
+    (
+        report.rounds,
+        report.generated,
+        per_tier,
+        fabric::trace::fnv1a(&bytes),
+    )
+}
+
+/// The synchronous driver's exact output on two fixed workloads: the
+/// tier bench's 4-leaf `TierBenchOptions::small()` tree and the
+/// Block x Block two-tier tree above. Any change to the schedule, the
+/// link's forwarding or the close cascade moves one of these figures.
+#[test]
+fn sync_tree_drive_outputs_are_pinned() {
+    let small = tiers::TierBenchOptions::small();
+    let plan = small.plan();
+    let bench = drive_tree(
+        &tiers::reference_tree(4, small.queue_capacity),
+        (0..small.producers)
+            .map(|p| plan.frames(small.ingress_sources, p))
+            .collect(),
+    );
+    let two_tier = drive_tree(
+        &matrix_topology(Backpressure::Block, Backpressure::Block),
+        producer_frames(
+            &LoadPlan {
+                model: TrafficModel::Zipf {
+                    p: 0.6,
+                    population: 1_000_000,
+                    exponent: 1.1,
+                },
+                payload_bytes: 2,
+                seed: 42,
+                frames: 3,
+            },
+            2,
+            64,
+        ),
+    );
+    let expected: [DrivePin; 2] = [
+        (
+            1046,
+            2083,
+            vec![(1855, 1830, 2083), (1069, 1044, 2083), (2083, 2083, 2083)],
+            0xdfcd_f1ba_e747_a767,
+        ),
+        (
+            82,
+            156,
+            vec![(129, 127, 156), (83, 81, 156)],
+            0x83cf_53e2_f278_e4b6,
+        ),
+    ];
+    assert_eq!([drive_pin(&bench), drive_pin(&two_tier)], expected);
+}
