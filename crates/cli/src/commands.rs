@@ -375,13 +375,34 @@ fn parse_traffic_model(args: &Parsed, load: f64) -> Result<switchsim::TrafficMod
     }
 }
 
+/// The serving configuration `fabric-bench` runs under: `shards` shards
+/// (at least one) with the `--policy` backpressure and `--placement`
+/// rule, every other knob at its default.
+fn serving_config(args: &Parsed, shards: usize) -> Result<fabric::FabricConfig, String> {
+    use fabric::{Backpressure, FabricConfig, Placement};
+
+    let mut config = FabricConfig::new(shards.max(1));
+    config.backpressure = match args.optional("policy").unwrap_or("block") {
+        "block" => Backpressure::Block,
+        "shed" => Backpressure::ShedOldest,
+        "reject" => Backpressure::Reject,
+        other => return Err(format!("--policy must be block|shed|reject, got `{other}`")),
+    };
+    config.placement = match args.optional("placement").unwrap_or("rr") {
+        "rr" => Placement::RoundRobin,
+        "hash" => Placement::SourceHash,
+        other => return Err(format!("--placement must be rr|hash, got `{other}`")),
+    };
+    Ok(config)
+}
+
 /// `fabric-bench`: drive the sharded serving fabric closed-loop and
 /// compare the batching executor against the one-request-per-sweep
 /// baseline on the same workload. With `--scaling`, run the multichip
 /// scaling ladder instead ([`fabric::scaling`]); with `--trace`, replay
 /// a workload trace ([`fabric_bench_trace`]).
 pub fn fabric_bench(args: &Parsed) -> Result<String, String> {
-    use fabric::{drive_sync, one_per_tick, Fabric, FabricConfig, LoadPlan};
+    use fabric::{drive_sync, one_per_tick, Fabric, LoadPlan};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -404,18 +425,7 @@ pub fn fabric_bench(args: &Parsed) -> Result<String, String> {
     if !(0.0..=1.0).contains(&load) {
         return Err(format!("--load must be in [0, 1], got {load}"));
     }
-    let mut config = FabricConfig::new(shards.max(1));
-    config.backpressure = match args.optional("policy").unwrap_or("block") {
-        "block" => fabric::Backpressure::Block,
-        "shed" => fabric::Backpressure::ShedOldest,
-        "reject" => fabric::Backpressure::Reject,
-        other => return Err(format!("--policy must be block|shed|reject, got `{other}`")),
-    };
-    config.placement = match args.optional("placement").unwrap_or("rr") {
-        "rr" => fabric::Placement::RoundRobin,
-        "hash" => fabric::Placement::SourceHash,
-        other => return Err(format!("--placement must be rr|hash, got `{other}`")),
-    };
+    let config = serving_config(args, shards)?;
 
     let model = parse_traffic_model(args, load)?;
     let switch = Arc::new(design.staged().clone());
@@ -993,24 +1003,13 @@ pub fn trace_gen(args: &Parsed) -> Result<String, String> {
 /// generator model (`bernoulli|diurnal|mmpp|zipf-population|adversarial`)
 /// and the trace is generated in memory from the shared flags.
 fn fabric_bench_trace(args: &Parsed, spec: &str) -> Result<String, String> {
-    use fabric::{drive_sync, Fabric, FabricConfig};
+    use fabric::{drive_sync, Fabric};
     use std::sync::Arc;
     use std::time::Instant;
 
     let design = Design::parse(args.optional("design").unwrap_or("revsort:256:128"))?;
     let shards: usize = args.parse_or("shards", 2)?;
-    let mut config = FabricConfig::new(shards.max(1));
-    config.backpressure = match args.optional("policy").unwrap_or("block") {
-        "block" => fabric::Backpressure::Block,
-        "shed" => fabric::Backpressure::ShedOldest,
-        "reject" => fabric::Backpressure::Reject,
-        other => return Err(format!("--policy must be block|shed|reject, got `{other}`")),
-    };
-    config.placement = match args.optional("placement").unwrap_or("rr") {
-        "rr" => fabric::Placement::RoundRobin,
-        "hash" => fabric::Placement::SourceHash,
-        other => return Err(format!("--placement must be rr|hash, got `{other}`")),
-    };
+    let config = serving_config(args, shards)?;
 
     let switch = Arc::new(design.staged().clone());
     let n = switch.n;

@@ -32,28 +32,15 @@ impl Placement {
     }
 }
 
-/// Steer a preferred placement away from quarantined shards — the one
-/// scan both execution modes (and the simulation harness's oracles) share:
-/// keep `preferred` when healthy, otherwise take the next healthy shard in
-/// a deterministic wrapping scan. If every shard is quarantined the
-/// preferred one keeps the traffic — degraded service beats none.
-pub fn steer_scan(preferred: usize, shards: usize, quarantined: impl Fn(usize) -> bool) -> usize {
-    debug_assert!(preferred < shards);
-    if !quarantined(preferred) {
-        return preferred;
-    }
-    (1..shards)
-        .map(|step| (preferred + step) % shards)
-        .find(|&idx| !quarantined(idx))
-        .unwrap_or(preferred)
-}
-
 /// What happens when a message arrives at a full ingress queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Backpressure {
-    /// The submitter waits for space: blocking in the threaded service,
-    /// a [`SubmitOutcome::Backpressured`](crate::SubmitOutcome) hand-back
-    /// (re-offer next tick) in the synchronous engine.
+    /// The submitter waits for space. A non-blocking submission
+    /// ([`ServiceCore::try_submit`](crate::ServiceCore::try_submit), and so
+    /// [`Fabric::submit`](crate::Fabric::submit)) hands the message back
+    /// as [`SubmitStep::Blocked`](crate::SubmitStep) with its placement, to
+    /// be re-offered through `retry_submit`; the threaded service's
+    /// `submit` blocks on the ring instead.
     Block,
     /// The oldest queued message is dropped to admit the new one.
     ShedOldest,
@@ -173,7 +160,8 @@ pub struct FabricConfig {
     pub max_shards: usize,
     /// Message → shard placement.
     pub placement: Placement,
-    /// Per-shard ingress bound (messages queued awaiting a frame slot).
+    /// Per-shard ingress ring bound: fresh messages not yet taken in by
+    /// the shard's worker. A shard's retry backlog does not count.
     pub queue_capacity: usize,
     /// Policy at a full ingress queue.
     pub backpressure: Backpressure,

@@ -22,15 +22,19 @@
 //! and every shard keeps a [`ShardMetrics`] ledger — counters plus
 //! log-bucketed wait histograms — that snapshots to JSON.
 //!
-//! Two execution modes share the same shard executor ([`Shard`]):
+//! One engine serves every mode: a [`ServiceCore`] (placement,
+//! admission, backpressure, quarantine steering) and one [`WorkerCore`]
+//! per shard around the shard executor ([`Shard`]). Two schedules drive
+//! it:
 //!
-//! * [`Fabric`] — synchronous and single-threaded; every counter is a
-//!   pure function of the submission order, so runs are bit-reproducible.
+//! * [`Fabric`] — synchronous and single-threaded: a fixed round-robin
+//!   schedule over the cores, so every counter is a pure function of the
+//!   submission order and runs are bit-reproducible.
 //! * [`FabricService`] — one worker thread per shard behind bounded
 //!   [`IngressQueue`]s; producers get real blocking backpressure, and
 //!   drain is graceful (close, finish backlogs, join, merge metrics).
 //!
-//! Both modes are fault-aware: chip faults
+//! Both schedules are fault-aware: chip faults
 //! ([`concentrator::faults::ChipFault`]) can be injected on a shard
 //! mid-run (`inject_faults`), which swaps the shard onto a
 //! fault-compiled netlist overlay. A per-shard delivery-health EWMA
@@ -45,7 +49,7 @@
 //! global admission limit from live wait histograms — all without
 //! violating the ledger.
 //!
-//! The conservation identity both modes guarantee at drain:
+//! The conservation identity both schedules guarantee at drain:
 //!
 //! ```text
 //! offered = delivered + rejected + shed + retry_dropped + in_flight
@@ -63,7 +67,7 @@ pub mod shard;
 pub mod trace;
 
 pub use concentrator::clock::{Clock, VirtualClock, WallClock};
-pub use config::{steer_scan, Backpressure, FabricConfig, HealthPolicy, Placement, RetryBudget};
+pub use config::{Backpressure, FabricConfig, HealthPolicy, Placement, RetryBudget};
 pub use engine::{Fabric, SubmitOutcome};
 pub use loadgen::{drive_service, drive_sync, one_per_tick, DriveReport, FaultEvent, LoadPlan};
 pub use metrics::{FabricSnapshot, LogHistogram, ShardMetrics};

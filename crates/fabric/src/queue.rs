@@ -191,8 +191,8 @@ fn caller_cpus() -> usize {
 }
 
 /// What a blocking push did. Mirrors [`SubmitOutcome`](crate::SubmitOutcome)
-/// minus the synchronous-only backpressure hand-back (a blocked producer
-/// really blocks here).
+/// minus the backpressure hand-back (a blocked producer really blocks
+/// here).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PushOutcome {
     /// Enqueued.

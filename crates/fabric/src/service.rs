@@ -68,12 +68,17 @@
 //! interleaving the simulator explores is an interleaving the threaded
 //! service could exhibit.
 //!
-//! Frame composition under real threads depends on OS scheduling, so
-//! per-run counters are *not* bit-reproducible — that is what the
-//! synchronous [`Fabric`](crate::Fabric) is for. What the service does
-//! guarantee (and the tests pin) is conservation — every offered message
-//! is delivered, rejected, shed, or retry-dropped by drain, across any
-//! sequence of live reconfigurations — and payload integrity end to end.
+//! The synchronous [`Fabric`](crate::Fabric) is a third schedule over
+//! the same cores: one [`ServiceCore`] and a [`WorkerCore`] per shard,
+//! stepped in a fixed round-robin order on the caller's thread, so its
+//! bit-reproducible counters measure this engine.
+//!
+//! Frame composition under real threads depends on OS scheduling, so the
+//! threaded service's per-run counters are *not* bit-reproducible. What
+//! it does guarantee (and the tests pin) is conservation — every offered
+//! message is delivered, rejected, shed, or retry-dropped by drain,
+//! across any sequence of live reconfigurations — and payload integrity
+//! end to end.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};

@@ -6,8 +6,8 @@
 //! `ExploreReport::passed()` covers the whole oracle set: per-frame
 //! reference equivalence, tick-by-tick conservation, the capacity bound,
 //! deadlock/tick-limit liveness, residual in-flight, and (for the
-//! blocking policy) bit-exact lossless delivery against the synchronous
-//! `Fabric` reference.
+//! blocking policy) bit-exact lossless delivery against the scripted
+//! id → payload map.
 
 use simtest::scenarios::{batched_admission, batched_shed, drain_block, drain_reject, drain_shed};
 use simtest::{analytic_floor, explore, shared_switch};

@@ -4,7 +4,7 @@
 //! against whichever switch the shard had installed, tick-by-tick
 //! conservation across every epoch boundary, capacity, liveness,
 //! residual in-flight, and — for blocking scenarios — bit-exact lossless
-//! delivery against the synchronous `Fabric` reference).
+//! delivery against the scripted id → payload map).
 //!
 //! The property test at the bottom goes further: arbitrary seeded
 //! control-plane schedules (add / remove / swap / retarget) under every
