@@ -6,13 +6,15 @@ use std::hint::black_box;
 
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use switchsim::traffic::TrafficGenerator;
-use switchsim::{ConcentrationStage, CongestionPolicy, TrafficModel};
+use switchsim::traffic::{generate, tick_frames};
+use switchsim::{ConcentrationStage, CongestionPolicy, TraceModel};
 
 fn bench_frames(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame_sim");
     for n in [64usize, 256] {
         let switch = RevsortSwitch::new(n, n / 2, RevsortLayout::TwoDee);
+        let traffic = generate(TraceModel::Bernoulli { p: 0.6 }, n, 50, 2, 77);
+        let frames = tick_frames(&traffic, n, 50);
         for (name, policy) in [
             ("drop", CongestionPolicy::Drop),
             ("buffer8", CongestionPolicy::InputBuffer { capacity: 8 }),
@@ -24,10 +26,8 @@ fn bench_frames(c: &mut Criterion) {
                 &switch,
                 |b, switch| {
                     b.iter(|| {
-                        let mut generator =
-                            TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.6 }, n, 4, 77);
                         let mut stage = ConcentrationStage::new(switch, policy);
-                        black_box(stage.run(&mut generator, 50))
+                        black_box(stage.run(frames.clone()))
                     })
                 },
             );

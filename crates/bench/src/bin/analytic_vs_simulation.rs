@@ -10,9 +10,9 @@
 
 use bench::{banner, TextTable};
 use concentrator::ColumnsortSwitch;
-use switchsim::traffic::TrafficGenerator;
+use switchsim::traffic::{generate, tick_frames};
 use switchsim::{
-    measure_delivery_curve, predict_drop, ConcentrationStage, CongestionPolicy, TrafficModel,
+    measure_delivery_curve, predict_drop, ConcentrationStage, CongestionPolicy, TraceModel,
 };
 
 fn main() {
@@ -39,9 +39,9 @@ fn main() {
     let mut worst = 0.0f64;
     for &p in &[0.05f64, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9] {
         let prediction = predict_drop(n, p, |k| curve[k].round() as usize);
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p }, n, 1, 0x51D);
+        let traffic = generate(TraceModel::Bernoulli { p }, n, 6000, 0, 0x51D);
         let mut stage = ConcentrationStage::new(&switch, CongestionPolicy::Drop);
-        let report = stage.run(&mut generator, 6000);
+        let report = stage.run(tick_frames(&traffic, n, 6000));
         let simulated = report.stats.delivered as f64 / report.stats.frames as f64;
         let relative = (simulated - prediction.delivered_per_frame).abs() / simulated.max(1e-9);
         worst = worst.max(relative);

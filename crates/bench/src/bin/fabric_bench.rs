@@ -32,11 +32,11 @@ use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::StagedSwitch;
 use fabric::scaling::{ScalingLadder, ScalingPoint};
 use fabric::{drive_sync, one_per_tick, DriveReport, Fabric, FabricConfig, LoadPlan};
-use switchsim::TrafficModel;
+use switchsim::TraceModel;
 
 const N: usize = 1024;
 const M: usize = 512;
-const PAYLOAD_BYTES: usize = 8; // 64 payload cycles: one full SWAR sweep
+const SIZE_CLASS: u8 = 3; // 8-byte payloads, 64 payload cycles: one full SWAR sweep
 const SEED: u64 = 0xFAB0;
 /// Whole-ladder runs per bench; each rung reports their median.
 const LADDER_REPEATS: usize = 5;
@@ -51,8 +51,8 @@ fn staged() -> Arc<StagedSwitch> {
 
 fn plan(p: f64, frames: usize) -> LoadPlan {
     LoadPlan {
-        model: TrafficModel::Bernoulli { p },
-        payload_bytes: PAYLOAD_BYTES,
+        model: TraceModel::Bernoulli { p },
+        size_class: SIZE_CLASS,
         seed: SEED,
         frames,
     }
@@ -166,7 +166,7 @@ fn main() {
     // run with the median msgs/s of LADDER_REPEATS whole-ladder runs,
     // which interleave the rungs.
     let runs: Vec<ScalingLadder> = (0..LADDER_REPEATS)
-        .map(|_| fabric::scaling::ladder(N, &[1, 2, 4, 8], 2, 8, 0.5, PAYLOAD_BYTES, SEED))
+        .map(|_| fabric::scaling::ladder(N, &[1, 2, 4, 8], 2, 8, 0.5, SIZE_CLASS, SEED))
         .collect();
     let mut ladder = runs[0].clone();
     for (i, point) in ladder.points.iter_mut().enumerate() {
@@ -218,7 +218,8 @@ fn main() {
     }
     let _ = writeln!(
         json,
-        "  \"switch\": \"Revsort n={N} m={M} (2-D layout)\",\n  \"workload\": \"Bernoulli, {PAYLOAD_BYTES}-byte payloads, seed {SEED}\","
+        "  \"switch\": \"Revsort n={N} m={M} (2-D layout)\",\n  \"workload\": \"Bernoulli, {}-byte payloads, seed {SEED}\",",
+        1usize << SIZE_CLASS
     );
     json.push_str("  \"deterministic\": {\n");
     let _ = writeln!(

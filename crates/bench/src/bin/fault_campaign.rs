@@ -29,7 +29,7 @@ use concentrator::StagedSwitch;
 use fabric::{
     drive_sync, Backpressure, DriveReport, Fabric, FabricConfig, FaultEvent, LoadPlan, RetryBudget,
 };
-use switchsim::TrafficModel;
+use switchsim::TraceModel;
 
 const SEED: u64 = 0xFA57_CA11;
 const FRAMES: usize = 64;
@@ -64,8 +64,8 @@ fn failover(switch: &Arc<StagedSwitch>) -> DriveReport {
     config.backpressure = Backpressure::ShedOldest;
     let mut fabric = Fabric::new(Arc::clone(switch), config);
     let plan = LoadPlan {
-        model: TrafficModel::Bernoulli { p: 0.6 },
-        payload_bytes: 4,
+        model: TraceModel::Bernoulli { p: 0.6 },
+        size_class: 2,
         seed: SEED ^ 0xBEEF,
         frames: 48,
     };

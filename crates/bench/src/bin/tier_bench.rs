@@ -60,7 +60,7 @@ fn main() {
         load: 0.6,
         population: 2_000_000,
         exponent: 1.4,
-        payload_bytes: 64,
+        size_class: 6,
         seed: 0x71E5,
         queue_capacity: 64,
     };

@@ -33,14 +33,15 @@ commands:
           emit the flat control netlist as Verilog, or a sample frame as
           a VCD waveform
   fabric-bench [--design <spec>] [--frames <count>] [--shards <count>]
-          [--load <p>] [--model bernoulli|zipf] [--population <users>]
-          [--exponent <s>] [--payload <bytes>] [--seed <seed>]
-          [--policy block|shed|reject] [--placement rr|hash] [--json]
+          [--load <p>] [--model bernoulli|diurnal|mmpp|zipf-population]
+          [--class <c>] [--seed <seed>] [--policy block|shed|reject]
+          [--placement rr|hash] [--json]
           drive the sharded serving fabric closed-loop and report the
           batched-vs-unbatched sweep counts, throughput, and wait
-          percentiles
+          percentiles; --model takes trace-gen's model names and
+          per-model flags, --class its payload size class
   fabric-bench --reconfig [--design <spec>] [--frames <per-phase>]
-          [--producers <count>] [--load <p>] [--payload <bytes>]
+          [--producers <count>] [--load <p>] [--model <name>] [--class <c>]
           [--seed <seed>] [--json]
           live-reconfiguration soak: drive the threaded service while the
           shard count changes 1 -> 4 -> 2 under load (epoch-based lane
@@ -52,7 +53,7 @@ commands:
           (bernoulli|diurnal|mmpp|zipf-population|adversarial) generates
           one in memory from the trace-gen flags
   fabric-bench --scaling [--n <aggregate>] [--frames <base>]
-          [--producers <count>] [--load <p>] [--payload <bytes>]
+          [--producers <count>] [--load <p>] [--class <c>]
           [--seed <seed>] [--json]
           multichip scaling ladder: serve one fixed aggregate fabric at
           1/2/4/8 chips (one thread-per-shard lane each) under constant
@@ -60,7 +61,7 @@ commands:
           parallel efficiency at every rung
   trace-gen --out <file> [--model bernoulli|diurnal|mmpp|zipf-population|adversarial]
           [--sources <wires>] [--ticks <count>] [--load <p>] [--class <c>]
-          [--seed <seed>] [--jsonl] [--json]
+          [--seed <seed>] [--jsonl] [--json]        (payload 2^c bytes)
           [--amplitude <a>] [--period <ticks>]          (diurnal)
           [--burst <mean>] [--rate-on <p>] [--rate-off <p>]
           [--on-to-off <p>] [--off-to-on <p>]           (mmpp)
@@ -71,7 +72,7 @@ commands:
           fabric-bench --trace <file>
   tier-bench [--leaves <count>] [--frames <count>] [--producers <count>]
           [--sources <count>] [--load <p>] [--population <users>]
-          [--exponent <s>] [--payload <bytes>] [--seed <seed>] [--json]
+          [--exponent <s>] [--class <c>] [--seed <seed>] [--json]
           [--out <file>]
           drive the three-tier concentrator tree (leaves -> aggregation
           -> spine hyperconcentrators) closed-loop under zipf-population
@@ -347,34 +348,6 @@ pub fn svg(args: &Parsed) -> Result<String, String> {
     Ok(format!("wrote {out_path} ({} bytes)\n", svg.len()))
 }
 
-/// The `--model` family of flags, shared by `fabric-bench` and
-/// `tier-bench`: `bernoulli` (default) or `zipf` with `--population`
-/// and `--exponent`.
-fn parse_traffic_model(args: &Parsed, load: f64) -> Result<switchsim::TrafficModel, String> {
-    use switchsim::TrafficModel;
-    match args.optional("model").unwrap_or("bernoulli") {
-        "bernoulli" => Ok(TrafficModel::Bernoulli { p: load }),
-        "zipf" => {
-            let population: u64 = args.parse_or("population", 1_000_000)?;
-            let exponent: f64 = args.parse_or("exponent", 1.1)?;
-            if population == 0 {
-                return Err("--population must be at least 1".into());
-            }
-            if !(exponent.is_finite() && exponent >= 0.0) {
-                return Err(format!(
-                    "--exponent must be finite and >= 0, got {exponent}"
-                ));
-            }
-            Ok(TrafficModel::Zipf {
-                p: load,
-                population,
-                exponent,
-            })
-        }
-        other => Err(format!("--model must be bernoulli|zipf, got `{other}`")),
-    }
-}
-
 /// The serving configuration `fabric-bench` runs under: `shards` shards
 /// (at least one) with the `--policy` backpressure and `--placement`
 /// rule, every other knob at its default.
@@ -419,7 +392,7 @@ pub fn fabric_bench(args: &Parsed) -> Result<String, String> {
     let design = Design::parse(args.optional("design").unwrap_or("revsort:256:128"))?;
     let shards: usize = args.parse_or("shards", 2)?;
     let frames: usize = args.parse_or("frames", 64)?;
-    let payload: usize = args.parse_or("payload", 8)?;
+    let size_class = parse_class(args)?;
     let load: f64 = args.parse_or("load", 0.5)?;
     let seed: u64 = args.parse_or("seed", 0xFAB)?;
     if !(0.0..=1.0).contains(&load) {
@@ -427,12 +400,12 @@ pub fn fabric_bench(args: &Parsed) -> Result<String, String> {
     }
     let config = serving_config(args, shards)?;
 
-    let model = parse_traffic_model(args, load)?;
+    let model = parse_trace_gen_model(args, args.optional("model").unwrap_or("bernoulli"), load)?;
     let switch = Arc::new(design.staged().clone());
     let n = switch.n;
     let workload = LoadPlan {
         model,
-        payload_bytes: payload,
+        size_class,
         seed,
         frames,
     };
@@ -492,8 +465,9 @@ pub fn fabric_bench(args: &Parsed) -> Result<String, String> {
     .unwrap();
     writeln!(
         out,
-        "  workload: {:?}, {frames} frames, {payload}-byte payloads, seed {seed}",
-        workload.model
+        "  workload: {:?}, {frames} frames, {}-byte payloads, seed {seed}",
+        workload.model,
+        1usize << size_class
     )
     .unwrap();
     writeln!(out, "  generated: {}", batched_report.generated).unwrap();
@@ -551,7 +525,7 @@ fn fabric_bench_reconfig(args: &Parsed) -> Result<String, String> {
     let design = Design::parse(args.optional("design").unwrap_or("revsort:256:128"))?;
     let frames: usize = args.parse_or("frames", 32)?;
     let producers: usize = args.parse_or("producers", 3)?;
-    let payload: usize = args.parse_or("payload", 8)?;
+    let size_class = parse_class(args)?;
     let load: f64 = args.parse_or("load", 0.5)?;
     let seed: u64 = args.parse_or("seed", 0xFAB)?;
     if !(0.0..=1.0).contains(&load) {
@@ -560,12 +534,12 @@ fn fabric_bench_reconfig(args: &Parsed) -> Result<String, String> {
     if producers == 0 {
         return Err("--producers must be at least 1".into());
     }
-    let model = parse_traffic_model(args, load)?;
+    let model = parse_trace_gen_model(args, args.optional("model").unwrap_or("bernoulli"), load)?;
     let switch = Arc::new(design.staged().clone());
     let n = switch.n;
     let plan = |phase: u64| LoadPlan {
         model,
-        payload_bytes: payload,
+        size_class,
         seed: seed.wrapping_add(phase),
         frames,
     };
@@ -695,7 +669,7 @@ fn fabric_bench_scaling(args: &Parsed) -> Result<String, String> {
     let producers: usize = args.parse_or("producers", 2)?;
     let base_frames: usize = args.parse_or("frames", 8)?;
     let load: f64 = args.parse_or("load", 0.5)?;
-    let payload: usize = args.parse_or("payload", 8)?;
+    let size_class = parse_class(args)?;
     let seed: u64 = args.parse_or("seed", 0xFAB0)?;
     if !(0.0..=1.0).contains(&load) {
         return Err(format!("--load must be in [0, 1], got {load}"));
@@ -718,7 +692,7 @@ fn fabric_bench_scaling(args: &Parsed) -> Result<String, String> {
         producers,
         base_frames,
         load,
-        payload,
+        size_class,
         seed,
     );
 
@@ -787,7 +761,8 @@ fn fabric_bench_scaling(args: &Parsed) -> Result<String, String> {
     writeln!(
         out,
         "  workload: Bernoulli p = {load}, {base_frames} base frames x chips, \
-         {payload}-byte payloads, {producers} producer(s), seed {seed}"
+         {}-byte payloads, {producers} producer(s), seed {seed}",
+        1usize << size_class
     )
     .unwrap();
     writeln!(
@@ -827,22 +802,46 @@ fn fabric_bench_scaling(args: &Parsed) -> Result<String, String> {
     Ok(out)
 }
 
-/// Parse a `trace-gen`/`fabric-bench --trace` workload model name into
-/// a [`fabric::TraceModel`]. `adversarial` is handled by the callers —
-/// it needs a switch to attack, not just flags.
+/// The `--class <c>` payload size class (payload `2^c` bytes) shared by
+/// every workload-generating command; defaults to 3 (8 bytes).
+fn parse_class(args: &Parsed) -> Result<u8, String> {
+    let class: u8 = args.parse_or("class", 3)?;
+    if class > fabric::trace::MAX_SIZE_CLASS {
+        return Err(format!(
+            "--class must be at most {}, got {class}",
+            fabric::trace::MAX_SIZE_CLASS
+        ));
+    }
+    Ok(class)
+}
+
+/// Parse a workload model name and its per-model flags into a
+/// [`fabric::TraceModel`]: the one `--model` vocabulary of `trace-gen`,
+/// `fabric-bench` (plain, `--reconfig` and `--trace`). `adversarial` is
+/// handled by the trace callers — it needs a switch to attack, not just
+/// flags. Out-of-range parameters are errors, never panics.
 fn parse_trace_gen_model(
     args: &Parsed,
     name: &str,
     load: f64,
 ) -> Result<fabric::TraceModel, String> {
     use fabric::TraceModel;
-    match name {
-        "bernoulli" => Ok(TraceModel::Bernoulli { p: load }),
-        "diurnal" => Ok(TraceModel::Diurnal {
-            base: load,
-            amplitude: args.parse_or("amplitude", 0.3)?,
-            period: args.parse_or("period", 64)?,
-        }),
+    let model = match name {
+        "bernoulli" => TraceModel::Bernoulli { p: load },
+        "diurnal" => {
+            let amplitude: f64 = args.parse_or("amplitude", 0.3)?;
+            let period = args.parse_or("period", 64)?;
+            if !amplitude.is_finite() || period == 0 {
+                return Err(format!(
+                    "--amplitude must be finite and --period at least 1, got {amplitude} and {period}"
+                ));
+            }
+            TraceModel::Diurnal {
+                base: load,
+                amplitude,
+                period,
+            }
+        }
         "mmpp" => {
             // --burst picks the Bursty-compatible corner; the four
             // explicit rate flags override any component of it.
@@ -856,22 +855,49 @@ fn parse_trace_gen_model(
             else {
                 unreachable!("mmpp_from_bursty returns Mmpp")
             };
-            Ok(TraceModel::Mmpp {
-                rate_on: args.parse_or("rate-on", rate_on)?,
-                rate_off: args.parse_or("rate-off", rate_off)?,
-                on_to_off: args.parse_or("on-to-off", on_to_off)?,
-                off_to_on: args.parse_or("off-to-on", off_to_on)?,
-            })
+            let rate = |flag: &str, default: f64| -> Result<f64, String> {
+                let p: f64 = args.parse_or(flag, default)?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(format!("--{flag} must be in [0, 1], got {p}"));
+                }
+                Ok(p)
+            };
+            TraceModel::Mmpp {
+                rate_on: rate("rate-on", rate_on)?,
+                rate_off: rate("rate-off", rate_off)?,
+                on_to_off: rate("on-to-off", on_to_off)?,
+                off_to_on: rate("off-to-on", off_to_on)?,
+            }
         }
-        "zipf-population" => Ok(TraceModel::ZipfPopulation {
-            p: load,
-            population: args.parse_or("population", 1_000_000)?,
-            exponent: args.parse_or("exponent", 1.1)?,
-        }),
-        other => Err(format!(
-            "--model must be bernoulli|diurnal|mmpp|zipf-population|adversarial, got `{other}`"
-        )),
-    }
+        "zipf-population" => {
+            let population: u64 = args.parse_or("population", 1_000_000)?;
+            let exponent: f64 = args.parse_or("exponent", 1.1)?;
+            if population == 0 {
+                return Err("--population must be at least 1".into());
+            }
+            if !(exponent.is_finite() && exponent >= 0.0) {
+                return Err(format!(
+                    "--exponent must be finite and >= 0, got {exponent}"
+                ));
+            }
+            TraceModel::ZipfPopulation {
+                p: load,
+                population,
+                exponent,
+            }
+        }
+        "adversarial" => {
+            return Err("--model adversarial needs a switch to attack: \
+                 use trace-gen or fabric-bench --trace adversarial"
+                .into())
+        }
+        other => {
+            return Err(format!(
+                "--model must be bernoulli|diurnal|mmpp|zipf-population|adversarial, got `{other}`"
+            ))
+        }
+    };
+    Ok(model)
 }
 
 /// Generate a trace for `model_name` from the shared generator flags
@@ -888,13 +914,7 @@ fn generate_trace(
         return Err(format!("--load must be in [0, 1], got {load}"));
     }
     let ticks: u64 = args.parse_or("ticks", 256)?;
-    let size_class: u8 = args.parse_or("class", 3)?;
-    if size_class > fabric::trace::MAX_SIZE_CLASS {
-        return Err(format!(
-            "--class must be at most {}, got {size_class}",
-            fabric::trace::MAX_SIZE_CLASS
-        ));
-    }
+    let size_class = parse_class(args)?;
     let seed: u64 = args.parse_or("seed", 0x7ACE)?;
     if model_name == "adversarial" {
         let plan = fabric::AdversarialPlan {
@@ -1111,7 +1131,7 @@ pub fn tier_bench(args: &Parsed) -> Result<String, String> {
     options.load = args.parse_or("load", options.load)?;
     options.population = args.parse_or("population", options.population)?;
     options.exponent = args.parse_or("exponent", options.exponent)?;
-    options.payload_bytes = args.parse_or("payload", options.payload_bytes)?;
+    options.size_class = parse_class(args)?;
     options.seed = args.parse_or("seed", options.seed)?;
     if !(options.leaves.is_power_of_two() && (2..=64).contains(&options.leaves)) {
         return Err(format!(
@@ -1768,8 +1788,8 @@ mod tests {
             "1",
             "--producers",
             "1",
-            "--payload",
-            "2",
+            "--class",
+            "1",
             "--seed",
             "5",
         ]);
@@ -1791,8 +1811,8 @@ mod tests {
             "1",
             "--producers",
             "1",
-            "--payload",
-            "2",
+            "--class",
+            "1",
             "--seed",
             "5",
             "--json",
@@ -1988,7 +2008,7 @@ mod tests {
             "--frames",
             "8",
             "--model",
-            "zipf",
+            "zipf-population",
             "--population",
             "100000",
             "--exponent",
@@ -2000,12 +2020,40 @@ mod tests {
     }
 
     #[test]
+    fn fabric_bench_plays_every_trace_gen_model() {
+        for model in ["bernoulli", "diurnal", "mmpp", "zipf-population"] {
+            let args = parse(&[
+                "--design",
+                "revsort:16:8",
+                "--frames",
+                "6",
+                "--model",
+                model,
+                "--class",
+                "0",
+            ]);
+            let text = fabric_bench(&args).unwrap();
+            assert!(text.contains("1-byte payloads"), "{model}: {text}");
+        }
+        for bad in [
+            &["--model", "adversarial"][..],
+            &["--class", "13"],
+            &["--model", "diurnal", "--period", "0"],
+            &["--model", "mmpp", "--rate-on", "2"],
+        ] {
+            let mut args = vec!["--design", "revsort:16:8"];
+            args.extend_from_slice(bad);
+            assert!(fabric_bench(&parse(&args)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
     fn fabric_bench_rejects_bad_zipf_parameters() {
         let args = parse(&[
             "--design",
             "revsort:16:8",
             "--model",
-            "zipf",
+            "zipf-population",
             "--population",
             "0",
         ]);
@@ -2014,7 +2062,7 @@ mod tests {
             "--design",
             "revsort:16:8",
             "--model",
-            "zipf",
+            "zipf-population",
             "--exponent",
             "-1",
         ]);
@@ -2033,8 +2081,8 @@ mod tests {
             "1",
             "--producers",
             "1",
-            "--payload",
-            "2",
+            "--class",
+            "1",
             "--seed",
             "5",
             "--json",

@@ -2,10 +2,11 @@
 //!
 //! A switch sees one thing per cycle — a frame of valid bits on its
 //! inputs — so every workload reaches a serving target as the same
-//! shape: `(tick, Vec<Message>)` frames in tick order. Two sources lower
-//! to it: [`LoadPlan::frames`] plays a `switchsim` [`TrafficModel`], and
-//! [`crate::trace::frames`] replays a [`crate::Trace`]. Each target then
-//! has exactly one driver over that shape:
+//! shape: `(tick, Vec<Message>)` frames in tick order. Every workload is
+//! a [`crate::Trace`] lowered to it by [`crate::trace::frames`];
+//! [`LoadPlan::frames`] generates a producer's trace from a
+//! [`TraceModel`] and keeps its empty ticks. Each target then has
+//! exactly one driver over that shape:
 //!
 //! * [`drive_sync`] — the synchronous [`Fabric`] (the service's cores
 //!   under a fixed schedule), tick-faithful and bit-reproducible, with
@@ -19,8 +20,8 @@
 
 use concentrator::faults::ChipFault;
 use serde::{Deserialize, Serialize};
-use switchsim::traffic::{TrafficGenerator, TrafficModel};
-use switchsim::Message;
+use switchsim::traffic::{generate, tick_frames};
+use switchsim::{Message, TraceModel};
 
 use crate::engine::Fabric;
 use crate::metrics::FabricSnapshot;
@@ -30,13 +31,13 @@ use crate::shard::{Delivery, FrameRun};
 /// Ticks the drain phase may take before the harness gives up.
 const DRAIN_LIMIT: u64 = 1 << 22;
 
-/// One workload: a traffic model played for a number of frames.
+/// One workload: a trace model played for a number of frames.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LoadPlan {
-    /// Per-frame offer model over the switch's `n` inputs.
-    pub model: TrafficModel,
-    /// Payload size per message.
-    pub payload_bytes: usize,
+    /// Per-tick offer model over the switch's `n` inputs.
+    pub model: TraceModel,
+    /// Payload size class: every payload is `1 << size_class` bytes.
+    pub size_class: u8,
     /// Generator seed (the determinism claims key off this).
     pub seed: u64,
     /// Generation frames (the fabric may run more frames to drain).
@@ -45,24 +46,29 @@ pub struct LoadPlan {
 
 impl LoadPlan {
     /// The frames producer `producer` offers when playing this plan
-    /// against a switch with `inputs` inputs: its own seeded generator
-    /// (`seed + producer`) and a disjoint id space (producer index in the
-    /// id's top 16 bits). Element `f` is generation frame `f` at tick
-    /// `f`, kept even when empty. A pure function of its arguments, so
-    /// every driver and the simulation harness replay identical
-    /// workloads through it.
+    /// against a switch with `inputs` inputs: the model's trace over
+    /// `inputs` sources for `frames` ticks, seeded `seed + producer`,
+    /// lowered by [`crate::trace::frames`], with a disjoint id space
+    /// (producer index in the id's top 16 bits). Element `f` is
+    /// generation frame `f` at tick `f`, kept even when empty. A pure
+    /// function of its arguments, so every driver and the simulation
+    /// harness replay identical workloads through it.
     pub fn frames(&self, inputs: usize, producer: usize) -> Vec<(u64, Vec<Message>)> {
-        let mut generator = TrafficGenerator::new(
+        let ticks = self.frames as u64;
+        let trace = generate(
             self.model,
             inputs,
-            self.payload_bytes,
+            ticks,
+            self.size_class,
             self.seed.wrapping_add(producer as u64),
         );
-        (0..self.frames as u64)
-            .map(|tick| {
-                let mut frame = generator.next_frame();
+        let tag = (producer as u64) << 48;
+        tick_frames(&trace, inputs, ticks)
+            .into_iter()
+            .zip(0..)
+            .map(|(mut frame, tick)| {
                 for message in &mut frame {
-                    message.id |= (producer as u64) << 48;
+                    message.id |= tag;
                 }
                 (tick, frame)
             })
@@ -252,8 +258,8 @@ mod tests {
         );
         let mut fabric = Fabric::new(switch, FabricConfig::new(2));
         let plan = LoadPlan {
-            model: TrafficModel::Bernoulli { p: 0.6 },
-            payload_bytes: 2,
+            model: TraceModel::Bernoulli { p: 0.6 },
+            size_class: 1,
             seed: 42,
             frames: 50,
         };
@@ -274,8 +280,8 @@ mod tests {
         );
         let mut fabric = Fabric::new(Arc::clone(&switch), FabricConfig::new(1));
         let plan = LoadPlan {
-            model: TrafficModel::Bernoulli { p: 0.5 },
-            payload_bytes: 8, // 64 payload cycles = exactly one sweep
+            model: TraceModel::Bernoulli { p: 0.5 },
+            size_class: 3, // 8 bytes: 64 payload cycles = exactly one sweep
             seed: 7,
             frames: 20,
         };

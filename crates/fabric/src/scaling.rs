@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use concentrator::columnsort_switch::ColumnsortSwitch;
-use switchsim::TrafficModel;
+use switchsim::TraceModel;
 
 use crate::config::FabricConfig;
 use crate::loadgen::{drive_service, LoadPlan};
@@ -155,7 +155,8 @@ impl ScalingLadder {
 /// shared compiled netlist) driven closed-loop by `producers` threads
 /// submitting whole frames, then drained. `base_frames` generation
 /// frames are offered at the first rung; later rungs scale frame count
-/// with chip count so the total offered load is constant.
+/// with chip count so the total offered load is constant. Every payload
+/// is `1 << size_class` bytes.
 ///
 /// # Panics
 /// If a rung's chip geometry is invalid: every `aggregate_n /
@@ -167,7 +168,7 @@ pub fn ladder(
     producers: usize,
     base_frames: usize,
     load: f64,
-    payload_bytes: usize,
+    size_class: u8,
     seed: u64,
 ) -> ScalingLadder {
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
@@ -190,8 +191,8 @@ pub fn ladder(
             // backpressure policy.
             config.queue_capacity = (4 * n).max(1024);
             let plan = LoadPlan {
-                model: TrafficModel::Bernoulli { p: load },
-                payload_bytes,
+                model: TraceModel::Bernoulli { p: load },
+                size_class,
                 seed,
                 frames: base_frames * chips,
             };
@@ -251,7 +252,7 @@ mod tests {
     /// produce coherent per-shard breakdowns.
     #[test]
     fn miniature_ladder_is_coherent() {
-        let ladder = ladder(64, &[1, 2], 2, 2, 0.5, 2, 7);
+        let ladder = ladder(64, &[1, 2], 2, 2, 0.5, 1, 7);
         assert_eq!(ladder.points.len(), 2);
         for (i, point) in ladder.points.iter().enumerate() {
             assert_eq!(point.chips, [1, 2][i]);
@@ -293,6 +294,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "valid chips")]
     fn invalid_chip_geometry_is_rejected() {
-        ladder(64, &[3], 1, 1, 0.5, 2, 7);
+        ladder(64, &[3], 1, 1, 0.5, 1, 7);
     }
 }

@@ -1,16 +1,17 @@
-//! Replayable workload traces: the serving stack's workload interchange
-//! format (ROADMAP item 5).
+//! Replayable workload traces on disk: the serving stack's workload
+//! interchange format.
 //!
-//! A trace is a sorted sequence of [`TraceRecord`]s — `(virtual arrival
-//! tick, external source id, payload size class)` — plus a
-//! [`SourceSpace`] declaring how source ids map onto switch input wires.
-//! The serving stack consumes a trace as the shared frame shape:
-//! [`frames`] lowers it into per-tick message batches (ids are record
-//! indices, payloads are a pure hash of the id), so the same trace bytes
-//! always produce the same workload, and any of the three drivers
+//! The record model, the generator and the lowering into frames live in
+//! [`switchsim::traffic`] and are re-exported here: a [`Trace`] is a
+//! sorted sequence of [`TraceRecord`]s — `(virtual arrival tick,
+//! external source id, payload size class)` — plus a [`SourceSpace`];
+//! [`generate`] plays a [`TraceModel`] into one, and [`frames`] lowers
+//! it into per-tick message batches (ids are record indices, payloads
+//! are a pure hash of the id) that any of the three drivers
 //! ([`crate::drive_sync`], [`crate::drive_service`], `tiers::drive_tree`)
-//! plays it. A [`TraceCursor`] assembles the same frames straight off a
-//! reader without materializing the trace.
+//! plays. This module adds what replay from bytes needs: a
+//! [`TraceCursor`] assembles the same frames straight off a reader
+//! without materializing the trace.
 //!
 //! Two on-disk flavors share the record model: a compact 17-byte-record
 //! binary encoding (magic `CTRC`) and a JSON-lines interchange encoding.
@@ -18,25 +19,23 @@
 //! typed [`TraceError`]s — truncation and corruption are diagnoses, not
 //! panics.
 //!
-//! Traces come from three generator families ([`TraceModel`]) — diurnal
-//! sinusoid, 2-state MMPP (the inline `Bursty` model is the degenerate
-//! parameterization, see [`TraceModel::mmpp_from_bursty`]), and a
-//! zipf-population over a multi-million-user id space — plus the
-//! [`adversarial_trace`] bridge, which lowers
+//! The [`adversarial_trace`] bridge lowers
 //! [`concentrator::search::epsilon_attack`]'s discovered worst-case
 //! input subset into a replayable workload, closing the loop between
 //! the paper's ε-nearsorting bounds and serving-tail p99.
 
-use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
 use concentrator::search::{epsilon_attack, SearchReport};
 use concentrator::StagedSwitch;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use switchsim::traffic::mix64;
-use switchsim::{Message, ZipfSampler};
+use switchsim::traffic::lower_tick;
+use switchsim::Message;
+
+pub use switchsim::traffic::{
+    frames, generate, payload_for, SourceSpace, Trace, TraceError, TraceModel, TraceRecord,
+    MAX_SIZE_CLASS,
+};
 
 /// On-disk magic for the binary flavor (`CTRC` = Concentrator TRaCe).
 pub const TRACE_MAGIC: [u8; 4] = *b"CTRC";
@@ -44,217 +43,27 @@ pub const TRACE_MAGIC: [u8; 4] = *b"CTRC";
 pub const TRACE_VERSION: u8 = 1;
 /// Bytes per binary record: tick (u64 LE) + source (u64 LE) + class (u8).
 pub const RECORD_BYTES: usize = 17;
-/// Largest admissible size class (payload `1 << class` bytes ≤ 4 KiB).
-pub const MAX_SIZE_CLASS: u8 = 12;
-
-/// How a record's `source` id maps onto switch input wires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceSpace {
-    /// Sources *are* wire indices (taken modulo the wire count). Used by
-    /// the adversarial bridge so an attack pattern lands on exactly the
-    /// wires the search discovered.
-    Wire,
-    /// Sources are external user ids over an arbitrarily large space,
-    /// hashed onto wires with the same SplitMix64 finalizer as the
-    /// inline zipf model; within a tick, later users landing on an
-    /// occupied wire fold away (at most one offer per wire per tick).
-    User,
-}
-
-impl SourceSpace {
-    fn code(self) -> u8 {
-        match self {
-            SourceSpace::Wire => 0,
-            SourceSpace::User => 1,
-        }
-    }
-
-    fn from_code(code: u8) -> Result<Self, TraceError> {
-        match code {
-            0 => Ok(SourceSpace::Wire),
-            1 => Ok(SourceSpace::User),
-            other => Err(TraceError::BadSpace(other)),
-        }
-    }
-
-    /// The space's wire-format label (`"wire"` / `"user"`), as written
-    /// in JSONL headers and shown by the CLI.
-    pub fn label(self) -> &'static str {
-        match self {
-            SourceSpace::Wire => "wire",
-            SourceSpace::User => "user",
-        }
-    }
-
-    fn from_label(label: &str) -> Result<Self, TraceError> {
-        match label {
-            "wire" => Ok(SourceSpace::Wire),
-            "user" => Ok(SourceSpace::User),
-            _ => Err(TraceError::BadSpace(u8::MAX)),
-        }
+/// The binary header's code for `space`.
+fn space_code(space: SourceSpace) -> u8 {
+    match space {
+        SourceSpace::Wire => 0,
+        SourceSpace::User => 1,
     }
 }
 
-/// One trace event: source `source` offers one message of size class
-/// `size_class` at virtual tick `tick`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Virtual arrival tick (traces are sorted by this, ties allowed).
-    pub tick: u64,
-    /// External source id, interpreted per the trace's [`SourceSpace`].
-    pub source: u64,
-    /// Payload size class: the payload is `1 << size_class` bytes.
-    pub size_class: u8,
-}
-
-impl TraceRecord {
-    /// Payload size in bytes for this record's class.
-    pub fn payload_bytes(&self) -> usize {
-        1usize << self.size_class
+fn space_from_code(code: u8) -> Result<SourceSpace, TraceError> {
+    match code {
+        0 => Ok(SourceSpace::Wire),
+        1 => Ok(SourceSpace::User),
+        other => Err(TraceError::BadSpace(other)),
     }
 }
 
-/// A fully materialized trace: a source space plus tick-sorted records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Trace {
-    /// How record sources map onto wires.
-    pub space: SourceSpace,
-    /// The events, sorted by `tick` (ties keep insertion order).
-    pub records: Vec<TraceRecord>,
-}
-
-impl Trace {
-    /// Build a trace, checking the [`Trace::validate`] invariants.
-    pub fn new(space: SourceSpace, records: Vec<TraceRecord>) -> Result<Self, TraceError> {
-        let trace = Trace { space, records };
-        trace.validate()?;
-        Ok(trace)
-    }
-
-    /// Check the format invariants: records sorted by tick, every size
-    /// class within [`MAX_SIZE_CLASS`].
-    pub fn validate(&self) -> Result<(), TraceError> {
-        for (index, record) in self.records.iter().enumerate() {
-            if record.size_class > MAX_SIZE_CLASS {
-                return Err(TraceError::BadSizeClass {
-                    index,
-                    class: record.size_class,
-                });
-            }
-            if index > 0 && self.records[index - 1].tick > record.tick {
-                return Err(TraceError::Unsorted { index });
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the trace has no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Virtual horizon: one past the last record's tick (0 when empty),
-    /// saturating at `u64::MAX` for a record at the last tick.
-    pub fn ticks(&self) -> u64 {
-        self.records.last().map_or(0, |r| r.tick.saturating_add(1))
-    }
-
-    /// The prefix of the trace containing at most `limit` records — the
-    /// shrinker's truncation knob.
-    pub fn truncated(&self, limit: usize) -> Trace {
-        Trace {
-            space: self.space,
-            records: self.records[..limit.min(self.records.len())].to_vec(),
-        }
-    }
-
-    /// Realized offered load per wire per tick over `wires` inputs
-    /// (records divided by the tick-horizon × wire count; an upper bound
-    /// in `User` space, where collisions fold).
-    pub fn offered_load(&self, wires: usize) -> f64 {
-        let cells = self.ticks() as f64 * wires as f64;
-        if cells == 0.0 {
-            0.0
-        } else {
-            self.records.len() as f64 / cells
-        }
-    }
-}
-
-/// Everything that can go wrong reading, writing, or validating a trace.
-#[derive(Debug)]
-pub enum TraceError {
-    /// An underlying I/O failure (message carries the OS detail).
-    Io(String),
-    /// The file does not start with the `CTRC` magic (and is not JSONL).
-    BadMagic,
-    /// A binary header with a version this build does not speak.
-    BadVersion(u8),
-    /// An unknown source-space code or label.
-    BadSpace(u8),
-    /// The byte stream ends mid-record: `offset` bytes of a partial
-    /// record were left over.
-    Truncated {
-        /// Bytes of the dangling partial record.
-        offset: usize,
-    },
-    /// A JSONL line that does not parse as a record.
-    Corrupt {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        detail: String,
-    },
-    /// Records out of tick order at `index`.
-    Unsorted {
-        /// Index of the first record earlier than its predecessor.
-        index: usize,
-    },
-    /// A size class beyond [`MAX_SIZE_CLASS`].
-    BadSizeClass {
-        /// Index of the offending record.
-        index: usize,
-        /// The rejected class.
-        class: u8,
-    },
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::Io(detail) => write!(f, "trace i/o error: {detail}"),
-            TraceError::BadMagic => write!(f, "not a trace file (bad magic)"),
-            TraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
-            TraceError::BadSpace(code) => write!(f, "unknown source space code {code}"),
-            TraceError::Truncated { offset } => {
-                write!(f, "trace truncated mid-record ({offset} dangling bytes)")
-            }
-            TraceError::Corrupt { line, detail } => {
-                write!(f, "corrupt trace at line {line}: {detail}")
-            }
-            TraceError::Unsorted { index } => {
-                write!(f, "trace records out of tick order at index {index}")
-            }
-            TraceError::BadSizeClass { index, class } => {
-                write!(
-                    f,
-                    "record {index} has size class {class} > {MAX_SIZE_CLASS}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-impl From<std::io::Error> for TraceError {
-    fn from(err: std::io::Error) -> Self {
-        TraceError::Io(err.to_string())
+fn space_from_label(label: &str) -> Result<SourceSpace, TraceError> {
+    match label {
+        "wire" => Ok(SourceSpace::Wire),
+        "user" => Ok(SourceSpace::User),
+        _ => Err(TraceError::BadSpace(u8::MAX)),
     }
 }
 
@@ -284,7 +93,7 @@ impl<W: Write> TraceWriter<W> {
         match flavor {
             TraceFlavor::Binary => {
                 inner.write_all(&TRACE_MAGIC)?;
-                inner.write_all(&[TRACE_VERSION, space.code()])?;
+                inner.write_all(&[TRACE_VERSION, space_code(space)])?;
             }
             TraceFlavor::Jsonl => {
                 writeln!(
@@ -380,7 +189,7 @@ impl<R: BufRead> TraceReader<R> {
                 if header[4] != TRACE_VERSION {
                     return Err(TraceError::BadVersion(header[4]));
                 }
-                (TraceFlavor::Binary, SourceSpace::from_code(header[5])?, 0)
+                (TraceFlavor::Binary, space_from_code(header[5])?, 0)
             }
         };
         Ok(TraceReader {
@@ -485,7 +294,7 @@ fn parse_jsonl_header(line: &str) -> Result<SourceSpace, TraceError> {
         return Err(TraceError::BadVersion(version.min(u8::MAX as u64) as u8));
     }
     let space = json_str_field(line, "space").ok_or_else(|| corrupt("missing space field"))?;
-    SourceSpace::from_label(&space)
+    space_from_label(&space)
 }
 
 /// Parse one JSONL record line (`{"tick":T,"source":S,"class":C}`).
@@ -586,227 +395,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Generators
+// The adversarial bridge
 // ---------------------------------------------------------------------------
-
-/// A workload model that *emits traces* (contrast
-/// [`switchsim::TrafficModel`], which draws inline). All models are
-/// pure functions of `(model, sources, ticks, seed)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceModel {
-    /// Each source offers independently with probability `p` per tick —
-    /// the memoryless baseline every other model is compared against.
-    Bernoulli {
-        /// Offer probability per source per tick.
-        p: f64,
-    },
-    /// A sinusoidal rate envelope over the virtual clock: the offer
-    /// probability at tick `t` is
-    /// `clamp(base + amplitude · sin(2πt / period), 0, 1)` — the
-    /// day/night swing of a user-facing service.
-    Diurnal {
-        /// Mean offer probability (the long-run offered load).
-        base: f64,
-        /// Peak-to-mean swing.
-        amplitude: f64,
-        /// Ticks per full cycle.
-        period: u64,
-    },
-    /// A 2-state Markov-modulated process per source: each tick the
-    /// source's state chain steps (`on → off` w.p. `on_to_off`,
-    /// `off → on` w.p. `off_to_on`), then the source offers with its
-    /// state's emission rate. The inline `Bursty` model is the
-    /// degenerate corner `rate_on = 1, rate_off = 0` — see
-    /// [`TraceModel::mmpp_from_bursty`].
-    Mmpp {
-        /// Offer probability while *on*.
-        rate_on: f64,
-        /// Offer probability while *off*.
-        rate_off: f64,
-        /// Per-tick probability of leaving *on*.
-        on_to_off: f64,
-        /// Per-tick probability of leaving *off*.
-        off_to_on: f64,
-    },
-    /// A population of distinct users with zipf-distributed activity
-    /// (reusing [`ZipfSampler`]): each tick draws `~p·sources` active
-    /// users; records carry the *user rank* as the source id (the trace
-    /// is in [`SourceSpace::User`]), and wire hashing + collision
-    /// folding happen at replay time.
-    ZipfPopulation {
-        /// Target offered load per wire per tick (upper bound — wire
-        /// collisions between users fold at replay).
-        p: f64,
-        /// Distinct users in the population.
-        population: u64,
-        /// Zipf exponent (`0` = uniform; larger = more skew).
-        exponent: f64,
-    },
-}
-
-impl TraceModel {
-    /// The long-run offered load per source per tick.
-    pub fn offered_load(&self) -> f64 {
-        match *self {
-            TraceModel::Bernoulli { p } => p,
-            TraceModel::Diurnal { base, .. } => base,
-            TraceModel::Mmpp {
-                rate_on,
-                rate_off,
-                on_to_off,
-                off_to_on,
-            } => {
-                // Stationary distribution of the 2-state chain.
-                let denom = on_to_off + off_to_on;
-                if denom == 0.0 {
-                    // A frozen chain stays in its start state (off).
-                    return rate_off;
-                }
-                let pi_on = off_to_on / denom;
-                pi_on * rate_on + (1.0 - pi_on) * rate_off
-            }
-            TraceModel::ZipfPopulation { p, .. } => p,
-        }
-    }
-
-    /// The source space traces of this model are emitted in.
-    pub fn space(&self) -> SourceSpace {
-        match self {
-            TraceModel::ZipfPopulation { .. } => SourceSpace::User,
-            _ => SourceSpace::Wire,
-        }
-    }
-
-    /// The MMPP parameterization that degenerates to the inline
-    /// `Bursty { p, mean_burst }` model: emission is all-or-nothing
-    /// (`rate_on = 1, rate_off = 0`) and the chain's transition rates
-    /// are Bursty's (`on → off` w.p. `1/mean_burst`; `off → on` chosen
-    /// so the stationary on-fraction is `p`). Statistically equivalent,
-    /// letting the old model read as a special case of this one.
-    pub fn mmpp_from_bursty(p: f64, mean_burst: f64) -> TraceModel {
-        let off_rate = 1.0 / mean_burst.max(1.0);
-        let on_rate = if p >= 1.0 {
-            1.0
-        } else {
-            (off_rate * p / (1.0 - p)).min(1.0)
-        };
-        TraceModel::Mmpp {
-            rate_on: 1.0,
-            rate_off: 0.0,
-            on_to_off: off_rate,
-            off_to_on: on_rate,
-        }
-    }
-}
-
-/// Generate a trace: play `model` over `sources` sources for `ticks`
-/// virtual ticks, stamping every record with `size_class`. A pure
-/// function of its arguments — same `(model, sources, ticks, seed)`,
-/// same trace, byte for byte.
-pub fn generate(model: TraceModel, sources: usize, ticks: u64, size_class: u8, seed: u64) -> Trace {
-    assert!(size_class <= MAX_SIZE_CLASS, "size class out of range");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut records = Vec::new();
-    match model {
-        TraceModel::Bernoulli { p } => {
-            assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-            for tick in 0..ticks {
-                for source in 0..sources as u64 {
-                    if rng.random_bool(p) {
-                        records.push(TraceRecord {
-                            tick,
-                            source,
-                            size_class,
-                        });
-                    }
-                }
-            }
-        }
-        TraceModel::Diurnal {
-            base,
-            amplitude,
-            period,
-        } => {
-            assert!(period > 0, "diurnal period must be positive");
-            for tick in 0..ticks {
-                let phase = std::f64::consts::TAU * (tick % period) as f64 / period as f64;
-                let p = (base + amplitude * phase.sin()).clamp(0.0, 1.0);
-                for source in 0..sources as u64 {
-                    if rng.random_bool(p) {
-                        records.push(TraceRecord {
-                            tick,
-                            source,
-                            size_class,
-                        });
-                    }
-                }
-            }
-        }
-        TraceModel::Mmpp {
-            rate_on,
-            rate_off,
-            on_to_off,
-            off_to_on,
-        } => {
-            let unit = 0.0..=1.0;
-            assert!(
-                unit.contains(&rate_on)
-                    && unit.contains(&rate_off)
-                    && unit.contains(&on_to_off)
-                    && unit.contains(&off_to_on),
-                "mmpp parameters must be probabilities"
-            );
-            let mut on = vec![false; sources];
-            for tick in 0..ticks {
-                for (source, state) in on.iter_mut().enumerate() {
-                    // Step the chain, then emit at the new state's rate —
-                    // the same order as the inline Bursty source, so the
-                    // degenerate parameterization matches its law exactly.
-                    if *state {
-                        if rng.random_bool(on_to_off) {
-                            *state = false;
-                        }
-                    } else if rng.random_bool(off_to_on) {
-                        *state = true;
-                    }
-                    let rate = if *state { rate_on } else { rate_off };
-                    if rate > 0.0 && rng.random_bool(rate) {
-                        records.push(TraceRecord {
-                            tick,
-                            source: source as u64,
-                            size_class,
-                        });
-                    }
-                }
-            }
-        }
-        TraceModel::ZipfPopulation {
-            p,
-            population,
-            exponent,
-        } => {
-            assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-            let sampler = ZipfSampler::new(population, exponent);
-            for tick in 0..ticks {
-                for _ in 0..sources {
-                    if !rng.random_bool(p) {
-                        continue;
-                    }
-                    let user = sampler.sample(&mut rng);
-                    records.push(TraceRecord {
-                        tick,
-                        source: user,
-                        size_class,
-                    });
-                }
-            }
-        }
-    }
-    Trace {
-        space: model.space(),
-        records,
-    }
-}
 
 /// Parameters for the [`adversarial_trace`] bridge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -854,67 +444,21 @@ pub fn adversarial_trace(switch: &StagedSwitch, plan: &AdversarialPlan) -> (Trac
 }
 
 // ---------------------------------------------------------------------------
-// Replay: records → message frames
+// Streaming replay: bytes → message frames
 // ---------------------------------------------------------------------------
 
-/// Salt folded into the payload hash stream so payload bytes and wire
-/// hashes never correlate.
-const PAYLOAD_SALT: u64 = 0xC0DE_57AC_E000_0001;
-
-/// The deterministic payload for message id `id`: a SplitMix64 byte
-/// stream keyed on the id, so replaying a trace regenerates identical
-/// payload bits without storing them.
-pub fn payload_for(id: u64, bytes: usize) -> Vec<u8> {
-    let mut z = id ^ PAYLOAD_SALT;
-    (0..bytes)
-        .map(|_| {
-            z = mix64(z);
-            z as u8
-        })
-        .collect()
-}
-
-/// Lower one record into its message. `index` is the record's position
-/// in the trace and becomes the message id; the wire mapping follows
-/// the trace's source space.
-fn lower_record(record: &TraceRecord, space: SourceSpace, wires: usize, index: u64) -> Message {
-    let wire = match space {
-        SourceSpace::Wire => (record.source % wires.max(1) as u64) as usize,
-        SourceSpace::User => (mix64(record.source) >> 32) as usize % wires.max(1),
-    };
-    Message::new(index, wire, payload_for(index, record.payload_bytes()))
-}
-
-/// Lower a trace into per-tick message frames over `wires` input wires:
-/// element `(tick, batch)` carries every surviving record of that tick
-/// (ticks with no records are omitted). Message ids are record indices
-/// and payloads come from [`payload_for`], so frames are a pure
-/// function of the trace bytes. In [`SourceSpace::User`] traces, later
-/// users hashing onto an occupied wire within one tick fold away,
-/// mirroring the inline zipf model's at-most-one-offer-per-wire rule.
-pub fn frames(trace: &Trace, wires: usize) -> Vec<(u64, Vec<Message>)> {
-    let bytes = encode(trace, TraceFlavor::Binary);
-    let mut cursor = TraceCursor::new(
-        TraceReader::open(std::io::Cursor::new(bytes)).expect("in-memory encode round-trips"),
-        wires,
-    );
-    let mut out = Vec::new();
-    while let Some(frame) = cursor.next_frame().expect("in-memory trace is well-formed") {
-        out.push(frame);
-    }
-    out
-}
-
-/// Streaming frame assembler: pulls records off a [`TraceReader`] and
-/// groups them into per-tick batches without ever holding more than one
-/// tick's worth of decoded state.
+/// Streaming frame assembler: pulls records off a [`TraceReader`],
+/// groups them by tick and lowers each tick with the same
+/// [`lower_tick`] as [`frames`], never holding more than one tick's
+/// worth of decoded records.
 pub struct TraceCursor<R: BufRead> {
     reader: TraceReader<R>,
     wires: usize,
     /// A record already pulled that belongs to the *next* tick.
     lookahead: Option<TraceRecord>,
+    /// The current tick's records (reused between ticks).
+    tick: Vec<TraceRecord>,
     next_id: u64,
-    done: bool,
 }
 
 impl<R: BufRead> TraceCursor<R> {
@@ -924,8 +468,8 @@ impl<R: BufRead> TraceCursor<R> {
             reader,
             wires,
             lookahead: None,
+            tick: Vec::new(),
             next_id: 0,
-            done: false,
         }
     }
 
@@ -936,60 +480,27 @@ impl<R: BufRead> TraceCursor<R> {
 
     /// Assemble the next tick's frame: `Ok(None)` at end of trace.
     pub fn next_frame(&mut self) -> Result<Option<(u64, Vec<Message>)>, TraceError> {
-        if self.done && self.lookahead.is_none() {
-            return Ok(None);
-        }
         let first = match self.lookahead.take() {
             Some(record) => record,
             None => match self.reader.next_record()? {
                 Some(record) => record,
-                None => {
-                    self.done = true;
-                    return Ok(None);
-                }
+                None => return Ok(None),
             },
         };
-        let space = self.reader.space();
-        let tick = first.tick;
-        let mut taken = vec![
-            false;
-            if space == SourceSpace::User {
-                self.wires
-            } else {
-                0
-            }
-        ];
-        let mut batch = Vec::new();
-        let mut push = |record: TraceRecord, next_id: &mut u64, batch: &mut Vec<Message>| {
-            // User-space collisions fold (at most one offer per wire per
-            // tick); folded records still consume an id so message ids
-            // stay equal to record indices either way.
-            let index = *next_id;
-            *next_id += 1;
-            let message = lower_record(&record, space, self.wires, index);
-            if space == SourceSpace::User {
-                if taken[message.source] {
-                    return;
-                }
-                taken[message.source] = true;
-            }
-            batch.push(message);
-        };
-        push(first, &mut self.next_id, &mut batch);
+        self.tick.clear();
+        self.tick.push(first);
         loop {
             match self.reader.next_record()? {
-                Some(record) if record.tick == tick => push(record, &mut self.next_id, &mut batch),
-                Some(record) => {
-                    self.lookahead = Some(record);
-                    break;
-                }
-                None => {
-                    self.done = true;
+                Some(record) if record.tick == first.tick => self.tick.push(record),
+                next => {
+                    self.lookahead = next;
                     break;
                 }
             }
         }
-        Ok(Some((tick, batch)))
+        let frame = lower_tick(&self.tick, self.reader.space(), self.wires, self.next_id);
+        self.next_id += self.tick.len() as u64;
+        Ok(Some((first.tick, frame)))
     }
 }
 
@@ -1000,7 +511,6 @@ mod tests {
     use crate::engine::Fabric;
     use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
     use std::sync::Arc;
-    use switchsim::traffic::{TrafficGenerator, TrafficModel};
 
     fn sample_trace() -> Trace {
         generate(TraceModel::Bernoulli { p: 0.5 }, 8, 16, 1, 42)
@@ -1170,39 +680,6 @@ mod tests {
             (load - 0.5).abs() < 0.05,
             "mmpp measured load {load}, want 0.5"
         );
-    }
-
-    #[test]
-    fn mmpp_degenerate_matches_inline_bursty_load() {
-        // The PR 2 load-pinning bounds: Bursty at p = 0.4, mean burst 8,
-        // over 3000 frames × 64 inputs, within ±0.05. The degenerate
-        // MMPP must land in the same band — the equivalence that lets
-        // Bursty be documented as a special case instead of a parallel
-        // code path.
-        let frames = 3000;
-        let sources = 64;
-        let mut inline = TrafficGenerator::new(
-            TrafficModel::Bursty {
-                p: 0.4,
-                mean_burst: 8.0,
-            },
-            sources,
-            2,
-            7,
-        );
-        let inline_total: usize = (0..frames).map(|_| inline.next_frame().len()).sum();
-        let inline_load = inline_total as f64 / (frames * sources) as f64;
-
-        let model = TraceModel::mmpp_from_bursty(0.4, 8.0);
-        assert!((model.offered_load() - 0.4).abs() < 1e-9);
-        let trace = generate(model, sources, frames as u64, 1, 7);
-        let mmpp_load = trace.records.len() as f64 / (frames * sources) as f64;
-
-        assert!(
-            (inline_load - 0.4).abs() < 0.05,
-            "inline bursty load {inline_load}"
-        );
-        assert!((mmpp_load - 0.4).abs() < 0.05, "mmpp load {mmpp_load}");
     }
 
     #[test]

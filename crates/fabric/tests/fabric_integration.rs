@@ -20,12 +20,12 @@ use std::sync::Arc;
 use concentrator::faults::{ChipFault, FaultMode};
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::StagedSwitch;
+use fabric::trace::{frames, generate, SourceSpace, Trace, TraceModel, TraceRecord};
 use fabric::{
     drive_service, drive_sync, one_per_tick, Backpressure, Fabric, FabricConfig, FabricService,
     FaultEvent, LoadPlan, Message, Placement, RetryBudget,
 };
-use switchsim::traffic::TrafficGenerator;
-use switchsim::{simulate_frame, TrafficModel};
+use switchsim::simulate_frame;
 
 fn staged(n: usize, m: usize) -> Arc<StagedSwitch> {
     Arc::new(
@@ -40,10 +40,10 @@ fn producer_frames(workload: &LoadPlan, producers: usize) -> Vec<Vec<(u64, Vec<M
     (0..producers).map(|p| workload.frames(16, p)).collect()
 }
 
-fn plan(model: TrafficModel, seed: u64, frames: usize) -> LoadPlan {
+fn plan(model: TraceModel, seed: u64, frames: usize) -> LoadPlan {
     LoadPlan {
         model,
-        payload_bytes: 3,
+        size_class: 1,
         seed,
         frames,
     }
@@ -59,7 +59,7 @@ fn batched_frames_match_single_frame_reference() {
     let mut config = FabricConfig::new(2);
     config.retry = RetryBudget::limited(2);
     let mut fabric = Fabric::new(Arc::clone(&switch), config);
-    let workload = plan(TrafficModel::Bernoulli { p: 0.9 }, 11, 40);
+    let workload = plan(TraceModel::Bernoulli { p: 0.9 }, 11, 40);
     let records = drive_sync(&mut fabric, workload.frames(16, 0), &[]).frames;
 
     assert!(!records.is_empty(), "the drive must have executed frames");
@@ -119,7 +119,7 @@ fn sync_conservation_for_all_backpressure_policies() {
         // count), and each shard's ring takes 5 or 6 of a tick's 16
         // offers, so the per-tick burst fills the rings every tick and
         // every policy's bound actually gets exercised.
-        let workload = plan(TrafficModel::Adversarial, 5, 80);
+        let workload = plan(TraceModel::Bernoulli { p: 1.0 }, 5, 80);
         let report = drive_sync(&mut fabric, workload.frames(16, 0), &[]);
         let totals = report.snapshot.totals();
         assert!(
@@ -153,7 +153,7 @@ fn service_conservation_for_all_backpressure_policies() {
         config.queue_capacity = 16;
         config.backpressure = policy;
         let service = FabricService::start(staged(16, 8), config);
-        let workload = plan(TrafficModel::Bernoulli { p: 0.7 }, 99, 30);
+        let workload = plan(TraceModel::Bernoulli { p: 0.7 }, 99, 30);
         let producers = 3;
         // Per-message threaded submission: the batched path has its own
         // test below.
@@ -194,14 +194,15 @@ fn service_conservation_for_all_backpressure_policies() {
         // and check every delivery against the original payload.
         let mut originals: HashMap<u64, Vec<u8>> = HashMap::new();
         for p in 0..producers as u64 {
-            let mut generator = TrafficGenerator::new(
+            let trace = generate(
                 workload.model,
                 16,
-                workload.payload_bytes,
+                workload.frames as u64,
+                workload.size_class,
                 workload.seed.wrapping_add(p),
             );
-            for _ in 0..workload.frames {
-                for msg in generator.next_frame() {
+            for (_, frame) in frames(&trace, 16) {
+                for msg in frame {
                     originals.insert(msg.id | (p << 48), msg.payload.to_vec());
                 }
             }
@@ -230,7 +231,7 @@ fn sync_drives_are_deterministic() {
         config.placement = Placement::SourceHash;
         config.retry = RetryBudget::limited(3);
         let mut fabric = Fabric::new(staged(16, 8), config);
-        let workload = plan(TrafficModel::Adversarial, 1234, 25);
+        let workload = plan(TraceModel::Bernoulli { p: 1.0 }, 1234, 25);
         drive_sync(&mut fabric, workload.frames(16, 0), &[])
     };
     let a = make_report();
@@ -247,8 +248,8 @@ fn sync_drives_are_deterministic() {
 fn batched_sweeps_are_an_order_of_magnitude_fewer() {
     let switch = staged(64, 32);
     let workload = LoadPlan {
-        model: TrafficModel::Bernoulli { p: 0.45 },
-        payload_bytes: 8, // 64 payload cycles: exactly one sweep per frame
+        model: TraceModel::Bernoulli { p: 0.45 },
+        size_class: 3, // 8 bytes, 64 payload cycles: exactly one sweep per frame
         seed: 3,
         frames: 30,
     };
@@ -328,7 +329,7 @@ fn sync_conservation_under_faults_for_all_policies() {
         config.backpressure = policy;
         config.retry = RetryBudget::limited(2);
         let mut fabric = Fabric::new(Arc::clone(&switch), config);
-        let workload = plan(TrafficModel::Bernoulli { p: 0.8 }, 21, 40);
+        let workload = plan(TraceModel::Bernoulli { p: 0.8 }, 21, 40);
         let schedule = campaign_schedule(&switch);
         let report = drive_sync(&mut fabric, workload.frames(16, 0), &schedule);
         let totals = report.snapshot.totals();
@@ -354,7 +355,7 @@ fn faulted_sync_drives_are_deterministic() {
         let mut config = FabricConfig::new(2);
         config.retry = RetryBudget::limited(1);
         let mut fabric = Fabric::new(Arc::clone(&switch), config);
-        let workload = plan(TrafficModel::Bernoulli { p: 0.7 }, 4242, 48);
+        let workload = plan(TraceModel::Bernoulli { p: 0.7 }, 4242, 48);
         let schedule = campaign_schedule(&switch);
         drive_sync(&mut fabric, workload.frames(16, 0), &schedule)
     };
@@ -374,7 +375,7 @@ fn mid_run_permanent_fault_quarantines_the_shard() {
     let mut config = FabricConfig::new(2);
     config.retry = RetryBudget::limited(1);
     let mut fabric = Fabric::new(Arc::clone(&switch), config);
-    let workload = plan(TrafficModel::Bernoulli { p: 0.8 }, 7, 60);
+    let workload = plan(TraceModel::Bernoulli { p: 0.8 }, 7, 60);
     let schedule = vec![FaultEvent {
         frame: 10,
         shard: 0,
@@ -428,7 +429,7 @@ fn service_conservation_under_mid_run_faults() {
         config.retry = RetryBudget::limited(2);
         config.backpressure = policy;
         let service = FabricService::start(Arc::clone(&switch), config);
-        let workload = plan(TrafficModel::Bernoulli { p: 0.7 }, 33, 20);
+        let workload = plan(TraceModel::Bernoulli { p: 0.7 }, 33, 20);
         let before = drive_service(&service, producer_frames(&workload, 2));
         // A chip row dies while the service is live…
         service.inject_faults(
@@ -470,37 +471,44 @@ fn service_conservation_under_mid_run_faults() {
     }
 }
 
-/// `LoadPlan::frames` is the seeded generator replayed verbatim: frame
-/// `f` sits at tick `f` (empty frames kept), producer `p` draws from
-/// seed `seed + p`, and its ids carry `p` in the top 16 bits.
+/// `LoadPlan::frames` is the plan's trace lowered by `trace::frames`
+/// and tagged: frame `f` sits at tick `f` (empty frames kept), producer
+/// `p` plays seed `seed + p`, and its ids carry `p` in the top 16 bits.
 #[test]
-fn load_plan_frames_replay_the_seeded_generator() {
-    let workload = plan(TrafficModel::Bernoulli { p: 0.3 }, 555, 12);
+fn load_plan_frames_are_the_tagged_trace_frames() {
+    let workload = plan(TraceModel::Bernoulli { p: 0.1 }, 555, 12);
+    let mut empty = 0;
     for producer in 0..3u64 {
-        let mut generator = TrafficGenerator::new(
+        let trace = generate(
             workload.model,
             16,
-            workload.payload_bytes,
+            workload.frames as u64,
+            workload.size_class,
             workload.seed + producer,
         );
-        let frames = workload.frames(16, producer as usize);
-        assert_eq!(frames.len(), workload.frames);
-        for (f, (tick, frame)) in frames.into_iter().enumerate() {
-            assert_eq!(
-                tick, f as u64,
-                "producer {producer}: tick is the frame index"
-            );
-            let expected: Vec<Message> = generator
-                .next_frame()
+        let mut expected: Vec<(u64, Vec<Message>)> = (0..workload.frames as u64)
+            .map(|f| (f, Vec::new()))
+            .collect();
+        for (tick, frame) in frames(&trace, 16) {
+            expected[tick as usize].1 = frame
                 .into_iter()
                 .map(|mut message| {
                     message.id |= producer << 48;
                     message
                 })
                 .collect();
-            assert_eq!(frame, expected, "producer {producer} frame {f} diverged");
         }
+        empty += expected
+            .iter()
+            .filter(|(_, frame)| frame.is_empty())
+            .count();
+        assert_eq!(
+            workload.frames(16, producer as usize),
+            expected,
+            "producer {producer} diverged"
+        );
     }
+    assert!(empty > 0, "the plan must keep some empty frames");
 }
 
 /// Conservation and payload integrity through the frame-batched admission
@@ -518,7 +526,7 @@ fn service_batched_conservation_for_all_backpressure_policies() {
         config.queue_capacity = 16;
         config.backpressure = policy;
         let service = FabricService::start(staged(16, 8), config);
-        let workload = plan(TrafficModel::Bernoulli { p: 0.7 }, 99, 30);
+        let workload = plan(TraceModel::Bernoulli { p: 0.7 }, 99, 30);
         let producers = 3;
         let generated = drive_service(&service, producer_frames(&workload, producers));
         let report = service.drain();
@@ -567,7 +575,7 @@ fn live_snapshot_is_conserved_once_quiescent() {
     let mut config = FabricConfig::new(2);
     config.queue_capacity = 16;
     let service = FabricService::start(staged(16, 8), config);
-    let workload = plan(TrafficModel::Bernoulli { p: 0.6 }, 77, 10);
+    let workload = plan(TraceModel::Bernoulli { p: 0.6 }, 77, 10);
     let generated = drive_service(&service, producer_frames(&workload, 2));
     // Producers have joined; spin (no sleeping in tests) until the
     // workers retire the backlog.
@@ -598,22 +606,29 @@ fn live_snapshot_is_conserved_once_quiescent() {
 
 /// Hotspot traffic under source-hash placement skews load to the shards
 /// owning the hot inputs; round-robin spreads the same workload evenly.
+/// The workload is a hand-built wire-space trace: wires 0 and 1 offer
+/// every tick, and one cold even wire every fourth tick.
 #[test]
 fn hotspot_traffic_skews_source_hash_placement() {
+    let records = (0..200u64)
+        .flat_map(|tick| {
+            let cold = (tick % 4 == 0).then_some(2 + tick % 14);
+            [0, 1]
+                .into_iter()
+                .chain(cold)
+                .map(move |source| TraceRecord {
+                    tick,
+                    source,
+                    size_class: 1,
+                })
+        })
+        .collect();
+    let hotspot = Trace::new(SourceSpace::Wire, records).unwrap();
     let run = |placement: Placement| {
         let mut config = FabricConfig::new(4);
         config.placement = placement;
         let mut fabric = Fabric::new(staged(16, 8), config);
-        let workload = plan(
-            TrafficModel::Hotspot {
-                p_hot: 0.95,
-                p_cold: 0.02,
-                hot_inputs: 2,
-            },
-            77,
-            200,
-        );
-        let report = drive_sync(&mut fabric, workload.frames(16, 0), &[]);
+        let report = drive_sync(&mut fabric, frames(&hotspot, 16), &[]);
         let offered: Vec<u64> = report.snapshot.shards.iter().map(|s| s.offered).collect();
         (
             offered.iter().copied().max().unwrap(),

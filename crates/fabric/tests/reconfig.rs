@@ -18,7 +18,7 @@ use fabric::{
     drive_service, Backpressure, FabricConfig, FabricService, LaneState, LoadPlan, Message,
     ServiceCore, SubmitOutcome, SubmitStep, WorkerCore, WorkerStep,
 };
-use switchsim::TrafficModel;
+use switchsim::TraceModel;
 
 fn staged(n: usize, m: usize) -> Arc<StagedSwitch> {
     Arc::new(
@@ -488,8 +488,8 @@ fn service_resize_and_swap_under_load_is_zero_loss() {
     config.queue_capacity = 32;
     let service = FabricService::start(staged(16, 8), config);
     let plan = |seed: u64| LoadPlan {
-        model: TrafficModel::Bernoulli { p: 0.7 },
-        payload_bytes: 3,
+        model: TraceModel::Bernoulli { p: 0.7 },
+        size_class: 1,
         seed,
         frames: 10,
     };

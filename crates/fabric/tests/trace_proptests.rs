@@ -2,8 +2,8 @@
 //! is a pure function of `(model, sources, ticks, seed)`, codecs
 //! round-trip arbitrary well-formed traces, and the statistical claims
 //! (MMPP long-run load, zipf head skew) hold across the parameter
-//! space. Mirrors the `TrafficGenerator` determinism proptests in
-//! `switchsim`.
+//! space. The frame-level determinism and well-formedness proptests
+//! live with the generator in `switchsim`.
 
 use proptest::prelude::*;
 

@@ -59,7 +59,7 @@ use concentrator::faults::{CampaignSpec, ChipFault, FaultCampaign, FaultMode};
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::StagedSwitch;
 use fabric::{Backpressure, FabricConfig, HealthPolicy, LoadPlan, RetryBudget, SloPolicy};
-use switchsim::TrafficModel;
+use switchsim::TraceModel;
 
 use crate::sim::{
     ReconfigAction, Scenario, SimFaultEvent, SimReconfigEvent, SloPlan, TraceWorkload,
@@ -115,8 +115,8 @@ fn base(name: &str, workload_seed: u64, frames: usize, p: f64) -> Scenario {
         config,
         producers: 3,
         plan: LoadPlan {
-            model: TrafficModel::Bernoulli { p },
-            payload_bytes: 2,
+            model: TraceModel::Bernoulli { p },
+            size_class: 1,
             seed: workload_seed,
             frames,
         },

@@ -166,7 +166,7 @@ pub struct Scenario {
     /// Per-producer workload (seeded off `plan.seed + producer`).
     /// Ignored when [`Scenario::trace`] is set.
     pub plan: LoadPlan,
-    /// Trace-driven workload: when set, the inline `plan` is replaced by
+    /// Trace-driven workload: when set, the `plan` is replaced by
     /// one producer task replaying the trace's frames through the
     /// batched admission path.
     pub trace: Option<TraceWorkload>,
@@ -191,6 +191,18 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// Every producer's frames: a trace is one producer, a plan has one
+    /// per scenario producer (`plan.frames(n, p)`).
+    pub fn frames(&self) -> Vec<Vec<(u64, Vec<Message>)>> {
+        let n = self.switch.n;
+        match &self.trace {
+            Some(workload) => vec![fabric::trace::frames(&workload.effective(), n)],
+            None => (0..self.producers)
+                .map(|p| self.plan.frames(n, p))
+                .collect(),
+        }
+    }
+
     /// # Panics
     /// If the fault schedule is unsorted or names a missing shard — a
     /// malformed scenario would make violations meaningless.
@@ -501,17 +513,7 @@ pub fn run_scenario(scenario: &Scenario, seed: u64) -> SimRun {
         .collect();
     let mut worker_done = vec![false; workers.len()];
     let mut quarantine_flags = vec![false; workers.len()];
-    // Every producer's frames: a trace is one producer, a plan has one
-    // per scenario producer.
-    let sources: Vec<Vec<(u64, Vec<Message>)>> = match &scenario.trace {
-        Some(workload) => vec![fabric::trace::frames(
-            &workload.effective(),
-            scenario.switch.n,
-        )],
-        None => (0..scenario.producers)
-            .map(|p| scenario.plan.frames(scenario.switch.n, p))
-            .collect(),
-    };
+    let sources = scenario.frames();
     let mut expected_lossless: std::collections::HashMap<u64, Vec<u8>> =
         std::collections::HashMap::new();
     if scenario.lossless {

@@ -45,7 +45,7 @@ use fabric::{
     SubmitOutcome,
 };
 use serde_json::{object, ToJson, Value};
-use switchsim::TrafficModel;
+use switchsim::TraceModel;
 use tiers::{TierSpec, TierStep, TierTopology, TreeDriver, TreeSnapshot};
 
 use crate::oracles::{check_capacity, check_frame, check_lossless, Ledger, Violation};
@@ -522,8 +522,8 @@ fn tree_base(name: &str, workload_seed: u64, frames: usize, p: f64) -> TreeScena
         ]),
         producers: 2,
         plan: LoadPlan {
-            model: TrafficModel::Bernoulli { p },
-            payload_bytes: 2,
+            model: TraceModel::Bernoulli { p },
+            size_class: 1,
             seed: workload_seed,
             frames,
         },
@@ -557,10 +557,7 @@ pub fn tier_spine_stall() -> TreeScenario {
 /// and the spine (still blocking) must deliver whatever survives.
 pub fn tier_leaf_burst() -> TreeScenario {
     let mut s = tree_base("tier-leaf-burst", 2202, 4, 0.6);
-    s.plan.model = TrafficModel::Bursty {
-        p: 0.6,
-        mean_burst: 4.0,
-    };
+    s.plan.model = TraceModel::mmpp_from_bursty(0.6, 4.0);
     s.producers = 3;
     s.ingress_sources = 48;
     s.topology.tiers[0].config.backpressure = Backpressure::ShedOldest;

@@ -16,15 +16,10 @@ const CORPUS: &str = include_str!("../seeds.txt");
 /// from the workload itself: the trace's frames for trace scenarios,
 /// each producer's plan frames otherwise.
 fn offered_payloads(scenario: &Scenario) -> HashMap<u64, Vec<u8>> {
-    let n = scenario.switch.n;
-    let frames: Vec<_> = match &scenario.trace {
-        Some(workload) => fabric::trace::frames(&workload.effective(), n),
-        None => (0..scenario.producers)
-            .flat_map(|p| scenario.plan.frames(n, p))
-            .collect(),
-    };
-    frames
+    scenario
+        .frames()
         .into_iter()
+        .flatten()
         .flat_map(|(_, frame)| frame)
         .map(|message| (message.id, message.payload.as_ref().to_vec()))
         .collect()

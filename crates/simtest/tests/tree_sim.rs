@@ -121,34 +121,34 @@ fn tree_runs_are_pinned() {
         .collect();
     let expected: Vec<Vec<RunPin>> = vec![
         vec![
-            (898, 180, 4, 0, 0, 0x23794189b54e2f2d),
-            (889, 173, 2, 0, 0, 0xcd9ed0a525ebacfd),
-            (909, 177, 2, 0, 0, 0xef4a5bdc8c518a5d),
-            (898, 175, 3, 0, 0, 0x027e86ff55cc8b1d),
-            (901, 176, 4, 0, 0, 0xa4b363221aec4b6d),
-            (886, 171, 2, 0, 0, 0x11451ba2fbc7a34d),
-            (897, 177, 2, 0, 0, 0xf9995824948c397d),
-            (886, 168, 2, 0, 0, 0x7eb265ac7806241d),
+            (904, 181, 4, 0, 0, 0x6da64f9e205c55d4),
+            (893, 176, 2, 0, 0, 0x2d9a7d7da14450c4),
+            (914, 181, 2, 0, 0, 0x07b776ce78aeac64),
+            (909, 175, 2, 0, 0, 0xd42dc1505d5265a4),
+            (904, 175, 4, 0, 0, 0xc2ba0266b32c26b4),
+            (904, 172, 2, 0, 0, 0xd43ee9f9d4cd3b84),
+            (889, 178, 2, 0, 0, 0xbadebf5a740eca14),
+            (906, 179, 2, 0, 0, 0x7a85d8fc140a25d4),
         ],
         vec![
-            (571, 143, 0, 0, 0, 0x8126025df842b554),
-            (603, 165, 0, 0, 0, 0x57e871c98e30e6d3),
-            (575, 138, 0, 0, 0, 0x0e76da71ef6c9490),
-            (552, 131, 0, 0, 0, 0xfefb18d3aca1a8ed),
-            (574, 144, 0, 0, 0, 0xe02459389c1d8f30),
-            (563, 139, 0, 0, 0, 0x529323172e4786f3),
-            (595, 154, 0, 0, 0, 0xdf6a0be681992f14),
-            (586, 148, 0, 0, 0, 0x5ff4559a9caff879),
+            (635, 161, 0, 0, 0, 0xdfde7ac89fcec151),
+            (641, 171, 0, 0, 0, 0x9e4c01e5e5cedabb),
+            (628, 157, 0, 0, 0, 0xf10e8663c8b15789),
+            (613, 145, 0, 0, 0, 0xe7d7a179c0ab3587),
+            (639, 167, 0, 0, 0, 0xe258c164e44f1776),
+            (615, 159, 0, 0, 0, 0x624ddd138e5c560d),
+            (661, 180, 0, 0, 0, 0xf414fe43bfa45d50),
+            (620, 157, 0, 0, 0, 0x8d0b010f8d2802a2),
         ],
         vec![
-            (834, 274, 0, 1, 0, 0x032af7723bc7bd95),
-            (837, 284, 0, 1, 0, 0xfbfe283a936cab9c),
-            (817, 279, 0, 1, 0, 0xee8b22bfb13d5050),
-            (814, 274, 0, 1, 0, 0xffa42ef1f18f3f82),
-            (836, 283, 0, 1, 0, 0x55de78001ca439a6),
-            (831, 280, 0, 1, 0, 0x066dd01d3eaa0185),
-            (839, 274, 0, 1, 0, 0x21236ca736b2808d),
-            (844, 283, 0, 1, 0, 0xcc81b0a8dbf3ad4d),
+            (839, 276, 0, 1, 0, 0x82adf02a6bfa2911),
+            (840, 275, 0, 1, 0, 0x4696864b1434350d),
+            (853, 283, 0, 1, 0, 0x54d6ee3a3ecdb00e),
+            (846, 286, 0, 1, 0, 0x987c805de5ca017f),
+            (848, 281, 0, 1, 0, 0x3df330fdf3164168),
+            (847, 282, 0, 1, 0, 0x97af1431fbd43c45),
+            (837, 281, 0, 1, 0, 0x93dec4c570acec95),
+            (839, 288, 0, 1, 0, 0x2cd69a19a73c7e4c),
         ],
     ];
     assert_eq!(actual, expected);

@@ -119,8 +119,8 @@ pub fn measure_delivery_curve<S: concentrator::spec::ConcentratorSwitch + ?Sized
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::TrafficGenerator;
-    use crate::{ConcentrationStage, CongestionPolicy, TrafficModel};
+    use crate::traffic::{generate, tick_frames};
+    use crate::{ConcentrationStage, CongestionPolicy, TraceModel};
     use concentrator::spec::ConcentratorSwitch;
     use concentrator::{ColumnsortSwitch, Hyperconcentrator};
 
@@ -183,9 +183,9 @@ mod tests {
         let p = 0.4;
         let prediction = predict_drop(n, p, |k| k.min(m));
 
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p }, n, 1, 0xA11A);
+        let traffic = generate(TraceModel::Bernoulli { p }, n, 3000, 0, 0xA11A);
         let mut stage = ConcentrationStage::new(&switch, CongestionPolicy::Drop);
-        let report = stage.run(&mut generator, 3000);
+        let report = stage.run(tick_frames(&traffic, n, 3000));
         let simulated = report.stats.delivered as f64 / report.stats.frames as f64;
         let relative =
             (simulated - prediction.delivered_per_frame).abs() / prediction.delivered_per_frame;
@@ -203,9 +203,9 @@ mod tests {
         let p = 0.5;
         let prediction = predict_drop(32, p, |k| curve[k].round() as usize);
 
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p }, 32, 1, 0xB22);
+        let traffic = generate(TraceModel::Bernoulli { p }, 32, 4000, 0, 0xB22);
         let mut stage = ConcentrationStage::new(&switch, CongestionPolicy::Drop);
-        let report = stage.run(&mut generator, 4000);
+        let report = stage.run(tick_frames(&traffic, 32, 4000));
         let simulated = report.stats.delivered as f64 / report.stats.frames as f64;
         let relative = (simulated - prediction.delivered_per_frame).abs() / simulated;
         assert!(

@@ -17,7 +17,6 @@ use serde::{Deserialize, Serialize};
 use crate::congestion::CongestionPolicy;
 use crate::message::Message;
 use crate::stats::Stats;
-use crate::traffic::TrafficGenerator;
 
 /// Statistics specific to deflection routing, alongside the base counters.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -163,12 +162,13 @@ where
         self.frame += 1;
     }
 
-    /// Drive with a traffic generator for `frames` frames, then drain the
+    /// Drive one frame per tick (element `t` of `frames` is offered at
+    /// tick `t`, empty ticks included, as
+    /// [`crate::traffic::tick_frames`] lowers them), then drain the
     /// detour line so its deliveries are counted.
-    pub fn run(&mut self, generator: &mut TrafficGenerator, frames: usize) -> DeflectionStats {
-        assert_eq!(generator.inputs(), self.primary.inputs());
-        for _ in 0..frames {
-            self.offer(generator.next_frame());
+    pub fn run(&mut self, frames: impl IntoIterator<Item = Vec<Message>>) -> DeflectionStats {
+        for fresh in frames {
+            self.offer(fresh);
             self.step();
         }
         // Drain in-flight detour messages (no new offers).
@@ -182,8 +182,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::TrafficModel;
+    use crate::traffic::{generate, tick_frames, TraceModel};
     use concentrator::ColumnsortSwitch;
+
+    /// `ticks` frames of `model` over the 64 shared wires, one-byte
+    /// payloads.
+    fn offers(model: TraceModel, ticks: u64, seed: u64) -> Vec<Vec<Message>> {
+        tick_frames(&generate(model, 64, ticks, 0, seed), 64, ticks)
+    }
 
     fn switches() -> (ColumnsortSwitch, ColumnsortSwitch) {
         // Primary: 64 -> 16 ports; detour: 64 -> 8 ports.
@@ -196,14 +202,13 @@ mod tests {
     #[test]
     fn deflection_beats_plain_drop_under_overload() {
         let (primary, detour) = switches();
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.6 }, 64, 1, 21);
+        let traffic = offers(TraceModel::Bernoulli { p: 0.6 }, 300, 21);
         let mut stage = DeflectionStage::new(&primary, &detour, 3, CongestionPolicy::Drop);
-        let with_deflection = stage.run(&mut generator, 300);
+        let with_deflection = stage.run(traffic.clone());
 
         // Same traffic through a drop-only single stage.
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.6 }, 64, 1, 21);
         let mut plain = crate::network::ConcentrationStage::new(&primary, CongestionPolicy::Drop);
-        let plain_report = plain.run(&mut generator, 300);
+        let plain_report = plain.run(traffic);
 
         assert!(with_deflection.misrouted > 0);
         assert!(
@@ -217,11 +222,10 @@ mod tests {
     #[test]
     fn detour_deliveries_pay_latency() {
         let (primary, detour) = switches();
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.7 }, 64, 1, 5);
         let detour_frames = 5;
         let mut stage =
             DeflectionStage::new(&primary, &detour, detour_frames, CongestionPolicy::Drop);
-        let stats = stage.run(&mut generator, 200);
+        let stats = stage.run(offers(TraceModel::Bernoulli { p: 0.7 }, 200, 5));
         assert!(stats.delivered_via_detour > 0);
         // Mean wait must reflect the detour penalty on some messages.
         assert!(stats.base.mean_wait() > 0.0);
@@ -234,17 +238,8 @@ mod tests {
             CongestionPolicy::Drop,
             CongestionPolicy::AckResend { max_retries: 2 },
         ] {
-            let mut generator = TrafficGenerator::new(
-                TrafficModel::Bursty {
-                    p: 0.5,
-                    mean_burst: 4.0,
-                },
-                64,
-                1,
-                9,
-            );
             let mut stage = DeflectionStage::new(&primary, &detour, 2, fallback);
-            let stats = stage.run(&mut generator, 250);
+            let stats = stage.run(offers(TraceModel::mmpp_from_bursty(0.5, 4.0), 250, 9));
             assert_eq!(
                 stats.base.offered,
                 stats.base.delivered + stats.base.dropped + stage.in_flight(),
@@ -257,9 +252,8 @@ mod tests {
     #[test]
     fn no_deflection_needed_under_light_load() {
         let (primary, detour) = switches();
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.05 }, 64, 1, 2);
         let mut stage = DeflectionStage::new(&primary, &detour, 3, CongestionPolicy::Drop);
-        let stats = stage.run(&mut generator, 100);
+        let stats = stage.run(offers(TraceModel::Bernoulli { p: 0.05 }, 100, 2));
         assert_eq!(stats.misrouted, 0);
         assert_eq!(stats.base.dropped, 0);
         assert_eq!(stats.base.delivered, stats.base.offered);

@@ -16,8 +16,10 @@
 //! * [`congestion`] — what happens to unsuccessfully routed messages:
 //!   "to buffer them, to misroute them, or to simply drop them and rely on
 //!   a higher-level acknowledgment protocol" (§1);
-//! * [`traffic`] — synthetic workload generators (the paper's parallel-
-//!   supercomputer sources, which we must synthesize);
+//! * [`traffic`] — synthetic workloads (the paper's parallel-
+//!   supercomputer sources, which we must synthesize): trace models, the
+//!   generator that plays them, and the one lowering of a trace into
+//!   per-tick message frames;
 //! * [`network`] — an end-to-end concentration stage with statistics.
 
 pub mod analytic;
@@ -41,5 +43,5 @@ pub use message::Message;
 pub use multistage::{regular_tree, MultistageNetwork};
 pub use network::{ConcentrationStage, SimulationReport};
 pub use stats::Stats;
-pub use traffic::{mix64, TrafficModel, ZipfSampler};
+pub use traffic::{mix64, TraceModel, ZipfSampler};
 pub use vcd::{frame_vcd, VcdBuilder};

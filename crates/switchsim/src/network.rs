@@ -11,7 +11,6 @@ use crate::congestion::CongestionPolicy;
 use crate::frame::simulate_frame;
 use crate::message::Message;
 use crate::stats::Stats;
-use crate::traffic::TrafficGenerator;
 
 /// A queued message with bookkeeping.
 #[derive(Debug, Clone)]
@@ -124,15 +123,13 @@ impl<'a, S: ConcentratorSwitch + ?Sized> ConcentrationStage<'a, S> {
         outcome.delivered
     }
 
-    /// Drive the stage with a traffic generator for `frames` frames.
-    pub fn run(&mut self, generator: &mut TrafficGenerator, frames: usize) -> SimulationReport {
-        assert_eq!(
-            generator.inputs(),
-            self.switch.inputs(),
-            "generator and switch disagree on n"
-        );
-        for _ in 0..frames {
-            self.offer(generator.next_frame());
+    /// Drive the stage one frame per tick: element `t` of `frames` is
+    /// offered at tick `t` (empty ticks included, as
+    /// [`crate::traffic::tick_frames`] lowers them), then the stage
+    /// steps once.
+    pub fn run(&mut self, frames: impl IntoIterator<Item = Vec<Message>>) -> SimulationReport {
+        for fresh in frames {
+            self.offer(fresh);
             self.step();
         }
         SimulationReport {
@@ -145,16 +142,20 @@ impl<'a, S: ConcentratorSwitch + ?Sized> ConcentrationStage<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::TrafficModel;
+    use crate::traffic::{generate, tick_frames, TraceModel};
     use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
     use concentrator::Hyperconcentrator;
+
+    /// `ticks` frames of `model` over `n` wires, one-byte payloads.
+    fn offers(model: TraceModel, n: usize, ticks: u64, seed: u64) -> Vec<Vec<Message>> {
+        tick_frames(&generate(model, n, ticks, 0, seed), n, ticks)
+    }
 
     #[test]
     fn light_load_delivers_everything() {
         let switch = RevsortSwitch::new(64, 48, RevsortLayout::TwoDee);
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.1 }, 64, 2, 5);
         let mut stage = ConcentrationStage::new(&switch, CongestionPolicy::Drop);
-        let report = stage.run(&mut generator, 200);
+        let report = stage.run(offers(TraceModel::Bernoulli { p: 0.1 }, 64, 200, 5));
         // Offered load ~6.4/frame << guaranteed capacity; nothing drops.
         assert_eq!(report.stats.dropped, 0, "{:?}", report.stats);
         assert_eq!(report.stats.delivered, report.stats.offered);
@@ -163,9 +164,8 @@ mod tests {
     #[test]
     fn overload_saturates_at_m_per_frame() {
         let switch = Hyperconcentrator::new(16);
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p: 1.0 }, 16, 1, 2);
         let mut stage = ConcentrationStage::new(&switch, CongestionPolicy::Drop);
-        let report = stage.run(&mut generator, 50);
+        let report = stage.run(offers(TraceModel::Bernoulli { p: 1.0 }, 16, 50, 2));
         // m = n = 16, full offered load: everything routed.
         assert_eq!(report.stats.delivered, report.stats.offered);
     }
@@ -175,10 +175,8 @@ mod tests {
         let switch = RevsortSwitch::new(16, 8, RevsortLayout::TwoDee);
         let frames = 300;
         let run = |policy| {
-            let mut generator =
-                TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.8 }, 16, 1, 11);
             let mut stage = ConcentrationStage::new(&switch, policy);
-            stage.run(&mut generator, frames)
+            stage.run(offers(TraceModel::Bernoulli { p: 0.8 }, 16, frames, 11))
         };
         let dropped = run(CongestionPolicy::Drop);
         let buffered = run(CongestionPolicy::InputBuffer { capacity: 8 });
@@ -194,10 +192,9 @@ mod tests {
     #[test]
     fn ack_resend_limits_attempts() {
         let switch = RevsortSwitch::new(16, 4, RevsortLayout::TwoDee);
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p: 1.0 }, 16, 1, 3);
         let mut stage =
             ConcentrationStage::new(&switch, CongestionPolicy::AckResend { max_retries: 2 });
-        let report = stage.run(&mut generator, 100);
+        let report = stage.run(offers(TraceModel::Bernoulli { p: 1.0 }, 16, 100, 3));
         // Heavy overload: some messages exhaust their retries and drop.
         assert!(report.stats.dropped > 0);
         assert!(report.stats.retries > 0);
@@ -216,17 +213,8 @@ mod tests {
             CongestionPolicy::InputBuffer { capacity: 4 },
             CongestionPolicy::AckResend { max_retries: 1 },
         ] {
-            let mut generator = TrafficGenerator::new(
-                TrafficModel::Bursty {
-                    p: 0.7,
-                    mean_burst: 5.0,
-                },
-                16,
-                1,
-                13,
-            );
             let mut stage = ConcentrationStage::new(&switch, policy);
-            let report = stage.run(&mut generator, 150);
+            let report = stage.run(offers(TraceModel::mmpp_from_bursty(0.7, 5.0), 16, 150, 13));
             assert_eq!(
                 report.stats.offered,
                 report.stats.delivered + report.stats.dropped + report.in_flight,

@@ -1,12 +1,25 @@
-//! Synthetic traffic sources.
+//! Synthetic workloads: replayable traces and the models that generate
+//! them.
 //!
-//! The paper's switches sit in "a parallel supercomputer" whose traffic it
-//! never characterizes beyond the load ratio; per the reproduction's
-//! substitution rule we synthesize sources that sweep the interesting
-//! operating range: independent Bernoulli offers, bursty on/off sources
-//! (the two standard stress shapes for concentration stages), skewed
-//! hotspot sources (for shard-imbalance stress), and the adversarial
-//! all-inputs-fire pattern that pins the switch at its capacity bound.
+//! The paper's switches sit in "a parallel supercomputer" whose traffic
+//! it never characterizes beyond the load ratio, so every workload here
+//! is synthesized, and always the same way. A [`TraceModel`] (Bernoulli,
+//! diurnal sinusoid, 2-state MMPP, or a zipf population over a
+//! multi-million-user id space) is played by [`generate`] into a
+//! [`Trace`]: tick-sorted [`TraceRecord`]s `(virtual arrival tick,
+//! external source id, payload size class)` plus a [`SourceSpace`]
+//! saying how source ids map onto input wires. [`frames`] lowers a trace
+//! into the `(tick, Vec<Message>)` frames every simulator and serving
+//! driver consumes: message ids are record indices and payloads a pure
+//! hash of the id ([`payload_for`]), so the same trace always produces
+//! the same workload. [`tick_frames`] is the same lowering with one
+//! element per tick, empty ticks included, the shape the stage
+//! simulators step through.
+//!
+//! The on-disk codecs, the streaming cursor and the adversarial bridge
+//! build on this model in `fabric::trace`.
+
+use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
@@ -20,52 +33,245 @@ use crate::message::Message;
 /// generator construction O(1) in the population size.
 const ZIPF_HEAD: u64 = 4096;
 
-/// Per-frame message generation model.
+/// Largest admissible size class (payload `1 << class` bytes ≤ 4 KiB).
+pub const MAX_SIZE_CLASS: u8 = 12;
+
+/// How a record's `source` id maps onto switch input wires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SourceSpace {
+    /// Sources *are* wire indices (taken modulo the wire count). Used by
+    /// the adversarial bridge so an attack pattern lands on exactly the
+    /// wires the search discovered.
+    Wire,
+    /// Sources are external user ids over an arbitrarily large space,
+    /// hashed onto wires with [`mix64`]; within a tick, later users
+    /// landing on an occupied wire fold away (at most one offer per wire
+    /// per tick).
+    User,
+}
+
+impl SourceSpace {
+    /// The space's wire-format label (`"wire"` / `"user"`), as written
+    /// in JSONL headers and shown by the CLI.
+    pub fn label(self) -> &'static str {
+        match self {
+            SourceSpace::Wire => "wire",
+            SourceSpace::User => "user",
+        }
+    }
+}
+
+/// One trace event: source `source` offers one message of size class
+/// `size_class` at virtual tick `tick`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceRecord {
+    /// Virtual arrival tick (traces are sorted by this, ties allowed).
+    pub tick: u64,
+    /// External source id, interpreted per the trace's [`SourceSpace`].
+    pub source: u64,
+    /// Payload size class: the payload is `1 << size_class` bytes.
+    pub size_class: u8,
+}
+
+impl TraceRecord {
+    /// Payload size in bytes for this record's class.
+    pub fn payload_bytes(&self) -> usize {
+        1usize << self.size_class
+    }
+}
+
+/// A fully materialized trace: a source space plus tick-sorted records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Trace {
+    /// How record sources map onto wires.
+    pub space: SourceSpace,
+    /// The events, sorted by `tick` (ties keep insertion order).
+    pub records: Vec<TraceRecord>,
+}
+
+impl Trace {
+    /// Build a trace, checking the [`Trace::validate`] invariants.
+    pub fn new(space: SourceSpace, records: Vec<TraceRecord>) -> Result<Self, TraceError> {
+        let trace = Trace { space, records };
+        trace.validate()?;
+        Ok(trace)
+    }
+
+    /// Check the format invariants: records sorted by tick, every size
+    /// class within [`MAX_SIZE_CLASS`].
+    pub fn validate(&self) -> Result<(), TraceError> {
+        for (index, record) in self.records.iter().enumerate() {
+            if record.size_class > MAX_SIZE_CLASS {
+                return Err(TraceError::BadSizeClass {
+                    index,
+                    class: record.size_class,
+                });
+            }
+            if index > 0 && self.records[index - 1].tick > record.tick {
+                return Err(TraceError::Unsorted { index });
+            }
+        }
+        Ok(())
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the trace has no records.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Virtual horizon: one past the last record's tick (0 when empty),
+    /// saturating at `u64::MAX` for a record at the last tick.
+    pub fn ticks(&self) -> u64 {
+        self.records.last().map_or(0, |r| r.tick.saturating_add(1))
+    }
+
+    /// The prefix of the trace containing at most `limit` records — the
+    /// shrinker's truncation knob.
+    pub fn truncated(&self, limit: usize) -> Trace {
+        Trace {
+            space: self.space,
+            records: self.records[..limit.min(self.records.len())].to_vec(),
+        }
+    }
+
+    /// Realized offered load per wire per tick over `wires` inputs
+    /// (records divided by the tick-horizon × wire count; an upper bound
+    /// in `User` space, where collisions fold).
+    pub fn offered_load(&self, wires: usize) -> f64 {
+        let cells = self.ticks() as f64 * wires as f64;
+        if cells == 0.0 {
+            0.0
+        } else {
+            self.records.len() as f64 / cells
+        }
+    }
+}
+
+/// Everything that can go wrong reading, writing, or validating a trace.
+#[derive(Debug)]
+pub enum TraceError {
+    /// An underlying I/O failure (message carries the OS detail).
+    Io(String),
+    /// The file does not start with the `CTRC` magic (and is not JSONL).
+    BadMagic,
+    /// A binary header with a version this build does not speak.
+    BadVersion(u8),
+    /// An unknown source-space code or label.
+    BadSpace(u8),
+    /// The byte stream ends mid-record: `offset` bytes of a partial
+    /// record were left over.
+    Truncated {
+        /// Bytes of the dangling partial record.
+        offset: usize,
+    },
+    /// A JSONL line that does not parse as a record.
+    Corrupt {
+        /// 1-based line number of the offending line.
+        line: usize,
+        /// What was wrong with it.
+        detail: String,
+    },
+    /// Records out of tick order at `index`.
+    Unsorted {
+        /// Index of the first record earlier than its predecessor.
+        index: usize,
+    },
+    /// A size class beyond [`MAX_SIZE_CLASS`].
+    BadSizeClass {
+        /// Index of the offending record.
+        index: usize,
+        /// The rejected class.
+        class: u8,
+    },
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceError::Io(detail) => write!(f, "trace i/o error: {detail}"),
+            TraceError::BadMagic => write!(f, "not a trace file (bad magic)"),
+            TraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
+            TraceError::BadSpace(code) => write!(f, "unknown source space code {code}"),
+            TraceError::Truncated { offset } => {
+                write!(f, "trace truncated mid-record ({offset} dangling bytes)")
+            }
+            TraceError::Corrupt { line, detail } => {
+                write!(f, "corrupt trace at line {line}: {detail}")
+            }
+            TraceError::Unsorted { index } => {
+                write!(f, "trace records out of tick order at index {index}")
+            }
+            TraceError::BadSizeClass { index, class } => {
+                write!(
+                    f,
+                    "record {index} has size class {class} > {MAX_SIZE_CLASS}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
+impl From<std::io::Error> for TraceError {
+    fn from(err: std::io::Error) -> Self {
+        TraceError::Io(err.to_string())
+    }
+}
+
+/// A workload model. Every model is played by [`generate`] as a pure
+/// function of `(model, sources, ticks, size class, seed)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum TrafficModel {
-    /// Each input offers a message independently with probability `p`.
+pub enum TraceModel {
+    /// Each source offers independently with probability `p` per tick —
+    /// the memoryless baseline every other model is compared against.
+    /// At `p = 1` every source fires every tick: the adversarial pattern
+    /// that holds a switch at its congestion bound.
     Bernoulli {
-        /// Offer probability per input per frame.
+        /// Offer probability per source per tick.
         p: f64,
     },
-    /// Two-state on/off sources: an *on* source offers every frame and
-    /// falls back off with probability `1/mean_burst`; an *off* source
-    /// turns on with probability chosen so the long-run offered load is
-    /// `p`. This is the degenerate corner of the trace layer's 2-state
-    /// MMPP model (`fabric::trace::TraceModel::Mmpp` with
-    /// `rate_on = 1, rate_off = 0` — see `mmpp_from_bursty`); it stays
-    /// here as the inline special case, pinned equivalent by test.
-    Bursty {
-        /// Long-run offered load per input.
-        p: f64,
-        /// Mean frames per burst.
-        mean_burst: f64,
+    /// A sinusoidal rate envelope over the virtual clock: the offer
+    /// probability at tick `t` is
+    /// `clamp(base + amplitude · sin(2πt / period), 0, 1)` — the
+    /// day/night swing of a user-facing service.
+    Diurnal {
+        /// Mean offer probability (the long-run offered load).
+        base: f64,
+        /// Peak-to-mean swing.
+        amplitude: f64,
+        /// Ticks per full cycle.
+        period: u64,
     },
-    /// Skewed per-input weights: the first `hot_inputs` inputs offer with
-    /// probability `p_hot` per frame, every other input with `p_cold`.
-    /// Stresses placement imbalance in sharded serving setups.
-    Hotspot {
-        /// Offer probability of a hot input.
-        p_hot: f64,
-        /// Offer probability of every other input.
-        p_cold: f64,
-        /// How many of the lowest-numbered inputs are hot.
-        hot_inputs: usize,
+    /// A 2-state Markov-modulated process per source: each tick the
+    /// source's state chain steps (`on → off` w.p. `on_to_off`,
+    /// `off → on` w.p. `off_to_on`), then the source offers with its
+    /// state's emission rate. Bursty on/off sources are the corner
+    /// `rate_on = 1, rate_off = 0` — see [`TraceModel::mmpp_from_bursty`].
+    Mmpp {
+        /// Offer probability while *on*.
+        rate_on: f64,
+        /// Offer probability while *off*.
+        rate_off: f64,
+        /// Per-tick probability of leaving *on*.
+        on_to_off: f64,
+        /// Per-tick probability of leaving *off*.
+        off_to_on: f64,
     },
-    /// Every input offers a message every frame — the adversarial pattern
-    /// that holds the switch at its congestion bound indefinitely.
-    Adversarial,
-    /// A population of distinct sources (users) with zipf-distributed
-    /// activity, hashed onto the switch's input wires. Each frame draws
-    /// ~`p·n` active users from the power-law distribution
-    /// `P(rank) ∝ rank^-exponent` and maps each onto a wire by
-    /// multiplicative hashing; at most one offer per wire survives, so
-    /// hot-user collisions fold into a single offer and `p` is an upper
-    /// bound on the realized load. Models millions of users funneling
-    /// into a concentrator tier without materializing per-user state.
-    Zipf {
-        /// Target offered load per input per frame (upper bound — wire
-        /// collisions between users dedupe).
+    /// A population of distinct users with zipf-distributed activity
+    /// ([`ZipfSampler`]): each tick draws `~p·sources` active users;
+    /// records carry the *user rank* as the source id (the trace is in
+    /// [`SourceSpace::User`]), and wire hashing + collision folding
+    /// happen at lowering. Models millions of users funneling into a
+    /// concentrator tier without materializing per-user state.
+    ZipfPopulation {
+        /// Target offered load per wire per tick (upper bound — wire
+        /// collisions between users fold at lowering).
         p: f64,
         /// Distinct users in the population.
         population: u64,
@@ -74,26 +280,165 @@ pub enum TrafficModel {
     },
 }
 
-impl TrafficModel {
-    /// The long-run offered load per input (expected fraction of
-    /// input-frames carrying a fresh message) over `n` inputs.
-    pub fn offered_load(&self, n: usize) -> f64 {
+impl TraceModel {
+    /// The long-run offered load per source per tick.
+    pub fn offered_load(&self) -> f64 {
         match *self {
-            TrafficModel::Bernoulli { p } | TrafficModel::Bursty { p, .. } => p,
-            TrafficModel::Hotspot {
-                p_hot,
-                p_cold,
-                hot_inputs,
+            TraceModel::Bernoulli { p } => p,
+            TraceModel::Diurnal { base, .. } => base,
+            TraceModel::Mmpp {
+                rate_on,
+                rate_off,
+                on_to_off,
+                off_to_on,
             } => {
-                if n == 0 {
-                    return 0.0;
+                // Stationary distribution of the 2-state chain.
+                let denom = on_to_off + off_to_on;
+                if denom == 0.0 {
+                    // A frozen chain stays in its start state (off).
+                    return rate_off;
                 }
-                let hot = hot_inputs.min(n);
-                (hot as f64 * p_hot + (n - hot) as f64 * p_cold) / n as f64
+                let pi_on = off_to_on / denom;
+                pi_on * rate_on + (1.0 - pi_on) * rate_off
             }
-            TrafficModel::Adversarial => 1.0,
-            TrafficModel::Zipf { p, .. } => p,
+            TraceModel::ZipfPopulation { p, .. } => p,
         }
+    }
+
+    /// The source space traces of this model are emitted in.
+    pub fn space(&self) -> SourceSpace {
+        match self {
+            TraceModel::ZipfPopulation { .. } => SourceSpace::User,
+            _ => SourceSpace::Wire,
+        }
+    }
+
+    /// The MMPP of a bursty on/off source with long-run load `p` and
+    /// bursts of `mean_burst` ticks on average: emission is
+    /// all-or-nothing (`rate_on = 1, rate_off = 0`), an *on* source
+    /// turns off w.p. `1/mean_burst` per tick, and an *off* source turns
+    /// on at the rate that makes the stationary on-fraction `p`.
+    pub fn mmpp_from_bursty(p: f64, mean_burst: f64) -> TraceModel {
+        let off_rate = 1.0 / mean_burst.max(1.0);
+        let on_rate = if p >= 1.0 {
+            1.0
+        } else {
+            (off_rate * p / (1.0 - p)).min(1.0)
+        };
+        TraceModel::Mmpp {
+            rate_on: 1.0,
+            rate_off: 0.0,
+            on_to_off: off_rate,
+            off_to_on: on_rate,
+        }
+    }
+}
+
+/// Generate a trace: play `model` over `sources` sources for `ticks`
+/// virtual ticks, stamping every record with `size_class`. A pure
+/// function of its arguments — same `(model, sources, ticks, seed)`,
+/// same trace, byte for byte.
+pub fn generate(model: TraceModel, sources: usize, ticks: u64, size_class: u8, seed: u64) -> Trace {
+    assert!(size_class <= MAX_SIZE_CLASS, "size class out of range");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut records = Vec::new();
+    match model {
+        TraceModel::Bernoulli { p } => {
+            assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
+            for tick in 0..ticks {
+                for source in 0..sources as u64 {
+                    if rng.random_bool(p) {
+                        records.push(TraceRecord {
+                            tick,
+                            source,
+                            size_class,
+                        });
+                    }
+                }
+            }
+        }
+        TraceModel::Diurnal {
+            base,
+            amplitude,
+            period,
+        } => {
+            assert!(period > 0, "diurnal period must be positive");
+            for tick in 0..ticks {
+                let phase = std::f64::consts::TAU * (tick % period) as f64 / period as f64;
+                let p = (base + amplitude * phase.sin()).clamp(0.0, 1.0);
+                for source in 0..sources as u64 {
+                    if rng.random_bool(p) {
+                        records.push(TraceRecord {
+                            tick,
+                            source,
+                            size_class,
+                        });
+                    }
+                }
+            }
+        }
+        TraceModel::Mmpp {
+            rate_on,
+            rate_off,
+            on_to_off,
+            off_to_on,
+        } => {
+            let unit = 0.0..=1.0;
+            assert!(
+                unit.contains(&rate_on)
+                    && unit.contains(&rate_off)
+                    && unit.contains(&on_to_off)
+                    && unit.contains(&off_to_on),
+                "mmpp parameters must be probabilities"
+            );
+            let mut on = vec![false; sources];
+            for tick in 0..ticks {
+                for (source, state) in on.iter_mut().enumerate() {
+                    // Step the chain, then emit at the new state's rate,
+                    // so a source that turns on offers in the same tick.
+                    if *state {
+                        if rng.random_bool(on_to_off) {
+                            *state = false;
+                        }
+                    } else if rng.random_bool(off_to_on) {
+                        *state = true;
+                    }
+                    let rate = if *state { rate_on } else { rate_off };
+                    if rate > 0.0 && rng.random_bool(rate) {
+                        records.push(TraceRecord {
+                            tick,
+                            source: source as u64,
+                            size_class,
+                        });
+                    }
+                }
+            }
+        }
+        TraceModel::ZipfPopulation {
+            p,
+            population,
+            exponent,
+        } => {
+            assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
+            let sampler = ZipfSampler::new(population, exponent);
+            for tick in 0..ticks {
+                for _ in 0..sources {
+                    if !rng.random_bool(p) {
+                        continue;
+                    }
+                    let user = sampler.sample(&mut rng);
+                    records.push(TraceRecord {
+                        tick,
+                        source: user,
+                        size_class,
+                    });
+                }
+            }
+        }
+    }
+    Trace {
+        space: model.space(),
+        records,
     }
 }
 
@@ -180,11 +525,9 @@ impl ZipfSampler {
     }
 }
 
-/// SplitMix64 finalizer: the user-rank → input-wire hash. Spreads
-/// adjacent ranks (the hottest users) across the wire space. Public so
-/// the trace replay layer (`fabric::trace`) maps user-space source ids
-/// onto wires with exactly this hash — a trace generated here and one
-/// replayed there land the same users on the same wires.
+/// SplitMix64 finalizer: the user-rank → input-wire hash of
+/// [`lower_tick`] and the payload stream of [`payload_for`]. Spreads
+/// adjacent ranks (the hottest users) across the wire space.
 pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -192,256 +535,190 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A deterministic, seedable traffic generator over `n` inputs.
-#[derive(Debug)]
-pub struct TrafficGenerator {
-    model: TrafficModel,
-    n: usize,
-    payload_bytes: usize,
-    rng: StdRng,
-    on: Vec<bool>,
-    zipf: Option<ZipfSampler>,
-    next_id: u64,
+/// Salt folded into the payload hash stream so payload bytes and wire
+/// hashes never correlate.
+const PAYLOAD_SALT: u64 = 0xC0DE_57AC_E000_0001;
+
+/// The deterministic payload for message id `id`: a SplitMix64 byte
+/// stream keyed on the id, so replaying a trace regenerates identical
+/// payload bits without storing them.
+pub fn payload_for(id: u64, bytes: usize) -> Vec<u8> {
+    let mut z = id ^ PAYLOAD_SALT;
+    (0..bytes)
+        .map(|_| {
+            z = mix64(z);
+            z as u8
+        })
+        .collect()
 }
 
-impl TrafficGenerator {
-    /// Create a generator for `n` inputs with fixed-size payloads.
-    pub fn new(model: TrafficModel, n: usize, payload_bytes: usize, seed: u64) -> Self {
-        let unit = 0.0..=1.0;
-        match model {
-            TrafficModel::Bernoulli { p } | TrafficModel::Bursty { p, .. } => {
-                assert!(unit.contains(&p), "offer probability must be in [0, 1]");
-            }
-            TrafficModel::Hotspot {
-                p_hot,
-                p_cold,
-                hot_inputs,
-            } => {
-                assert!(
-                    unit.contains(&p_hot) && unit.contains(&p_cold),
-                    "offer probabilities must be in [0, 1]"
-                );
-                assert!(hot_inputs <= n, "hot_inputs {hot_inputs} exceeds n = {n}");
-            }
-            TrafficModel::Adversarial => {}
-            TrafficModel::Zipf { p, .. } => {
-                assert!(unit.contains(&p), "offer probability must be in [0, 1]");
-            }
-        }
-        let zipf = match model {
-            TrafficModel::Zipf {
-                population,
-                exponent,
-                ..
-            } => Some(ZipfSampler::new(population, exponent)),
-            _ => None,
-        };
-        TrafficGenerator {
-            model,
-            n,
-            payload_bytes,
-            rng: StdRng::seed_from_u64(seed),
-            on: vec![false; n],
-            zipf,
-            next_id: 0,
-        }
-    }
-
-    /// Number of inputs.
-    pub fn inputs(&self) -> usize {
-        self.n
-    }
-
-    /// Generate the next frame's fresh offers (at most one per input).
-    pub fn next_frame(&mut self) -> Vec<Message> {
-        if let TrafficModel::Zipf { p, .. } = self.model {
-            return self.next_frame_zipf(p);
-        }
-        let mut offered = Vec::new();
-        for source in 0..self.n {
-            let offers = match self.model {
-                TrafficModel::Bernoulli { p } => self.rng.random_bool(p),
-                TrafficModel::Bursty { p, mean_burst } => {
-                    let off_rate = 1.0 / mean_burst.max(1.0);
-                    // Long-run on-fraction p: on_rate/(on_rate+off_rate)=p.
-                    let on_rate = if p >= 1.0 {
-                        1.0
-                    } else {
-                        (off_rate * p / (1.0 - p)).min(1.0)
-                    };
-                    if self.on[source] {
-                        if self.rng.random_bool(off_rate) {
-                            self.on[source] = false;
-                        }
-                    } else if self.rng.random_bool(on_rate) {
-                        self.on[source] = true;
+/// Lower one tick's records into that tick's frame over `wires` input
+/// wires: the one lowering every frame source shares. `first_id` is the
+/// trace index of the tick's first record; message ids are record
+/// indices and payloads come from [`payload_for`]. A [`SourceSpace::Wire`]
+/// source lands on wire `source mod wires`; a [`SourceSpace::User`]
+/// source on its [`mix64`] hash, and a user hashing onto a wire already
+/// taken this tick folds away (it still consumes its id, so ids stay
+/// record indices).
+pub fn lower_tick(
+    records: &[TraceRecord],
+    space: SourceSpace,
+    wires: usize,
+    first_id: u64,
+) -> Vec<Message> {
+    let wires = wires.max(1);
+    let mut taken = vec![false; if space == SourceSpace::User { wires } else { 0 }];
+    records
+        .iter()
+        .zip(first_id..)
+        .filter_map(|(record, id)| {
+            let wire = match space {
+                SourceSpace::Wire => (record.source % wires as u64) as usize,
+                SourceSpace::User => {
+                    let wire = (mix64(record.source) >> 32) as usize % wires;
+                    if std::mem::replace(&mut taken[wire], true) {
+                        return None;
                     }
-                    self.on[source]
+                    wire
                 }
-                TrafficModel::Hotspot {
-                    p_hot,
-                    p_cold,
-                    hot_inputs,
-                } => {
-                    let p = if source < hot_inputs { p_hot } else { p_cold };
-                    self.rng.random_bool(p)
-                }
-                TrafficModel::Adversarial => true,
-                TrafficModel::Zipf { .. } => unreachable!("handled by next_frame_zipf"),
             };
-            if offers {
-                let payload: Vec<u8> = (0..self.payload_bytes).map(|_| self.rng.random()).collect();
-                offered.push(Message::new(self.next_id, source, payload));
-                self.next_id += 1;
-            }
-        }
-        offered
-    }
+            Some(Message::new(
+                id,
+                wire,
+                payload_for(id, record.payload_bytes()),
+            ))
+        })
+        .collect()
+}
 
-    /// The zipf-population frame: `n` Bernoulli(`p`) trials each draw an
-    /// active user and hash it onto a wire; later draws landing on an
-    /// occupied wire are folded away, preserving the at-most-one-offer-
-    /// per-input frame invariant.
-    fn next_frame_zipf(&mut self, p: f64) -> Vec<Message> {
-        let sampler = self.zipf.as_ref().expect("zipf model has a sampler");
-        let mut taken = vec![false; self.n];
-        let mut offered = Vec::new();
-        for _ in 0..self.n {
-            if !self.rng.random_bool(p) {
-                continue;
-            }
-            let user = sampler.sample(&mut self.rng);
-            let wire = (mix64(user) >> 32) as usize % self.n.max(1);
-            if taken[wire] {
-                continue;
-            }
-            taken[wire] = true;
-            let payload: Vec<u8> = (0..self.payload_bytes).map(|_| self.rng.random()).collect();
-            offered.push(Message::new(self.next_id, wire, payload));
-            self.next_id += 1;
-        }
-        offered
-    }
+/// Lower a trace into per-tick message frames over `wires` input wires:
+/// element `(tick, batch)` is [`lower_tick`] of that tick's records, and
+/// ticks with no records are omitted. A pure function of the trace.
+///
+/// # Panics
+/// If the trace fails [`Trace::validate`].
+pub fn frames(trace: &Trace, wires: usize) -> Vec<(u64, Vec<Message>)> {
+    trace.validate().expect("frames lowers a well-formed trace");
+    let mut first_id = 0u64;
+    trace
+        .records
+        .chunk_by(|a, b| a.tick == b.tick)
+        .map(|records| {
+            let frame = lower_tick(records, trace.space, wires, first_id);
+            first_id += records.len() as u64;
+            (records[0].tick, frame)
+        })
+        .collect()
+}
+
+/// [`frames`] over ticks `0..ticks`, one element per tick: element `t`
+/// is tick `t`'s frame, empty when no record arrives then.
+///
+/// # Panics
+/// If the trace fails [`Trace::validate`] or has a record at or past
+/// `ticks`.
+pub fn tick_frames(trace: &Trace, wires: usize, ticks: u64) -> Vec<Vec<Message>> {
+    let mut lowered = frames(trace, wires).into_iter().peekable();
+    let dense = (0..ticks)
+        .map(|tick| {
+            lowered
+                .next_if(|(at, _)| *at == tick)
+                .map_or_else(Vec::new, |(_, frame)| frame)
+        })
+        .collect();
+    assert!(
+        lowered.next().is_none(),
+        "trace has a record at or past tick {ticks}"
+    );
+    dense
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn zipf(p: f64) -> TraceModel {
+        TraceModel::ZipfPopulation {
+            p,
+            population: 1_000_000,
+            exponent: 1.2,
+        }
+    }
+
     #[test]
     fn bernoulli_hits_target_load() {
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.3 }, 64, 2, 42);
-        let frames = 500;
-        let total: usize = (0..frames).map(|_| generator.next_frame().len()).sum();
-        let load = total as f64 / (frames * 64) as f64;
+        let trace = generate(TraceModel::Bernoulli { p: 0.3 }, 64, 500, 1, 42);
+        let load = trace.len() as f64 / (500 * 64) as f64;
         assert!((load - 0.3).abs() < 0.03, "measured load {load}");
     }
 
     #[test]
     fn bursty_hits_target_load_with_runs() {
-        let mut generator = TrafficGenerator::new(
-            TrafficModel::Bursty {
-                p: 0.4,
-                mean_burst: 8.0,
-            },
-            64,
-            2,
-            7,
-        );
-        let frames = 3000;
-        let total: usize = (0..frames).map(|_| generator.next_frame().len()).sum();
-        let load = total as f64 / (frames * 64) as f64;
+        let model = TraceModel::mmpp_from_bursty(0.4, 8.0);
+        assert!((model.offered_load() - 0.4).abs() < 1e-9);
+        let frames = tick_frames(&generate(model, 64, 3000, 1, 7), 64, 3000);
+        let total: usize = frames.iter().map(Vec::len).sum();
+        let load = total as f64 / (3000 * 64) as f64;
         assert!((load - 0.4).abs() < 0.05, "measured load {load}");
+        // Offers come in runs: a wire that offers this tick offers again
+        // next tick w.p. 1 − 1/8, far above the mean load.
+        let busy = |frame: &Vec<Message>| {
+            let mut wires = [false; 64];
+            frame.iter().for_each(|m| wires[m.source] = true);
+            wires
+        };
+        let (mut offers, mut repeats) = (0usize, 0usize);
+        for pair in frames.windows(2) {
+            let (now, next) = (busy(&pair[0]), busy(&pair[1]));
+            offers += now.iter().filter(|&&b| b).count();
+            repeats += (0..64).filter(|&w| now[w] && next[w]).count();
+        }
+        let stay = repeats as f64 / offers as f64;
+        assert!(stay > 0.8, "offers do not come in runs: {stay}");
     }
 
     #[test]
     fn ids_are_unique_and_sources_in_range() {
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.9 }, 16, 1, 1);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..50 {
-            for msg in generator.next_frame() {
-                assert!(msg.source < 16);
-                assert!(seen.insert(msg.id), "duplicate id {}", msg.id);
-            }
-        }
-    }
-
-    #[test]
-    fn hotspot_hits_skewed_target_load() {
-        let model = TrafficModel::Hotspot {
-            p_hot: 0.9,
-            p_cold: 0.1,
-            hot_inputs: 8,
-        };
-        // 8 hot of 64 inputs: long-run load = (8·0.9 + 56·0.1)/64 = 0.2.
-        assert!((model.offered_load(64) - 0.2).abs() < 1e-12);
-        let mut generator = TrafficGenerator::new(model, 64, 1, 17);
-        let frames = 2000;
-        let mut hot_msgs = 0usize;
-        let mut total = 0usize;
-        for _ in 0..frames {
-            for msg in generator.next_frame() {
-                total += 1;
-                if msg.source < 8 {
-                    hot_msgs += 1;
+        for model in [TraceModel::Bernoulli { p: 0.9 }, zipf(0.9)] {
+            let trace = generate(model, 16, 50, 0, 1);
+            let mut seen = std::collections::HashSet::new();
+            for (_, frame) in frames(&trace, 16) {
+                for msg in frame {
+                    assert!(msg.source < 16, "{model:?}: wire {}", msg.source);
+                    assert!(seen.insert(msg.id), "{model:?}: duplicate id {}", msg.id);
+                    assert!(msg.id < trace.len() as u64, "ids are record indices");
                 }
             }
         }
-        let load = total as f64 / (frames * 64) as f64;
-        assert!((load - 0.2).abs() < 0.02, "measured load {load}");
-        // The hot inputs really are skewed: they carry (8·0.9)/12.8 = 56%
-        // of the traffic from 12.5% of the inputs.
-        let hot_share = hot_msgs as f64 / total as f64;
-        assert!((hot_share - 0.5625).abs() < 0.05, "hot share {hot_share}");
     }
 
     #[test]
     fn adversarial_fires_every_input_every_frame() {
-        assert_eq!(TrafficModel::Adversarial.offered_load(16), 1.0);
-        let mut generator = TrafficGenerator::new(TrafficModel::Adversarial, 16, 2, 3);
-        for _ in 0..20 {
-            let frame = generator.next_frame();
-            assert_eq!(frame.len(), 16);
+        let model = TraceModel::Bernoulli { p: 1.0 };
+        assert_eq!(model.offered_load(), 1.0);
+        let frames = tick_frames(&generate(model, 16, 20, 1, 3), 16, 20);
+        assert_eq!(frames.len(), 20);
+        for frame in frames {
             let sources: Vec<usize> = frame.iter().map(|m| m.source).collect();
             assert_eq!(sources, (0..16).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    #[should_panic(expected = "hot_inputs")]
-    fn hotspot_rejects_more_hot_inputs_than_n() {
-        TrafficGenerator::new(
-            TrafficModel::Hotspot {
-                p_hot: 0.5,
-                p_cold: 0.1,
-                hot_inputs: 9,
-            },
-            8,
-            1,
-            0,
-        );
-    }
-
-    #[test]
     fn zipf_load_is_bounded_and_skewed() {
-        let model = TrafficModel::Zipf {
-            p: 0.6,
-            population: 1_000_000,
-            exponent: 1.2,
-        };
-        assert!((model.offered_load(64) - 0.6).abs() < 1e-12);
-        let mut generator = TrafficGenerator::new(model, 64, 2, 11);
+        let model = zipf(0.6);
+        assert!((model.offered_load() - 0.6).abs() < 1e-12);
         let mut per_wire = vec![0u64; 64];
         let mut total = 0u64;
-        for _ in 0..2000 {
-            for msg in generator.next_frame() {
+        for (_, frame) in frames(&generate(model, 64, 2000, 1, 11), 64) {
+            for msg in frame {
                 assert!(msg.source < 64);
                 per_wire[msg.source] += 1;
                 total += 1;
             }
         }
         let load = total as f64 / (2000 * 64) as f64;
-        // p is an upper bound (collisions dedupe) but most offers land.
+        // p is an upper bound (collisions fold) but most offers land.
         assert!(load <= 0.6 + 1e-9, "load {load} exceeds p");
         assert!(load > 0.3, "load {load} implausibly low");
         // Skew: the busiest wire (carrying the hottest hashed users) sees
@@ -449,6 +726,28 @@ mod tests {
         let max = *per_wire.iter().max().unwrap() as f64;
         let mean = total as f64 / 64.0;
         assert!(max > 1.5 * mean, "max {max} vs mean {mean}: no skew");
+    }
+
+    #[test]
+    fn tick_frames_keep_empty_ticks() {
+        let record = |tick| TraceRecord {
+            tick,
+            source: 2,
+            size_class: 0,
+        };
+        let trace = Trace::new(SourceSpace::Wire, vec![record(1), record(1), record(4)]).unwrap();
+        let sparse = frames(&trace, 4);
+        assert_eq!(
+            sparse.iter().map(|(tick, _)| *tick).collect::<Vec<_>>(),
+            [1, 4]
+        );
+        let dense = tick_frames(&trace, 4, 6);
+        assert_eq!(
+            dense.iter().map(Vec::len).collect::<Vec<_>>(),
+            [0, 2, 0, 0, 1, 0]
+        );
+        assert_eq!(dense[1], sparse[0].1);
+        assert_eq!(dense[4][0].id, 2, "ids stay record indices");
     }
 
     #[test]
@@ -493,10 +792,14 @@ mod tests {
 
     #[test]
     fn deterministic_under_same_seed() {
-        let mut a = TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.5 }, 8, 1, 9);
-        let mut b = TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.5 }, 8, 1, 9);
-        for _ in 0..20 {
-            assert_eq!(a.next_frame(), b.next_frame());
+        for model in [
+            TraceModel::Bernoulli { p: 0.5 },
+            TraceModel::mmpp_from_bursty(0.5, 4.0),
+            zipf(0.5),
+        ] {
+            let a = tick_frames(&generate(model, 8, 20, 0, 9), 8, 20);
+            let b = tick_frames(&generate(model, 8, 20, 0, 9), 8, 20);
+            assert_eq!(a, b, "{model:?}");
         }
     }
 }

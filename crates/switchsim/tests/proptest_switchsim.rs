@@ -4,11 +4,21 @@ use concentrator::spec::ConcentratorSwitch;
 use concentrator::{ColumnsortSwitch, Hyperconcentrator};
 use proptest::prelude::*;
 use switchsim::deflection::DeflectionStage;
-use switchsim::traffic::TrafficGenerator;
+use switchsim::traffic::{frames, generate, tick_frames};
 use switchsim::{
     measure_fairness, regular_tree, simulate_frame, ConcentrationStage, CongestionPolicy, Message,
-    RotatingSwitch, TrafficModel,
+    RotatingSwitch, TraceModel,
 };
+
+/// `ticks` Bernoulli(`p`) frames over `n` wires, one-byte payloads.
+fn bernoulli(p: f64, n: usize, ticks: usize, seed: u64) -> Vec<Vec<Message>> {
+    let ticks = ticks as u64;
+    tick_frames(
+        &generate(TraceModel::Bernoulli { p }, n, ticks, 0, seed),
+        n,
+        ticks,
+    )
+}
 
 proptest! {
     /// The zipf-population arrival stream is a pure function of its seed:
@@ -22,12 +32,10 @@ proptest! {
         population in 1u64..5_000_000,
         exponent in 0.0f64..2.5,
     ) {
-        let model = TrafficModel::Zipf { p, population, exponent };
-        let mut a = TrafficGenerator::new(model, 32, 2, seed);
-        let mut b = TrafficGenerator::new(model, 32, 2, seed);
-        for _ in 0..4 {
-            prop_assert_eq!(a.next_frame(), b.next_frame());
-        }
+        let model = TraceModel::ZipfPopulation { p, population, exponent };
+        let a = frames(&generate(model, 32, 4, 1, seed), 32);
+        let b = frames(&generate(model, 32, 4, 1, seed), 32);
+        prop_assert_eq!(a, b);
     }
 
     /// Wire serialization round-trips arbitrary payloads.
@@ -80,9 +88,8 @@ proptest! {
             CongestionPolicy::AckResend { max_retries: 1 },
         ][policy_idx];
         let switch = Hyperconcentrator::new(12);
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p }, 12, 1, seed);
         let mut stage = ConcentrationStage::new(&switch, policy);
-        let report = stage.run(&mut generator, frames);
+        let report = stage.run(bernoulli(p, 12, frames, seed));
         prop_assert_eq!(
             report.stats.offered,
             report.stats.delivered + report.stats.dropped + report.in_flight
@@ -92,7 +99,7 @@ proptest! {
         prop_assert_eq!(report.stats.retries, 0);
     }
 
-    /// Traffic generators respect source ranges and never duplicate ids.
+    /// Lowered frames respect source ranges and never duplicate ids.
     #[test]
     fn traffic_well_formed(
         p in 0.0f64..1.0,
@@ -100,14 +107,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let model = if bursty {
-            TrafficModel::Bursty { p, mean_burst: 4.0 }
+            TraceModel::mmpp_from_bursty(p, 4.0)
         } else {
-            TrafficModel::Bernoulli { p }
+            TraceModel::Bernoulli { p }
         };
-        let mut generator = TrafficGenerator::new(model, 10, 2, seed);
         let mut seen = std::collections::HashSet::new();
-        for _ in 0..20 {
-            let frame = generator.next_frame();
+        for frame in tick_frames(&generate(model, 10, 20, 1, seed), 10, 20) {
             let mut frame_sources = std::collections::HashSet::new();
             for msg in frame {
                 prop_assert!(msg.source < 10);
@@ -119,32 +124,25 @@ proptest! {
     }
 
     /// Identical (seed, model, n) produce bit-identical message streams
-    /// across two independent generators — the reproducibility guarantee
-    /// the fabric bench's deterministic sections rest on.
+    /// across two independent generations — the reproducibility
+    /// guarantee the fabric bench's deterministic sections rest on.
     #[test]
     fn traffic_deterministic_across_generators(
         seed in any::<u64>(),
         n in 1usize..48,
-        payload_bytes in 1usize..4,
+        size_class in 0u8..3,
         p in 0.0f64..1.0,
         model_idx in 0usize..4,
-        frames in 1usize..25,
+        ticks in 1u64..25,
     ) {
         let model = [
-            TrafficModel::Bernoulli { p },
-            TrafficModel::Bursty { p, mean_burst: 6.0 },
-            TrafficModel::Hotspot {
-                p_hot: p,
-                p_cold: p / 2.0,
-                hot_inputs: n / 2,
-            },
-            TrafficModel::Adversarial,
+            TraceModel::Bernoulli { p },
+            TraceModel::mmpp_from_bursty(p, 6.0),
+            TraceModel::Diurnal { base: p, amplitude: p / 2.0, period: 8 },
+            TraceModel::Bernoulli { p: 1.0 },
         ][model_idx];
-        let mut a = TrafficGenerator::new(model, n, payload_bytes, seed);
-        let mut b = TrafficGenerator::new(model, n, payload_bytes, seed);
-        for _ in 0..frames {
-            prop_assert_eq!(a.next_frame(), b.next_frame());
-        }
+        let play = || tick_frames(&generate(model, n, ticks, size_class, seed), n, ticks);
+        prop_assert_eq!(play(), play());
     }
 
     /// Multistage cascades never duplicate or invent messages: routing is
@@ -182,9 +180,8 @@ proptest! {
         ][fallback_idx];
         let primary = ColumnsortSwitch::new(16, 4, 16);
         let detour = ColumnsortSwitch::new(16, 4, 8);
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p }, 64, 1, seed);
         let mut stage = DeflectionStage::new(&primary, &detour, 2, fallback);
-        let stats = stage.run(&mut generator, frames);
+        let stats = stage.run(bernoulli(p, 64, frames, seed));
         prop_assert_eq!(
             stats.base.offered,
             stats.base.delivered + stats.base.dropped + stage.in_flight()

@@ -17,7 +17,7 @@
 //!   hyperconcentrator (32×4 valid-bit matrix, 128 wires).
 //!
 //! The workload models a large user population funneling into the tree:
-//! each producer plays [`TrafficModel::Zipf`] frames over
+//! each producer plays [`TraceModel::ZipfPopulation`] frames over
 //! `ingress_sources` external ids, hashed onto leaves by
 //! [`TierTopology::ingress`](crate::TierTopology::ingress).
 //!
@@ -43,7 +43,7 @@ use concentrator::staged::StagedSwitch;
 use concentrator::FullColumnsortHyperconcentrator;
 use fabric::{drive_service, FabricConfig, FabricService, LoadPlan};
 use serde_json::{object, ToJson, Value};
-use switchsim::TrafficModel;
+use switchsim::TraceModel;
 
 use crate::service::TierService;
 use crate::snapshot::TreeSnapshot;
@@ -66,8 +66,8 @@ pub struct TierBenchOptions {
     pub population: u64,
     /// Zipf exponent.
     pub exponent: f64,
-    /// Payload bytes per message.
-    pub payload_bytes: usize,
+    /// Payload size class: every payload is `1 << size_class` bytes.
+    pub size_class: u8,
     /// Workload seed.
     pub seed: u64,
     /// Ring capacity at every tier.
@@ -86,7 +86,7 @@ impl TierBenchOptions {
             load: 0.6,
             population: 1_000_000,
             exponent: 1.1,
-            payload_bytes: 8,
+            size_class: 3,
             seed: 0x71E5,
             queue_capacity: 64,
         }
@@ -95,12 +95,12 @@ impl TierBenchOptions {
     /// The workload plan this run plays.
     pub fn plan(&self) -> LoadPlan {
         LoadPlan {
-            model: TrafficModel::Zipf {
+            model: TraceModel::ZipfPopulation {
                 p: self.load,
                 population: self.population,
                 exponent: self.exponent,
             },
-            payload_bytes: self.payload_bytes,
+            size_class: self.size_class,
             seed: self.seed,
             frames: self.frames,
         }
@@ -472,8 +472,8 @@ mod probe {
         for (name, switch) in candidates {
             let n = switch.n;
             let plan = LoadPlan {
-                model: TrafficModel::Bernoulli { p: 1.0 },
-                payload_bytes: 64,
+                model: TraceModel::Bernoulli { p: 1.0 },
+                size_class: 6,
                 seed: 7,
                 frames: 100,
             };
@@ -503,7 +503,7 @@ mod probe {
             load: 0.6,
             population: 2_000_000,
             exponent: 1.4,
-            payload_bytes: 64,
+            size_class: 6,
             seed: 0x71E5,
             queue_capacity: 64,
         };

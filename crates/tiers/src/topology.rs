@@ -57,15 +57,6 @@ pub struct TierTopology {
     pub tiers: Vec<TierSpec>,
 }
 
-/// SplitMix64 finalizer used for ingress placement (same mixer as the
-/// traffic generator's user→wire hash, with a different input stream).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl TierTopology {
     /// Build and validate a topology.
     ///
@@ -117,9 +108,10 @@ impl TierTopology {
     }
 
     /// Where external source `source` enters the tree: `(leaf fabric,
-    /// input wire on that leaf's switch)`. A pure hash of the source id.
+    /// input wire on that leaf's switch)`. A pure hash of the source id
+    /// ([`switchsim::mix64`], the traffic layer's user→wire hash).
     pub fn ingress(&self, source: u64) -> (usize, usize) {
-        let h = mix64(source);
+        let h = switchsim::mix64(source);
         let leaf = ((h >> 32) as usize) % self.tiers[0].fabrics;
         let wire = (h as u32 as usize) % self.tiers[0].switch.n;
         (leaf, wire)

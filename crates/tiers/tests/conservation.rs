@@ -11,7 +11,7 @@ use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::staged::StagedSwitch;
 use concentrator::FullColumnsortHyperconcentrator;
 use fabric::{Backpressure, FabricConfig, LoadPlan, Message, RetryBudget};
-use switchsim::TrafficModel;
+use switchsim::TraceModel;
 use tiers::{drive_tree, TierSpec, TierTopology};
 
 fn leaf_switch() -> Arc<StagedSwitch> {
@@ -75,8 +75,8 @@ fn every_backpressure_combination_conserves_over_100_seeds() {
             for seed in 0..100u64 {
                 let topology = matrix_topology(leaf_bp, spine_bp);
                 let plan = LoadPlan {
-                    model: TrafficModel::Bernoulli { p: 0.7 },
-                    payload_bytes: 2,
+                    model: TraceModel::Bernoulli { p: 0.7 },
+                    size_class: 1,
                     seed,
                     frames: 2,
                 };
@@ -110,12 +110,12 @@ fn every_backpressure_combination_conserves_over_100_seeds() {
 fn sync_tree_drive_is_deterministic() {
     let topology = matrix_topology(Backpressure::Block, Backpressure::Block);
     let plan = LoadPlan {
-        model: TrafficModel::Zipf {
+        model: TraceModel::ZipfPopulation {
             p: 0.6,
             population: 1_000_000,
             exponent: 1.1,
         },
-        payload_bytes: 2,
+        size_class: 1,
         seed: 42,
         frames: 3,
     };
@@ -175,8 +175,8 @@ fn limited_retries_surface_as_retry_dropped_in_the_ledger() {
     // spread sources across wires within a round — identical lockstep
     // scripts would pile every offer onto one wire per frame.
     let plan = LoadPlan {
-        model: TrafficModel::Bernoulli { p: 0.9 },
-        payload_bytes: 2,
+        model: TraceModel::Bernoulli { p: 0.9 },
+        size_class: 1,
         seed: 7,
         frames: 2,
     };
@@ -237,12 +237,12 @@ fn sync_tree_drive_outputs_are_pinned() {
         &matrix_topology(Backpressure::Block, Backpressure::Block),
         producer_frames(
             &LoadPlan {
-                model: TrafficModel::Zipf {
+                model: TraceModel::ZipfPopulation {
                     p: 0.6,
                     population: 1_000_000,
                     exponent: 1.1,
                 },
-                payload_bytes: 2,
+                size_class: 1,
                 seed: 42,
                 frames: 3,
             },
@@ -252,16 +252,16 @@ fn sync_tree_drive_outputs_are_pinned() {
     );
     let expected: [DrivePin; 2] = [
         (
-            1046,
-            2083,
-            vec![(1855, 1830, 2083), (1069, 1044, 2083), (2083, 2083, 2083)],
-            0xdfcd_f1ba_e747_a767,
+            1053,
+            2086,
+            vec![(1843, 1821, 2086), (1073, 1051, 2086), (2086, 2086, 2086)],
+            0xab54_1f77_ed86_ebd0,
         ),
         (
-            82,
-            156,
-            vec![(129, 127, 156), (83, 81, 156)],
-            0x83cf_53e2_f278_e4b6,
+            74,
+            145,
+            vec![(110, 107, 145), (76, 73, 145)],
+            0x790a_bba8_6dc2_0896,
         ),
     ];
     assert_eq!([drive_pin(&bench), drive_pin(&two_tier)], expected);

@@ -7,7 +7,7 @@ use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::staged::StagedSwitch;
 use concentrator::FullColumnsortHyperconcentrator;
 use fabric::{FabricConfig, LoadPlan, Message};
-use switchsim::TrafficModel;
+use switchsim::TraceModel;
 use tiers::{TierService, TierSpec, TierTopology};
 
 fn leaf_switch() -> Arc<StagedSwitch> {
@@ -48,12 +48,12 @@ fn threaded_tree_is_lossless_under_blocking_backpressure() {
     ]);
     let service = TierService::start(topology);
     let plan = LoadPlan {
-        model: TrafficModel::Zipf {
+        model: TraceModel::ZipfPopulation {
             p: 0.7,
             population: 500_000,
             exponent: 1.1,
         },
-        payload_bytes: 2,
+        size_class: 1,
         seed: 21,
         frames: 20,
     };

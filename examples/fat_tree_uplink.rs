@@ -11,8 +11,8 @@
 
 use concentrator::spec::ConcentratorSwitch;
 use concentrator::ColumnsortSwitch;
-use switchsim::traffic::TrafficGenerator;
-use switchsim::{regular_tree, ConcentrationStage, CongestionPolicy, TrafficModel};
+use switchsim::traffic::{generate, tick_frames};
+use switchsim::{regular_tree, ConcentrationStage, CongestionPolicy, TraceModel};
 
 fn main() {
     let n = 512;
@@ -35,10 +35,10 @@ fn main() {
         "load", "offered", "delivered", "ratio", "mean wait"
     );
     for load in [0.01, 0.03, 0.05, 0.08, 0.12, 0.2] {
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p: load }, n, 4, 0xFA7);
+        let traffic = generate(TraceModel::Bernoulli { p: load }, n, 300, 2, 0xFA7);
         let mut stage =
             ConcentrationStage::new(&net, CongestionPolicy::InputBuffer { capacity: 8 });
-        let report = stage.run(&mut generator, 300);
+        let report = stage.run(tick_frames(&traffic, n, 300));
         println!(
             "{:>6.2}  {:>9}  {:>9}  {:>9.1}%  {:>10.2}",
             load,

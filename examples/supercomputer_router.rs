@@ -11,8 +11,8 @@
 
 use concentrator::spec::ConcentratorSwitch;
 use concentrator::ColumnsortSwitch;
-use switchsim::traffic::TrafficGenerator;
-use switchsim::{ConcentrationStage, CongestionPolicy, TrafficModel};
+use switchsim::traffic::{generate, tick_frames};
+use switchsim::{ConcentrationStage, CongestionPolicy, TraceModel};
 
 fn main() {
     let n = 256;
@@ -43,17 +43,10 @@ fn main() {
     );
     for load in [0.05, 0.15, 0.25, 0.35, 0.5] {
         for (name, policy) in policies {
-            let mut generator = TrafficGenerator::new(
-                TrafficModel::Bursty {
-                    p: load,
-                    mean_burst: 6.0,
-                },
-                n,
-                8, // 64-bit payloads
-                0xACE,
-            );
+            let model = TraceModel::mmpp_from_bursty(load, 6.0);
+            let traffic = generate(model, n, 400, 3, 0xACE); // 64-bit payloads
             let mut stage = ConcentrationStage::new(&switch, policy);
-            let report = stage.run(&mut generator, 400);
+            let report = stage.run(tick_frames(&traffic, n, 400));
             println!(
                 "{:>6.2}  {:>13}  {:>9.1}%  {:>8.1}%  {:>10.2}  {:>9}",
                 load,

@@ -4,8 +4,17 @@
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::spec::ConcentratorSwitch;
 use concentrator::{ColumnsortSwitch, Hyperconcentrator};
-use switchsim::traffic::TrafficGenerator;
-use switchsim::{simulate_frame, ConcentrationStage, CongestionPolicy, Message, TrafficModel};
+use switchsim::traffic::{generate, tick_frames};
+use switchsim::{simulate_frame, ConcentrationStage, CongestionPolicy, Message, TraceModel};
+
+/// `ticks` Bernoulli(`p`) frames over `n` processors, two-byte payloads.
+fn bernoulli(p: f64, n: usize, ticks: u64, seed: u64) -> Vec<Vec<Message>> {
+    tick_frames(
+        &generate(TraceModel::Bernoulli { p }, n, ticks, 1, seed),
+        n,
+        ticks,
+    )
+}
 
 #[test]
 fn payloads_survive_the_revsort_switch() {
@@ -77,9 +86,8 @@ fn stage_statistics_are_consistent_over_long_runs() {
         CongestionPolicy::InputBuffer { capacity: 4 },
         CongestionPolicy::AckResend { max_retries: 2 },
     ] {
-        let mut generator = TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.7 }, 128, 2, 0xEE);
         let mut stage = ConcentrationStage::new(&switch, policy);
-        let report = stage.run(&mut generator, 500);
+        let report = stage.run(bernoulli(0.7, 128, 500, 0xEE));
         assert_eq!(
             report.stats.offered,
             report.stats.delivered + report.stats.dropped + report.in_flight,
@@ -99,10 +107,8 @@ fn under_capacity_traffic_never_drops_regardless_of_policy() {
         CongestionPolicy::Drop,
         CongestionPolicy::AckResend { max_retries: 1 },
     ] {
-        let mut generator =
-            TrafficGenerator::new(TrafficModel::Bernoulli { p: 0.25 }, 128, 2, 0x77);
         let mut stage = ConcentrationStage::new(&switch, policy);
-        let report = stage.run(&mut generator, 300);
+        let report = stage.run(bernoulli(0.25, 128, 300, 0x77));
         assert_eq!(report.stats.dropped, 0, "policy {policy:?}");
         assert_eq!(
             report.stats.delivered + report.in_flight,
