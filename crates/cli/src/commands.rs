@@ -1129,8 +1129,6 @@ pub fn tier_bench(args: &Parsed) -> Result<String, String> {
     options.frames = args.parse_or("frames", options.frames)?;
     options.ingress_sources = args.parse_or("sources", options.ingress_sources)?;
     options.load = args.parse_or("load", options.load)?;
-    options.population = args.parse_or("population", options.population)?;
-    options.exponent = args.parse_or("exponent", options.exponent)?;
     options.size_class = parse_class(args)?;
     options.seed = args.parse_or("seed", options.seed)?;
     if !(options.leaves.is_power_of_two() && (2..=64).contains(&options.leaves)) {
@@ -1142,15 +1140,15 @@ pub fn tier_bench(args: &Parsed) -> Result<String, String> {
     if !(0.0..=1.0).contains(&options.load) {
         return Err(format!("--load must be in [0, 1], got {}", options.load));
     }
-    if options.population == 0 {
-        return Err("--population must be at least 1".into());
-    }
-    if !(options.exponent.is_finite() && options.exponent >= 0.0) {
-        return Err(format!(
-            "--exponent must be finite and >= 0, got {}",
-            options.exponent
-        ));
-    }
+    let fabric::TraceModel::ZipfPopulation {
+        population,
+        exponent,
+        ..
+    } = parse_trace_gen_model(args, "zipf-population", options.load)?
+    else {
+        unreachable!("the zipf-population arm builds ZipfPopulation")
+    };
+    (options.population, options.exponent) = (population, exponent);
     if options.producers == 0 || options.frames == 0 || options.ingress_sources == 0 {
         return Err("--producers, --frames, and --sources must be positive".into());
     }
@@ -2151,8 +2149,10 @@ mod tests {
         assert!(tier_bench(&args).is_err());
         let args = parse(&["--load", "1.5"]);
         assert!(tier_bench(&args).is_err());
-        let args = parse(&["--population", "0"]);
-        assert!(tier_bench(&args).is_err());
+        let err = tier_bench(&parse(&["--population", "0"])).unwrap_err();
+        assert_eq!(err, "--population must be at least 1");
+        let err = tier_bench(&parse(&["--exponent", "NaN"])).unwrap_err();
+        assert_eq!(err, "--exponent must be finite and >= 0, got NaN");
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use config::{Backpressure, FabricConfig, HealthPolicy, Placement, RetryBudge
 pub use engine::{Fabric, SubmitOutcome};
 pub use loadgen::{drive_service, drive_sync, one_per_tick, DriveReport, FaultEvent, LoadPlan};
 pub use metrics::{FabricSnapshot, LogHistogram, ShardMetrics};
-pub use queue::{BatchPush, IngressQueue, PushOutcome, TryPush};
+pub use queue::{BatchPush, IngressQueue};
 pub use reconfig::{LaneState, SloController, SloDecision, SloPolicy};
 pub use scaling::{ladder, ScalingLadder, ScalingPoint, ShardScaling};
 pub use service::{

@@ -154,7 +154,7 @@ pub fn drive_sync(
     // One fabric tick after the offers: held messages first, then `fresh`.
     let mut runs = Vec::new();
     let mut step = |fabric: &mut Fabric, held, fresh| {
-        let held = offer(fabric, held, fresh);
+        let held = resubmit_then_submit(fabric, held, fresh);
         runs.extend(fabric.tick());
         held
     };
@@ -200,7 +200,7 @@ pub fn drive_sync(
 
 /// Re-offer the held messages to their shards, then submit `fresh`, in
 /// that order; return what the rings handed back.
-fn offer(
+fn resubmit_then_submit(
     fabric: &Fabric,
     held: Vec<(Message, usize)>,
     fresh: Vec<Message>,

@@ -47,9 +47,11 @@
 //!   park. The spin publishes nothing, so the handshake's argument is
 //!   untouched.
 //!
-//! Every state transition is also reachable without blocking:
-//! [`IngressQueue::try_push`] returns [`TryPush::WouldBlock`] (handing the
-//! message back) where [`IngressQueue::push`] would wait, and
+//! Admission is one state machine over a run of messages; a lone message
+//! is the one-message run. Every state transition is also reachable
+//! without blocking: [`IngressQueue::try_push_batch`] hands the unplaced
+//! suffix back in [`BatchPush::blocked`] where
+//! [`IngressQueue::push_batch`] would wait, and
 //! [`IngressQueue::try_pop_batch`] plus [`IngressQueue::is_closed`] cover
 //! the consumer side. The deterministic simulation harness drives the
 //! queue exclusively through these non-blocking steps, so a seeded
@@ -190,39 +192,10 @@ fn caller_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// What a blocking push did. Mirrors [`SubmitOutcome`](crate::SubmitOutcome)
-/// minus the backpressure hand-back (a blocked producer really blocks
-/// here).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// Enqueued.
-    Enqueued,
-    /// Enqueued after dropping the oldest queued message.
-    EnqueuedAfterShed,
-    /// Refused (full queue under [`Backpressure::Reject`], or closed).
-    Rejected,
-}
-
-/// What a non-blocking push did: [`PushOutcome`] plus the would-block
-/// hand-back a cooperative scheduler parks on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TryPush {
-    /// Enqueued.
-    Enqueued,
-    /// Enqueued after dropping the oldest queued message.
-    EnqueuedAfterShed,
-    /// Refused (full queue under [`Backpressure::Reject`], or closed).
-    Rejected,
-    /// The queue is full under [`Backpressure::Block`]: the message is
-    /// handed back; retry after the consumer pops or the queue closes.
-    WouldBlock(Message),
-}
-
-/// What a frame-batched push did: per-outcome counts plus the suffix a
-/// full ring handed back under [`Backpressure::Block`], in submission
-/// order. The counts are exactly what the equivalent sequence of single
-/// pushes would have produced, so batch admission is observationally the
-/// same state machine, amortized to one tail publication.
+/// What a push did: per-outcome counts plus the suffix a full ring
+/// handed back under [`Backpressure::Block`], in submission order. The
+/// counts are what pushing the messages one at a time would have
+/// produced; the run only amortizes the tail publication.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct BatchPush {
     /// Messages that landed in the ring (including any that a later
@@ -443,13 +416,49 @@ impl IngressQueue {
         evicted
     }
 
-    /// The batched admission state machine, under the producer mutex: one
-    /// room check, one run of slot writes, one tail publication —
-    /// observationally identical to pushing each message in order.
+    /// Write `run` into the slots from `tail` on and publish the new
+    /// tail: the ring's one slot-writing site. The caller holds the
+    /// producer mutex (`prod`) and has made room for the whole run
+    /// against `prod.cached_head`, through `free_room` or through an
+    /// eviction that refreshed it; the assert checks that room. An empty
+    /// run publishes nothing.
+    fn write_run(
+        &self,
+        prod: &ProducerSide,
+        tail: u64,
+        run: impl ExactSizeIterator<Item = Message>,
+    ) {
+        let len = run.len();
+        if len == 0 {
+            return;
+        }
+        assert!(
+            tail.wrapping_sub(prod.cached_head) as usize + len <= self.capacity,
+            "a run of {len} overruns the ring's room"
+        );
+        // `fold`, not a `for` loop: internal iteration compiles the
+        // one-message run (`iter::once`) to a single slot write, where the
+        // loop's per-step `Option` shuffling cost about 15 ns a push on the
+        // 2-core development VM.
+        let written = run.take(len).fold(0, |written, message| {
+            // SAFETY: the producer mutex is held (`prod`), and the assert
+            // above puts `tail + written` less than `capacity` past the
+            // cached head, which never passes the consumer's head: the
+            // slot is free.
+            unsafe { self.write_slot(tail.wrapping_add(written), message) };
+            written + 1
+        });
+        self.publish_tail(tail.wrapping_add(written));
+    }
+
+    /// The admission state machine, under the producer mutex: one room
+    /// check, one run of slot writes, one tail publication. A lone
+    /// message is the one-message run (`std::iter::once`), so it takes
+    /// the same branches without an allocation.
     fn admit_batch(
         &self,
         prod: &mut ProducerSide,
-        messages: Vec<Message>,
+        mut messages: impl ExactSizeIterator<Item = Message>,
         policy: Backpressure,
     ) -> BatchPush {
         let len = messages.len();
@@ -468,56 +477,22 @@ impl IngressQueue {
         let room = self.free_room(prod, tail, len);
         if len <= room {
             prod.offered += len as u64;
-            for (i, message) in messages.into_iter().enumerate() {
-                // SAFETY: the producer mutex is held (`prod`), and
-                // `i < len <= room` from `free_room`.
-                unsafe { self.write_slot(tail.wrapping_add(i as u64), message) };
-            }
-            self.publish_tail(tail.wrapping_add(len as u64));
+            self.write_run(prod, tail, messages);
             return BatchPush {
                 enqueued: len,
                 ..BatchPush::default()
             };
         }
+        let mut push = BatchPush::default();
+        // Messages the run skips: the first ones of a batch longer than
+        // the ring, which it would shed again at once.
+        let mut skip = 0;
         match policy {
-            Backpressure::Block => {
-                // Place the prefix that fits; hand the rest back
-                // uncounted (the producer still holds them).
-                prod.offered += room as u64;
-                let mut it = messages.into_iter();
-                for i in 0..room {
-                    let message = it.next().expect("room <= len");
-                    // SAFETY: the producer mutex is held (`prod`), and
-                    // `i < room` from `free_room`.
-                    unsafe { self.write_slot(tail.wrapping_add(i as u64), message) };
-                }
-                if room > 0 {
-                    self.publish_tail(tail.wrapping_add(room as u64));
-                }
-                BatchPush {
-                    enqueued: room,
-                    blocked: it.collect(),
-                    ..BatchPush::default()
-                }
-            }
+            // Place the prefix that fits; the rest goes back below.
+            Backpressure::Block => push.enqueued = room,
             Backpressure::Reject => {
-                prod.offered += len as u64;
-                prod.rejected += (len - room) as u64;
-                let mut it = messages.into_iter();
-                for i in 0..room {
-                    let message = it.next().expect("room <= len");
-                    // SAFETY: the producer mutex is held (`prod`), and
-                    // `i < room` from `free_room`.
-                    unsafe { self.write_slot(tail.wrapping_add(i as u64), message) };
-                }
-                if room > 0 {
-                    self.publish_tail(tail.wrapping_add(room as u64));
-                }
-                BatchPush {
-                    enqueued: room,
-                    rejected: len - room,
-                    ..BatchPush::default()
-                }
+                push.enqueued = room;
+                push.rejected = len - room;
             }
             Backpressure::ShedOldest => {
                 // Sequentially, every message of the batch enqueues and
@@ -526,77 +501,30 @@ impl IngressQueue {
                 // message of the same batch*. The net state (the batch's
                 // last `capacity` messages) and the counters are
                 // identical; the physical shortcut just skips writing
-                // messages the batch itself would immediately evict.
-                prod.offered += len as u64;
-                let shed = if len >= self.capacity {
+                // messages the batch itself would immediately evict. A
+                // lone message whose room a pop made meanwhile evicts
+                // nothing: a plain enqueue.
+                push.shed = if len >= self.capacity {
                     let evicted = self.evict_oldest(self.capacity as u64);
                     evicted + (len - self.capacity) as u64
                 } else {
                     self.evict_oldest((len - room) as u64)
                 };
                 prod.cached_head = self.head.load(Ordering::Acquire);
-                prod.shed += shed;
-                let skip = len.saturating_sub(self.capacity);
-                for (i, message) in messages.into_iter().skip(skip).enumerate() {
-                    // SAFETY: the producer mutex is held (`prod`), and the
-                    // eviction above (under the consumer mutex) left at
-                    // least `len - skip` slots free past `tail`.
-                    unsafe { self.write_slot(tail.wrapping_add(i as u64), message) };
-                }
-                self.publish_tail(tail.wrapping_add((len - skip) as u64));
-                BatchPush {
-                    enqueued: len,
-                    shed,
-                    ..BatchPush::default()
-                }
+                push.enqueued = len;
+                skip = len.saturating_sub(self.capacity);
             }
         }
-    }
-
-    /// One single-message admission attempt under the producer mutex —
-    /// the same state machine the blocking and non-blocking push share
-    /// (and the single-message specialization of [`Self::admit_batch`],
-    /// with no per-message allocation).
-    fn admit(&self, prod: &mut ProducerSide, message: Message, policy: Backpressure) -> TryPush {
-        if self.closed.load(Ordering::SeqCst) {
-            prod.offered += 1;
-            prod.rejected += 1;
-            return TryPush::Rejected;
+        prod.offered += (push.enqueued + push.rejected) as u64;
+        prod.rejected += push.rejected as u64;
+        prod.shed += push.shed;
+        let run = messages.by_ref().skip(skip).take(push.enqueued - skip);
+        self.write_run(prod, tail, run);
+        if policy == Backpressure::Block {
+            // The unplaced suffix, uncounted: the producer still holds it.
+            push.blocked = messages.collect();
         }
-        let tail = self.tail.load(Ordering::Relaxed);
-        if self.free_room(prod, tail, 1) == 0 {
-            match policy {
-                Backpressure::Block => return TryPush::WouldBlock(message),
-                Backpressure::Reject => {
-                    prod.offered += 1;
-                    prod.rejected += 1;
-                    return TryPush::Rejected;
-                }
-                Backpressure::ShedOldest => {
-                    let evicted = self.evict_oldest(1);
-                    prod.cached_head = self.head.load(Ordering::Acquire);
-                    prod.offered += 1;
-                    prod.shed += evicted;
-                    // SAFETY: the producer mutex is held (`prod`), and the
-                    // one-slot eviction (or a concurrent pop) freed `tail`.
-                    unsafe { self.write_slot(tail, message) };
-                    self.publish_tail(tail.wrapping_add(1));
-                    return if evicted > 0 {
-                        TryPush::EnqueuedAfterShed
-                    } else {
-                        // The consumer drained the ring between the room
-                        // check and the eviction: plain enqueue after all.
-                        TryPush::Enqueued
-                    };
-                }
-            }
-        }
-        prod.offered += 1;
-        // SAFETY: the producer mutex is held (`prod`), and `free_room`
-        // reported at least one free slot at `tail`.
-        unsafe { self.write_slot(tail, message) };
-        self.publish_tail(tail.wrapping_add(1));
-        TryPush::Enqueued
+        push
     }
 
     /// Park on the full ring until the consumer frees space or the queue
@@ -620,60 +548,41 @@ impl IngressQueue {
         prod
     }
 
-    /// Push one message under `policy` without ever blocking. Where
-    /// [`IngressQueue::push`] would wait, this hands the message back as
-    /// [`TryPush::WouldBlock`] and counts nothing.
-    pub fn try_push(&self, message: Message, policy: Backpressure) -> TryPush {
+    /// Push a run of messages under `policy` without blocking: one room
+    /// check and one tail publication for the part that fits. Under
+    /// [`Backpressure::Block`] the suffix that does not fit comes back in
+    /// [`BatchPush::blocked`], uncounted. A lone message is
+    /// `std::iter::once(message)`.
+    pub fn try_push_batch<I>(&self, messages: I, policy: Backpressure) -> BatchPush
+    where
+        I: IntoIterator<Item = Message>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let mut prod = self.producer.lock().expect("ingress ring poisoned");
-        self.admit(&mut prod, message, policy)
+        self.admit_batch(&mut prod, messages.into_iter(), policy)
     }
 
-    /// Push a whole frame of messages under `policy` without blocking:
-    /// one room check and one tail publication for the run that fits.
-    /// Under [`Backpressure::Block`] the suffix that does not fit comes
-    /// back in [`BatchPush::blocked`], uncounted.
-    pub fn try_push_batch(&self, messages: Vec<Message>, policy: Backpressure) -> BatchPush {
-        let mut prod = self.producer.lock().expect("ingress ring poisoned");
-        self.admit_batch(&mut prod, messages, policy)
-    }
-
-    /// Push one message under `policy`. [`Backpressure::Block`] waits for
-    /// space (or for close, which rejects).
-    pub fn push(&self, message: Message, policy: Backpressure) -> PushOutcome {
-        let mut prod = self.producer.lock().expect("ingress ring poisoned");
-        let mut message = message;
-        loop {
-            match self.admit(&mut prod, message, policy) {
-                TryPush::Enqueued => return PushOutcome::Enqueued,
-                TryPush::EnqueuedAfterShed => return PushOutcome::EnqueuedAfterShed,
-                TryPush::Rejected => return PushOutcome::Rejected,
-                TryPush::WouldBlock(held) => {
-                    message = held;
-                    prod = self.park_producer(prod);
-                }
-            }
-        }
-    }
-
-    /// Push a whole frame under `policy`, waiting under
+    /// [`Self::try_push_batch`], but waiting under
     /// [`Backpressure::Block`] until every message is placed (or the
     /// queue closes, which rejects the remainder). Returns the merged
     /// counts; [`BatchPush::blocked`] is always empty.
-    pub fn push_batch(&self, messages: Vec<Message>, policy: Backpressure) -> BatchPush {
+    pub fn push_batch<I>(&self, messages: I, policy: Backpressure) -> BatchPush
+    where
+        I: IntoIterator<Item = Message>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let mut prod = self.producer.lock().expect("ingress ring poisoned");
-        let mut remaining = messages;
-        let mut total = BatchPush::default();
-        loop {
-            let step = self.admit_batch(&mut prod, remaining, policy);
+        let mut total = self.admit_batch(&mut prod, messages.into_iter(), policy);
+        while !total.blocked.is_empty() {
+            prod = self.park_producer(prod);
+            let remaining = std::mem::take(&mut total.blocked);
+            let step = self.admit_batch(&mut prod, remaining.into_iter(), policy);
             total.enqueued += step.enqueued;
             total.shed += step.shed;
             total.rejected += step.rejected;
-            if step.blocked.is_empty() {
-                return total;
-            }
-            remaining = step.blocked;
-            prod = self.park_producer(prod);
+            total.blocked = step.blocked;
         }
+        total
     }
 
     /// Pop up to `max` messages, blocking while the queue is empty and
@@ -804,8 +713,8 @@ impl IngressQueue {
     }
 
     /// Close the queue: producers are refused from now on (blocked ones
-    /// wake and get [`PushOutcome::Rejected`]); the consumer drains what
-    /// remains.
+    /// wake and have the rest of their run rejected); the consumer drains
+    /// what remains.
     pub fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
         // Lock-then-notify on both sides so no sleeper can miss the flag
@@ -821,8 +730,9 @@ impl IngressQueue {
         self.closed.load(Ordering::SeqCst)
     }
 
-    /// Whether a [`TryPush`] right now could resolve without blocking:
-    /// there is headroom, the policy makes room, or close would reject.
+    /// Whether a one-message push right now would resolve without
+    /// handing it back: there is headroom, the policy makes room, or
+    /// close would reject.
     /// The simulation scheduler's readiness predicate for a parked
     /// producer.
     pub fn would_accept(&self, policy: Backpressure) -> bool {
@@ -866,11 +776,44 @@ mod tests {
         batch.iter().map(|m| m.id).collect()
     }
 
+    /// Push one message without blocking.
+    fn try_push_one(q: &IngressQueue, message: Message, policy: Backpressure) -> BatchPush {
+        q.try_push_batch(std::iter::once(message), policy)
+    }
+
+    /// Push one message, waiting for room under [`Backpressure::Block`].
+    fn push_one(q: &IngressQueue, message: Message, policy: Backpressure) -> BatchPush {
+        q.push_batch(std::iter::once(message), policy)
+    }
+
+    /// What a one-message push reports when it lands, lands after
+    /// shedding the oldest, or is refused.
+    const ENQUEUED: BatchPush = resolved(1, 0, 0);
+    const ENQUEUED_AFTER_SHED: BatchPush = resolved(1, 1, 0);
+    const REJECTED: BatchPush = resolved(0, 0, 1);
+
+    const fn resolved(enqueued: usize, shed: u64, rejected: usize) -> BatchPush {
+        BatchPush {
+            enqueued,
+            shed,
+            rejected,
+            blocked: Vec::new(),
+        }
+    }
+
+    /// The message a one-message push handed back; the hand-back counts
+    /// nothing.
+    fn handed_back(push: BatchPush) -> Message {
+        assert_eq!((push.enqueued, push.shed, push.rejected), (0, 0, 0));
+        let [held] = <[Message; 1]>::try_from(push.blocked).expect("one message handed back");
+        held
+    }
+
     #[test]
     fn fifo_order_and_batch_pop() {
         let q = IngressQueue::new(8);
         for i in 0..5 {
-            assert_eq!(q.push(msg(i), Backpressure::Reject), PushOutcome::Enqueued);
+            assert_eq!(push_one(&q, msg(i), Backpressure::Reject), ENQUEUED);
         }
         let batch = q.try_pop_batch(3);
         assert_eq!(ids(&batch), vec![0, 1, 2]);
@@ -880,12 +823,12 @@ mod tests {
     #[test]
     fn reject_and_shed_at_capacity() {
         let q = IngressQueue::new(2);
-        q.push(msg(0), Backpressure::Reject);
-        q.push(msg(1), Backpressure::Reject);
-        assert_eq!(q.push(msg(2), Backpressure::Reject), PushOutcome::Rejected);
+        push_one(&q, msg(0), Backpressure::Reject);
+        push_one(&q, msg(1), Backpressure::Reject);
+        assert_eq!(push_one(&q, msg(2), Backpressure::Reject), REJECTED);
         assert_eq!(
-            q.push(msg(3), Backpressure::ShedOldest),
-            PushOutcome::EnqueuedAfterShed
+            push_one(&q, msg(3), Backpressure::ShedOldest),
+            ENQUEUED_AFTER_SHED
         );
         assert_eq!(ids(&q.try_pop_batch(9)), vec![1, 3]);
         assert_eq!(q.counters(), (4, 1, 1));
@@ -903,17 +846,14 @@ mod tests {
     #[test]
     fn would_block_hand_back_then_enqueue_after_pop() {
         let q = IngressQueue::new(1);
-        assert_eq!(q.try_push(msg(0), Backpressure::Block), TryPush::Enqueued);
+        assert_eq!(try_push_one(&q, msg(0), Backpressure::Block), ENQUEUED);
         assert!(!q.would_accept(Backpressure::Block));
-        let held = match q.try_push(msg(1), Backpressure::Block) {
-            TryPush::WouldBlock(held) => held,
-            other => panic!("expected would-block, got {other:?}"),
-        };
+        let held = handed_back(try_push_one(&q, msg(1), Backpressure::Block));
         // A hand-back counts nothing: the producer still holds the message.
         assert_eq!(q.counters(), (1, 0, 0));
         assert_eq!(q.try_pop_batch(1).len(), 1);
         assert!(q.would_accept(Backpressure::Block));
-        assert_eq!(q.try_push(held, Backpressure::Block), TryPush::Enqueued);
+        assert_eq!(try_push_one(&q, held, Backpressure::Block), ENQUEUED);
         assert_eq!(q.counters(), (2, 0, 0));
         assert_eq!(q.try_pop_batch(9)[0].id, 1);
     }
@@ -923,16 +863,13 @@ mod tests {
     #[test]
     fn close_while_blocked_rejects_the_retry() {
         let q = IngressQueue::new(1);
-        q.try_push(msg(0), Backpressure::Block);
-        let held = match q.try_push(msg(1), Backpressure::Block) {
-            TryPush::WouldBlock(held) => held,
-            other => panic!("expected would-block, got {other:?}"),
-        };
+        try_push_one(&q, msg(0), Backpressure::Block);
+        let held = handed_back(try_push_one(&q, msg(1), Backpressure::Block));
         q.close();
         assert!(q.is_closed());
         // Close makes every parked producer ready: the retry resolves.
         assert!(q.would_accept(Backpressure::Block));
-        assert_eq!(q.try_push(held, Backpressure::Block), TryPush::Rejected);
+        assert_eq!(try_push_one(&q, held, Backpressure::Block), REJECTED);
         assert_eq!(q.counters(), (2, 1, 0));
     }
 
@@ -942,27 +879,32 @@ mod tests {
     fn drain_after_close_yields_backlog_then_none() {
         let q = IngressQueue::new(4);
         for i in 0..3 {
-            q.push(msg(i), Backpressure::Block);
+            push_one(&q, msg(i), Backpressure::Block);
         }
         q.close();
-        assert_eq!(q.try_push(msg(9), Backpressure::Block), TryPush::Rejected);
+        assert_eq!(try_push_one(&q, msg(9), Backpressure::Block), REJECTED);
         assert_eq!(ids(&q.try_pop_batch(2)), vec![0, 1]);
         assert_eq!(q.pop_batch_blocking(4).map(|b| b.len()), Some(1));
         assert_eq!(q.pop_batch_blocking(4), None);
         assert!(q.try_pop_batch(4).is_empty());
     }
 
+    /// Where nothing waits, the non-blocking and the blocking push agree:
+    /// a full ring rejects under Reject and sheds under ShedOldest.
     #[test]
-    fn try_push_matches_push_for_shed_and_reject() {
-        let q = IngressQueue::new(1);
-        q.try_push(msg(0), Backpressure::Reject);
-        assert_eq!(q.try_push(msg(1), Backpressure::Reject), TryPush::Rejected);
-        assert_eq!(
-            q.try_push(msg(2), Backpressure::ShedOldest),
-            TryPush::EnqueuedAfterShed
-        );
-        assert_eq!(q.try_pop_batch(9)[0].id, 2);
-        assert_eq!(q.counters(), (3, 1, 1));
+    fn try_push_batch_matches_push_batch_for_shed_and_reject() {
+        type PushOne = fn(&IngressQueue, Message, Backpressure) -> BatchPush;
+        for pusher in [try_push_one as PushOne, push_one] {
+            let q = IngressQueue::new(1);
+            pusher(&q, msg(0), Backpressure::Reject);
+            assert_eq!(pusher(&q, msg(1), Backpressure::Reject), REJECTED);
+            assert_eq!(
+                pusher(&q, msg(2), Backpressure::ShedOldest),
+                ENQUEUED_AFTER_SHED
+            );
+            assert_eq!(q.try_pop_batch(9)[0].id, 2);
+            assert_eq!(q.counters(), (3, 1, 1));
+        }
     }
 
     /// A capacity-1 ring (the degenerate SPSC case: one physical slot,
@@ -973,21 +915,15 @@ mod tests {
         let q = IngressQueue::new(1);
         assert_eq!(q.capacity(), 1);
         for round in 0..3u64 {
+            assert_eq!(try_push_one(&q, msg(round), Backpressure::Block), ENQUEUED);
+            handed_back(try_push_one(&q, msg(100 + round), Backpressure::Block));
             assert_eq!(
-                q.try_push(msg(round), Backpressure::Block),
-                TryPush::Enqueued
-            );
-            assert!(matches!(
-                q.try_push(msg(100 + round), Backpressure::Block),
-                TryPush::WouldBlock(_)
-            ));
-            assert_eq!(
-                q.try_push(msg(200 + round), Backpressure::Reject),
-                TryPush::Rejected
+                try_push_one(&q, msg(200 + round), Backpressure::Reject),
+                REJECTED
             );
             assert_eq!(
-                q.try_push(msg(300 + round), Backpressure::ShedOldest),
-                TryPush::EnqueuedAfterShed
+                try_push_one(&q, msg(300 + round), Backpressure::ShedOldest),
+                ENQUEUED_AFTER_SHED
             );
             assert_eq!(ids(&q.try_pop_batch(9)), vec![300 + round]);
         }
@@ -1009,15 +945,12 @@ mod tests {
             for _ in 0..4 {
                 while q.len() < capacity {
                     assert_eq!(
-                        q.try_push(msg(next_push), Backpressure::Block),
-                        TryPush::Enqueued
+                        try_push_one(&q, msg(next_push), Backpressure::Block),
+                        ENQUEUED
                     );
                     next_push += 1;
                 }
-                assert!(matches!(
-                    q.try_push(msg(u64::MAX), Backpressure::Block),
-                    TryPush::WouldBlock(_)
-                ));
+                handed_back(try_push_one(&q, msg(u64::MAX), Backpressure::Block));
                 for m in q.try_pop_batch(capacity) {
                     assert_eq!(m.id, next_pop, "FIFO broke across the index wrap");
                     next_pop += 1;
@@ -1038,7 +971,7 @@ mod tests {
         let burst = |range: std::ops::Range<u64>| range.map(msg).collect::<Vec<_>>();
 
         let q = IngressQueue::new(4);
-        q.push(msg(90), Backpressure::Block);
+        push_one(&q, msg(90), Backpressure::Block);
         let result = q.try_push_batch(burst(0..10), Backpressure::Block);
         assert_eq!(result.enqueued, 3);
         assert_eq!(ids(&result.blocked), vec![3, 4, 5, 6, 7, 8, 9]);
@@ -1047,14 +980,14 @@ mod tests {
         assert_eq!(ids(&q.try_pop_batch(9)), vec![90, 0, 1, 2]);
 
         let q = IngressQueue::new(4);
-        q.push(msg(90), Backpressure::Block);
+        push_one(&q, msg(90), Backpressure::Block);
         let result = q.try_push_batch(burst(0..10), Backpressure::Reject);
         assert_eq!((result.enqueued, result.rejected), (3, 7));
         assert_eq!(q.counters(), (11, 7, 0));
         assert_eq!(ids(&q.try_pop_batch(9)), vec![90, 0, 1, 2]);
 
         let q = IngressQueue::new(4);
-        q.push(msg(90), Backpressure::Block);
+        push_one(&q, msg(90), Backpressure::Block);
         let result = q.try_push_batch(burst(0..10), Backpressure::ShedOldest);
         // Sequentially all 10 enqueue; the pre-existing message and the
         // batch's first 6 get shed along the way: net +3 in flight.
@@ -1069,9 +1002,15 @@ mod tests {
     #[test]
     fn batch_push_partial_overflow_sheds_exactly_the_overflow() {
         let q = IngressQueue::new(4);
-        let result = q.try_push_batch((0..2).map(msg).collect(), Backpressure::ShedOldest);
+        let result = q.try_push_batch(
+            (0..2).map(msg).collect::<Vec<_>>(),
+            Backpressure::ShedOldest,
+        );
         assert_eq!((result.enqueued, result.shed), (2, 0));
-        let result = q.try_push_batch((2..6).map(msg).collect(), Backpressure::ShedOldest);
+        let result = q.try_push_batch(
+            (2..6).map(msg).collect::<Vec<_>>(),
+            Backpressure::ShedOldest,
+        );
         assert_eq!((result.enqueued, result.shed), (4, 2));
         assert_eq!(q.counters(), (6, 0, 2));
         assert_eq!(ids(&q.try_pop_batch(9)), vec![2, 3, 4, 5]);
@@ -1088,10 +1027,10 @@ mod tests {
             Backpressure::Reject,
         ] {
             let q = IngressQueue::new(2);
-            q.push(msg(0), Backpressure::Block);
-            q.push(msg(1), Backpressure::Block);
+            push_one(&q, msg(0), Backpressure::Block);
+            push_one(&q, msg(1), Backpressure::Block);
             q.close();
-            assert_eq!(q.try_push(msg(2), policy), TryPush::Rejected, "{policy:?}");
+            assert_eq!(try_push_one(&q, msg(2), policy), REJECTED, "{policy:?}");
             assert!(q.would_accept(policy), "{policy:?}: close resolves parks");
             let batch = q.try_push_batch(vec![msg(3), msg(4)], policy);
             assert_eq!((batch.enqueued, batch.rejected), (0, 2), "{policy:?}");
@@ -1107,16 +1046,16 @@ mod tests {
     #[test]
     fn blocking_producer_and_consumer_make_progress() {
         let q = Arc::new(IngressQueue::new(1));
-        q.push(msg(0), Backpressure::Block);
+        push_one(&q, msg(0), Backpressure::Block);
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(msg(1), Backpressure::Block))
+            std::thread::spawn(move || push_one(&q, msg(1), Backpressure::Block))
         };
         // Pop exactly one message; the producer fills the freed slot
         // (before or after we pop — both orders end identically).
         let popped = q.pop_batch_blocking(1).expect("open queue yields batch");
         assert_eq!(popped.len(), 1);
-        assert_eq!(producer.join().unwrap(), PushOutcome::Enqueued);
+        assert_eq!(producer.join().unwrap(), ENQUEUED);
         assert_eq!(q.len(), 1);
     }
 
@@ -1126,13 +1065,13 @@ mod tests {
     #[test]
     fn close_terminates_blocking_producer_with_rejection() {
         let q = Arc::new(IngressQueue::new(1));
-        q.push(msg(0), Backpressure::Block);
+        push_one(&q, msg(0), Backpressure::Block);
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(msg(1), Backpressure::Block))
+            std::thread::spawn(move || push_one(&q, msg(1), Backpressure::Block))
         };
         q.close();
-        assert_eq!(producer.join().unwrap(), PushOutcome::Rejected);
+        assert_eq!(producer.join().unwrap(), REJECTED);
         assert_eq!(q.pop_batch_blocking(4).map(|b| b.len()), Some(1));
         assert_eq!(q.pop_batch_blocking(4), None);
     }
@@ -1167,7 +1106,7 @@ mod tests {
                 let (q, slots) = (Arc::clone(&q), Arc::clone(&slots));
                 std::thread::spawn(move || q.pop_batch_spin_then_park(4, budget, &slots, cap))
             };
-            q.push(msg(7), Backpressure::Block);
+            push_one(&q, msg(7), Backpressure::Block);
             let batch = consumer.join().unwrap().expect("open queue yields batch");
             assert_eq!(batch[0].id, 7, "cap {cap}");
         }
@@ -1193,7 +1132,7 @@ mod tests {
                     seen
                 })
             };
-            let result = q.push_batch((0..7).map(msg).collect(), Backpressure::Block);
+            let result = q.push_batch((0..7).map(msg).collect::<Vec<_>>(), Backpressure::Block);
             assert_eq!(result.enqueued, 7);
             assert!(result.blocked.is_empty());
             q.close();
@@ -1219,7 +1158,7 @@ mod tests {
             std::thread::spawn(move || q.pop_batch_spin_then_park(4, FOREVER, &slots, 1))
         };
         wait_until(|| slots.spinning.load(Ordering::SeqCst) == 1);
-        q.push(msg(3), Backpressure::Block);
+        push_one(&q, msg(3), Backpressure::Block);
         let batch = consumer.join().unwrap().expect("open queue yields batch");
         assert_eq!(ids(&batch), vec![3]);
         assert_eq!(q.consumer_parks.load(Ordering::SeqCst), 0);
@@ -1253,7 +1192,7 @@ mod tests {
             std::thread::spawn(move || q.pop_batch_spin_then_park(4, FOREVER, &slots, 0))
         };
         wait_until(|| q.consumer_parked.load(Ordering::SeqCst));
-        q.push(msg(5), Backpressure::Block);
+        push_one(&q, msg(5), Backpressure::Block);
         let batch = consumer.join().unwrap().expect("open queue yields batch");
         assert_eq!(ids(&batch), vec![5]);
         assert_eq!(q.consumer_parks.load(Ordering::SeqCst), 1);

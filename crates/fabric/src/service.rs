@@ -89,10 +89,10 @@ use concentrator::faults::ChipFault;
 use concentrator::StagedSwitch;
 use switchsim::Message;
 
-use crate::config::FabricConfig;
+use crate::config::{Backpressure, FabricConfig};
 use crate::engine::SubmitOutcome;
 use crate::metrics::{FabricSnapshot, ShardMetrics};
-use crate::queue::{IngressQueue, PushOutcome, TryPush};
+use crate::queue::{BatchPush, IngressQueue};
 use crate::reconfig::LaneState;
 use crate::shard::{Delivery, FrameRun, Shard};
 
@@ -520,7 +520,7 @@ impl ServiceCore {
     }
 
     /// One non-blocking submission step: placement, admission control,
-    /// then a [`TryPush`] on the chosen queue.
+    /// then landing the message on the chosen shard's ring.
     pub fn try_submit(&self, message: Message) -> SubmitStep {
         let shard = self.place(message.source);
         let limit = self.admission_limit.load(Ordering::Acquire);
@@ -530,7 +530,7 @@ impl ServiceCore {
                 .fetch_add(1, Ordering::Relaxed);
             return SubmitStep::Done(SubmitOutcome::Rejected);
         }
-        self.offer(message, shard)
+        self.land_one(message, shard)
     }
 
     /// Re-offer a message a previous step handed back as
@@ -545,31 +545,45 @@ impl ServiceCore {
         if self.lanes[shard].queue.is_closed() && !self.is_shutting_down() {
             return self.try_submit(message);
         }
-        self.offer(message, shard)
+        self.land_one(message, shard)
     }
 
-    fn offer(&self, message: Message, shard: usize) -> SubmitStep {
+    /// Land placed `messages` on `shard`'s ring through `push` (the
+    /// ring's non-blocking or blocking entry point): count them in flight
+    /// *before* they become poppable (a fast worker could otherwise
+    /// complete and decrement them first and wrap the gauge below zero),
+    /// push, then undo the gauge for everything that will never complete
+    /// — refusals, hand-backs, and the queued messages a shed evicted.
+    fn land<I>(
+        &self,
+        shard: usize,
+        messages: I,
+        push: impl FnOnce(&IngressQueue, I, Backpressure) -> BatchPush,
+    ) -> BatchPush
+    where
+        I: ExactSizeIterator<Item = Message>,
+    {
+        let submitted = messages.len() as i64;
         let lane = &self.lanes[shard];
-        // Count the message in flight *before* it becomes poppable: a fast
-        // worker could otherwise complete (and decrement) it first and wrap
-        // the gauge below zero.
-        lane.in_flight.fetch_add(1, Ordering::AcqRel);
-        match lane.queue.try_push(message, self.config.backpressure) {
-            TryPush::Enqueued => SubmitStep::Done(SubmitOutcome::Accepted),
-            // A shed swaps one queued message for another that will never
-            // complete: net in-flight change is zero, so undo our add.
-            TryPush::EnqueuedAfterShed => {
-                lane.in_flight.fetch_sub(1, Ordering::AcqRel);
-                SubmitStep::Done(SubmitOutcome::AcceptedAfterShed)
-            }
-            TryPush::Rejected => {
-                lane.in_flight.fetch_sub(1, Ordering::AcqRel);
-                SubmitStep::Done(SubmitOutcome::Rejected)
-            }
-            TryPush::WouldBlock(message) => {
-                lane.in_flight.fetch_sub(1, Ordering::AcqRel);
-                SubmitStep::Blocked { message, shard }
-            }
+        lane.in_flight.fetch_add(submitted as u64, Ordering::AcqRel);
+        let pushed = push(&lane.queue, messages, self.config.backpressure);
+        let undo = submitted - pushed.in_flight_delta();
+        if undo > 0 {
+            lane.in_flight.fetch_sub(undo as u64, Ordering::AcqRel);
+        }
+        pushed
+    }
+
+    /// Land one placed message without blocking.
+    fn land_one(&self, message: Message, shard: usize) -> SubmitStep {
+        let mut push = self.land(
+            shard,
+            std::iter::once(message),
+            IngressQueue::try_push_batch,
+        );
+        match push.blocked.pop() {
+            Some(message) => SubmitStep::Blocked { message, shard },
+            None => SubmitStep::Done(one_outcome(&push)),
         }
     }
 
@@ -579,9 +593,6 @@ impl ServiceCore {
     /// takes cursor slot `cursor + i`, striding the frame across every
     /// healthy shard), group by shard, then land each group with a single
     /// ring publication and a single in-flight adjustment.
-    ///
-    /// Observationally this is the per-message admit state machine run
-    /// `messages.len()` times; only the atomics are amortized.
     pub fn try_submit_batch(&self, messages: Vec<Message>) -> BatchSubmit {
         let len = messages.len();
         let mut result = BatchSubmit::default();
@@ -621,16 +632,7 @@ impl ServiceCore {
             if group.is_empty() {
                 continue;
             }
-            let submitted = group.len() as u64;
-            let lane = &self.lanes[shard];
-            lane.in_flight.fetch_add(submitted, Ordering::AcqRel);
-            let push = lane.queue.try_push_batch(group, self.config.backpressure);
-            // Undo the gauge for everything that will never complete:
-            // refusals, hand-backs, and the messages a shed evicted.
-            let undo = submitted - push.enqueued as u64 + push.shed;
-            if undo > 0 {
-                lane.in_flight.fetch_sub(undo, Ordering::AcqRel);
-            }
+            let push = self.land(shard, group.into_iter(), IngressQueue::try_push_batch);
             result.accepted += push.enqueued as u64;
             result.shed += push.shed;
             result.rejected += push.rejected as u64;
@@ -661,8 +663,7 @@ impl ServiceCore {
         let mut message = message;
         let mut shard = shard;
         loop {
-            let lane = &self.lanes[shard];
-            if lane.queue.is_closed() && !self.is_shutting_down() {
+            if self.lanes[shard].queue.is_closed() && !self.is_shutting_down() {
                 match self.try_submit(message) {
                     SubmitStep::Done(outcome) => return outcome,
                     SubmitStep::Blocked {
@@ -675,22 +676,16 @@ impl ServiceCore {
                     }
                 }
             }
-            lane.in_flight.fetch_add(1, Ordering::AcqRel);
-            match lane.queue.push(message.clone(), self.config.backpressure) {
-                PushOutcome::Enqueued => return SubmitOutcome::Accepted,
-                PushOutcome::EnqueuedAfterShed => {
-                    lane.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    return SubmitOutcome::AcceptedAfterShed;
-                }
-                PushOutcome::Rejected => {
-                    lane.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    if self.is_shutting_down() {
-                        return SubmitOutcome::Rejected;
-                    }
-                    // The ring closed under us: the shard was removed
-                    // while we were parked. Loop back and re-place.
-                }
+            let push = self.land(
+                shard,
+                std::iter::once(message.clone()),
+                IngressQueue::push_batch,
+            );
+            if push.rejected == 0 || self.is_shutting_down() {
+                return one_outcome(&push);
             }
+            // The ring closed under us: the shard was removed while we
+            // were parked. Loop back and re-place.
         }
     }
 
@@ -760,6 +755,16 @@ impl ServiceCore {
             shards,
             in_flight: self.in_flight(),
         }
+    }
+}
+
+/// The outcome of a one-message push that placed or refused its
+/// message (a hand-back is [`SubmitStep::Blocked`]).
+fn one_outcome(push: &BatchPush) -> SubmitOutcome {
+    match (push.enqueued, push.shed) {
+        (0, _) => SubmitOutcome::Rejected,
+        (_, 0) => SubmitOutcome::Accepted,
+        _ => SubmitOutcome::AcceptedAfterShed,
     }
 }
 

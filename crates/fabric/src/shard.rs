@@ -645,24 +645,6 @@ impl Shard {
             self.metrics.quarantined_frames += 1;
         }
     }
-
-    /// Run frames until the pending queue is empty (graceful drain),
-    /// collecting deliveries. `max_frames` bounds the loop against a
-    /// misconfigured switch that routes nothing.
-    pub fn drain(&mut self, max_frames: u64) -> Vec<Delivery> {
-        let mut deliveries = Vec::new();
-        let mut frames = 0u64;
-        while !self.pending.is_empty() {
-            assert!(
-                frames < max_frames,
-                "shard {} failed to drain within {max_frames} frames",
-                self.id
-            );
-            deliveries.extend(self.run_frame().delivered);
-            frames += 1;
-        }
-        deliveries
-    }
 }
 
 #[cfg(test)]
@@ -1063,7 +1045,9 @@ mod tests {
         shard.run_frames(|| false, |run| runs.push(run));
         assert_eq!(runs.len(), 1);
         assert_eq!(shard.pending_len(), 1);
-        shard.drain(10);
+        while shard.pending_len() > 0 {
+            shard.run_frame();
+        }
 
         // Sixteen offers on an 8-output switch: the winners plus the
         // requeued losers exceed one frame's outputs, so the frame runs
@@ -1138,18 +1122,6 @@ mod tests {
         assert!(!run.dropped.is_empty(), "budget 0 drops every loser");
         assert_eq!(shard.pending_len(), 0);
         assert_eq!(shard.metrics.retry_dropped as usize, run.dropped.len());
-    }
-
-    #[test]
-    fn drain_empties_the_shard() {
-        let mut shard = Shard::new(0, test_switch(), RetryBudget::UNLIMITED);
-        for i in 0..40u64 {
-            shard.accept(Message::new(i, (i % 16) as usize, vec![i as u8]));
-        }
-        let deliveries = shard.drain(1000);
-        assert_eq!(deliveries.len(), 40);
-        assert_eq!(shard.pending_len(), 0);
-        assert_eq!(shard.metrics.delivered, 40);
     }
 
     #[test]
@@ -1236,7 +1208,9 @@ mod tests {
             mode: FaultMode::StuckInvalid,
         }]);
         shard.accept(Message::new(1, 1, vec![0x5A]));
-        shard.drain(100);
+        while shard.pending_len() > 0 {
+            shard.run_frame();
+        }
         let bigger = Arc::new(
             RevsortSwitch::new(64, 16, RevsortLayout::TwoDee)
                 .staged()

@@ -460,8 +460,9 @@ enum ProducerTask {
     /// Submits one whole generation frame per step
     /// ([`ServiceCore::try_submit_batch`]); a full queue under blocking
     /// backpressure hands back a *suffix* of placed messages, which the
-    /// task re-offers one per step, oldest first — exactly the order a
-    /// thread blocked inside `push_batch` lands them.
+    /// task re-offers one per step, oldest first — exactly the order in
+    /// which a thread in [`ServiceCore::submit_batch_blocking`] lands
+    /// them, one blocking push per message.
     Batched {
         frames: VecDeque<Vec<Message>>,
         blocked: VecDeque<(Message, usize)>,
@@ -721,8 +722,8 @@ pub fn run_scenario(scenario: &Scenario, seed: u64) -> SimRun {
                 ProducerTask::Batched { frames, blocked } => {
                     if let Some((message, shard)) = blocked.pop_front() {
                         // Re-offer the oldest hand-back, one per step —
-                        // the serial order a thread blocked inside
-                        // `push_batch` lands its remainder.
+                        // the serial order in which a thread in
+                        // `submit_batch_blocking` lands its remainder.
                         let id = message.id;
                         match core.retry_submit(message, shard) {
                             SubmitStep::Done(outcome) => trace.push(TraceEvent::Resumed {
