@@ -8,7 +8,10 @@
 //! column, `eval_matrix` on every core, as the median of five measurement
 //! windows), lane-width ablation rows for the emulator (one thread through
 //! `eval_words_into`), and the chip-partition pin table at the largest
-//! size.
+//! size. Each size also prices the switch's *datapath* two ways: the flat
+//! stream (`datapath_insns`, and one 64-lane frame through it in
+//! `datapath_us`) against the chip program serving runs (`chip_insns`,
+//! summed over distinct chip types, and the same frame in `chip_us`).
 //!
 //! Flags (after `cargo bench -p bench --bench netlist_eval --`):
 //!
@@ -24,6 +27,7 @@ use std::time::{Duration, Instant};
 use bench::bench_header;
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
 use concentrator::verify::SplitMix64;
+use concentrator::StagedSwitch;
 use netlist::BitMatrix;
 
 /// Lanes per compiled `eval_matrix` call for the headline rows — large
@@ -72,6 +76,10 @@ struct SizeResult {
     insns: usize,
     runs: usize,
     slots: usize,
+    datapath_insns: usize,
+    chip_insns: usize,
+    datapath_us: f64,
+    chip_us: f64,
     scalar_vps: f64,
     block64_vps: f64,
     reference_vps: f64,
@@ -137,6 +145,7 @@ fn measure(n: usize) -> SizeResult {
         black_box(compiled.eval_matrix(black_box(&patterns)));
     });
 
+    let (datapath_us, chip_us) = datapath_frame_us(switch.staged());
     SizeResult {
         n,
         gates: nl.gate_count(),
@@ -144,11 +153,42 @@ fn measure(n: usize) -> SizeResult {
         insns: compiled.insn_count(),
         runs: compiled.run_count(),
         slots: compiled.slot_count(),
+        datapath_insns: switch.staged().datapath_logic(false).compiled.insn_count(),
+        chip_insns: switch.staged().datapath_program().insn_count(),
+        datapath_us,
+        chip_us,
         scalar_vps: 1.0 / scalar_spc,
         block64_vps: 64.0 / block_spc,
         reference_vps: 64.0 / reference_spc,
         compiled_vps: MATRIX_VECTORS as f64 / compiled_spc,
     }
+}
+
+/// Microseconds per one-word (64-lane) frame of random valid and data
+/// words through the switch's datapath on one thread: the flat stream
+/// (`eval_word_into`), then the chip program (`ChipProgram::sweep`). The
+/// two must agree on the frame before they are timed.
+fn datapath_frame_us(switch: &StagedSwitch) -> (f64, f64) {
+    let flat = switch.datapath_logic(false);
+    let program = switch.datapath_program();
+    let mut rng = SplitMix64(11);
+    let inputs: Vec<u64> = (0..program.input_count()).map(|_| rng.next_u64()).collect();
+    let mut flat_scratch = flat.compiled.scratch();
+    let mut chip_scratch = program.scratch();
+    let mut want = vec![0u64; program.output_count()];
+    let mut got = vec![0u64; program.output_count()];
+    flat.compiled
+        .eval_word_into(&inputs, &mut flat_scratch, &mut want);
+    program.sweep(&inputs, 1, &mut chip_scratch, &mut got);
+    assert_eq!(got, want, "chip program disagrees with the flat datapath");
+    let flat_spc = median_seconds_per_call(|| {
+        flat.compiled
+            .eval_word_into(black_box(&inputs), &mut flat_scratch, &mut want);
+    });
+    let chip_spc = median_seconds_per_call(|| {
+        program.sweep(black_box(&inputs), 1, &mut chip_scratch, &mut got);
+    });
+    (flat_spc * 1e6, chip_spc * 1e6)
 }
 
 /// Lane-width sweep over the emulator at one size: the same vectors
@@ -222,6 +262,14 @@ fn main() {
             r.compiled_vps,
             r.compiled_vps / r.scalar_vps
         );
+        println!(
+            "         datapath: flat {:7} insns {:9.2} us/frame  chip program {:6} insns {:9.2} us/frame  ({:.2}x)",
+            r.datapath_insns,
+            r.datapath_us,
+            r.chip_insns,
+            r.chip_us,
+            r.datapath_us / r.chip_us
+        );
         results.push(r);
     }
 
@@ -265,13 +313,17 @@ fn main() {
     for (i, r) in results.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"n\": {}, \"gates\": {}, \"insns\": {}, \"runs\": {}, \"slots\": {}, \"levels\": {}, \"scalar\": {:.1}, \"block64\": {:.1}, \"schedule\": {:.1}, \"compiled\": {:.1}, \"speedup_block64_vs_scalar\": {:.2}, \"speedup_compiled_vs_scalar\": {:.2}}}{}",
+            "    {{\"n\": {}, \"gates\": {}, \"insns\": {}, \"runs\": {}, \"slots\": {}, \"levels\": {}, \"datapath_insns\": {}, \"chip_insns\": {}, \"datapath_us\": {:.2}, \"chip_us\": {:.2}, \"scalar\": {:.1}, \"block64\": {:.1}, \"schedule\": {:.1}, \"compiled\": {:.1}, \"speedup_block64_vs_scalar\": {:.2}, \"speedup_compiled_vs_scalar\": {:.2}}}{}",
             r.n,
             r.gates,
             r.insns,
             r.runs,
             r.slots,
             r.levels,
+            r.datapath_insns,
+            r.chip_insns,
+            r.datapath_us,
+            r.chip_us,
             r.scalar_vps,
             r.block64_vps,
             r.reference_vps,

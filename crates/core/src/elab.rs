@@ -14,7 +14,8 @@
 //!
 //! [`ElabCache`] holds all three — the control netlist in both pad
 //! flavors, the datapath and trace netlists without pads — plus the
-//! faultable datapath behind [`OnceLock`]s inside every
+//! faultable datapath and the datapath's [`ChipProgram`] (one compiled
+//! chip per chip type, which serving sweeps) behind [`OnceLock`]s inside every
 //! [`crate::StagedSwitch`], so the first consumer pays the elaboration cost
 //! and everyone after shares one [`Arc`]. All of them come from the
 //! switch's one elaboration walk. The cache is invisible to the switch's
@@ -25,6 +26,7 @@ use std::sync::{Arc, OnceLock};
 use netlist::{CompiledNetlist, Netlist};
 
 use crate::faults::FaultableElab;
+use crate::staged::ChipProgram;
 
 /// One elaboration product: the flat netlist and its compiled form.
 #[derive(Debug, Clone)]
@@ -55,6 +57,7 @@ pub struct ElabCache {
     /// The healthy faultable-datapath base (chip-output taps, no pads).
     /// Per-fault-set overlays are derived from this, never stored here.
     faultable: OnceLock<Arc<FaultableElab>>,
+    program: OnceLock<Arc<ChipProgram>>,
 }
 
 impl ElabCache {
@@ -76,6 +79,11 @@ impl ElabCache {
     /// The cached faultable-datapath elaboration, building on first use.
     pub fn faultable(&self, make: impl FnOnce() -> FaultableElab) -> Arc<FaultableElab> {
         self.faultable.get_or_init(|| Arc::new(make())).clone()
+    }
+
+    /// The cached chip program, building via `make` on first use.
+    pub fn program(&self, make: impl FnOnce() -> ChipProgram) -> Arc<ChipProgram> {
+        self.program.get_or_init(|| Arc::new(make())).clone()
     }
 
     fn get(slot: &Slot, make: impl FnOnce() -> Netlist) -> Arc<Elaboration> {
@@ -103,10 +111,11 @@ impl std::fmt::Debug for ElabCache {
         let controls = self.control.iter().filter(|s| s.get().is_some()).count();
         write!(
             f,
-            "ElabCache {{ control: {controls}/2, datapath: {}, trace: {}, faultable: {} }}",
+            "ElabCache {{ control: {controls}/2, datapath: {}, trace: {}, faultable: {}, program: {} }}",
             self.datapath.get().is_some(),
             self.trace.get().is_some(),
-            self.faultable.get().is_some()
+            self.faultable.get().is_some(),
+            self.program.get().is_some()
         )
     }
 }

@@ -59,4 +59,4 @@ pub use hyper::Hyperconcentrator;
 pub use prefix_butterfly::PrefixButterflyHyperconcentrator;
 pub use revsort_switch::RevsortSwitch;
 pub use spec::{ConcentratorKind, ConcentratorSwitch, Routing};
-pub use staged::{StagedSwitch, SwitchStage};
+pub use staged::{ChipProgram, ChipScratch, StagedSwitch, SwitchStage};

@@ -21,6 +21,10 @@ use crate::faults::{ChipFault, FaultMode, FaultTaps, FaultableElab};
 use crate::hyper::{ceil_lg, Hyperconcentrator, PAD_LEVELS};
 use crate::spec::{ConcentratorKind, ConcentratorSwitch, Routing};
 
+mod program;
+
+pub use program::{ChipProgram, ChipScratch};
+
 /// Where a chip input pin's signal comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PinSource {
@@ -448,6 +452,15 @@ impl StagedSwitch {
     pub fn datapath_logic(&self, with_pads: bool) -> Arc<Elaboration> {
         assert!(!with_pads, "the datapath netlist has no padded flavour");
         self.cache.datapath(|| self.build_datapath_netlist())
+    }
+
+    /// The cached chip program: the healthy datapath as one compiled chip
+    /// per distinct chip type, swept across each stage's chips as lanes
+    /// (see [`ChipProgram`]). It computes what
+    /// [`StagedSwitch::datapath_logic`] computes, bit for bit, with the
+    /// same input and output layout.
+    pub fn datapath_program(&self) -> Arc<ChipProgram> {
+        self.cache.program(|| ChipProgram::new(self))
     }
 
     /// The cached full-trace elaboration (netlist + compiled engine).

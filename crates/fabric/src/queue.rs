@@ -680,11 +680,12 @@ impl IngressQueue {
     /// the store half of the parked-producer handshake).
     fn take(&self, cons: &mut ConsumerSide, max: usize) -> Vec<Message> {
         let head = self.head.load(Ordering::Relaxed);
-        // The cache is stale when it shows nothing to pop — or when a
-        // shedding producer advanced head past it, leaving an impossible
-        // (wrapped) distance.
+        // Refresh the cache (acquire) when it cannot prove `max` messages
+        // are published, as the producer's `free_room` does for room — or
+        // when a shedding producer advanced head past it, leaving an
+        // impossible (wrapped) distance.
         let cached = cons.cached_tail.wrapping_sub(head) as usize;
-        if cached == 0 || cached > self.capacity {
+        if cached < max || cached > self.capacity {
             cons.cached_tail = self.tail.load(Ordering::Acquire);
         }
         let count = (cons.cached_tail.wrapping_sub(head) as usize).min(max);

@@ -1,11 +1,12 @@
 //! One serving shard: a pending-request queue in front of one switch
 //! instance, with a batching executor that packs requests into routing
 //! frames and transports every payload through the switch's *compiled*
-//! gate-level datapath. Payloads go onto the wire LSB-first, one bit per
-//! clock, so 64 payload cycles are one *lane word*: the little-endian
-//! word of eight payload octets. Each input's data-rail word is loaded
-//! straight from its payload, and each routed output's word is written
-//! straight back out as octets.
+//! gate-level datapath: its [`ChipProgram`], one compiled chip per chip
+//! type swept across each stage's chips as lanes. Payloads go onto the
+//! wire LSB-first, one bit per clock, so 64 payload cycles are one *lane
+//! word*: the little-endian word of eight payload octets. Each input's
+//! data-rail word is loaded straight from its payload, and each routed
+//! output's word is written straight back out as octets.
 //!
 //! The switch fixes its electrical paths from the valid bits in the setup
 //! cycle, and payload bits never steer routing. So frames that are
@@ -20,18 +21,20 @@
 //! frame. [`Shard::run_frame`] is the one-frame case.
 //!
 //! All shards of a fabric share one [`StagedSwitch`] (the switches are
-//! stateless combinational logic), so the expensive elaborate-and-compile
-//! step runs **once** through the switch's `concentrator::elab` cache and
-//! every shard holds the same `Arc<Elaboration>`; what is per-shard is the
-//! mutable state: the pending queue, the evaluation scratch, the lane
-//! buffers, the frame scratch reused across frames, and the metrics.
+//! stateless combinational logic), so the compile step runs **once**
+//! through the switch's `concentrator::elab` cache and every shard holds
+//! the same `Arc<ChipProgram>`; what is per-shard is the mutable state:
+//! the pending queue, the sweep scratch, the lane buffers, the frame
+//! scratch reused across frames, and the metrics. A shard with injected
+//! chip faults sweeps a fault-compiled overlay of the flat datapath
+//! instead.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use concentrator::faults::{ChipFault, FaultySwitch};
 use concentrator::spec::{ConcentratorKind, ConcentratorSwitch};
-use concentrator::{Elaboration, StagedSwitch};
+use concentrator::{ChipProgram, ChipScratch, StagedSwitch};
 use netlist::{lane_group, CompiledNetlist, EvalScratch, WORD_BITS};
 use switchsim::Message;
 
@@ -141,8 +144,8 @@ struct FaultedEngine {
 pub struct Shard {
     id: usize,
     switch: Arc<StagedSwitch>,
-    elab: Arc<Elaboration>,
-    scratch: EvalScratch,
+    program: Arc<ChipProgram>,
+    scratch: ChipScratch,
     /// Lane words of the current batch, grown to the widest group swept:
     /// lane word `l` is the one-word input block
     /// `word_in[l * inputs..(l + 1) * inputs]` (valid rail, then data
@@ -176,12 +179,12 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Create shard `id` over the shared `switch`. The datapath
-    /// elaboration comes from the switch's shared cache: the first shard
-    /// pays the compile, the rest reuse it.
+    /// Create shard `id` over the shared `switch`. The chip program comes
+    /// from the switch's shared cache: the first shard pays the compile,
+    /// the rest reuse it.
     pub fn new(id: usize, switch: Arc<StagedSwitch>, retry: RetryBudget) -> Shard {
-        let elab = switch.datapath_logic(false);
-        let scratch = elab.compiled.scratch();
+        let program = switch.datapath_program();
+        let scratch = program.scratch();
         let n = switch.n;
         let metrics = ShardMetrics {
             health_milli: 1000,
@@ -190,7 +193,7 @@ impl Shard {
         Shard {
             id,
             switch,
-            elab,
+            program,
             scratch,
             word_in: Vec::new(),
             word_out: Vec::new(),
@@ -307,13 +310,13 @@ impl Shard {
             switch.n,
             self.switch.n
         );
-        let elab = switch.datapath_logic(false);
-        self.scratch = elab.compiled.scratch();
+        let program = switch.datapath_program();
+        self.scratch = program.scratch();
         self.word_in.clear();
         self.word_out.clear();
         self.slot_of = vec![NO_TICKET; switch.n];
         self.valid = vec![false; switch.n];
-        self.elab = elab;
+        self.program = program;
         self.switch = switch;
         self.fault = None;
         self.metrics.faults_active = 0;
@@ -455,7 +458,7 @@ impl Shard {
             .max()
             .unwrap_or(0);
         let words = cycles.div_ceil(WORD_BITS);
-        let inputs = self.datapath().input_count();
+        let inputs = 2 * n;
         let end = (lane + words) * inputs;
         if self.word_in.len() < end {
             self.word_in.resize(end, 0);
@@ -545,45 +548,43 @@ impl Shard {
         words
     }
 
-    /// The datapath payloads move through: the fault overlay when faults
-    /// are injected, else the shared healthy netlist.
-    fn datapath(&self) -> &CompiledNetlist {
-        match &self.fault {
-            Some(faulted) => &faulted.compiled,
-            None => &self.elab.compiled,
-        }
-    }
-
-    /// Sweep lane words `0..lanes` through the compiled datapath in
-    /// [`lane_group`] steps. Lane words past `lanes` in the last group are
-    /// zero.
+    /// Sweep lane words `0..lanes` through the datapath: the chip program
+    /// when healthy, else the fault overlay in [`lane_group`] steps, with
+    /// lane words past `lanes` in the last group zero. Either way `sweeps`
+    /// counts one per [`lane_group`] step over the lane words.
     fn sweep_lanes(&mut self, lanes: usize) {
-        let (compiled, scratch) = match &mut self.fault {
-            Some(faulted) => (&faulted.compiled, &mut faulted.scratch),
-            None => (&self.elab.compiled, &mut self.scratch),
-        };
-        let (inputs, outputs) = (compiled.input_count(), compiled.output_count());
+        let (inputs, outputs) = (2 * self.switch.n, 2 * self.switch.m);
         let mut lo = 0;
         while lo < lanes {
             let lw = lane_group(lanes - lo);
             let hi = lo + lw;
-            if self.word_in.len() < hi * inputs {
-                self.word_in.resize(hi * inputs, 0);
-            }
-            if hi > lanes {
-                self.word_in[lanes * inputs..hi * inputs].fill(0);
-            }
             if self.word_out.len() < hi * outputs {
                 self.word_out.resize(hi * outputs, 0);
             }
-            compiled.eval_words_into(
-                &self.word_in[lo * inputs..hi * inputs],
-                lw,
-                scratch,
-                &mut self.word_out[lo * outputs..hi * outputs],
-            );
+            if let Some(faulted) = &mut self.fault {
+                if self.word_in.len() < hi * inputs {
+                    self.word_in.resize(hi * inputs, 0);
+                }
+                if hi > lanes {
+                    self.word_in[lanes * inputs..hi * inputs].fill(0);
+                }
+                faulted.compiled.eval_words_into(
+                    &self.word_in[lo * inputs..hi * inputs],
+                    lw,
+                    &mut faulted.scratch,
+                    &mut self.word_out[lo * outputs..hi * outputs],
+                );
+            }
             self.metrics.sweeps += 1;
             lo = hi;
+        }
+        if self.fault.is_none() {
+            self.program.sweep(
+                &self.word_in[..lanes * inputs],
+                lanes,
+                &mut self.scratch,
+                &mut self.word_out[..lanes * outputs],
+            );
         }
     }
 
@@ -591,7 +592,7 @@ impl Shard {
     /// words and hand the frames to `emit`, oldest first.
     fn deliver_routed(&mut self, mut emit: impl FnMut(FrameRun)) {
         let m = self.switch.m;
-        let outputs = self.datapath().output_count();
+        let outputs = 2 * m;
         let mut winners = self.winners.drain(..);
         for routed in self.routed.drain(..) {
             let mut run = routed.run;
@@ -658,7 +659,8 @@ mod tests {
         /// The per-bit reference transport: the frame [`Shard::run_frame`]
         /// must reproduce, written literally from the bit-serial wire
         /// format — one `Message::bit` per payload bit per input, one
-        /// 64-cycle `eval_word_into` at a time, one `Vec<bool>` per
+        /// 64-cycle `eval_word_into` of the flat datapath (or the fault
+        /// overlay) at a time, one `Vec<bool>` per
         /// output, payloads rebuilt by `Message::payload_from_bits`, fresh
         /// per-frame buffers. `sweeps` counts the frame's lane words under
         /// the lane-group rule: a group of 8 while more than 4 remain, of
@@ -696,7 +698,12 @@ mod tests {
                 .map(|t| t.message.bit_len())
                 .max()
                 .unwrap_or(0);
-            let compiled = self.datapath().clone();
+            // The flat datapath, so the chip program is checked against
+            // an engine it does not share.
+            let compiled = match &self.fault {
+                Some(faulted) => faulted.compiled.clone(),
+                None => self.switch.datapath_logic(false).compiled.clone(),
+            };
             let mut scratch = compiled.scratch();
             let mut word_in = vec![0u64; compiled.input_count()];
             let mut word_out = vec![0u64; compiled.output_count()];

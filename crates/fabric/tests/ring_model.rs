@@ -88,23 +88,15 @@ impl Model {
     }
 
     /// Check a pop of up to `max` against the queue and take what it
-    /// took. The ring's consumer refreshes its cached tail only when the
-    /// cache shows nothing left, so a pop may take fewer than are
-    /// queued, but never none of a non-empty queue, and always the
-    /// oldest, in order.
+    /// took: exactly `min(max, queued)` messages, the oldest, in order.
     fn pop(&mut self, max: usize, popped: &[u64], at: &str) {
-        assert!(
-            popped.len() <= max,
-            "{at}: popped {} > max {max}",
-            popped.len()
+        assert_eq!(
+            popped.len(),
+            max.min(self.queued.len()),
+            "{at}: popped {} of {} queued with max {max}",
+            popped.len(),
+            self.queued.len()
         );
-        if max > 0 && !self.queued.is_empty() {
-            assert!(
-                !popped.is_empty(),
-                "{at}: popped nothing of {:?}",
-                self.queued
-            );
-        }
         let oldest: Vec<u64> = self.queued.drain(..popped.len()).collect();
         assert_eq!(popped, oldest, "{at}: pop");
     }
