@@ -1,9 +1,9 @@
-//! Fault-injection campaigns: degraded capacity on the compiled fault
-//! path, and fabric failover through a mid-run chip failure.
+//! Fault-injection campaigns: degraded capacity on the faulted chip
+//! program, and fabric failover through a mid-run chip failure.
 //!
 //! Writes `BENCH_faults.json` at the repository root. Everything in it is
 //! deterministic: campaign schedules are pure functions of the seed, the
-//! campaign executor runs the fault-compiled 64-lane SWAR path, and the
+//! campaign executor sweeps 64 lanes of the faulted chip program, and the
 //! failover story is driven through the synchronous [`fabric::Fabric`] —
 //! the bench runs each twice and asserts bit-identical results before
 //! writing anything.
@@ -87,11 +87,11 @@ fn failover(switch: &Arc<StagedSwitch>) -> DriveReport {
 
 fn main() {
     banner(
-        "Fault-injection campaigns: compiled fault path + fabric failover",
+        "Fault-injection campaigns: faulted chip program + fabric failover",
         "availability evidence (not a paper artifact)",
     );
 
-    // ---- Degraded capacity vs fault rate (compiled SWAR path). -------
+    // ---- Degraded capacity vs fault rate (faulted chip program). -----
     let switch = staged(64, 48);
     let rates = [0.0, 0.02, 0.05, 0.1, 0.2];
     let mut table = TextTable::new([
@@ -116,7 +116,7 @@ fn main() {
     table.print();
 
     // Reproducibility: the same seed redraws the same campaign and the
-    // compiled path re-delivers the same counts, bit for bit.
+    // chip program re-delivers the same counts, bit for bit.
     assert_eq!(
         campaign_at(&switch, 0.05),
         campaign_at(&switch, 0.05),

@@ -81,8 +81,8 @@ commands:
   fault-campaign [--design <spec>] [--frames <count>] [--seed <seed>]
           [--load <density>] [--permanent <rate>] [--intermittent <rate>]
           [--period <frames>] [--transient <rate>] [--json] [--out <file>]
-          run a seeded chip-fault injection campaign on the compiled
-          fault path and report degraded capacity vs a quiet baseline
+          run a seeded chip-fault injection campaign on the faulted
+          chip program and report degraded capacity vs a quiet baseline
   sim     [--scenario <name>|tiers|reconfig|all] [--seeds <count>] [--base <seed>]
           [--seed <seed>] [--trace] [--json] [--out <file>]
           deterministic simulation harness: explore seeded interleavings
@@ -1232,7 +1232,7 @@ pub fn tier_bench(args: &Parsed) -> Result<String, String> {
 }
 
 /// `fault-campaign`: run a seeded chip-fault injection campaign on the
-/// compiled fault path and report degraded capacity against a fault-free
+/// faulted chip program and report degraded capacity against a fault-free
 /// baseline of the same length and traffic.
 pub fn fault_campaign(args: &Parsed) -> Result<String, String> {
     use concentrator::faults::{run_campaign, CampaignSpec, FaultCampaign};
@@ -1304,7 +1304,7 @@ pub fn fault_campaign(args: &Parsed) -> Result<String, String> {
     .unwrap();
     writeln!(
         out,
-        "  distinct fault sets: {} (compiled overlays materialized)",
+        "  distinct fault sets: {} (faulted chip programs built)",
         report.distinct_fault_sets
     )
     .unwrap();

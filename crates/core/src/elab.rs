@@ -14,18 +14,18 @@
 //!
 //! [`ElabCache`] holds all three — the control netlist in both pad
 //! flavors, the datapath and trace netlists without pads — plus the
-//! faultable datapath and the datapath's [`ChipProgram`] (one compiled
-//! chip per chip type, which serving sweeps) behind [`OnceLock`]s inside every
+//! datapath's healthy [`ChipProgram`] (one compiled chip per chip type,
+//! which serving sweeps) behind [`OnceLock`]s inside every
 //! [`crate::StagedSwitch`], so the first consumer pays the elaboration cost
-//! and everyone after shares one [`Arc`]. All of them come from the
-//! switch's one elaboration walk. The cache is invisible to the switch's
+//! and everyone after shares one [`Arc`]. The netlists come from the
+//! switch's one elaboration walk. Faulted chip programs are derived from
+//! the cached one and owned by their callers, never stored here. The cache is invisible to the switch's
 //! value semantics: clones start empty and equality ignores it.
 
 use std::sync::{Arc, OnceLock};
 
 use netlist::{CompiledNetlist, Netlist};
 
-use crate::faults::FaultableElab;
 use crate::staged::ChipProgram;
 
 /// One elaboration product: the flat netlist and its compiled form.
@@ -54,9 +54,6 @@ pub struct ElabCache {
     control: [Slot; 2],
     datapath: Slot,
     trace: Slot,
-    /// The healthy faultable-datapath base (chip-output taps, no pads).
-    /// Per-fault-set overlays are derived from this, never stored here.
-    faultable: OnceLock<Arc<FaultableElab>>,
     program: OnceLock<Arc<ChipProgram>>,
 }
 
@@ -74,11 +71,6 @@ impl ElabCache {
     /// The cached full-trace elaboration, building via `make` on first use.
     pub fn trace(&self, make: impl FnOnce() -> Netlist) -> Arc<Elaboration> {
         Self::get(&self.trace, make)
-    }
-
-    /// The cached faultable-datapath elaboration, building on first use.
-    pub fn faultable(&self, make: impl FnOnce() -> FaultableElab) -> Arc<FaultableElab> {
-        self.faultable.get_or_init(|| Arc::new(make())).clone()
     }
 
     /// The cached chip program, building via `make` on first use.
@@ -111,10 +103,9 @@ impl std::fmt::Debug for ElabCache {
         let controls = self.control.iter().filter(|s| s.get().is_some()).count();
         write!(
             f,
-            "ElabCache {{ control: {controls}/2, datapath: {}, trace: {}, faultable: {}, program: {} }}",
+            "ElabCache {{ control: {controls}/2, datapath: {}, trace: {}, program: {} }}",
             self.datapath.get().is_some(),
             self.trace.get().is_some(),
-            self.faultable.get().is_some(),
             self.program.get().is_some()
         )
     }

@@ -12,30 +12,29 @@
 //! * [`FaultySwitch`] — the message-level *reference*: faults applied by
 //!   the switch's one message-level tracer, the same walk
 //!   [`StagedSwitch::trace`] runs healthy. Obviously correct, and the
-//!   oracle the compiled path is differentially tested against.
-//! * [`FaultableElab`] — the *compiled* path: the faultable flavour of the
-//!   switch's one gate-level elaboration, with an explicit tap gate on
-//!   every chip output pin ([`StagedSwitch::faultable_logic`]), onto which
-//!   a fault set is lowered as [`WireFault`]s
-//!   ([`FaultableElab::wire_faults`]) and compiled into the levelized
-//!   schedule ([`FaultableElab::compile_faulted`]). The 64-lane SWAR
-//!   evaluator then runs the *faulted* switch at full batch speed.
+//!   oracle the chip program is differentially tested against.
+//! * the *chip program* — the datapath the serving shards sweep, one
+//!   compiled chip per chip type. Every fault mode replaces a whole chip's
+//!   output pins, so [`StagedSwitch::faulted_program`] lowers a fault set
+//!   into the program's gather tables (a stuck chip's pins read a
+//!   constant, an inverted chip's the complemented valid rail, and the
+//!   data rail reads 0 in every mode) and sweeps the healthy program's
+//!   compiled chips at full batch speed.
 //!
 //! On top of both sits the campaign machinery: [`FaultCampaign`] draws a
 //! deterministic, seeded schedule of permanent / intermittent / transient
 //! chip faults, and [`run_campaign`] measures the degraded delivered
-//! capacity frame by frame using the compiled path (64 random offered
+//! capacity frame by frame on the chip program (64 random offered
 //! patterns per evaluated word).
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use netlist::{CompiledNetlist, Netlist, Wire, WireFault};
 use serde::{Deserialize, Serialize};
 
 use crate::spec::{ConcentratorKind, ConcentratorSwitch, Routing};
-use crate::staged::{Slot, StagedSwitch};
+use crate::staged::{ChipProgram, Slot, StagedSwitch};
 use crate::verify::SplitMix64;
 
 /// How a failed chip misbehaves.
@@ -77,81 +76,6 @@ pub struct ChipFault {
     pub chip: usize,
     /// Failure mode.
     pub mode: FaultMode,
-}
-
-/// Chip-output tap wires of a faultable datapath elaboration:
-/// `stages[s][c][p]` is the `(valid, data)` wire pair driven by the tap
-/// `Buf` on pin `p` of chip `c` in stage `s`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultTaps {
-    /// Per stage, per chip, per pin: the tapped `(valid, data)` wires.
-    pub stages: Vec<Vec<Vec<(Wire, Wire)>>>,
-}
-
-/// The faultable datapath elaboration of one switch: the tapped netlist,
-/// its healthy compiled form, and the tap map fault sets are lowered
-/// through. Obtained from [`StagedSwitch::faultable_logic`]; the cached
-/// value is always the *healthy* base — per-fault-set overlays are derived
-/// by [`FaultableElab::compile_faulted`] and owned by the caller, so
-/// injection never pollutes the shared elaboration cache.
-#[derive(Debug, Clone)]
-pub struct FaultableElab {
-    /// The tapped flat netlist (valid + data rails, no pads).
-    pub netlist: Netlist,
-    /// The healthy compiled engine for it.
-    pub compiled: CompiledNetlist,
-    /// Chip-output tap wires, for lowering [`ChipFault`]s.
-    pub taps: FaultTaps,
-}
-
-impl FaultableElab {
-    /// Lower chip faults to wire faults on the tap wires.
-    ///
-    /// Mode mapping, per output pin of the faulted chip:
-    ///
-    /// * `StuckInvalid` → valid stuck-at-0, data stuck-at-0;
-    /// * `StuckValid`   → valid stuck-at-1, data stuck-at-0 (phantoms
-    ///   carry no payload);
-    /// * `Inverted`     → valid flipped,    data stuck-at-0 (whatever the
-    ///   rail now claims, the payload path is garbage).
-    ///
-    /// When several faults name the same chip only the first applies,
-    /// matching the reference [`FaultySwitch`] lookup.
-    ///
-    /// # Panics
-    /// If a fault names a stage or chip that does not exist.
-    pub fn wire_faults(&self, faults: &[ChipFault]) -> Vec<WireFault> {
-        let mut seen: Vec<(usize, usize)> = Vec::new();
-        let mut out = Vec::new();
-        for fault in faults {
-            let stage = self
-                .taps
-                .stages
-                .get(fault.stage)
-                .expect("fault names missing stage");
-            let pins = stage.get(fault.chip).expect("fault names missing chip");
-            if seen.contains(&(fault.stage, fault.chip)) {
-                continue;
-            }
-            seen.push((fault.stage, fault.chip));
-            for &(valid, data) in pins {
-                match fault.mode {
-                    FaultMode::StuckInvalid => out.push(WireFault::stuck(valid, false)),
-                    FaultMode::StuckValid => out.push(WireFault::stuck(valid, true)),
-                    FaultMode::Inverted => out.push(WireFault::flip(valid)),
-                }
-                out.push(WireFault::stuck(data, false));
-            }
-        }
-        out
-    }
-
-    /// A compiled engine with `faults` burned into the schedule. The
-    /// overlay shares nothing mutable with the healthy base and runs at
-    /// identical batch speed.
-    pub fn compile_faulted(&self, faults: &[ChipFault]) -> CompiledNetlist {
-        self.compiled.with_faults(&self.wire_faults(faults))
-    }
 }
 
 /// A staged switch with injected chip faults.
@@ -398,7 +322,7 @@ impl FaultCampaign {
     }
 
     /// Number of distinct fault sets across the campaign — the number of
-    /// compiled overlays [`run_campaign`] materializes.
+    /// faulted chip programs [`run_campaign`] builds.
     pub fn distinct_fault_sets(&self) -> usize {
         self.frames.iter().collect::<HashSet<_>>().len()
     }
@@ -427,7 +351,7 @@ pub struct CampaignReport {
     pub chips: usize,
     /// Offered traffic density per input per lane.
     pub density: f64,
-    /// Distinct fault sets, i.e. compiled overlays materialized.
+    /// Distinct fault sets, i.e. faulted chip programs built.
     pub distinct_fault_sets: usize,
     /// Total valid inputs offered.
     pub offered: u64,
@@ -463,26 +387,27 @@ impl CampaignReport {
 }
 
 /// Run `campaign` against `switch` at offered `density`, measuring the
-/// delivered capacity of every frame on the compiled fault path.
+/// delivered capacity of every frame on the faulted chip program.
 ///
-/// Each frame evaluates 64 independent offered patterns in one SWAR sweep
-/// of the frame's fault-compiled overlay. The data rail carries a *marker
+/// Each frame evaluates 64 independent offered patterns in one one-word
+/// sweep of the frame's faulted chip program
+/// ([`StagedSwitch::faulted_program`]). The data rail carries a *marker
 /// bit* per real message (data in = valid in), so
 /// `popcount(valid_out & data_out)` counts exactly the delivered real
 /// messages: phantom carriers injected by `StuckValid`/`Inverted` chips
-/// and padding constants all carry data 0 and are excluded. Overlays are
-/// memoized per distinct fault set, so a campaign pays one `with_faults`
-/// per set, not per frame.
+/// and padding constants all carry data 0 and are excluded. Programs are
+/// memoized per distinct fault set, so a campaign builds one set of
+/// gathers per set, not per frame, and compiles nothing past the
+/// switch's cached chip program.
 pub fn run_campaign(
     switch: &StagedSwitch,
     campaign: &FaultCampaign,
     density: f64,
 ) -> CampaignReport {
-    let elab = switch.faultable_logic();
     let n = switch.n;
     let m = switch.m;
-    let mut scratch = elab.compiled.scratch();
-    let mut overlays: HashMap<&[ChipFault], CompiledNetlist> = HashMap::new();
+    let mut scratch = switch.datapath_program().scratch();
+    let mut programs: HashMap<&[ChipFault], ChipProgram> = HashMap::new();
     let mut word_in = vec![0u64; 2 * n];
     let mut word_out = vec![0u64; 2 * m];
     // Traffic stream: keyed off the campaign seed but distinct from the
@@ -492,9 +417,9 @@ pub fn run_campaign(
     let (mut total_offered, mut total_delivered) = (0u64, 0u64);
     for frame in 0..campaign.frames() {
         let faults = campaign.faults_at(frame);
-        let compiled = overlays
+        let program = programs
             .entry(faults)
-            .or_insert_with(|| elab.compile_faulted(faults));
+            .or_insert_with(|| switch.faulted_program(faults));
         let mut offered = 0u64;
         for i in 0..n {
             let mut word = 0u64;
@@ -507,7 +432,7 @@ pub fn run_campaign(
             word_in[i] = word;
             word_in[n + i] = word; // marker rail
         }
-        compiled.eval_word_into(&word_in, &mut scratch, &mut word_out);
+        program.sweep(&word_in, 1, &mut scratch, &mut word_out);
         let delivered: u64 = (0..m)
             .map(|j| u64::from((word_out[j] & word_out[m + j]).count_ones()))
             .sum();
@@ -525,7 +450,7 @@ pub fn run_campaign(
         frames: campaign.frames(),
         chips: switch.chip_count(),
         density,
-        distinct_fault_sets: overlays.len(),
+        distinct_fault_sets: programs.len(),
         offered: total_offered,
         delivered: total_delivered,
         per_frame,
@@ -694,26 +619,9 @@ mod tests {
     }
 
     #[test]
-    fn faultable_elaboration_matches_untapped_datapath_when_healthy() {
+    fn faulted_program_applies_only_the_first_fault_per_chip() {
         let healthy = RevsortSwitch::new(16, 8, RevsortLayout::TwoDee);
         let staged = healthy.staged();
-        let untapped = staged.datapath_logic(false);
-        let tapped = staged.faultable_logic();
-        let mut rng = SplitMix64(3);
-        for _ in 0..50 {
-            let inputs: Vec<u64> = (0..32).map(|_| rng.next_u64()).collect();
-            assert_eq!(
-                untapped.compiled.eval_word(&inputs),
-                tapped.compiled.eval_word(&inputs),
-                "chip-output taps must be semantically invisible"
-            );
-        }
-    }
-
-    #[test]
-    fn wire_faults_applies_only_the_first_fault_per_chip() {
-        let healthy = RevsortSwitch::new(16, 8, RevsortLayout::TwoDee);
-        let elab = healthy.staged().faultable_logic();
         let first = ChipFault {
             stage: 0,
             chip: 0,
@@ -724,11 +632,34 @@ mod tests {
             chip: 0,
             mode: FaultMode::StuckInvalid,
         };
+        let both = staged.faulted_program(&[first, second]);
+        let alone = staged.faulted_program(&[first]);
+        let mut scratch = alone.scratch();
+        let mut rng = SplitMix64(3);
+        let inputs: Vec<u64> = (0..9 * alone.input_count())
+            .map(|_| rng.next_u64())
+            .collect();
+        let mut sweep = |program: &ChipProgram| {
+            let mut out = vec![0u64; 9 * program.output_count()];
+            program.sweep(&inputs, 9, &mut scratch, &mut out);
+            out
+        };
         assert_eq!(
-            elab.wire_faults(&[first, second]),
-            elab.wire_faults(&[first]),
+            sweep(&both),
+            sweep(&alone),
             "duplicate chip faults must resolve first-wins, like the reference"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "missing stage")]
+    fn faulted_program_validates_the_fault_location() {
+        let healthy = switch();
+        healthy.staged().faulted_program(&[ChipFault {
+            stage: 7,
+            chip: 0,
+            mode: FaultMode::Inverted,
+        }]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! that shape once and walks it in exactly two places: one message-level
 //! tracer (routing, healthy or with injected chip faults) and one gate-level
 //! elaborator that produces every flat [`netlist::Netlist`] flavour —
-//! control, trace, datapath and faultable datapath. The tracer is the
-//! reference the netlists are tested against. Delay accounting sits
+//! control, trace and datapath. The tracer is the reference the netlists
+//! and the chip programs are tested against. Delay accounting sits
 //! alongside; the concrete switches of §§4–6 are thin constructors on top.
 
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use netlist::{Literal, Netlist};
 use serde::{Deserialize, Serialize};
 
 use crate::elab::{ElabCache, Elaboration};
-use crate::faults::{ChipFault, FaultMode, FaultTaps, FaultableElab};
+use crate::faults::{ChipFault, FaultMode};
 use crate::hyper::{ceil_lg, Hyperconcentrator, PAD_LEVELS};
 use crate::spec::{ConcentratorKind, ConcentratorSwitch, Routing};
 
@@ -154,8 +154,6 @@ enum Flavour {
     Trace,
     /// Valid and data rails, the `m` output valid bits then data bits out.
     Datapath,
-    /// [`Flavour::Datapath`] plus a tap `Buf` on every chip output pin.
-    Faultable,
 }
 
 impl StagedSwitch {
@@ -316,22 +314,19 @@ impl StagedSwitch {
     }
 
     /// The one gate-level elaborator. It walks the stages over *rails*:
-    /// rail 0 is the valid bits, rail 1 (datapath flavours) the data bits.
+    /// rail 0 is the valid bits, rail 1 (datapath flavour) the data bits.
     /// Each chip gathers its pins rail by rail through `input_map` — a
     /// `Const(v)` pad is `v` on the valid rail and 0 on data rails, since
     /// padding carries no payload — then imports one rail-generic
-    /// [`Hyperconcentrator`] build or passes the pins through, then
-    /// (faultable flavour) drives every output pin through a tap `Buf`
-    /// recorded in the returned [`FaultTaps`], and scatters through
-    /// `output_map`. The taps are empty for the other flavours.
-    fn elaborate(&self, flavour: Flavour) -> (Netlist, FaultTaps) {
+    /// [`Hyperconcentrator`] build or passes the pins through, and
+    /// scatters through `output_map`.
+    fn elaborate(&self, flavour: Flavour) -> Netlist {
         let (rails, with_pads) = match flavour {
             Flavour::Control { with_pads } => (1, with_pads),
             Flavour::Trace => (1, false),
-            Flavour::Datapath | Flavour::Faultable => (2, false),
+            Flavour::Datapath => (2, false),
         };
         let mut nl = Netlist::new();
-        let mut taps = FaultTaps { stages: Vec::new() };
         let mut wires: Vec<Vec<Literal>> = (0..rails)
             .map(|_| nl.inputs_n(self.n).into_iter().map(Literal::pos).collect())
             .collect();
@@ -344,7 +339,6 @@ impl StagedSwitch {
                 }
                 StageKind::PassThrough => None,
             };
-            let mut stage_taps = Vec::new();
             let mut next: Vec<Vec<Option<Literal>>> = vec![vec![None; stage.out_len]; rails];
             for chip in 0..stage.chip_count {
                 let base = chip * pins;
@@ -357,7 +351,7 @@ impl StagedSwitch {
                         });
                     }
                 }
-                let mut outs = match &chip_netlist {
+                let outs = match &chip_netlist {
                     Some(sub) => nl.import(sub, &ins),
                     None if with_pads => ins
                         .into_iter()
@@ -365,17 +359,6 @@ impl StagedSwitch {
                         .collect(),
                     None => ins,
                 };
-                if flavour == Flavour::Faultable {
-                    // One pad driver per output pin and rail: a freshly
-                    // driven wire faults can seize, even where the output
-                    // literal would alias an input or come back inverted.
-                    outs = outs.into_iter().map(|l| nl.buf(l)).collect();
-                    stage_taps.push(
-                        (0..pins)
-                            .map(|p| (outs[p].wire, outs[pins + p].wire))
-                            .collect(),
-                    );
-                }
                 for (rail, next) in next.iter_mut().enumerate() {
                     for (p, dst) in stage.output_map[base..base + pins].iter().enumerate() {
                         if let Some(dst) = *dst {
@@ -383,9 +366,6 @@ impl StagedSwitch {
                         }
                     }
                 }
-            }
-            if flavour == Flavour::Faultable {
-                taps.stages.push(stage_taps);
             }
             wires = next
                 .into_iter()
@@ -407,7 +387,7 @@ impl StagedSwitch {
                 }
             }
         }
-        (nl, taps)
+        nl
     }
 
     /// Elaborate the whole switch to one flat *data-path* netlist for one
@@ -420,14 +400,14 @@ impl StagedSwitch {
     /// hardware, where the paths are latched at setup. Padding constants
     /// (Columnsort steps 6–8) carry data 0.
     pub fn build_datapath_netlist(&self) -> Netlist {
-        self.elaborate(Flavour::Datapath).0
+        self.elaborate(Flavour::Datapath)
     }
 
     /// Elaborate the whole switch to one flat control netlist (valid bits
     /// in, the `m` output valid bits out). `with_pads` adds per-chip pad
     /// levels so the netlist depth equals [`StagedSwitch::delay`].
     pub fn build_netlist(&self, with_pads: bool) -> Netlist {
-        self.elaborate(Flavour::Control { with_pads }).0
+        self.elaborate(Flavour::Control { with_pads })
     }
 
     /// Like [`StagedSwitch::build_netlist`] without pads, but marking the
@@ -435,7 +415,7 @@ impl StagedSwitch {
     /// equivalent of [`StagedSwitch::trace`]'s valid bits) — the form
     /// nearsortedness measurement and ε-attacks evaluate.
     pub fn build_trace_netlist(&self) -> Netlist {
-        self.elaborate(Flavour::Trace).0
+        self.elaborate(Flavour::Trace)
     }
 
     /// The cached control elaboration (netlist + compiled engine); built on
@@ -463,6 +443,21 @@ impl StagedSwitch {
         self.cache.program(|| ChipProgram::new(self))
     }
 
+    /// The chip program with `faults` injected: every output pin of a
+    /// faulted chip presents valid 0 ([`FaultMode::StuckInvalid`]), valid
+    /// 1 ([`FaultMode::StuckValid`]) or its complemented valid rail
+    /// ([`FaultMode::Inverted`]), with data 0 in all three, and the first
+    /// fault that names a chip wins, as in the message-level tracer. It
+    /// shares the cached [`StagedSwitch::datapath_program`]'s compiled
+    /// chips and rebuilds only its gathers, so it costs O(wires) and
+    /// compiles nothing. The caller owns it: the cache stays healthy.
+    ///
+    /// # Panics
+    /// If a fault names a stage or chip that does not exist.
+    pub fn faulted_program(&self, faults: &[ChipFault]) -> ChipProgram {
+        self.datapath_program().faulted(self, faults)
+    }
+
     /// The cached full-trace elaboration (netlist + compiled engine).
     ///
     /// The trace netlist has no padded flavour: `with_pads` must be
@@ -470,28 +465,6 @@ impl StagedSwitch {
     pub fn trace_logic(&self, with_pads: bool) -> Arc<Elaboration> {
         assert!(!with_pads, "the trace netlist has no padded flavour");
         self.cache.trace(|| self.build_trace_netlist())
-    }
-
-    /// The cached *faultable* datapath elaboration: the datapath with a
-    /// tap `Buf` on every chip output pin (valid and data rails), plus the
-    /// tap wires per `(stage, chip, pin)`. Faults compiled onto the taps
-    /// cut in at exactly the chip package boundary. Tap bufs change gate
-    /// counts and depth, so healthy evaluation keeps using
-    /// [`StagedSwitch::datapath_logic`].
-    ///
-    /// The cache holds only the healthy base; per-fault-set overlays are
-    /// derived from it with [`FaultableElab::compile_faulted`] and owned by
-    /// the caller, so injecting faults never pollutes the shared slots.
-    pub fn faultable_logic(&self) -> Arc<FaultableElab> {
-        self.cache.faultable(|| {
-            let (netlist, taps) = self.elaborate(Flavour::Faultable);
-            let compiled = netlist.compile();
-            FaultableElab {
-                netlist,
-                compiled,
-                taps,
-            }
-        })
     }
 }
 

@@ -1,4 +1,4 @@
-//! Chip programs: the healthy datapath run one chip type at a time.
+//! Chip programs: the datapath run one chip type at a time.
 //!
 //! A switch is a few identical chip types joined by fixed wiring, yet the
 //! flat datapath netlist lowers every chip copy on its own. A
@@ -9,13 +9,24 @@
 //! the chip program sweeps all of them in [`lane_group`] steps, and a
 //! final gather reads the switch outputs off the last stage. Pass-through
 //! stages run no sweep: their wiring folds into the next gather. The
-//! result equals the flat [`StagedSwitch::datapath_logic`] stream bit for
-//! bit, since every chip copy in the flat netlist imports the same chip
-//! netlist on the same wires.
+//! healthy program equals the flat [`StagedSwitch::datapath_logic`]
+//! stream bit for bit, since every chip copy in the flat netlist imports
+//! the same chip netlist on the same wires.
+//!
+//! Chip faults are gather entries too. Every [`FaultMode`] replaces a
+//! whole chip's output pins with what [`FaultMode::present`] gives: valid
+//! 0, valid 1 or the complemented valid rail, with data 0 in all three.
+//! So the walk that lowers the wiring passes each chip output through its
+//! chip's fault before the next gather reads it, and a faulted program
+//! ([`StagedSwitch::faulted_program`]) is the healthy one's compiled
+//! chips behind rebuilt gathers.
+
+use std::sync::Arc;
 
 use netlist::{lane_group, CompiledNetlist, EvalScratch};
 
 use super::{PinSource, StageKind, StagedSwitch};
+use crate::faults::{ChipFault, FaultMode};
 use crate::hyper::Hyperconcentrator;
 
 /// Pad blocks a stage buffer needs past its last real pair: a final lane
@@ -24,15 +35,41 @@ const GROUP_PAD: usize = 3;
 
 /// The valid-rail source of one wire once pass-through stages are folded
 /// in: a word of the current source frame block (its data-rail word is
-/// one rail stride further on), or a hardwired constant.
+/// one rail stride further on), a hardwired constant, or the valid rail
+/// alone of a word that crossed an `Inverted` chip.
 #[derive(Debug, Clone, Copy)]
 enum Src {
     Word(u32),
     Const(bool),
+    /// The valid rail reads `word`, complemented when `invert` holds; the
+    /// data rail reads zero, since a failed pad carries no payload.
+    Valid {
+        word: u32,
+        invert: bool,
+    },
+}
+
+impl Src {
+    /// What a chip output pin driven by `self` presents when its chip has
+    /// `fault`: [`FaultMode::present`] as a gather source.
+    fn present(self, fault: Option<FaultMode>) -> Src {
+        match (fault, self) {
+            (None, src) => src,
+            (Some(FaultMode::StuckInvalid), _) => Src::Const(false),
+            (Some(FaultMode::StuckValid), _) => Src::Const(true),
+            (Some(FaultMode::Inverted), Src::Const(v)) => Src::Const(!v),
+            (Some(FaultMode::Inverted), Src::Word(word)) => Src::Valid { word, invert: true },
+            (Some(FaultMode::Inverted), Src::Valid { word, invert }) => Src::Valid {
+                word,
+                invert: !invert,
+            },
+        }
+    }
 }
 
 /// How to fill one frame's destination words from one frame's source
-/// words: `dst[k] = src[from[k]]`, then the constant words.
+/// words: `dst[k] = src[from[k]]`, then the constant words, then the
+/// complemented ones.
 #[derive(Debug)]
 struct Gather {
     from: Vec<u32>,
@@ -40,6 +77,8 @@ struct Gather {
     /// the valid rail when `v` holds and zero otherwise; on the data rail
     /// it always reads zero, since padding carries no payload.
     consts: Vec<(u32, u64)>,
+    /// Destination words whose copied valid word is complemented.
+    flips: Vec<u32>,
 }
 
 impl Gather {
@@ -49,21 +88,37 @@ impl Gather {
     fn new(srcs: &[Src], width: usize, stride: usize) -> Gather {
         let mut from = Vec::with_capacity(2 * srcs.len());
         let mut consts = Vec::new();
+        let mut flips = Vec::new();
         for block in srcs.chunks(width) {
             for rail in 0..2 {
                 for &src in block {
+                    let at = from.len() as u32;
                     match src {
                         Src::Word(w) => from.push(w + (rail * stride) as u32),
+                        Src::Valid { word, invert } if rail == 0 => {
+                            if invert {
+                                flips.push(at);
+                            }
+                            from.push(word);
+                        }
+                        Src::Valid { .. } => {
+                            consts.push((at, 0));
+                            from.push(0);
+                        }
                         Src::Const(v) => {
                             let word = if v && rail == 0 { !0 } else { 0 };
-                            consts.push((from.len() as u32, word));
+                            consts.push((at, word));
                             from.push(0);
                         }
                     }
                 }
             }
         }
-        Gather { from, consts }
+        Gather {
+            from,
+            consts,
+            flips,
+        }
     }
 
     fn apply(&self, src: &[u64], dst: &mut [u64]) {
@@ -72,6 +127,9 @@ impl Gather {
         }
         for &(at, word) in &self.consts {
             dst[at as usize] = word;
+        }
+        for &at in &self.flips {
+            dst[at as usize] = !dst[at as usize];
         }
     }
 }
@@ -86,13 +144,16 @@ struct ChipStage {
     gather: Gather,
 }
 
-/// The healthy datapath of a [`StagedSwitch`] as one compiled chip per
-/// distinct chip type, swept across each stage's chips as lanes. Built
-/// once per switch and cached: see [`StagedSwitch::datapath_program`].
+/// The datapath of a [`StagedSwitch`] as one compiled chip per distinct
+/// chip type, swept across each stage's chips as lanes. The healthy
+/// program is built once per switch and cached (see
+/// [`StagedSwitch::datapath_program`]); a faulted one shares its compiled
+/// chips (see [`StagedSwitch::faulted_program`]).
 #[derive(Debug)]
 pub struct ChipProgram {
-    /// `(pins, compiled datapath chip)` per distinct chip type.
-    chips: Vec<(usize, CompiledNetlist)>,
+    /// `(pins, compiled datapath chip)` per distinct chip type, shared by
+    /// every program of the switch.
+    chips: Arc<[(usize, CompiledNetlist)]>,
     stages: Vec<ChipStage>,
     /// Reads the `m` output valid words, then the `m` data words, off the
     /// last compactor stage's outputs (or the switch inputs).
@@ -103,7 +164,8 @@ pub struct ChipProgram {
 
 /// Per-caller buffers of a [`ChipProgram`] sweep: the gathered chip input
 /// blocks, the swept chip output blocks and one evaluation scratch per
-/// chip type. Grown to the widest batch swept through it, never shrunk.
+/// chip type. Grown to the widest batch swept through it, never shrunk;
+/// it serves every program of the switch that made it.
 #[derive(Debug)]
 pub struct ChipScratch {
     ins: Vec<u64>,
@@ -112,18 +174,56 @@ pub struct ChipScratch {
 }
 
 impl ChipProgram {
-    /// Compile `switch`'s datapath chip by chip: one
+    /// Compile `switch`'s healthy datapath chip by chip: one
     /// [`Hyperconcentrator::build_datapath_netlist`] per distinct pin
     /// count, with the stages' wiring lowered to gather tables.
     pub(super) fn new(switch: &StagedSwitch) -> ChipProgram {
         let mut chips: Vec<(usize, CompiledNetlist)> = Vec::new();
+        for stage in &switch.stages {
+            let pins = stage.chip_pins;
+            if stage.kind == StageKind::Compactor && chips.iter().all(|&(p, _)| p != pins) {
+                let netlist = Hyperconcentrator::new(pins).build_datapath_netlist();
+                chips.push((pins, netlist.compile()));
+            }
+        }
+        ChipProgram::lower(switch, chips.into(), &[])
+    }
+
+    /// This program's compiled chips behind gathers that lower `faults`:
+    /// O(wires), and nothing is compiled.
+    pub(super) fn faulted(&self, switch: &StagedSwitch, faults: &[ChipFault]) -> ChipProgram {
+        ChipProgram::lower(switch, Arc::clone(&self.chips), faults)
+    }
+
+    /// Lower `switch`'s wiring onto `chips`, passing every chip output
+    /// through the first fault in `faults` that names its chip.
+    ///
+    /// # Panics
+    /// If a fault names a stage or chip that does not exist.
+    fn lower(
+        switch: &StagedSwitch,
+        chips: Arc<[(usize, CompiledNetlist)]>,
+        faults: &[ChipFault],
+    ) -> ChipProgram {
+        let mut chip_faults: Vec<Vec<Option<FaultMode>>> = switch
+            .stages
+            .iter()
+            .map(|stage| vec![None; stage.chip_count])
+            .collect();
+        for fault in faults {
+            let stage = chip_faults
+                .get_mut(fault.stage)
+                .expect("fault names missing stage");
+            let chip = stage.get_mut(fault.chip).expect("fault names missing chip");
+            chip.get_or_insert(fault.mode);
+        }
         let mut stages = Vec::new();
         // The source of every wire of the current wire vector, and the
         // rail stride of the block those sources index: the switch inputs
         // (valid rail, then data rail, `n` each) until a compactor runs.
         let mut wires: Vec<Src> = (0..switch.n).map(|i| Src::Word(i as u32)).collect();
         let mut stride = switch.n;
-        for stage in &switch.stages {
+        for (stage, chip_faults) in switch.stages.iter().zip(&chip_faults) {
             let pins = stage.chip_pins;
             let srcs: Vec<Src> = stage
                 .input_map
@@ -133,38 +233,31 @@ impl ChipProgram {
                     PinSource::Const(v) => Src::Const(v),
                 })
                 .collect();
-            let mut next = vec![Src::Const(false); stage.out_len];
-            let drives = stage.output_map.iter().enumerate();
-            match stage.kind {
-                StageKind::PassThrough => {
-                    for (k, dst) in drives {
-                        if let Some(dst) = *dst {
-                            next[dst] = srcs[k];
-                        }
-                    }
-                }
+            // What pin `k` of the stage (chip `k / pins`) drives before
+            // its chip's fault.
+            let outs: Vec<Src> = match stage.kind {
+                StageKind::PassThrough => srcs,
                 StageKind::Compactor => {
-                    let chip = match chips.iter().position(|&(p, _)| p == pins) {
-                        Some(chip) => chip,
-                        None => {
-                            let netlist = Hyperconcentrator::new(pins).build_datapath_netlist();
-                            chips.push((pins, netlist.compile()));
-                            chips.len() - 1
-                        }
-                    };
+                    let chip = chips
+                        .iter()
+                        .position(|&(p, _)| p == pins)
+                        .expect("every compactor pin count is compiled");
                     stages.push(ChipStage {
                         chip,
                         chip_count: stage.chip_count,
                         pins,
                         gather: Gather::new(&srcs, pins, stride),
                     });
-                    for (k, dst) in drives {
-                        if let Some(dst) = *dst {
-                            let (c, p) = (k / pins, k % pins);
-                            next[dst] = Src::Word((2 * pins * c + p) as u32);
-                        }
-                    }
                     stride = pins;
+                    (0..srcs.len())
+                        .map(|k| Src::Word((2 * pins * (k / pins) + k % pins) as u32))
+                        .collect()
+                }
+            };
+            let mut next = vec![Src::Const(false); stage.out_len];
+            for (k, dst) in stage.output_map.iter().enumerate() {
+                if let Some(dst) = *dst {
+                    next[dst] = outs[k].present(chip_faults[k / pins]);
                 }
             }
             wires = next;
@@ -283,6 +376,7 @@ impl ChipProgram {
 mod tests {
     use super::Hyperconcentrator;
     use crate::columnsort_switch::ColumnsortSwitch;
+    use crate::faults::{ChipFault, FaultMode};
     use crate::full_columnsort::FullColumnsortHyperconcentrator;
     use crate::full_revsort::FullRevsortHyperconcentrator;
     use crate::revsort_switch::{RevsortLayout, RevsortSwitch};
@@ -360,6 +454,14 @@ mod tests {
             &program,
             &switch.staged().datapath_program()
         ));
+        // A faulted program reuses the cached program's compiled chips.
+        let fault = ChipFault {
+            stage: 1,
+            chip: 3,
+            mode: FaultMode::Inverted,
+        };
+        let faulted = switch.staged().faulted_program(&[fault]);
+        assert!(std::sync::Arc::ptr_eq(&program.chips, &faulted.chips));
         // An 8×2 grid sorted by columns, then by rows: two chip types.
         let two = two_chip_types().datapath_program();
         assert_eq!(two.insn_count(), chip_insns(8) + chip_insns(2));

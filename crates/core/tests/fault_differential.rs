@@ -1,11 +1,11 @@
-//! Differential harness: the fault-compiled netlist path versus the
+//! Differential harness: the faulted chip program versus the
 //! message-level [`FaultySwitch`] reference, bit for bit.
 //!
-//! The compiled path lowers chip faults onto the tapped datapath
-//! elaboration ([`FaultableElab::compile_faulted`]) and runs 64 offered
-//! patterns per SWAR sweep. The reference applies the same faults during
-//! slot propagation ([`FaultySwitch::trace`]). For every output and every
-//! lane the two must agree on:
+//! The chip program lowers chip faults into its gather tables
+//! ([`StagedSwitch::faulted_program`]) and sweeps 64 offered patterns per
+//! lane word, as a faulted serving shard does. The reference applies the
+//! same faults during slot propagation ([`FaultySwitch::trace`]). For
+//! every output and every lane the two must agree on:
 //!
 //! * the **valid** bit (including phantom carriers from `StuckValid` /
 //!   `Inverted` chips), and
@@ -15,12 +15,15 @@
 //!
 //! Coverage: every single-chip fault exhaustively over all 2^16 input
 //! patterns at n = 16, then 256+ seeded random (switch, fault-set) pairs
-//! across sizes and both constructions, then a proptest sweep.
+//! across sizes and every switch family, then a proptest sweep.
 
 use concentrator::faults::{ChipFault, FaultMode, FaultySwitch};
+use concentrator::full_columnsort::FullColumnsortHyperconcentrator;
+use concentrator::full_revsort::FullRevsortHyperconcentrator;
 use concentrator::revsort_switch::{RevsortLayout, RevsortSwitch};
+use concentrator::staged::StageKind;
 use concentrator::verify::SplitMix64;
-use concentrator::{ColumnsortSwitch, ConcentratorSwitch, StagedSwitch};
+use concentrator::{ChipProgram, ColumnsortSwitch, ConcentratorSwitch, StagedSwitch};
 use proptest::prelude::*;
 
 const MODES: [FaultMode; 3] = [
@@ -39,20 +42,20 @@ fn locations(switch: &StagedSwitch) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Check the compiled fault path against the reference on one word of 64
-/// lane patterns (`words[i]` bit `b` = lane `b`'s valid bit for input
+/// Check the faulted chip program against the reference on one word of
+/// 64 lane patterns (`words[i]` bit `b` = lane `b`'s valid bit for input
 /// `i`). Returns the number of (lane, output) points compared.
 fn check_word(switch: &StagedSwitch, faults: &[ChipFault], words: &[u64]) -> usize {
-    let compiled = switch.faultable_logic().compile_faulted(faults);
+    let program = switch.faulted_program(faults);
     let reference = FaultySwitch::new(switch, faults.to_vec());
-    check_word_against(switch, &compiled, &reference, faults, words)
+    check_word_against(switch, &program, &reference, faults, words)
 }
 
-/// [`check_word`] with the overlay and reference hoisted, for callers
+/// [`check_word`] with the program and reference hoisted, for callers
 /// sweeping many pattern words against one fault set.
 fn check_word_against(
     switch: &StagedSwitch,
-    compiled: &netlist::CompiledNetlist,
+    program: &ChipProgram,
     reference: &FaultySwitch<&StagedSwitch>,
     faults: &[ChipFault],
     words: &[u64],
@@ -65,7 +68,8 @@ fn check_word_against(
     let mut inputs = vec![0u64; 2 * n];
     inputs[..n].copy_from_slice(words);
     inputs[n..].copy_from_slice(words);
-    let out = compiled.eval_word(&inputs);
+    let mut out = vec![0u64; 2 * m];
+    program.sweep(&inputs, 1, &mut program.scratch(), &mut out);
 
     let mut points = 0;
     for lane in 0..64 {
@@ -101,7 +105,7 @@ fn exhaustive_single_faults_at_n16() {
     for (stage, chip) in locations(staged) {
         for mode in MODES {
             let fault = [ChipFault { stage, chip, mode }];
-            let compiled = staged.faultable_logic().compile_faulted(&fault);
+            let program = staged.faulted_program(&fault);
             let reference = FaultySwitch::new(staged, fault.to_vec());
             for chunk in 0..(1usize << 16) / 64 {
                 let words: Vec<u64> = (0..16)
@@ -115,26 +119,31 @@ fn exhaustive_single_faults_at_n16() {
                         w
                     })
                     .collect();
-                points += check_word_against(staged, &compiled, &reference, &fault, &words);
+                points += check_word_against(staged, &program, &reference, &fault, &words);
             }
         }
     }
     assert!(points > 0);
 }
 
-/// 256+ seeded random (switch, fault-set) pairs across sizes and both
-/// constructions, multi-chip fault sets included.
+/// 256+ seeded random (switch, fault-set) pairs across sizes and every
+/// switch family (Revsort 2-D and 3-D, Columnsort, full Revsort and full
+/// Columnsort), multi-chip fault sets included.
 #[test]
 fn random_fault_sets_match_the_reference() {
     let revsort_16 = RevsortSwitch::new(16, 8, RevsortLayout::TwoDee);
     let revsort_64 = RevsortSwitch::new(64, 48, RevsortLayout::TwoDee);
     let revsort_3d = RevsortSwitch::new(64, 32, RevsortLayout::ThreeDee);
     let columnsort = ColumnsortSwitch::new(16, 4, 12);
-    let switches: [&StagedSwitch; 4] = [
+    let full_revsort = FullRevsortHyperconcentrator::new(64);
+    let full_columnsort = FullColumnsortHyperconcentrator::new(32, 4);
+    let switches: [&StagedSwitch; 6] = [
         revsort_16.staged(),
         revsort_64.staged(),
         revsort_3d.staged(),
         columnsort.staged(),
+        full_revsort.staged(),
+        full_columnsort.staged(),
     ];
     let mut rng = SplitMix64(0x0D1F_F5E7);
     let mut pairs = 0usize;
@@ -158,9 +167,41 @@ fn random_fault_sets_match_the_reference() {
     }
 }
 
+/// On the 3-D layout a barrel board reads a compactor chip's outputs
+/// directly, so an `Inverted` board behind an `Inverted` chip complements
+/// the valid rail twice and must still carry no payload; boards behind a
+/// healthy or stuck chip are covered too.
+#[test]
+fn inversions_in_a_row_on_3d_boards() {
+    let switch = RevsortSwitch::new(64, 32, RevsortLayout::ThreeDee);
+    let staged = switch.staged();
+    let board = staged
+        .stages
+        .iter()
+        .position(|s| s.kind == StageKind::PassThrough)
+        .expect("the 3-D layout has barrel boards");
+    let whole_stage = |stage: usize, mode: FaultMode| {
+        (0..staged.stages[stage].chip_count).map(move |chip| ChipFault { stage, chip, mode })
+    };
+    let mut rng = SplitMix64(0x3D);
+    for before in [None, Some(FaultMode::Inverted), Some(FaultMode::StuckValid)] {
+        for mode in MODES {
+            let mut faults: Vec<ChipFault> = before
+                .map(|m| whole_stage(board - 1, m).collect())
+                .unwrap_or_default();
+            // Every other board, so healthy boards sit beside faulted ones.
+            faults.extend(whole_stage(board, mode).step_by(2));
+            for _ in 0..4 {
+                let words: Vec<u64> = (0..staged.n).map(|_| rng.next_u64()).collect();
+                check_word(staged, &faults, &words);
+            }
+        }
+    }
+}
+
 proptest! {
-    /// Random fault sets on the 64-input switch: compiled ≡ reference on
-    /// 64 random lanes per case.
+    /// Random fault sets on the 64-input switch: faulted chip program ≡
+    /// reference on 64 random lanes per case.
     #[test]
     fn proptest_fault_compiled_matches_reference(
         seed in any::<u64>(),

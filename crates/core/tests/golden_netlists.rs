@@ -1,6 +1,6 @@
 //! Golden-netlist pins: an FNV-1a hash of the JSON serialization of every
 //! elaboration flavour on a fixed design set, plus the single chip's own
-//! netlists and the faultable datapath's tap-wire list.
+//! netlists.
 //!
 //! The hash covers gate order, gate kinds, input literals and wire
 //! numbering, so any change to how a switch is elaborated — even one that
@@ -108,23 +108,6 @@ fn current_hashes() -> Vec<(String, u64)> {
             format!("{name}.datapath"),
             netlist_hash(&switch.datapath_logic(false).netlist),
         ));
-        let faultable = switch.faultable_logic();
-        out.push((
-            format!("{name}.faultable"),
-            netlist_hash(&faultable.netlist),
-        ));
-        let mut taps = Vec::new();
-        for stage in &faultable.taps.stages {
-            taps.extend((stage.len() as u64).to_le_bytes());
-            for chip in stage {
-                taps.extend((chip.len() as u64).to_le_bytes());
-                for &(valid, data) in chip {
-                    taps.extend((valid.index() as u64).to_le_bytes());
-                    taps.extend((data.index() as u64).to_le_bytes());
-                }
-            }
-        }
-        out.push((format!("{name}.taps"), fnv1a(&taps)));
     }
     out
 }
@@ -150,44 +133,30 @@ const GOLDEN: &[(&str, u64)] = &[
     ("revsort16x8-2d.control-pads", 0xc9be279f06084795),
     ("revsort16x8-2d.trace", 0xd851363dfa25ae40),
     ("revsort16x8-2d.datapath", 0x3fef1d35b6e5776a),
-    ("revsort16x8-2d.faultable", 0x51263b73ffc2a68c),
-    ("revsort16x8-2d.taps", 0x70a083cbd9806ea1),
     ("revsort16x8-3d.control", 0xf41163639e637185),
     ("revsort16x8-3d.control-pads", 0xbabce497aee95a2b),
     ("revsort16x8-3d.trace", 0xd851363dfa25ae40),
     ("revsort16x8-3d.datapath", 0x3fef1d35b6e5776a),
-    ("revsort16x8-3d.faultable", 0x8164637315ae6fcd),
-    ("revsort16x8-3d.taps", 0xbfa22eb7e1bdff6d),
     ("revsort64x28-2d.control", 0x45af1affe955d11f),
     ("revsort64x28-2d.control-pads", 0xfd9984e810d0101c),
     ("revsort64x28-2d.trace", 0xd1a1530cf101022a),
     ("revsort64x28-2d.datapath", 0xb7f855af098c6e14),
-    ("revsort64x28-2d.faultable", 0xda10a6b346d2ac7f),
-    ("revsort64x28-2d.taps", 0x8b9461a249f2a9ed),
     ("columnsort8x2.control", 0x04e1a5648a13354d),
     ("columnsort8x2.control-pads", 0x8c99afa76a410b9a),
     ("columnsort8x2.trace", 0x287f6b678519e116),
     ("columnsort8x2.datapath", 0x0b3f84ab0c9d5d12),
-    ("columnsort8x2.faultable", 0x20b83272774e6c2b),
-    ("columnsort8x2.taps", 0x7e9c59132229f7a5),
     ("columnsort8x4.control", 0xc0ef6f057c82fc68),
     ("columnsort8x4.control-pads", 0x3b9b2d4aab99da7a),
     ("columnsort8x4.trace", 0x285d0a15c9a0827c),
     ("columnsort8x4.datapath", 0xd37eb8938c0664a8),
-    ("columnsort8x4.faultable", 0xcd514a10b94e270d),
-    ("columnsort8x4.taps", 0xb60b613454c44335),
     ("full-revsort16.control", 0x43a337db586e84cf),
     ("full-revsort16.control-pads", 0xcc9795da3edb3400),
     ("full-revsort16.trace", 0x43a337db586e84cf),
     ("full-revsort16.datapath", 0x414c8c7eb0a85040),
-    ("full-revsort16.faultable", 0xb6a72ef3c648e275),
-    ("full-revsort16.taps", 0x0cb57d27164b6701),
     ("full-columnsort8x2.control", 0xc99360056e43687e),
     ("full-columnsort8x2.control-pads", 0x43a2399379b2ae79),
     ("full-columnsort8x2.trace", 0xa8e3a0515aecdade),
     ("full-columnsort8x2.datapath", 0x21f6bf478fd5054f),
-    ("full-columnsort8x2.faultable", 0x8e74a20970b387d7),
-    ("full-columnsort8x2.taps", 0xc66b926d42fa5ecc),
 ];
 
 #[test]

@@ -36,8 +36,9 @@
 //!
 //! Both schedules are fault-aware: chip faults
 //! ([`concentrator::faults::ChipFault`]) can be injected on a shard
-//! mid-run (`inject_faults`), which swaps the shard onto a
-//! fault-compiled netlist overlay. A per-shard delivery-health EWMA
+//! mid-run (`inject_faults`), which swaps the shard onto a faulted chip
+//! program: the same compiled chips, with the faults lowered into its
+//! gathers. A per-shard delivery-health EWMA
 //! ([`HealthPolicy`]) compares delivered counts against the analytic
 //! capacity bound, quarantines degraded shards (placement steers new
 //! traffic to healthy ones while the sick shard drains its backlog),

@@ -26,8 +26,9 @@
 //! the same `Arc<ChipProgram>`; what is per-shard is the mutable state:
 //! the pending queue, the sweep scratch, the lane buffers, the frame
 //! scratch reused across frames, and the metrics. A shard with injected
-//! chip faults sweeps a fault-compiled overlay of the flat datapath
-//! instead.
+//! chip faults owns a faulted chip program instead: the same compiled
+//! chips behind gathers that lower the faults
+//! ([`StagedSwitch::faulted_program`]), swept the same way.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -35,7 +36,7 @@ use std::sync::Arc;
 use concentrator::faults::{ChipFault, FaultySwitch};
 use concentrator::spec::{ConcentratorKind, ConcentratorSwitch};
 use concentrator::{ChipProgram, ChipScratch, StagedSwitch};
-use netlist::{lane_group, CompiledNetlist, EvalScratch, WORD_BITS};
+use netlist::{lane_group, WORD_BITS};
 use switchsim::Message;
 
 use crate::config::{HealthPolicy, RetryBudget};
@@ -128,18 +129,6 @@ struct Routed {
     winners: usize,
 }
 
-/// The degraded execution engine of a shard with injected chip faults:
-/// the message-level faulty router (the routing oracle) and the
-/// fault-compiled datapath overlay (the payload transport), which runs at
-/// the same 64-lane batch speed as the healthy engine. Derived from the
-/// switch's shared faultable elaboration; owning the overlay here keeps
-/// the shared cache healthy-only.
-struct FaultedEngine {
-    router: FaultySwitch,
-    compiled: CompiledNetlist,
-    scratch: EvalScratch,
-}
-
 /// A shard: pending queue + compiled-datapath batch executor + metrics.
 pub struct Shard {
     id: usize,
@@ -167,8 +156,9 @@ pub struct Shard {
     retry: RetryBudget,
     /// Frames this shard has executed (its local clock).
     clock: u64,
-    /// Injected chip faults, when any (see [`Shard::set_faults`]).
-    fault: Option<FaultedEngine>,
+    /// The message-level router of the injected chip faults, when any
+    /// (see [`Shard::set_faults`]); `program` then lowers the same faults.
+    fault: Option<FaultySwitch>,
     health: HealthPolicy,
     /// Delivery-health EWMA against the analytic capacity bound.
     health_ewma: f64,
@@ -227,33 +217,28 @@ impl Shard {
         self.id
     }
 
-    /// Inject (or, with an empty set, clear) chip faults. The faulted
-    /// engine is derived from the switch's shared faultable elaboration:
-    /// routing goes through the message-level [`FaultySwitch`] reference
-    /// and payload transport through a fault-compiled overlay of the
-    /// tapped datapath, leaving the shared elaboration cache untouched.
+    /// Inject (or, with an empty set, clear) chip faults. Routing goes
+    /// through the message-level [`FaultySwitch`] reference and payload
+    /// transport through [`StagedSwitch::faulted_program`]: the shared
+    /// chip program's compiled chips behind gathers that lower the faults,
+    /// owned by this shard, so the shared cache stays healthy.
     ///
     /// # Panics
     /// If a fault names a stage or chip the switch does not have.
     pub fn set_faults(&mut self, faults: Vec<ChipFault>) {
         self.metrics.faults_active = faults.len() as u64;
         if faults.is_empty() {
+            self.program = self.switch.datapath_program();
             self.fault = None;
             return;
         }
-        let elab = self.switch.faultable_logic();
-        let compiled = elab.compile_faulted(&faults);
-        let scratch = compiled.scratch();
-        self.fault = Some(FaultedEngine {
-            router: FaultySwitch::new(Arc::clone(&self.switch), faults),
-            compiled,
-            scratch,
-        });
+        self.program = Arc::new(self.switch.faulted_program(&faults));
+        self.fault = Some(FaultySwitch::new(Arc::clone(&self.switch), faults));
     }
 
     /// The chip faults currently injected (empty when healthy).
     pub fn active_faults(&self) -> &[ChipFault] {
-        self.fault.as_ref().map_or(&[], |f| f.router.faults())
+        self.fault.as_ref().map_or(&[], |f| f.faults())
     }
 
     /// Whether the health monitor has quarantined this shard.
@@ -285,12 +270,12 @@ impl Shard {
     /// range (`n` may only grow) so no queued message's source wire
     /// disappears — that is what makes the swap zero-loss by construction.
     ///
-    /// Installing clears any injected fault overlay: the faults were
-    /// compiled against the *old* topology, and swapping in a
-    /// fault-recompiled netlist is exactly how a quarantined shard is
-    /// repaired. Health history likewise judged the old switch, so the
-    /// EWMA restarts trusted and the existing hysteresis re-quarantines
-    /// the shard only if the new switch underperforms.
+    /// Installing clears any injected faults: they were lowered onto the
+    /// *old* topology, and swapping in a freshly compiled switch is
+    /// exactly how a quarantined shard is repaired. Health history
+    /// likewise judged the old switch, so the EWMA restarts trusted and
+    /// the existing hysteresis re-quarantines the shard only if the new
+    /// switch underperforms.
     ///
     /// # Panics
     /// If the pending queue is non-empty, or the replacement's `n` is
@@ -442,7 +427,7 @@ impl Shard {
         // through the faulty router when faults are injected, so the
         // routing oracle and the datapath degrade together.
         let routing = match &self.fault {
-            Some(faulted) => faulted.router.route(&self.valid),
+            Some(faulty) => faulty.route(&self.valid),
             None => self.switch.route(&self.valid),
         };
 
@@ -548,43 +533,23 @@ impl Shard {
         words
     }
 
-    /// Sweep lane words `0..lanes` through the datapath: the chip program
-    /// when healthy, else the fault overlay in [`lane_group`] steps, with
-    /// lane words past `lanes` in the last group zero. Either way `sweeps`
+    /// Sweep lane words `0..lanes` through the chip program; `sweeps`
     /// counts one per [`lane_group`] step over the lane words.
     fn sweep_lanes(&mut self, lanes: usize) {
         let (inputs, outputs) = (2 * self.switch.n, 2 * self.switch.m);
+        if self.word_out.len() < lanes * outputs {
+            self.word_out.resize(lanes * outputs, 0);
+        }
+        self.program.sweep(
+            &self.word_in[..lanes * inputs],
+            lanes,
+            &mut self.scratch,
+            &mut self.word_out[..lanes * outputs],
+        );
         let mut lo = 0;
         while lo < lanes {
-            let lw = lane_group(lanes - lo);
-            let hi = lo + lw;
-            if self.word_out.len() < hi * outputs {
-                self.word_out.resize(hi * outputs, 0);
-            }
-            if let Some(faulted) = &mut self.fault {
-                if self.word_in.len() < hi * inputs {
-                    self.word_in.resize(hi * inputs, 0);
-                }
-                if hi > lanes {
-                    self.word_in[lanes * inputs..hi * inputs].fill(0);
-                }
-                faulted.compiled.eval_words_into(
-                    &self.word_in[lo * inputs..hi * inputs],
-                    lw,
-                    &mut faulted.scratch,
-                    &mut self.word_out[lo * outputs..hi * outputs],
-                );
-            }
+            lo += lane_group(lanes - lo);
             self.metrics.sweeps += 1;
-            lo = hi;
-        }
-        if self.fault.is_none() {
-            self.program.sweep(
-                &self.word_in[..lanes * inputs],
-                lanes,
-                &mut self.scratch,
-                &mut self.word_out[..lanes * outputs],
-            );
         }
     }
 
@@ -659,10 +624,12 @@ mod tests {
         /// The per-bit reference transport: the frame [`Shard::run_frame`]
         /// must reproduce, written literally from the bit-serial wire
         /// format — one `Message::bit` per payload bit per input, one
-        /// 64-cycle `eval_word_into` of the flat datapath (or the fault
-        /// overlay) at a time, one `Vec<bool>` per
-        /// output, payloads rebuilt by `Message::payload_from_bits`, fresh
-        /// per-frame buffers. `sweeps` counts the frame's lane words under
+        /// 64-cycle `eval_word_into` of the flat datapath at a time, one
+        /// `Vec<bool>` per output, payloads rebuilt by
+        /// `Message::payload_from_bits`, fresh per-frame buffers. Under
+        /// faults no engine is swept: a real message the [`FaultySwitch`]
+        /// routes to an output crossed no faulted pin, so each winner's
+        /// bits arrive as sent. `sweeps` counts the frame's lane words under
         /// the lane-group rule: a group of 8 while more than 4 remain, of
         /// 4 while more than 1 remain, else of 1.
         fn run_frame_per_bit(&mut self) -> FrameRun {
@@ -688,7 +655,7 @@ mod tests {
 
             let valid: Vec<bool> = by_input.iter().map(Option::is_some).collect();
             let routing = match &self.fault {
-                Some(faulted) => faulted.router.route(&valid),
+                Some(faulty) => faulty.route(&valid),
                 None => self.switch.route(&valid),
             };
 
@@ -698,46 +665,52 @@ mod tests {
                 .map(|t| t.message.bit_len())
                 .max()
                 .unwrap_or(0);
-            // The flat datapath, so the chip program is checked against
-            // an engine it does not share.
-            let compiled = match &self.fault {
-                Some(faulted) => faulted.compiled.clone(),
-                None => self.switch.datapath_logic(false).compiled.clone(),
-            };
-            let mut scratch = compiled.scratch();
-            let mut word_in = vec![0u64; compiled.input_count()];
-            let mut word_out = vec![0u64; compiled.output_count()];
             let mut received: Vec<Vec<bool>> = vec![Vec::with_capacity(cycles); m];
-            let mut cycle = 0usize;
-            while cycle < cycles {
-                let lanes = (cycles - cycle).min(WORD_BITS);
-                let lane_mask = if lanes == WORD_BITS {
-                    !0u64
-                } else {
-                    (1u64 << lanes) - 1
-                };
-                for i in 0..n {
-                    word_in[i] = if valid[i] { lane_mask } else { 0 };
-                    let mut data = 0u64;
-                    if let Some(ticket) = &by_input[i] {
-                        let msg = &ticket.message;
-                        let last = msg.bit_len().min(cycle + lanes);
-                        for (lane, c) in (cycle..last).enumerate() {
-                            data |= (msg.bit(c) as u64) << lane;
-                        }
-                    }
-                    word_in[n + i] = data;
-                }
-                compiled.eval_word_into(&word_in, &mut scratch, &mut word_out);
+            if self.fault.is_some() {
                 for (out, src) in routing.output_source.iter().enumerate() {
-                    if src.is_some() {
-                        let data = word_out[m + out];
-                        for lane in 0..lanes {
-                            received[out].push(data >> lane & 1 == 1);
-                        }
+                    if let Some(src) = *src {
+                        let msg = &by_input[src].as_ref().expect("routed input").message;
+                        received[out].extend((0..msg.bit_len()).map(|c| msg.bit(c)));
                     }
                 }
-                cycle += lanes;
+            } else {
+                // The flat datapath, so the chip program is checked
+                // against an engine it does not share.
+                let compiled = self.switch.datapath_logic(false).compiled.clone();
+                let mut scratch = compiled.scratch();
+                let mut word_in = vec![0u64; compiled.input_count()];
+                let mut word_out = vec![0u64; compiled.output_count()];
+                let mut cycle = 0usize;
+                while cycle < cycles {
+                    let lanes = (cycles - cycle).min(WORD_BITS);
+                    let lane_mask = if lanes == WORD_BITS {
+                        !0u64
+                    } else {
+                        (1u64 << lanes) - 1
+                    };
+                    for i in 0..n {
+                        word_in[i] = if valid[i] { lane_mask } else { 0 };
+                        let mut data = 0u64;
+                        if let Some(ticket) = &by_input[i] {
+                            let msg = &ticket.message;
+                            let last = msg.bit_len().min(cycle + lanes);
+                            for (lane, c) in (cycle..last).enumerate() {
+                                data |= (msg.bit(c) as u64) << lane;
+                            }
+                        }
+                        word_in[n + i] = data;
+                    }
+                    compiled.eval_word_into(&word_in, &mut scratch, &mut word_out);
+                    for (out, src) in routing.output_source.iter().enumerate() {
+                        if src.is_some() {
+                            let data = word_out[m + out];
+                            for lane in 0..lanes {
+                                received[out].push(data >> lane & 1 == 1);
+                            }
+                        }
+                    }
+                    cycle += lanes;
+                }
             }
             let mut words = cycles.div_ceil(WORD_BITS);
             while words > 0 {

@@ -10,11 +10,10 @@
 //!
 //! 1. **Schedule** (phase 1, this file): the gate list is levelized via
 //!    the depth machinery and every gate's fan-in literals are flattened
-//!    into one contiguous arena. The schedule is the fault-injection
-//!    surface — [`CompiledNetlist::with_faults`] edits opcodes, literal
-//!    inversion bits, and input forces here — and doubles as a slow
-//!    reference interpreter ([`CompiledNetlist::eval_word_reference`])
-//!    for differential testing.
+//!    into one contiguous arena. The schedule is the partitioner's input
+//!    and doubles as a slow reference interpreter
+//!    ([`CompiledNetlist::eval_word_reference`]) for differential
+//!    testing.
 //! 2. **Instruction stream** (phase 2, [`crate::insn`]): the schedule is
 //!    lowered onto a chip partition ([`crate::partition`]) as a dense
 //!    stream of fixed-width op/src-a/src-b/dst records over
@@ -77,48 +76,6 @@ pub fn sweep_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// How a faulted wire misbehaves (see [`CompiledNetlist::with_faults`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum WireFaultKind {
-    /// The wire reads constant 0 regardless of its driver.
-    Stuck0,
-    /// The wire reads constant 1 regardless of its driver.
-    Stuck1,
-    /// Every reader of the wire sees the complement of the driven value.
-    Flip,
-}
-
-/// A located wire fault: which wire, and how it misbehaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct WireFault {
-    /// The faulted wire.
-    pub wire: Wire,
-    /// The failure mode.
-    pub kind: WireFaultKind,
-}
-
-impl WireFault {
-    /// A stuck-at fault forcing `wire` to `value`.
-    pub fn stuck(wire: Wire, value: bool) -> WireFault {
-        WireFault {
-            wire,
-            kind: if value {
-                WireFaultKind::Stuck1
-            } else {
-                WireFaultKind::Stuck0
-            },
-        }
-    }
-
-    /// An inversion fault on `wire`.
-    pub fn flip(wire: Wire) -> WireFault {
-        WireFault {
-            wire,
-            kind: WireFaultKind::Flip,
-        }
-    }
-}
-
 /// Compiled gate opcode. [`GateKind::Const`] splits into two opcodes so
 /// no evaluator ever touches a payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,10 +109,9 @@ pub(crate) fn unpack(packed: PackedLit) -> Literal {
 
 /// Phase-1 compilation output: the levelized, arena-flattened schedule.
 ///
-/// This is the IR faults are lowered onto, the input to the partitioner
-/// and the phase-2 lowering, and — via [`Schedule::eval_word`] — a slow
-/// reference evaluator the instruction stream is differentially tested
-/// against.
+/// This is the input to the partitioner and the phase-2 lowering, and —
+/// via [`Schedule::eval_word`] — a slow reference evaluator the
+/// instruction stream is differentially tested against.
 #[derive(Debug, Clone)]
 pub(crate) struct Schedule {
     /// Total wire count.
@@ -176,11 +132,6 @@ pub(crate) struct Schedule {
     pub levels: Vec<u32>,
     /// Packed primary-output literals, in marking order.
     pub outputs: Vec<PackedLit>,
-    /// Stuck-at values applied to *non-gate* wires (primary inputs) after
-    /// the input words are loaded and before the sweep: `(wire, value)`.
-    /// Empty for healthy circuits. Gate-output stucks are compiled into
-    /// the opcode stream instead.
-    pub forces: Vec<(u32, bool)>,
 }
 
 impl Schedule {
@@ -235,7 +186,6 @@ impl Schedule {
             lits,
             levels,
             outputs: nl.outputs().iter().map(|&l| pack(l)).collect(),
-            forces: Vec::new(),
         }
     }
 
@@ -243,44 +193,6 @@ impl Schedule {
     #[inline]
     pub(crate) fn gate_lits(&self, g: usize) -> &[PackedLit] {
         &self.lits[self.lit_bounds[g] as usize..self.lit_bounds[g + 1] as usize]
-    }
-
-    /// Apply `faults` in place (see [`CompiledNetlist::with_faults`] for
-    /// the injection strategy and composition semantics).
-    fn apply_faults(&mut self, faults: &[WireFault]) {
-        // Map wire index -> schedule slot of the gate driving it.
-        let mut driver_slot: Vec<Option<u32>> = vec![None; self.wire_count];
-        for (slot, &w) in self.outs.iter().enumerate() {
-            driver_slot[w as usize] = Some(slot as u32);
-        }
-        for fault in faults {
-            let w = fault.wire.index();
-            assert!(w < self.wire_count, "fault names missing wire {w}");
-            match fault.kind {
-                WireFaultKind::Stuck0 | WireFaultKind::Stuck1 => {
-                    let value = fault.kind == WireFaultKind::Stuck1;
-                    match driver_slot[w] {
-                        Some(slot) => {
-                            self.ops[slot as usize] =
-                                if value { Op::ConstTrue } else { Op::ConstFalse };
-                        }
-                        None => self.forces.push((w as u32, value)),
-                    }
-                }
-                WireFaultKind::Flip => {
-                    for lit in &mut self.lits {
-                        if (*lit >> 1) as usize == w {
-                            *lit ^= 1;
-                        }
-                    }
-                    for out in &mut self.outputs {
-                        if (*out >> 1) as usize == w {
-                            *out ^= 1;
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// One levelized 64-lane sweep over the schedule itself — the
@@ -317,9 +229,6 @@ impl Schedule {
         let mut wires = vec![0u64; self.wire_count];
         for (ord, &w) in self.input_wires.iter().enumerate() {
             wires[w as usize] = inputs[ord];
-        }
-        for &(w, value) in &self.forces {
-            wires[w as usize] = if value { !0u64 } else { 0u64 };
         }
         self.sweep(&mut wires);
         self.outputs
@@ -380,49 +289,6 @@ impl CompiledNetlist {
             stream,
             simd: detect_simd(),
         }
-    }
-
-    /// Derive a *faulted* copy of this compiled netlist: the returned
-    /// engine evaluates the same schedule with the given wire faults
-    /// permanently injected, at the same batch-evaluation speed.
-    ///
-    /// Injection strategy, chosen so the emulator hot loop is untouched:
-    ///
-    /// * **stuck-at on a gate-output wire** — the driving gate's opcode is
-    ///   replaced with `ConstTrue`/`ConstFalse` in the schedule;
-    /// * **stuck-at on a primary-input wire** — recorded in a force list
-    ///   applied once per sweep, right after the input words are loaded;
-    /// * **flip** — every reader literal of the wire (fan-in arena and
-    ///   primary outputs) has its inversion bit toggled, which is exactly
-    ///   "every consumer sees the complement".
-    ///
-    /// Faults are applied in order; flipping the same wire twice cancels,
-    /// and a stuck-at composed with a flip yields the complemented
-    /// constant at every reader — the physical semantics of a shorted
-    /// line feeding an inverting receiver.
-    ///
-    /// The edited schedule is then **re-lowered** onto the same chip
-    /// partition, so the faulted engine runs the identical instruction
-    /// format, slot layout discipline, and SIMD kernels as the healthy
-    /// one. Cost is `O(gates + literals)` — negligible next to one
-    /// evaluation sweep — and the source engine is untouched, so cached
-    /// healthy elaborations stay clean.
-    pub fn with_faults(&self, faults: &[WireFault]) -> CompiledNetlist {
-        let mut schedule = self.schedule.clone();
-        schedule.apply_faults(faults);
-        let stream = lower(&schedule, &self.partition);
-        CompiledNetlist {
-            schedule,
-            partition: self.partition.clone(),
-            stream,
-            simd: self.simd,
-        }
-    }
-
-    /// Whether this engine carries injected faults that force primary
-    /// input wires (gate-level faults are invisible here by design).
-    pub fn has_input_forces(&self) -> bool {
-        !self.schedule.forces.is_empty()
     }
 
     /// Number of primary inputs.
@@ -934,29 +800,6 @@ mod tests {
         ops.filter(|&op| op == OP_ANDOR).count()
     }
 
-    /// The wires lowering fuses into an OR's chain: outputs of ANDs of
-    /// fan-in 2 or 3 that are no primary output and are read exactly
-    /// once, as a positive OR literal.
-    fn fusable_wires(nl: &Netlist) -> Vec<Wire> {
-        let mut reads = vec![(0usize, false); nl.wire_count()];
-        for gate in nl.gates() {
-            for lit in &gate.inputs {
-                let r = &mut reads[lit.wire.index()];
-                *r = (r.0 + 1, gate.kind == GateKind::Or && !lit.inverted);
-            }
-        }
-        nl.gates()
-            .iter()
-            .filter(|g| {
-                g.kind == GateKind::And
-                    && matches!(g.inputs.len(), 2 | 3)
-                    && reads[g.output.index()] == (1, true)
-                    && !nl.outputs().iter().any(|o| o.wire == g.output)
-            })
-            .map(|g| g.output)
-            .collect()
-    }
-
     /// Every kernel family the dispatcher knows, whether or not this CPU
     /// would pick it by default, filtered to the ones it can run.
     fn runnable_kernels() -> Vec<Simd> {
@@ -1277,141 +1120,5 @@ mod tests {
             }
             assert!(report.max_gates() >= compiled.gate_count() / chips);
         }
-    }
-
-    /// Reference model of a wire fault: re-evaluate the interpreter with
-    /// the faulted wire's value overridden at every read.
-    fn eval_with_fault(nl: &Netlist, fault: WireFault, bits: &[bool]) -> Vec<bool> {
-        // Evaluate healthy wire values in topological order, then replay
-        // with the fault applied to every *read* of the wire.
-        let mut values = vec![false; nl.wire_count()];
-        for (ord, w) in nl.inputs().iter().enumerate() {
-            values[w.index()] = bits[ord];
-        }
-        let read = |values: &[bool], lit: Literal| -> bool {
-            let mut v = values[lit.wire.index()];
-            if lit.wire == fault.wire {
-                v = match fault.kind {
-                    WireFaultKind::Stuck0 => false,
-                    WireFaultKind::Stuck1 => true,
-                    WireFaultKind::Flip => !v,
-                };
-            }
-            v ^ lit.inverted
-        };
-        for gate in nl.gates() {
-            let ins: Vec<bool> = gate.inputs.iter().map(|&l| read(&values, l)).collect();
-            values[gate.output.index()] = match gate.kind {
-                GateKind::And => ins.iter().all(|&b| b),
-                GateKind::Or => ins.iter().any(|&b| b),
-                GateKind::Xor => ins.iter().fold(false, |a, b| a ^ b),
-                GateKind::Buf => ins[0],
-                GateKind::Const(v) => v,
-            };
-        }
-        nl.outputs().iter().map(|&l| read(&values, l)).collect()
-    }
-
-    /// Three-way check of every single-wire fault: the faulted stream,
-    /// the faulted schedule's own sweep and the scalar fault model agree
-    /// on every input vector (one lane each, ≤ 6 inputs). The random
-    /// netlists carry shared chain prefixes and fused AND–OR planes, so
-    /// faults on a shared pair's wires, on the gates reading its
-    /// temporary, and on fused AND terms (which a stuck-at or flip
-    /// unfuses) are covered, and faulted streams run `OP_ANDOR`.
-    #[test]
-    fn single_wire_faults_match_the_reference_model() {
-        let mut netlists = vec![kitchen_sink()];
-        netlists.extend((0..4).map(|seed| random_netlist(seed, 4 + seed as usize % 3, 60)));
-        let (mut sharing, mut term_faults, mut fused_faulted) = (0, 0, 0);
-        for (k, nl) in netlists.iter().enumerate() {
-            let n = nl.input_count();
-            let compiled = nl.compile_partitioned(1 + k % 3);
-            sharing += usize::from(compiled.insn_count() < unshared_insn_count(nl));
-            let terms = fusable_wires(nl);
-            let vectors = 1usize << n;
-            let lanes: Vec<u64> = (0..n)
-                .map(|i| (0..vectors).fold(0u64, |w, v| w | (((v >> i) & 1) as u64) << v))
-                .collect();
-            for wire in 0..nl.wire_count() as u32 {
-                for kind in [
-                    WireFaultKind::Stuck0,
-                    WireFaultKind::Stuck1,
-                    WireFaultKind::Flip,
-                ] {
-                    let fault = WireFault {
-                        wire: Wire(wire),
-                        kind,
-                    };
-                    let faulted = compiled.with_faults(&[fault]);
-                    term_faults += usize::from(terms.contains(&fault.wire));
-                    fused_faulted += usize::from(andor_count(&faulted) > 0);
-                    let got = faulted.eval_word(&lanes);
-                    assert_eq!(
-                        got,
-                        faulted.eval_word_reference(&lanes),
-                        "netlist {k}, wire {wire} {kind:?}: stream vs schedule"
-                    );
-                    for vector in 0..vectors {
-                        let bits: Vec<bool> = (0..n).map(|i| (vector >> i) & 1 == 1).collect();
-                        let lane: Vec<bool> = got.iter().map(|&w| w >> vector & 1 == 1).collect();
-                        assert_eq!(
-                            lane,
-                            eval_with_fault(nl, fault, &bits),
-                            "netlist {k}, wire {wire} {kind:?}, vector {vector:#x}"
-                        );
-                    }
-                }
-            }
-        }
-        assert!(sharing >= 3, "only {sharing} netlists share a prefix");
-        assert!(term_faults > 0, "no fault hits a fused AND term");
-        assert!(fused_faulted > 0, "no faulted stream runs OP_ANDOR");
-    }
-
-    #[test]
-    fn flip_twice_cancels_and_source_is_untouched() {
-        let nl = kitchen_sink();
-        let compiled = nl.compile();
-        let wire = nl.inputs()[1];
-        let twice = compiled.with_faults(&[WireFault::flip(wire), WireFault::flip(wire)]);
-        let inputs = vec![0xDEAD_BEEF_0123_4567u64, 0x0F0F_0F0F_0F0F_0F0Fu64, 0, !0u64];
-        assert_eq!(twice.eval_word(&inputs), compiled.eval_word(&inputs));
-        // The healthy engine must not have been mutated by the derivation.
-        let once = compiled.with_faults(&[WireFault::flip(wire)]);
-        assert_ne!(once.eval_word(&inputs), compiled.eval_word(&inputs));
-        assert_eq!(
-            compiled.eval_word(&inputs),
-            nl.compile().eval_word(&inputs),
-            "with_faults mutated its source engine"
-        );
-    }
-
-    #[test]
-    fn input_wire_stuck_forces_every_lane() {
-        let nl = majority3();
-        let compiled = nl.compile();
-        let stuck = compiled.with_faults(&[WireFault::stuck(nl.inputs()[0], true)]);
-        assert!(stuck.has_input_forces());
-        assert!(!compiled.has_input_forces());
-        // majority(1, b, c) = b | c.
-        let b = 0b1100u64;
-        let c = 0b1010u64;
-        assert_eq!(stuck.eval_word(&[0, b, c])[0], b | c);
-        // Matrix path applies the same forces.
-        let m = BitMatrix::from_fn(3, 100, |row, v| (v >> row) & 1 == 1);
-        let out = stuck.eval_matrix(&m);
-        for v in 0..100 {
-            let col = m.column(v);
-            assert_eq!(out.get(0, v), col[1] | col[2], "vector {v}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "missing wire")]
-    fn fault_location_is_validated() {
-        majority3()
-            .compile()
-            .with_faults(&[WireFault::stuck(Wire(1000), false)]);
     }
 }

@@ -56,9 +56,7 @@
 //!   A fan-in-3 term reads its leading pair from a temporary computed at
 //!   the AND's own level (the shared selector above, or a pair of its
 //!   own). The term's operands stay live until the OR's level, which may
-//!   be on another chip: cross-level reads are ordinary. A faulted AND is
-//!   never absorbed, since a stuck-at makes it a constant and a flip
-//!   inverts its OR's literal.
+//!   be on another chip: cross-level reads are ordinary.
 //! * **(Step, opcode) order.** Within each (level, chip) group,
 //!   instructions are stably ordered by their step along their dependency
 //!   chain inside the group, and within a step by opword: every chain's
@@ -133,8 +131,8 @@ impl Insn {
 }
 
 /// The compiled instruction stream plus everything the emulator needs to
-/// run it: slot bindings for primary inputs and outputs, stuck-input
-/// forces, level boundaries, and per-(level, chip) ranges.
+/// run it: slot bindings for primary inputs and outputs, level
+/// boundaries, and per-(level, chip) ranges.
 #[derive(Debug, Clone)]
 pub(crate) struct InsnStream {
     pub insns: Vec<Insn>,
@@ -154,8 +152,6 @@ pub(crate) struct InsnStream {
     pub slot_count: usize,
     /// Slot of each primary input, in input-ordinal order.
     pub input_slots: Vec<u32>,
-    /// Stuck-input forces: `(slot, value)` written after input load.
-    pub forces: Vec<(u32, bool)>,
     /// Primary outputs: `(slot, inverted)` in marking order.
     pub outputs: Vec<(u32, bool)>,
 }
@@ -427,15 +423,6 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
         level_bounds.push(insns.len() as u32);
     }
 
-    let forces = sched
-        .forces
-        .iter()
-        .map(|&(w, v)| {
-            let s = slot_of[w as usize];
-            debug_assert_ne!(s, u32::MAX, "force names an unallocated wire");
-            (s, v)
-        })
-        .collect();
     let outputs = sched
         .outputs
         .iter()
@@ -455,7 +442,6 @@ pub(crate) fn lower(sched: &Schedule, part: &Partition) -> InsnStream {
         chips,
         slot_count: next_slot as usize,
         input_slots,
-        forces,
         outputs,
     };
     #[cfg(debug_assertions)]
@@ -907,9 +893,9 @@ impl InsnStream {
     }
 
     /// Evaluate one lane group of `lw` words: load `inputs` (word `k` of
-    /// primary input `i` at `inputs[k * inputs_per_word + i]`) and the
-    /// stuck-input forces into `vals`, sweep the whole stream, and write
-    /// word `k` of output `o` to `out[k * outputs + o]`.
+    /// primary input `i` at `inputs[k * inputs_per_word + i]`) into
+    /// `vals`, sweep the whole stream, and write word `k` of output `o` to
+    /// `out[k * outputs + o]`.
     pub(crate) fn eval_words(
         &self,
         inputs: &[u64],
@@ -925,10 +911,6 @@ impl InsnStream {
             for (k, val) in vals[at..at + lw].iter_mut().enumerate() {
                 *val = inputs[k * ins + ord];
             }
-        }
-        for &(slot, value) in &self.forces {
-            let at = slot as usize * lw;
-            vals[at..at + lw].fill(if value { !0u64 } else { 0u64 });
         }
         // SAFETY: `vals` was sliced to exactly the `slot_count * lw` words
         // `run` needs (the slicing panics if the buffer is shorter); every
@@ -993,9 +975,6 @@ impl InsnStream {
                 i.a < n && i.b < n && i.dst < n,
                 "instruction slot out of range"
             );
-        }
-        for &(s, _) in &self.forces {
-            assert!(s < n, "force slot out of range");
         }
         for &(s, _) in &self.outputs {
             assert!(s < n, "output slot out of range");

@@ -49,10 +49,7 @@ mod verilog;
 mod wire;
 
 pub use builder::Netlist;
-pub use compile::{
-    lane_group, sweep_threads, CompiledNetlist, EvalScratch, WireFault, WireFaultKind,
-    DEFAULT_CHIPS,
-};
+pub use compile::{lane_group, sweep_threads, CompiledNetlist, EvalScratch, DEFAULT_CHIPS};
 pub use depth::DepthReport;
 pub use eval::{BitBlock, WORD_BITS};
 pub use gate::{Gate, GateKind};

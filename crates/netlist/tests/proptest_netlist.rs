@@ -1,6 +1,6 @@
 //! Property-based tests over randomly generated netlists.
 
-use netlist::{BitMatrix, GateKind, Literal, Netlist, Wire, WireFault, WireFaultKind};
+use netlist::{BitMatrix, GateKind, Literal, Netlist};
 use proptest::prelude::*;
 
 /// A recipe for one gate in a random DAG: kind selector plus input picks
@@ -155,66 +155,6 @@ proptest! {
         }
     }
 
-    /// The instruction-stream emulator, the phase-1 schedule interpreter,
-    /// and the scalar interpreter agree on random netlists (which include
-    /// Const gates and inverted fan-ins) with random wire faults injected.
-    /// The scalar leg uses an independent fault model that overrides the
-    /// faulted wire at every read.
-    #[test]
-    fn faulted_engines_match_scalar_fault_model(
-        n_inputs in 1usize..6,
-        recipes in proptest::collection::vec(recipe_strategy(), 1..20),
-        fault_picks in proptest::collection::vec((0.0f64..1.0, 0u8..3), 1..3),
-        seed in any::<u64>(),
-    ) {
-        let mut nl = build(n_inputs, &recipes);
-        let twin = nl.outputs()[0].complement();
-        nl.mark_output(twin);
-        // Every wire is either a primary input or some gate's output (SSA),
-        // so this list enumerates all fault sites.
-        let sites: Vec<Wire> = nl
-            .inputs()
-            .iter()
-            .copied()
-            .chain(nl.gates().iter().map(|g| g.output))
-            .collect();
-        let faults: Vec<WireFault> = fault_picks
-            .iter()
-            .map(|&(frac, kind)| WireFault {
-                wire: sites[((frac * sites.len() as f64) as usize).min(sites.len() - 1)],
-                kind: match kind {
-                    0 => WireFaultKind::Stuck0,
-                    1 => WireFaultKind::Stuck1,
-                    _ => WireFaultKind::Flip,
-                },
-            })
-            .collect();
-        let faulted = nl.compile().with_faults(&faults);
-
-        // Emulator ≡ schedule reference on 64 random lanes.
-        let blocks: Vec<u64> = (0..n_inputs)
-            .map(|i| seed.rotate_left(i as u32 * 11).wrapping_mul(0x9E3779B97F4A7C15))
-            .collect();
-        let word_out = faulted.eval_word(&blocks);
-        prop_assert_eq!(&word_out, &faulted.eval_word_reference(&blocks));
-
-        // Both ≡ the scalar fault model, on a handful of lanes. The model
-        // only composes cleanly for one fault; with several, restrict to
-        // fault sets on distinct wires applied in order.
-        let mut wires: Vec<usize> = faults.iter().map(|f| f.wire.index()).collect();
-        wires.sort_unstable();
-        wires.dedup();
-        if wires.len() == faults.len() {
-            for lane in [0usize, 17, 63] {
-                let bits: Vec<bool> = blocks.iter().map(|b| (b >> lane) & 1 == 1).collect();
-                let expected = eval_with_faults(&nl, &faults, &bits);
-                let got: Vec<bool> =
-                    word_out.iter().map(|&w| (w >> lane) & 1 == 1).collect();
-                prop_assert_eq!(got, expected, "lane {}", lane);
-            }
-        }
-    }
-
     /// Every lane width of the emulator, and the `eval_matrix` driver,
     /// agree with the per-word `eval_word_into` baseline on ragged vector
     /// counts (pad words of the last group are zero), and the driver's
@@ -292,34 +232,6 @@ proptest! {
         let bits: Vec<bool> = (0..n_inputs).map(|i| (pattern >> i) & 1 == 1).collect();
         prop_assert_eq!(outer.eval(&bits), sub.eval(&bits));
     }
-}
-
-/// Independent scalar fault model: evaluate gates in netlist order, but
-/// override each faulted wire's value at every read (faults applied in
-/// order at each read site — sound when the faulted wires are distinct).
-fn eval_with_faults(nl: &Netlist, faults: &[WireFault], bits: &[bool]) -> Vec<bool> {
-    let mut values = vec![false; nl.wire_count()];
-    for (ord, w) in nl.inputs().iter().enumerate() {
-        values[w.index()] = bits[ord];
-    }
-    let read = |values: &[bool], lit: Literal| -> bool {
-        let mut v = values[lit.wire.index()];
-        for fault in faults {
-            if lit.wire == fault.wire {
-                v = match fault.kind {
-                    WireFaultKind::Stuck0 => false,
-                    WireFaultKind::Stuck1 => true,
-                    WireFaultKind::Flip => !v,
-                };
-            }
-        }
-        v ^ lit.inverted
-    };
-    for gate in nl.gates() {
-        let ins = gate.inputs.iter().map(|&l| read(&values, l));
-        values[gate.output.index()] = gate.kind.eval(ins);
-    }
-    nl.outputs().iter().map(|&l| read(&values, l)).collect()
 }
 
 #[test]

@@ -332,8 +332,8 @@ pub fn resize_under_drain() -> Scenario {
 
 /// A live switch swap in the middle of a fault campaign: a chip dies on
 /// shard 0, the whole fabric is swapped onto the recompiled 64→16
-/// replacement (which clears the fault overlay — the recompile *is* the
-/// repair), then shard 1 takes a hit on the new switch and is repaired.
+/// replacement (which clears the injected faults — the recompile *is*
+/// the repair), then shard 1 takes a hit on the new switch and is repaired.
 /// The per-frame oracle replays every frame against whichever switch the
 /// shard had installed at execution time.
 pub fn swap_during_campaign() -> Scenario {
